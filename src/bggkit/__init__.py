@@ -11,9 +11,8 @@ from .linalg import InnerProduct, LinAlgError, SparseMat, column_space, \
 from .forms import FormBlock, LinMap, SumSpace, ValueSpace, exterior_derivative, \
     mult_coord, wedge_dx
 from .diagram import BuiltDiagram, DiagramError, DiagramSpec, KappaSpec, \
-    VerificationError, build, build_F, twisted_cohomology, verify_identities
-from .bgg import bgg_cohomology, compute_B, compute_D, compute_G, compute_T, \
-    derive, hodge_split
+    VerificationError, build, twisted_cohomology, verify_identities
+from .bgg import bgg_cohomology, compute_D, compute_T, derive, hodge_split
 from .energy import EnergyParams, cosserat_energy, generalized_cosserat_energy, \
     generalized_dilation_energy, generalized_plate_energy
 from .korn import korn2d_experiment
@@ -25,7 +24,7 @@ __all__ = [
     "BuiltDiagram", "DiagramError", "DiagramSpec", "EnergyParams", "FormBlock",
     "InnerProduct", "KappaSpec", "LinAlgError", "LinMap", "SparseMat",
     "SumSpace", "ValueSpace", "VerificationError", "bgg_cohomology", "build",
-    "build_F", "catalog", "column_space", "compute_B", "compute_D", "compute_G", "compute_T",
+    "catalog", "column_space", "compute_D", "compute_T",
     "cosserat_energy", "derive", "exterior_derivative", "export",
     "generalized_cosserat_energy", "generalized_dilation_energy",
     "generalized_plate_energy", "hodge_split", "korn2d_experiment",

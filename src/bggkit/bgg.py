@@ -2,9 +2,12 @@
 partial inverses, the nilpotent homotopy, and the derived complex on the
 harmonic spaces together with its inverse chain maps.
 
-All splittings are computed once on constant coefficients (the connectors
-act pointwise) and lifted to each polynomial weight block by tensoring with
-the identity on monomials, so every identity below closes exactly.
+Every operator except d and K acts pointwise, so its constant-coefficient
+data is computed once (the splitting projections and harmonic coordinate
+maps on ``HodgeSplit``, the partial inverses and their kernel and range
+projectors on ``TOps``).  ``lift_column`` is the single path from those
+constants to a column operator at one weight: row block j becomes
+I_mono (x) C_j, so every identity below closes exactly.
 """
 
 from __future__ import annotations
@@ -35,12 +38,20 @@ def _mono_count(bd: BuiltDiagram, i: int, j: int, w: int) -> int:
     return len(monomials(bd.n, w - i - j))
 
 
-def _lift(bd: BuiltDiagram, const: SparseMat, i: int, j: int, w: int) -> SparseMat:
-    """Tensor a constant-coefficient map with the identity on monomials."""
-    m = _mono_count(bd, i, j, w)
-    if m == 0:
-        return SparseMat.zero(0, 0)
-    return SparseMat.identity(m).kron(const)
+def lift_column(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,
+                cod: SumSpace, shift: int = 0) -> SparseMat:
+    """Column operator whose block (j + shift, j) is I_mono (x) consts[j].
+
+    i is the form degree of the domain column; its row-j block at weight w
+    fixes the monomial count.  Rows missing from consts, and rows without
+    monomials, are zero blocks.
+    """
+    grid = [[None] * len(dom.parts) for _ in cod.parts]
+    for j, const in consts.items():
+        m = _mono_count(bd, i, j, w)
+        if m:
+            grid[j + shift][j] = SparseMat.identity(m).kron(const)
+    return block_matrix(grid, cod.dims(), dom.dims())
 
 
 @dataclass
@@ -49,11 +60,13 @@ class HodgeSplit:
 
     Each space splits as ran(incoming) + ker(outgoing)^perp + harmonic,
     pairwise orthogonal for the standard coordinate inner product.
+    ``coords`` maps a constant onto the coordinates of its harmonic part.
     """
     bd: BuiltDiagram
     ran: dict = field(default_factory=dict)
     kerp: dict = field(default_factory=dict)
     ups: dict = field(default_factory=dict)
+    coords: dict = field(default_factory=dict)
     p_ran: dict = field(default_factory=dict)
     p_kerp: dict = field(default_factory=dict)
     p_ups: dict = field(default_factory=dict)
@@ -105,6 +118,10 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
             if out is not None:
                 constraints.insert(0, out)
             ups = SparseMat.from_columns(nullspace(vstack(constraints)), dim)
+            coords = inverse(ups.transpose() @ ups) @ ups.transpose()
+            if coords @ ups != SparseMat.identity(ups.cols):
+                raise VerificationError(
+                    f"harmonic coordinates do not invert the basis at (i={i}, j={j})")
             p_ran = projection_onto(ran)
             p_kerp = projection_onto(kerp)
             p_ups = projection_onto(ups)
@@ -118,37 +135,34 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
                         f"splitting components not orthogonal at (i={i}, j={j})")
             key = (i, j)
             hs.ran[key], hs.kerp[key], hs.ups[key] = ran, kerp, ups
+            hs.coords[key] = coords
             hs.p_ran[key], hs.p_kerp[key], hs.p_ups[key] = p_ran, p_kerp, p_ups
     return hs
 
 
 @dataclass
 class TOps:
-    """Partial inverses of the connectors, per block and per weight."""
+    """Partial inverses of the connectors, per block and per weight.
+
+    ``const``, ``p_ker`` and ``p_ran`` hold, per (i, j) with an incoming
+    connector, the constant partial inverse and the orthogonal projectors
+    onto its kernel and its range.
+    """
     bd: BuiltDiagram
     hs: HodgeSplit
     const: dict = field(default_factory=dict)
+    p_ker: dict = field(default_factory=dict)
+    p_ran: dict = field(default_factory=dict)
     _cols: dict = field(default_factory=dict)
 
     def column(self, i: int, w: int) -> LinMap:
         key = (i, w)
         if key not in self._cols:
-            bd = self.bd
-            dom = bd.column(i, w)
-            cod = bd.column(i - 1, w)
-            grid = [[None] * (bd.N + 1) for _ in range(bd.N + 1)]
-            for j in range(bd.N + 1):
-                tconst = self.const.get((i, j))
-                if tconst is None:
-                    continue
-                blk = _lift(bd, tconst, i, j, w)
-                if blk.rows or blk.cols:
-                    grid[j + 1][j] = blk
-                else:
-                    grid[j + 1][j] = SparseMat.zero(
-                        bd.block(i - 1, j + 1, w).dim, bd.block(i, j, w).dim)
-            self._cols[key] = LinMap(dom, cod, block_matrix(
-                grid, cod.dims(), dom.dims()))
+            dom = self.bd.column(i, w)
+            cod = self.bd.column(i - 1, w)
+            consts = {j: c for (ii, j), c in self.const.items() if ii == i}
+            self._cols[key] = LinMap(dom, cod, lift_column(
+                self.bd, consts, i, w, dom, cod, shift=1))
         return self._cols[key]
 
 
@@ -192,6 +206,8 @@ def compute_T(bd: BuiltDiagram, hs: HodgeSplit) -> TOps:
             raise VerificationError(f"ran(S) not orthogonal to ker(T) at (i={i}, j={j})")
         if ran_s.cols + ker_t.cols != tc.cols:
             raise VerificationError(f"ran(S) + ker(T) dims off at (i={i}, j={j})")
+        t.p_ker[(i, j)] = projection_onto(ker_t)
+        t.p_ran[(i, j)] = projection_onto(ran_t)
     return t
 
 
@@ -240,10 +256,6 @@ class GOps:
         return self._cols[key]
 
 
-def compute_G(bd: BuiltDiagram, t: TOps) -> GOps:
-    return GOps(bd, t)
-
-
 def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
                         w: int) -> list:
     """The three defining homotopy properties, exactly at one weight.
@@ -255,47 +267,26 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
     for i in range(bd.n + 1):
         gm = g.column(i, w).mat
         tm = t.column(i, w).mat
-        # (1): G P_ker(T) = 0.  ker(T) = ker(T_const) lifted blockwise.
-        grid = [[None] * (bd.N + 1) for _ in range(bd.N + 1)]
-        for j in range(bd.N + 1):
-            cdim = hs.const_dim(i, j)
-            tconst = t.const.get((i, j))
-            if tconst is None:
-                pk = SparseMat.identity(cdim)
-            else:
-                kerb = SparseMat.from_columns(nullspace(tconst), cdim)
-                pk = projection_onto(kerb)
-            grid[j][j] = _lift(bd, pk, i, j, w) if _mono_count(bd, i, j, w) else \
-                SparseMat.zero(bd.block(i, j, w).dim, bd.block(i, j, w).dim)
-        dims = bd.column(i, w).dims()
-        p_kerT = block_matrix(grid, dims, dims)
-        if not (gm @ p_kerT).is_zero():
+        col = bd.column(i, w)
+        # (1): G P_ker(T) = 0.  ker(T) = ker(T_const) lifted blockwise; rows
+        # without a partial inverse lie entirely in the kernel.
+        p_ker = {j: t.p_ker.get((i, j), SparseMat.identity(hs.const_dim(i, j)))
+                 for j in range(bd.N + 1)}
+        if not (gm @ lift_column(bd, p_ker, i, w, col, col)).is_zero():
             failures.append(("G|kerT=0", w, i))
-        # (2): T (I - d_V G) = 0
-        if i >= 1:
-            ident = SparseMat.identity(bd.column(i, w).dim)
-            lhs = tm @ (ident - bd.d_V(i - 1, w).mat @ gm)
-            if not lhs.is_zero():
-                failures.append(("T(I-dVG)=0", w, i))
-        # (3): P_ran(T) G = G
-        grid = [[None] * (bd.N + 1) for _ in range(bd.N + 1)]
-        for j in range(bd.N + 1):
-            cdim = hs.const_dim(i - 1, j) if 0 <= i - 1 else 0
-            if i - 1 < 0:
-                continue
-            tconst = t.const.get((i, j - 1)) if j >= 1 else None
-            if tconst is None:
-                pr = SparseMat.zero(cdim, cdim)
-            else:
-                pr = projection_onto(column_space(tconst))
-            grid[j][j] = _lift(bd, pr, i - 1, j, w) if _mono_count(bd, i - 1, j, w) else \
-                SparseMat.zero(bd.block(i - 1, j, w).dim, bd.block(i - 1, j, w).dim)
-        if i >= 1:
-            dims_out = bd.column(i - 1, w).dims()
-            p_ranT = block_matrix(grid, dims_out, dims_out)
-            if (p_ranT @ gm) != gm:
+        if i == 0:
+            # (3) with no column below: G itself must vanish
+            if not gm.is_zero():
                 failures.append(("ranG in ranT", w, i))
-        elif not gm.is_zero():
+            continue
+        # (2): T (I - d_V G) = 0
+        ident = SparseMat.identity(col.dim)
+        if not (tm @ (ident - bd.d_V(i - 1, w).mat @ gm)).is_zero():
+            failures.append(("T(I-dVG)=0", w, i))
+        # (3): P_ran(T) G = G; row j of column i - 1 is the range of T at (i, j - 1)
+        col_prev = bd.column(i - 1, w)
+        p_ran = {j + 1: p for (ii, j), p in t.p_ran.items() if ii == i}
+        if lift_column(bd, p_ran, i - 1, w, col_prev, col_prev) @ gm != gm:
             failures.append(("ranG in ranT", w, i))
     return failures
 
@@ -328,40 +319,20 @@ class BGGComplex:
         """Harmonic coordinates into the ambient column."""
         key = (i, w)
         if key not in self._iota:
-            bd = self.bd
-            dom = self.ups_space(i, w)
-            cod = bd.column(i, w)
-            grid = [[None] * (bd.N + 1) for _ in range(bd.N + 1)]
-            for j in range(bd.N + 1):
-                ups = self.hs.ups.get((i, j))
-                blk = _lift(bd, ups, i, j, w) if ups is not None else SparseMat.zero(0, 0)
-                grid[j][j] = blk if (blk.rows or blk.cols) else \
-                    SparseMat.zero(bd.block(i, j, w).dim if 0 <= i <= bd.n + 1 else 0,
-                                   dom.space(j).dim)
-            self._iota[key] = LinMap(dom, cod, block_matrix(
-                grid, cod.dims(), dom.dims()))
+            dom, cod = self.ups_space(i, w), self.bd.column(i, w)
+            consts = {j: b for (ii, j), b in self.hs.ups.items() if ii == i}
+            self._iota[key] = LinMap(dom, cod, lift_column(
+                self.bd, consts, i, w, dom, cod))
         return self._iota[key]
 
     def projection(self, i: int, w: int) -> LinMap:
         """Ambient column onto harmonic coordinates (orthogonal projection)."""
         key = (i, w)
         if key not in self._pi:
-            bd = self.bd
-            dom = bd.column(i, w)
-            cod = self.ups_space(i, w)
-            grid = [[None] * (bd.N + 1) for _ in range(bd.N + 1)]
-            for j in range(bd.N + 1):
-                ups = self.hs.ups.get((i, j))
-                blk_dim = bd.block(i, j, w).dim if 0 <= i <= bd.n + 1 else 0
-                if ups is not None and ups.cols:
-                    coords = inverse(ups.transpose() @ ups) @ ups.transpose()
-                    blk = _lift(bd, coords, i, j, w)
-                else:
-                    blk = SparseMat.zero(cod.space(j).dim, blk_dim)
-                grid[j][j] = blk if (blk.rows or blk.cols) else \
-                    SparseMat.zero(cod.space(j).dim, blk_dim)
-            self._pi[key] = LinMap(dom, cod, block_matrix(
-                grid, cod.dims(), dom.dims()))
+            dom, cod = self.bd.column(i, w), self.ups_space(i, w)
+            consts = {j: c for (ii, j), c in self.hs.coords.items() if ii == i}
+            self._pi[key] = LinMap(dom, cod, lift_column(
+                self.bd, consts, i, w, dom, cod))
         return self._pi[key]
 
     def A(self, i: int, w: int) -> LinMap:
@@ -441,11 +412,6 @@ class BOps:
         return self._cols[key]
 
 
-def compute_B(bd: BuiltDiagram, hs: HodgeSplit, g: GOps) -> BOps:
-    bc = BGGComplex(bd, hs, g.t, g)
-    return BOps(bc)
-
-
 def verify_chain_maps(bc: BGGComplex, b: BOps, w: int) -> list:
     """B d_V = D B, B A = I and A B = I - d_V G - G d_V, at one weight."""
     bd = bc.bd
@@ -506,7 +472,7 @@ def derive(bd: BuiltDiagram) -> DerivedOps:
     """Run the full pipeline: split, invert, homotopy, derived complex, B."""
     hs = hodge_split(bd)
     t = compute_T(bd, hs)
-    g = compute_G(bd, t)
+    g = GOps(bd, t)
     bc = compute_D(bd, hs, t, g)
     b = BOps(bc)
     return DerivedOps(bd, hs, t, g, bc, b)
@@ -563,6 +529,11 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     d_prev = bd.d(i - 1, w).mat if i >= 1 else None
     tmat = t.column(i, w).mat
     t_next = t.column(i + 1, w).mat
+    # splitting projections of column i + 1, both block diagonal
+    p_perp = {jo: SparseMat.identity(hs.const_dim(i + 1, jo)) - p
+              for (ii, jo), p in hs.p_ran.items() if ii == i + 1}
+    perp_next = lift_column(bd, p_perp, i + 1, w, col_next, col_next)
+    pi_next = bc.projection(i + 1, w).mat
 
     def check(tag, assembled, out_space, expectations, ji):
         for jo, _sp in out_space.parts:
@@ -623,16 +594,8 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
         k = 0
         while not chain.is_zero() and ji + k <= bd.N:
             jo = ji + k
-            sub = _rows_of_block(chain, col_next, jo)
-            if i + 1 <= bd.n:
-                cdim = hs.const_dim(i + 1, jo)
-                p_perp = SparseMat.identity(cdim) - hs.p_ran[(i + 1, jo)]
-                lift_p = _lift(bd, p_perp, i + 1, jo, w)
-                expect_dva[jo] = lift_p @ sub if (lift_p.rows or lift_p.cols) else sub
-                ups = hs.ups[(i + 1, jo)]
-                if ups.cols:
-                    coords = inverse(ups.transpose() @ ups) @ ups.transpose()
-                    expect_d[jo] = _lift(bd, coords, i + 1, jo, w) @ sub
+            expect_dva[jo] = _rows_of_block(perp_next @ chain, col_next, jo)
+            expect_d[jo] = _rows_of_block(pi_next @ chain, ups_next, jo)
             chain = d_i @ (t_next @ chain)
             k += 1
         check("dVA block", dva, col_next, expect_dva, ji)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .diagram import DiagramSpec, KappaSpec
 from .forms import ValueSpace
-from .linalg import SparseMat
+from .linalg import LinAlgError, SparseMat
 
 
 def _mskw_gen(k: int) -> SparseMat:
@@ -386,16 +386,24 @@ def parse_text(text: str) -> CatalogEntry:
             raise ValueError(f"unknown directive {kind!r}")
     if name is None or n is None or row_count is None:
         raise ValueError("diagram file must declare name, n and rows")
+    if n < 1 or row_count < 1:
+        raise ValueError(f"n and rows must be >= 1, got n {n} and rows {row_count}")
     if sorted(rows) != list(range(row_count)):
         raise ValueError("row declarations do not match the declared count")
+    for j, l in kappa_entries:
+        if not (1 <= j < row_count and 1 <= l <= n):
+            raise ValueError(
+                f"kappa {j} {l}: needs 1 <= j < {row_count} and 1 <= l <= {n}")
     row_spaces = tuple(rows[j] for j in range(row_count))
     kappa_rows = []
     for j in range(1, row_count):
         maps = []
         for l in range(1, n + 1):
-            triples = kappa_entries.get((j, l), [])
-            maps.append(SparseMat(row_spaces[j - 1].dim, row_spaces[j].dim,
-                                  [(r, c, v) for r, c, v in triples]))
+            try:
+                maps.append(SparseMat(row_spaces[j - 1].dim, row_spaces[j].dim,
+                                      kappa_entries.get((j, l), [])))
+            except LinAlgError as err:
+                raise ValueError(f"kappa {j} {l}: {err}") from None
         kappa_rows.append(tuple(maps))
     spec = DiagramSpec(name, n, row_spaces, KappaSpec(tuple(kappa_rows)))
     return CatalogEntry(name, spec, expected)

@@ -63,7 +63,6 @@ def cmd_verify(args) -> int:
 def cmd_cohomology(args) -> int:
     entry = _entry_from_args(args)
     bd = build(entry.spec, args.wmax)
-    ok = True
     payload = {"diagram": entry.name, "wmax": args.wmax, "checks": [],
                "cohomology": {"twisted": {}, "derived": {}, "row_sum": {}}}
     try:
@@ -93,7 +92,7 @@ def cmd_cohomology(args) -> int:
             print(f"  H^{i} at weight {w}: dim {h}")
         total = sum(h for (i, w), h in twisted.items() if i == 0)
         print(f"  total H^0 across weights: {total}")
-    return 0 if ok else 1
+    return 0
 
 
 def cmd_derive(args) -> int:
@@ -302,10 +301,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args):
+    """Reject count options below their smallest meaningful value."""
+    for name, low in (("wmax", 0), ("samples", 1), ("degree", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{name} must be >= {low}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except (KeyError, ValueError, FileNotFoundError) as err:
         print(f"invalid input: {err}", file=sys.stderr)

@@ -1,8 +1,13 @@
 """Exact L2 inner products over the unit cube and degree-stacked spaces.
 
 Monomial integrals over [0,1]^n are products of 1/(a_k + 1), so every Gram
-matrix here is exact rational.  Fields of bounded total degree are handled
-by stacking the homogeneous weight blocks of a column into one space.
+matrix here is exact rational.  Fields of bounded total degree live in a
+weight-stacked space: a ``SumSpace`` keyed by weight whose parts are
+row-keyed column spaces (ambient columns or harmonic coordinates).  This
+module is the one path for such spaces: ``stacked_map`` assembles per-weight
+maps block-diagonally, and ``stacked_cube_gram`` forms the Gram as
+M_mono (x) C_j on each row j, from the monomial pairings and one constant
+metric per row.
 """
 
 from __future__ import annotations
@@ -60,29 +65,29 @@ def stacked_map(per_weight: dict, dom: SumSpace, cod: SumSpace) -> LinMap:
 
 def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
                       const_metrics: dict | None = None) -> SparseMat:
-    """L2 Gram on a stacked column space, with optional per-row constant metrics.
+    """L2 Gram on a weight-stacked space of form degree i.
 
-    Blocks of equal row index pair across weights through the monomial
-    integrals; distinct rows are orthogonal (their values live in different
-    value spaces).
+    Row j of weight w holds polynomials of degree w - i - j tensored with a
+    constant space; const_metrics[j] is the metric on that constant space
+    (the identity where absent).  Blocks of equal row index pair across
+    weights through the monomial integrals; distinct rows are orthogonal
+    (their values live in different value spaces).
     """
-    dim = space.dim
+    const_metrics = const_metrics or {}
     ent = {}
     for w, col in space.parts:
         for wp, colp in space.parts:
-            for j in range(bd.N + 1):
-                blk, blkp = bd.block(i, j, w), bd.block(i, j, wp)
-                if blk.dim == 0 or blkp.dim == 0:
+            for j, sub in col.parts:
+                subp = colp.space(j)
+                if sub.dim == 0 or subp.dim == 0:
                     continue
-                cdim = blk.dim // len(monomials(bd.n, blk.p))
-                metric = None
-                if const_metrics and j in const_metrics:
-                    metric = const_metrics[j]
+                p, pp = w - i - j, wp - i - j
+                metric = const_metrics.get(j)
                 if metric is None:
-                    metric = SparseMat.identity(cdim)
-                pairing = mono_cube_gram(bd.n, blk.p, blkp.p).kron(metric)
+                    metric = SparseMat.identity(sub.dim // len(monomials(bd.n, p)))
+                pairing = mono_cube_gram(bd.n, p, pp).kron(metric)
                 r0 = space.offset(w) + col.offset(j)
                 c0 = space.offset(wp) + colp.offset(j)
                 for (r, c), v in pairing.data.items():
                     ent[(r0 + r, c0 + c)] = v
-    return SparseMat(dim, dim, ent)
+    return SparseMat(space.dim, space.dim, ent)

@@ -142,6 +142,7 @@ class BuiltDiagram:
         self.n = spec.n
         self.N = spec.N
         self._columns: dict = {}
+        self._connectors: dict = {}
         self._ops: dict = {}
         self._verify_synthesis()
 
@@ -163,15 +164,17 @@ class BuiltDiagram:
 
     # -- constant-level data -------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def partial_const(self, i: int, j: int) -> SparseMat:
         """Pointwise connector on constants: Lambda^i (x) V_j -> Lambda^{i+1} (x) V_{j-1}."""
-        rows_out = len(form_indices(self.n, i + 1)) * self.spec.rows[j - 1].dim
-        cols_in = len(form_indices(self.n, i)) * self.spec.rows[j].dim
-        acc = SparseMat.zero(rows_out, cols_in)
-        for l in range(1, self.n + 1):
-            acc = acc + wedge_const(self.n, i, l).kron(self.kappa(j)[l - 1])
-        return acc
+        key = (i, j)
+        if key not in self._connectors:
+            rows_out = len(form_indices(self.n, i + 1)) * self.spec.rows[j - 1].dim
+            cols_in = len(form_indices(self.n, i)) * self.spec.rows[j].dim
+            acc = SparseMat.zero(rows_out, cols_in)
+            for l in range(1, self.n + 1):
+                acc = acc + wedge_const(self.n, i, l).kron(self.kappa(j)[l - 1])
+            self._connectors[key] = acc
+        return self._connectors[key]
 
     def kappa(self, j: int) -> tuple[SparseMat, ...]:
         return self.spec.kappa.row(j)
@@ -292,12 +295,6 @@ def build(spec: DiagramSpec, w_max: int = 8, validate: bool = True) -> BuiltDiag
     per-weight identities break.
     """
     return BuiltDiagram(spec, w_max, validate)
-
-
-def build_F(bd: BuiltDiagram) -> dict:
-    """All column intertwiners, keyed by (index, weight)."""
-    return {(i, w): bd.F(i, w)
-            for w in range(bd.w_max + 1) for i in range(bd.n + 1)}
 
 
 def _first_mismatch(a: SparseMat, b: SparseMat):

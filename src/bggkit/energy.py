@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import catalog
 from .cube import stacked_column, stacked_cube_gram, stacked_map
@@ -244,40 +245,57 @@ def cosserat_metric(params: EnergyParams) -> dict:
 
 
 def _embed_row(bd: BuiltDiagram, space, i: int, j: int, components) -> list:
-    """Coefficient vector of a polynomial row field inside a stacked column."""
+    """Coefficient vector of a polynomial row field inside a stacked column.
+
+    Raises ValueError for a monomial whose weight the stacked space lacks,
+    so a field is never silently truncated.
+    """
     vec = [F(0)] * space.dim
-    n = bd.n
     vdim = bd.spec.rows[j].dim
     if len(components) != vdim:
         raise ValueError(f"row {j} expects {vdim} components")
-    for w, col in space.parts:
-        blk = bd.block(i, j, w)
-        if blk.dim == 0:
-            continue
-        mono_index = {m: k for k, m in enumerate(monomials(n, blk.p))}
-        base = space.offset(w) + col.offset(j)
-        for r, comp in enumerate(components):
-            for m, c in comp.items():
-                if sum(m) == blk.p:
-                    vec[base + mono_index[m] * vdim + r] = c
+    mono_index = {w: {m: k for k, m in enumerate(monomials(bd.n, w - i - j))}
+                  for w in space.keys()}
+    for r, comp in enumerate(components):
+        for m, c in comp.items():
+            w = sum(m) + i + j
+            if w not in mono_index:
+                raise ValueError(
+                    f"row {j} monomial {m} needs weight {w}, beyond the stacked "
+                    f"weights (w_max {max(mono_index)})")
+            base = space.offset(w) + space.space(w).offset(j)
+            vec[base + mono_index[w][m] * vdim + r] = c
     return vec
 
 
-def _check_degrees(bd: BuiltDiagram, space, i, j, components):
-    deg = field_degree(components)
-    max_w = max(w for w, _ in space.parts)
-    if deg + i + j > max_w:
-        raise ValueError(
-            f"field degree {deg} exceeds the built weight range (w_max {max_w})")
+@lru_cache(maxsize=None)
+def _built(name: str, w_max: int) -> BuiltDiagram:
+    return build(catalog.get(name).spec, w_max)
 
 
-_ELAS_CACHE: dict = {}
+def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
+                          metrics: dict) -> Fraction:
+    """Assert direct equal to the weighted norm of d_V of the row fields.
 
-
-def _elasticity_built(w_max: int) -> BuiltDiagram:
-    if w_max not in _ELAS_CACHE:
-        _ELAS_CACHE[w_max] = build(catalog.get("elasticity-3d").spec, w_max)
-    return _ELAS_CACHE[w_max]
+    rows[j] lists the components of the row-j field of column 0 of the
+    catalog diagram name; metrics[j] weights row j of the image column.
+    """
+    w_max = max([2] + [field_degree(comps) + j for j, comps in enumerate(rows)])
+    bd = _built(name, w_max)
+    weights = range(w_max + 1)
+    dom = stacked_column(bd, 0, weights)
+    cod = stacked_column(bd, 1, weights)
+    vec = [F(0)] * dom.dim
+    for j, comps in enumerate(rows):
+        vec = [a + b for a, b in zip(vec, _embed_row(bd, dom, 0, j, comps))]
+    dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod)
+    out = dv.mat.apply(vec)
+    gout = stacked_cube_gram(bd, cod, 1, metrics).apply(out)
+    via_complex = sum((a * b for a, b in zip(out, gout)), F(0))
+    if direct != via_complex:
+        raise VerificationError(
+            f"energy mismatch: direct {direct} != twisted route {via_complex}")
+    return direct
 
 
 def cosserat_energy(u, omega, params: EnergyParams) -> Fraction:
@@ -299,25 +317,8 @@ def cosserat_energy(u, omega, params: EnergyParams) -> Fraction:
         + (params.gamma - params.beta) / 4 * l2sq_vec(curl3(omega), n)
         + params.alpha / 2 * l2sq_scalar(div(omega, n), n)
     )
-    # twisted-differential route
-    r = max(field_degree(u), field_degree(omega) + 1)
-    bd = _elasticity_built(max(r + 1, 2))
-    weights = range(bd.w_max + 1)
-    dom = stacked_column(bd, 0, weights)
-    cod = stacked_column(bd, 1, weights)
-    _check_degrees(bd, dom, 0, 0, u)
-    _check_degrees(bd, dom, 0, 1, omega)
-    vec = _embed_row(bd, dom, 0, 0, u)
-    vec = [a + b for a, b in zip(vec, _embed_row(bd, dom, 0, 1, omega))]
-    dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod)
-    out = dv.mat.apply(vec)
-    gram = stacked_cube_gram(bd, cod, 1, cosserat_metric(params))
-    gout = gram.apply(out)
-    via_complex = sum((a * b for a, b in zip(out, gout)), F(0))
-    if direct != via_complex:
-        raise VerificationError(
-            f"energy mismatch: direct {direct} != twisted route {via_complex}")
-    return direct
+    return _checked_twisted_norm(direct, "elasticity-3d", [u, omega],
+                                 cosserat_metric(params))
 
 
 def elasticity_energy(u, params: EnergyParams) -> Fraction:
@@ -336,15 +337,6 @@ def generalized_dilation_energy(phi, u, params: EnergyParams) -> Fraction:
     n = 3
     coupled = mat_add(dev(grad(phi, n)), mskw3(u))
     return params.alpha * l2sq_mat(coupled, n) + elasticity_energy(u, params)
-
-
-_CONF_CACHE: dict = {}
-
-
-def _conf_def_built(w_max: int) -> BuiltDiagram:
-    if w_max not in _CONF_CACHE:
-        _CONF_CACHE[w_max] = build(catalog.get("conf-deformation-3d").spec, w_max)
-    return _CONF_CACHE[w_max]
 
 
 def generalized_cosserat_energy(u, sigma, omega, phi, weights3) -> Fraction:
@@ -367,38 +359,12 @@ def generalized_cosserat_energy(u, sigma, omega, phi, weights3) -> Fraction:
               + c2 * (l2sq_vec(mid_a, n) + l2sq_mat(mid_b, n))
               + c3 * l2sq_mat(grad(phi, n), n))
 
-    deg = max(field_degree(u), field_degree(omega) + 1,
-              field_degree([sigma]) + 1, field_degree(phi) + 2)
-    bd = _conf_def_built(max(deg, 2))
-    weights = range(bd.w_max + 1)
-    dom = stacked_column(bd, 0, weights)
-    cod = stacked_column(bd, 1, weights)
-    vec = _embed_row(bd, dom, 0, 0, u)
-    row1 = omega + [sigma]          # middle-row value order: skew slots, then trace
-    vec = [a + b for a, b in zip(vec, _embed_row(bd, dom, 0, 1, row1))]
-    phi_rev = [p_scale(c, -1) for c in phi]
-    vec = [a + b for a, b in zip(vec, _embed_row(bd, dom, 0, 2, phi_rev))]
-    dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod)
-    out = dv.mat.apply(vec)
+    # middle-row value order: skew slots, then trace; the bottom row is reversed
+    rows = [u, omega + [sigma], [p_scale(c, -1) for c in phi]]
     metrics = {0: SparseMat.identity(9).scale(c1),
                1: SparseMat.identity(12).scale(c2),
                2: SparseMat.identity(9).scale(c3)}
-    gram = stacked_cube_gram(bd, cod, 1, metrics)
-    gout = gram.apply(out)
-    via_complex = sum((a * b for a, b in zip(out, gout)), F(0))
-    if direct != via_complex:
-        raise VerificationError(
-            f"energy mismatch: direct {direct} != twisted route {via_complex}")
-    return direct
-
-
-_MOB_CACHE: dict = {}
-
-
-def _mobius_built(w_max: int) -> BuiltDiagram:
-    if w_max not in _MOB_CACHE:
-        _MOB_CACHE[w_max] = build(catalog.get("mobius-2d").spec, w_max)
-    return _MOB_CACHE[w_max]
+    return _checked_twisted_norm(direct, "conf-deformation-3d", rows, metrics)
 
 
 def generalized_plate_energy(u, sigma, omega, phi, weights3) -> Fraction:
@@ -421,27 +387,11 @@ def generalized_plate_energy(u, sigma, omega, phi, weights3) -> Fraction:
                       + l2sq_vec([row[0] for row in mid_b], n))
               + c3 * l2sq_mat(grad(phi, n), n))
 
-    deg = max(field_degree(u), field_degree([sigma]) + 1,
-              field_degree([omega]) + 1, field_degree(phi) + 2)
-    bd = _mobius_built(max(deg, 2))
-    weights = range(bd.w_max + 1)
-    dom = stacked_column(bd, 0, weights)
-    cod = stacked_column(bd, 1, weights)
-    vec = _embed_row(bd, dom, 0, 0, u)
-    vec = [a + b for a, b in zip(vec, _embed_row(bd, dom, 0, 1, [sigma, omega]))]
-    vec = [a + b for a, b in zip(vec, _embed_row(bd, dom, 0, 2, phi))]
-    dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod)
-    out = dv.mat.apply(vec)
     metrics = {0: SparseMat.identity(4).scale(c1),
                1: SparseMat.identity(4).scale(c2),
                2: SparseMat.identity(4).scale(c3)}
-    gram = stacked_cube_gram(bd, cod, 1, metrics)
-    gout = gram.apply(out)
-    via_complex = sum((a * b for a, b in zip(out, gout)), F(0))
-    if direct != via_complex:
-        raise VerificationError(
-            f"energy mismatch: direct {direct} != twisted route {via_complex}")
-    return direct
+    return _checked_twisted_norm(direct, "mobius-2d", [u, [sigma, omega], phi],
+                                 metrics)
 
 
 def random_field(rng, n: int, components: int, degree: int):

@@ -172,10 +172,6 @@ class LinMap:
     def zero(cls, dom, cod) -> "LinMap":
         return cls(dom, cod, SparseMat.zero(cod.dim, dom.dim))
 
-    @classmethod
-    def identity(cls, space) -> "LinMap":
-        return cls(space, space, SparseMat.identity(space.dim))
-
     def __matmul__(self, other: "LinMap") -> "LinMap":
         if other.cod != self.dom:
             raise LinAlgError("composition domain mismatch")
@@ -302,16 +298,6 @@ def mult_coord(axis: int, b: FormBlock) -> LinMap:
     mat = _mult_scalar(b.n, b.p, axis).kron(
         SparseMat.identity(n_dx * b.value.dim))
     return LinMap(b, cod, mat)
-
-
-def tensor_with_monomials(const_map: SparseMat, dom: FormBlock, cod: FormBlock) -> LinMap:
-    """Lift a constant-coefficient map (dx, value)-indexed to a block map."""
-    if dom.p != cod.p or dom.n != cod.n:
-        raise LinAlgError("tensor_with_monomials requires equal (n, p)")
-    if dom.dim == 0 or cod.dim == 0:
-        return LinMap.zero(dom, cod)
-    n_mono = len(monomials(dom.n, dom.p))
-    return LinMap(dom, cod, SparseMat.identity(n_mono).kron(const_map))
 
 
 # -- pullback along linear substitutions ------------------------------------

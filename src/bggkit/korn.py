@@ -18,11 +18,11 @@ import numpy as np
 from scipy.linalg import eigh
 
 from . import catalog
-from .bgg import DerivedOps, derive
-from .cube import mono_cube_gram
+from .bgg import derive
+from .cube import stacked_cube_gram, stacked_map
 from .diagram import build
 from .forms import SumSpace
-from .linalg import SparseMat, block_matrix, nullspace, rank
+from .linalg import SparseMat, nullspace, rank
 
 
 @dataclass
@@ -36,41 +36,6 @@ class KornRow:
         return (f"r={self.degree}: joint kernel {self.kernel_dim}, "
                 f"first-order-only kernel {self.first_order_kernel_dim}, "
                 f"sigma_min {self.sigma_min:.6e}")
-
-
-def _stacked_ups_space(ops: DerivedOps, i: int, weights) -> SumSpace:
-    return SumSpace(tuple((w, ops.bc.ups_space(i, w)) for w in weights))
-
-
-def _stacked_D(ops: DerivedOps, i: int, weights):
-    dom = _stacked_ups_space(ops, i, weights)
-    cod = _stacked_ups_space(ops, i + 1, weights)
-    blocks = {w: ops.bc.D(i, w).mat for w in weights}
-    grid = [[blocks[w] if wi == wo else None for wi, w in enumerate(dom.keys())]
-            for wo, _ in enumerate(dom.keys())]
-    return dom, cod, block_matrix(grid, cod.dims(), dom.dims())
-
-
-def _stacked_ups_gram(ops: DerivedOps, space: SumSpace, i: int) -> SparseMat:
-    """Unit-square L2 Gram on stacked harmonic coordinates."""
-    bd = ops.bd
-    ent = {}
-    for w, ups_w in space.parts:
-        for wp, ups_wp in space.parts:
-            for j in range(bd.N + 1):
-                basis = ops.hs.ups.get((i, j))
-                if basis is None or basis.cols == 0:
-                    continue
-                p, pp = w - i - j, wp - i - j
-                if p < 0 or pp < 0:
-                    continue
-                pairing = mono_cube_gram(bd.n, p, pp).kron(
-                    basis.transpose() @ basis)
-                r0 = space.offset(w) + ups_w.offset(j)
-                c0 = space.offset(wp) + ups_wp.offset(j)
-                for (r, c), v in pairing.data.items():
-                    ent[(r0 + r, c0 + c)] = v
-    return SparseMat(space.dim, space.dim, ent)
 
 
 def _component_rows(space: SumSpace, row_j: int) -> list[int]:
@@ -99,17 +64,22 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
         raise ValueError("r_max must be >= 3")
     bd = build(catalog.get("mobius-2d").spec, r_max)
     ops = derive(bd)
+    # the L2 metric on harmonic coordinates is ups^T ups on every row
+    metrics = [{j: b.transpose() @ b for (ii, j), b in ops.hs.ups.items() if ii == i}
+               for i in (0, 1)]
     out = []
     for r in range(3, r_max + 1):
         weights = range(r + 1)
-        dom, cod, dmat = _stacked_D(ops, 0, weights)
+        dom = SumSpace(tuple((w, ops.bc.ups_space(0, w)) for w in weights))
+        cod = SumSpace(tuple((w, ops.bc.ups_space(1, w)) for w in weights))
+        dmat = stacked_map({w: ops.bc.D(0, w) for w in weights}, dom, cod).mat
         ker = nullspace(dmat)
         kernel_dim = len(ker)
         first_rows = _component_rows(cod, 0)
         first = _restrict_rows(dmat, first_rows)
         first_kernel = dmat.cols - rank(first)
-        g_in = _stacked_ups_gram(ops, dom, 0)
-        g_out = _stacked_ups_gram(ops, cod, 1)
+        g_in = stacked_cube_gram(bd, dom, 0, metrics[0])
+        g_out = stacked_cube_gram(bd, cod, 1, metrics[1])
         a = dmat.transpose() @ g_out @ dmat
         kmat = SparseMat.from_columns(ker, dmat.cols)
         comp = SparseMat.from_columns(

@@ -493,14 +493,6 @@ def orthogonal_complement(basis: SparseMat, ip: InnerProduct | None = None) -> S
     return SparseMat.from_columns(vecs, n)
 
 
-def intersect_with_kernel(space_basis: SparseMat, operator: SparseMat) -> SparseMat:
-    """Basis of span(space_basis) ∩ ker(operator), as columns."""
-    if space_basis.cols == 0:
-        return space_basis
-    combo = nullspace(operator @ space_basis)
-    return space_basis @ SparseMat.from_columns(combo, space_basis.cols)
-
-
 def pinv_onto(m: SparseMat, ip_dom: InnerProduct | None = None,
               ip_cod: InnerProduct | None = None) -> SparseMat:
     """Moore-Penrose pseudoinverse with respect to the two inner products.

@@ -4,13 +4,14 @@ import pytest
 
 from bggkit import catalog
 from bggkit.bgg import (
+    BOps,
+    GOps,
     bgg_cohomology,
-    compute_B,
     compute_D,
-    compute_G,
     compute_T,
     derive,
     hodge_split,
+    lift_column,
     pullback_column,
     pullback_on_harmonics,
     verify_G_properties,
@@ -51,9 +52,9 @@ def test_staged_pipeline_matches_derive():
     bd = build(catalog.get("plate-2d").spec, 3)
     hs = hodge_split(bd)
     t = compute_T(bd, hs)
-    g = compute_G(bd, t)
+    g = GOps(bd, t)
     bc = compute_D(bd, hs, t, g)
-    b = compute_B(bd, hs, g)
+    b = BOps(bc)
     ops = derive(bd)
     for w in range(4):
         for i in range(3):
@@ -267,16 +268,8 @@ def test_two_row_case_reductions(elas_ops):
         iota0 = bc.inclusion(0, w).mat
         emb = bc.inclusion(1, w).mat @ bc.D(0, w).mat
         col1 = bd.column(1, w)
-        from bggkit.bgg import _lift
-        grid = []
-        p_full = SparseMat.zero(col1.dim, col1.dim)
-        for j in range(bd.N + 1):
-            cdim = hs.const_dim(1, j)
-            p = hs.p_ran[(1, j)]
-            lifted = _lift(bd, p, 1, j, w)
-            off = col1.offset(j)
-            for (r, c), v in lifted.data.items():
-                p_full.data[(off + r, off + c)] = v
+        p_ran = {j: hs.p_ran[(1, j)] for j in range(bd.N + 1)}
+        p_full = lift_column(bd, p_ran, 1, w, col1, col1)
         want = (SparseMat.identity(col1.dim) - p_full) @ (bd.d(0, w).mat @ iota0)
         assert emb == want
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bggkit.cli import main
 from bggkit.export import read_matrix_market
 
@@ -131,3 +133,59 @@ def test_korn_command(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["rows"][0]["kernel_dim"] == 6
+
+
+@pytest.mark.parametrize("command", ["verify", "cohomology", "derive", "export"])
+def test_negative_wmax_exit_2(capsys, command):
+    extra = ["--operator", "d", "--index", "0", "--weight", "0"] \
+        if command == "export" else []
+    code, out, err = run(capsys, command, "--diagram", "plate-2d", "--wmax", "-3",
+                         *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:") and "--wmax" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_nonpositive_samples_exit_2(capsys, samples):
+    code, out, err = run(capsys, "cosserat-energy", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:") and "--samples" in err
+
+
+def test_negative_degree_exit_2(capsys):
+    code, out, err = run(capsys, "cosserat-energy", "--degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:") and "--degree" in err
+
+
+def _write_diagram(tmp_path, text):
+    path = tmp_path / "bad.diagram"
+    path.write_text(text)
+    return str(path)
+
+
+def test_kappa_entry_out_of_range_exit_2(capsys, tmp_path):
+    # row 1 -> row 0 is a 1x2 tensor; column 5 does not exist
+    path = _write_diagram(tmp_path, """name bad
+n 2
+rows 2
+row 0 name=a dim=1 labels=a
+row 1 name=b dim=2 labels=b1,b2
+kappa 1 1 0:5:1
+""")
+    code, _, err = run(capsys, "verify", "--diagram-file", path, "--wmax", "2")
+    assert code == 2
+    assert err.startswith("invalid input:") and "kappa 1 1" in err
+
+
+@pytest.mark.parametrize("header", ["n 0\nrows 1\nrow 0 name=a dim=1 labels=a",
+                                    "n 2\nrows 0"])
+def test_empty_diagram_file_exit_2(capsys, tmp_path, header):
+    path = _write_diagram(tmp_path, f"name flat\n{header}\n")
+    code, _, err = run(capsys, "verify", "--diagram-file", path, "--wmax", "2")
+    assert code == 2
+    assert err.startswith("invalid input:") and "must be >= 1" in err

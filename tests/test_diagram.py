@@ -235,3 +235,15 @@ def test_higher_hessian_builds_and_verifies():
     assert verify_identities(bd).ok
     dims = twisted_cohomology(bd)
     assert sum(h for (i, w), h in dims.items() if i == 0) == 4
+
+
+def test_built_diagram_is_freed():
+    # no module-level cache may pin a diagram and its column operators
+    import gc
+    import weakref
+    bd = build(catalog.get("plate-2d").spec, 3)
+    bd.S(0, 2)
+    ref = weakref.ref(bd)
+    del bd
+    gc.collect()
+    assert ref() is None

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from bggkit import catalog
+from bggkit.diagram import build
 from bggkit.energy import (
     EnergyParams,
     cosserat_energy,
@@ -73,13 +75,13 @@ def test_cosserat_twisted_norm_identity_random(seed):
 
 def test_cosserat_degree_overflow_detected():
     # a degree beyond the built weight range must not be silently truncated
-    from bggkit.energy import _check_degrees, _elasticity_built
+    from bggkit.energy import _embed_row
     from bggkit.cube import stacked_column
-    bd = _elasticity_built(2)
+    bd = build(catalog.get("elasticity-3d").spec, 2)
     dom = stacked_column(bd, 0, range(3))
     high = [p_mono((4, 0, 0)), {}, {}]
-    with pytest.raises(ValueError):
-        _check_degrees(bd, dom, 0, 0, high)
+    with pytest.raises(ValueError, match="weight 4"):
+        _embed_row(bd, dom, 0, 0, high)
 
 
 def test_dilation_energy_reduces_to_elasticity():

@@ -96,3 +96,29 @@ def test_json_payload(hessian):
     payload = export.to_json_payload(lm.mat)
     assert payload["rows"] == lm.mat.rows
     assert all(isinstance(e[2], str) for e in payload["entries"])
+
+
+def test_export_bytes_independent_of_hash_seed():
+    # the matrixmarket export of D and G must not depend on set or dict
+    # iteration order, so two interpreters with different hash seeds agree
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bggkit
+    script = (
+        "from bggkit.cli import main\n"
+        "for op, idx in [('D', 0), ('D', 1), ('D', 2), ('G', 1), ('G', 2), ('G', 3)]:\n"
+        "    main(['export', '--diagram', 'conf-hessian-3d', '--wmax', '3',\n"
+        "          '--operator', op, '--index', str(idx), '--weight', '3',\n"
+        "          '--format', 'matrixmarket'])\n")
+    src = str(Path(bggkit.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, timeout=300, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"%%MatrixMarket") == 6
