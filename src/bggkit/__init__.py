@@ -6,8 +6,8 @@ Everything except the spectral experiment in :mod:`bggkit.korn` is exact
 rational arithmetic.
 """
 
-from .linalg import InnerProduct, LinAlgError, SparseMat, column_space, \
-    nullspace, pinv_onto, project, rank
+from .linalg import LinAlgError, SparseMat, column_space, nullspace, \
+    pinv_onto, rank
 from .forms import FormBlock, LinMap, SumSpace, ValueSpace, exterior_derivative, \
     mult_coord, wedge_dx
 from .diagram import BuiltDiagram, DiagramError, DiagramSpec, KappaSpec, \
@@ -22,12 +22,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BuiltDiagram", "DiagramError", "DiagramSpec", "EnergyParams", "FormBlock",
-    "InnerProduct", "KappaSpec", "LinAlgError", "LinMap", "SparseMat",
-    "SumSpace", "ValueSpace", "VerificationError", "bgg_cohomology", "build",
-    "catalog", "column_space", "compute_D", "compute_T",
+    "KappaSpec", "LinAlgError", "LinMap", "SparseMat", "SumSpace",
+    "ValueSpace", "VerificationError", "bgg_cohomology", "build", "catalog",
+    "column_space", "compute_D", "compute_T",
     "cosserat_energy", "derive", "exterior_derivative", "export",
     "generalized_cosserat_energy", "generalized_dilation_energy",
     "generalized_plate_energy", "hodge_split", "korn2d_experiment",
-    "mult_coord", "nullspace", "pinv_onto", "project", "rank",
+    "mult_coord", "nullspace", "pinv_onto", "rank",
     "twisted_cohomology", "verify_identities", "wedge_dx",
 ]

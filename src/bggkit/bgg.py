@@ -4,10 +4,9 @@ harmonic spaces together with its inverse chain maps.
 
 Every operator except d and K acts pointwise, so its constant-coefficient
 data is computed once (the splitting projections and harmonic coordinate
-maps on ``HodgeSplit``, the partial inverses and their kernel and range
-projectors on ``TOps``).  ``lift_column`` is the single path from those
-constants to a column operator at one weight: row block j becomes
-I_mono (x) C_j, so every identity below closes exactly.
+maps on ``HodgeSplit``, the partial inverses on ``TOps``).  ``lift_column``
+is the single path from those constants to a column operator at one weight:
+row block j becomes I_mono (x) C_j, so every identity below closes exactly.
 """
 
 from __future__ import annotations
@@ -75,9 +74,6 @@ class HodgeSplit:
         from .forms import form_indices
         return len(form_indices(self.bd.n, i)) * self.bd.spec.rows[j].dim
 
-    def p_ker(self, i: int, j: int) -> SparseMat:
-        return self.p_ran[(i, j)] + self.p_ups[(i, j)]
-
     def ups_dim(self, i: int, j: int) -> int:
         return self.ups[(i, j)].cols
 
@@ -124,7 +120,7 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
                     f"harmonic coordinates do not invert the basis at (i={i}, j={j})")
             p_ran = projection_onto(ran)
             p_kerp = projection_onto(kerp)
-            p_ups = projection_onto(ups)
+            p_ups = ups @ coords
             ident = SparseMat.identity(dim)
             if p_ran + p_kerp + p_ups != ident:
                 raise VerificationError(
@@ -144,15 +140,13 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
 class TOps:
     """Partial inverses of the connectors, per block and per weight.
 
-    ``const``, ``p_ker`` and ``p_ran`` hold, per (i, j) with an incoming
-    connector, the constant partial inverse and the orthogonal projectors
-    onto its kernel and its range.
+    ``const`` holds, per (i, j) with an incoming connector, the constant
+    partial inverse; its kernel and range projectors are ``HodgeSplit``'s
+    I - p_ran at (i, j) and p_kerp at the source, as ``compute_T`` certifies.
     """
     bd: BuiltDiagram
     hs: HodgeSplit
     const: dict = field(default_factory=dict)
-    p_ker: dict = field(default_factory=dict)
-    p_ran: dict = field(default_factory=dict)
     _cols: dict = field(default_factory=dict)
 
     def column(self, i: int, w: int) -> LinMap:
@@ -206,8 +200,6 @@ def compute_T(bd: BuiltDiagram, hs: HodgeSplit) -> TOps:
             raise VerificationError(f"ran(S) not orthogonal to ker(T) at (i={i}, j={j})")
         if ran_s.cols + ker_t.cols != tc.cols:
             raise VerificationError(f"ran(S) + ker(T) dims off at (i={i}, j={j})")
-        t.p_ker[(i, j)] = projection_onto(ker_t)
-        t.p_ran[(i, j)] = projection_onto(ran_t)
     return t
 
 
@@ -268,10 +260,9 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
         gm = g.column(i, w).mat
         tm = t.column(i, w).mat
         col = bd.column(i, w)
-        # (1): G P_ker(T) = 0.  ker(T) = ker(T_const) lifted blockwise; rows
-        # without a partial inverse lie entirely in the kernel.
-        p_ker = {j: t.p_ker.get((i, j), SparseMat.identity(hs.const_dim(i, j)))
-                 for j in range(bd.N + 1)}
+        # (1): G P_ker(T) = 0.  ker(T) = ran(S)^perp, lifted blockwise.
+        p_ker = {j: SparseMat.identity(hs.const_dim(i, j)) - p
+                 for (ii, j), p in hs.p_ran.items() if ii == i}
         if not (gm @ lift_column(bd, p_ker, i, w, col, col)).is_zero():
             failures.append(("G|kerT=0", w, i))
         if i == 0:
@@ -283,9 +274,9 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
         ident = SparseMat.identity(col.dim)
         if not (tm @ (ident - bd.d_V(i - 1, w).mat @ gm)).is_zero():
             failures.append(("T(I-dVG)=0", w, i))
-        # (3): P_ran(T) G = G; row j of column i - 1 is the range of T at (i, j - 1)
+        # (3): P_ran(T) G = G; ran(T) = ker(S)^perp on column i - 1
         col_prev = bd.column(i - 1, w)
-        p_ran = {j + 1: p for (ii, j), p in t.p_ran.items() if ii == i}
+        p_ran = {j: p for (ii, j), p in hs.p_kerp.items() if ii == i - 1}
         if lift_column(bd, p_ran, i - 1, w, col_prev, col_prev) @ gm != gm:
             failures.append(("ranG in ranT", w, i))
     return failures

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import DiagramSpec, KappaSpec
+from .bgg import bgg_cohomology, derive
+from .diagram import DiagramSpec, KappaSpec, build, verify_identities
+from .export import frac_str
 from .forms import ValueSpace
 from .linalg import LinAlgError, SparseMat
 
@@ -286,10 +288,6 @@ def get(name: str) -> CatalogEntry:
 # -- text serialization ------------------------------------------------------
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def to_text(entry: CatalogEntry) -> str:
     """Serialize an entry to the line-oriented diagram format."""
     spec = entry.spec
@@ -304,7 +302,7 @@ def to_text(entry: CatalogEntry) -> str:
                      f"labels={','.join(vs.basis_labels)}")
     for j in range(1, spec.N + 1):
         for l, mat in enumerate(spec.kappa.row(j), start=1):
-            triples = " ".join(f"{r}:{c}:{_frac_str(v)}" for r, c, v in mat.entries())
+            triples = " ".join(f"{r}:{c}:{frac_str(v)}" for r, c, v in mat.entries())
             lines.append(f"kappa {j} {l} {triples}".rstrip())
     for key in ("h0_total",):
         if key in entry.expected:
@@ -438,13 +436,19 @@ class FingerprintReport:
 
 
 def fingerprint(entry: CatalogEntry, w_max: int = 8) -> FingerprintReport:
-    """Build, verify, derive, and compare every expected value of an entry."""
-    from .bgg import bgg_cohomology, derive
-    from .diagram import build, verify_identities
+    """Build, verify, derive, and compare every expected value of an entry.
 
+    Raises ValueError when w_max is below the largest i + j of the harmonic
+    support: the weight at which the last harmonic block, and with it the
+    last derived operator, first appears.
+    """
     bd = build(entry.spec, w_max)
-    identity_ok = verify_identities(bd).ok
     ops = derive(bd)
+    need = max((i + j for i, j in ops.hs.support()), default=0)
+    if w_max < need:
+        raise ValueError(f"w_max {w_max} is too small to show the fingerprint "
+                         f"of {entry.name}; use at least {need}")
+    identity_ok = verify_identities(bd).ok
     comparisons = []
     if "upsilon_support" in entry.expected:
         actual = ops.hs.support()

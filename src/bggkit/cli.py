@@ -151,17 +151,31 @@ def _parse_params(text: str) -> EnergyParams:
     return EnergyParams(*vals)
 
 
-def _field_from_json(obj, n: int):
-    comps = []
-    for comp in obj:
-        poly = {}
-        for key, val in comp.items():
-            mono = tuple(int(x) for x in key.replace(",", " ").split())
-            if len(mono) != n:
-                raise ValueError(f"monomial {key!r} is not {n}-dimensional")
-            poly[mono] = F(val)
-        comps.append(poly)
-    return comps
+def _field_term(name: str, key, val) -> tuple:
+    """One term of a --fields component: "a b c" exponents, integer or "p/q"."""
+    try:
+        mono = tuple(int(x) for x in key.replace(",", " ").split())
+        coeff = F(val) if type(val) in (int, str) else None
+    except (ValueError, ZeroDivisionError):
+        mono, coeff = (), None
+    if len(mono) != 3 or min(mono) < 0 or coeff is None:
+        raise ValueError(f"--fields {name}: bad term {key!r}: {val!r}")
+    return mono, coeff
+
+
+def _fields_from_json(data) -> tuple:
+    """Fields u and omega of a --fields file, each a list of 3 components."""
+    if not isinstance(data, dict) or set(data) != {"u", "omega"}:
+        raise ValueError("--fields must be a JSON object with keys u and omega")
+    fields = []
+    for name in ("u", "omega"):
+        comps = data[name]
+        if not (isinstance(comps, list) and len(comps) == 3
+                and all(isinstance(c, dict) for c in comps)):
+            raise ValueError(f"--fields {name} must be a list of 3 objects")
+        fields.append([dict(_field_term(name, k, v) for k, v in c.items())
+                       for c in comps])
+    return tuple(fields)
 
 
 def cmd_cosserat_energy(args) -> int:
@@ -173,8 +187,7 @@ def cmd_cosserat_energy(args) -> int:
     if args.fields:
         with open(args.fields, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        u = _field_from_json(data["u"], 3)
-        omega = _field_from_json(data["omega"], 3)
+        u, omega = _fields_from_json(data)
         for params in param_sets:
             val = cosserat_energy(u, omega, params)
             print(f"params {params}: energy = {val}")

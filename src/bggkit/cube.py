@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diagram import BuiltDiagram
-from .forms import FormBlock, LinMap, SumSpace, monomials
-from .linalg import InnerProduct, SparseMat, block_matrix
+from .forms import LinMap, SumSpace, monomials
+from .linalg import SparseMat, block_matrix
 
 
 @lru_cache(maxsize=None)
@@ -33,21 +33,6 @@ def mono_cube_gram(n: int, p: int, q: int) -> SparseMat:
                 v /= ak + bk + 1
             ent[(r, c)] = v
     return SparseMat(len(rows), len(cols), ent)
-
-
-def cube_block_gram(block: FormBlock, const_metric: SparseMat | None = None) -> SparseMat:
-    """L2 Gram matrix of one graded block; SPD for SPD constant metrics."""
-    cdim = block.dim // max(len(monomials(block.n, block.p)), 1) \
-        if block.dim else 0
-    if block.dim == 0:
-        return SparseMat.zero(0, 0)
-    metric = const_metric if const_metric is not None else SparseMat.identity(cdim)
-    return mono_cube_gram(block.n, block.p, block.p).kron(metric)
-
-
-def cube_inner_product(block: FormBlock) -> InnerProduct:
-    """The certified SPD L2 inner product on one block."""
-    return InnerProduct(cube_block_gram(block))
 
 
 def stacked_column(bd: BuiltDiagram, i: int, weights) -> SumSpace:

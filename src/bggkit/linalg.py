@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything here is exact: scalars are ``fractions.Fraction``, elimination is
-fraction-free (integer rows with content normalization), and pivoting is
-deterministic (first nonzero in column order), so ranks, nullspace bases,
-projections and pseudoinverses are reproducible bit for bit.
+Scalars are ``fractions.Fraction``.  One fraction-free elimination,
+``_echelon_int`` (integer rows with content normalization, first nonzero
+pivot in column order), serves rank, kernel, solve, inverse, projection and
+pseudoinverse, so every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -324,23 +324,21 @@ def rank(m: SparseMat) -> int:
     return len(pivots)
 
 
-def nullspace(m: SparseMat) -> list[list[Fraction]]:
-    """Deterministic basis of the right kernel.
+def _kernel(m: SparseMat):
+    """Pivot columns and kernel basis of m from one echelon pass.
 
-    One vector per free column, with entry 1 at that column; vectors are
-    ordered by free column index.
+    One kernel vector per free column, with entry 1 at that column, found by
+    back substitution on the echelon rows in reverse pivot order.
     """
     pivots, work = _echelon_int(m)
     pivot_cols = [c for _, c in pivots]
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    # Back substitution on the echelon rows, in reverse pivot order.
     basis = []
-    ordered = pivots  # already in increasing column order
     for fc in free_cols:
         vec = [ZERO] * m.cols
         vec[fc] = ONE
-        for idx, pc in reversed(ordered):
+        for idx, pc in reversed(pivots):
             row = work[idx]
             s = ZERO
             for c, a in row.items():
@@ -349,7 +347,12 @@ def nullspace(m: SparseMat) -> list[list[Fraction]]:
             if s != 0:
                 vec[pc] = -s / row[pc]
         basis.append(vec)
-    return basis
+    return pivot_cols, basis
+
+
+def nullspace(m: SparseMat) -> list[list[Fraction]]:
+    """Deterministic basis of the right kernel, ordered by free column."""
+    return _kernel(m)[1]
 
 
 def column_space(m: SparseMat) -> SparseMat:
@@ -360,40 +363,21 @@ def column_space(m: SparseMat) -> SparseMat:
 
 
 def solve_dense(a: SparseMat, b: SparseMat) -> SparseMat:
-    """Solve a @ x = b exactly for square invertible a (dense elimination)."""
+    """Solve a @ x = b exactly for square invertible a.
+
+    The kernel of [a | b] holds one vector (-x_c, e_c) per column c of b
+    exactly when the pivots of [a | b] are the columns of a.
+    """
     n = a.rows
     if a.cols != n:
         raise LinAlgError("solve_dense needs a square matrix")
     if b.rows != n:
         raise LinAlgError("rhs shape mismatch")
-    aug = [row[:] + brow[:] for row, brow in zip(a.to_dense(), b.to_dense())]
-    w = n + b.cols
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            raise LinAlgError("singular matrix in solve_dense")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        for r in range(n):
-            if r == col or aug[r][col] == 0:
-                continue
-            f = aug[r][col] / pv
-            rowr, rowc = aug[r], aug[col]
-            for c in range(col, w):
-                rowr[c] -= f * rowc[c]
-    ent = {}
-    for r in range(n):
-        pv = aug[r][r]
-        for c in range(b.cols):
-            v = aug[r][n + c] / pv
-            if v != 0:
-                ent[(r, c)] = v
-    return SparseMat(n, b.cols, ent)
+    pivot_cols, basis = _kernel(hstack([a, b]))
+    if pivot_cols != list(range(n)):
+        raise LinAlgError("singular matrix in solve_dense")
+    return SparseMat(n, b.cols, {(r, c): -vec[r] for c, vec in enumerate(basis)
+                                 for r in range(n) if vec[r] != 0})
 
 
 def inverse(a: SparseMat) -> SparseMat:
@@ -413,100 +397,37 @@ def solve_thin(q: SparseMat, b: SparseMat) -> SparseMat:
     return x
 
 
-# -- inner products, projections, pseudoinverse ---------------------------
+# -- projections, pseudoinverse --------------------------------------------
 
 
-class InnerProduct:
-    """Symmetric positive definite Gram matrix on a coordinate space.
-
-    Definiteness is certified by a rational LDL^T factorization with all
-    pivots positive.
-    """
-
-    def __init__(self, gram: SparseMat):
-        if gram.rows != gram.cols:
-            raise LinAlgError("Gram matrix must be square")
-        if gram != gram.transpose():
-            raise LinAlgError("Gram matrix must be symmetric")
-        self._check_positive(gram)
-        self.gram = gram
-
-    @staticmethod
-    def _check_positive(gram: SparseMat):
-        n = gram.rows
-        a = gram.to_dense()
-        for k in range(n):
-            p = a[k][k]
-            if p <= 0:
-                raise LinAlgError(f"Gram matrix is not positive definite (pivot {k})")
-            for i in range(k + 1, n):
-                if a[i][k] == 0:
-                    continue
-                f = a[i][k] / p
-                rowi, rowk = a[i], a[k]
-                for j in range(k, n):
-                    rowi[j] -= f * rowk[j]
-
-    @classmethod
-    def standard(cls, n: int) -> "InnerProduct":
-        ip = cls.__new__(cls)
-        ip.gram = SparseMat.identity(n)
-        return ip
-
-    @property
-    def dim(self) -> int:
-        return self.gram.rows
-
-
-def projection_onto(basis: SparseMat, ip: InnerProduct | None = None) -> SparseMat:
+def projection_onto(basis: SparseMat) -> SparseMat:
     """Orthogonal projection matrix onto the column span of basis.
 
     Fails if the basis columns are dependent.
     """
-    n = basis.rows
-    if basis.cols == 0:
-        return SparseMat.zero(n, n)
-    g = ip.gram if ip is not None else SparseMat.identity(n)
-    btg = basis.transpose() @ g
-    gramian = btg @ basis
+    bt = basis.transpose()
     try:
-        inv = inverse(gramian)
+        inv = inverse(bt @ basis)
     except LinAlgError:
         raise LinAlgError("projection basis is linearly dependent")
-    return basis @ inv @ btg
+    return basis @ inv @ bt
 
 
-def project(basis: list[list[Fraction]], ip: InnerProduct, v: list[Fraction]) -> list[Fraction]:
-    """ip-orthogonal projection of v onto span(basis)."""
-    n = len(v)
-    bmat = SparseMat.from_columns(basis, n)
-    p = projection_onto(bmat, ip)
-    return p.apply(v)
+def orthogonal_complement(basis: SparseMat) -> SparseMat:
+    """Basis (columns) of the orthogonal complement of the column span."""
+    return SparseMat.from_columns(nullspace(basis.transpose()), basis.rows)
 
 
-def orthogonal_complement(basis: SparseMat, ip: InnerProduct | None = None) -> SparseMat:
-    """Basis (columns) of the ip-orthogonal complement of the column span."""
-    n = basis.rows
-    g = ip.gram if ip is not None else None
-    constraints = basis.transpose() @ g if g is not None else basis.transpose()
-    vecs = nullspace(constraints)
-    return SparseMat.from_columns(vecs, n)
+def pinv_onto(m: SparseMat) -> SparseMat:
+    """Moore-Penrose pseudoinverse for the standard inner products.
 
-
-def pinv_onto(m: SparseMat, ip_dom: InnerProduct | None = None,
-              ip_cod: InnerProduct | None = None) -> SparseMat:
-    """Moore-Penrose pseudoinverse with respect to the two inner products.
-
-    Sends y to the unique x in ker(m)^perp with m@x equal to the
-    ip_cod-orthogonal projection of y onto ran(m).  Satisfies
-    m @ pinv @ m == m and pinv @ m @ pinv == pinv exactly.
+    Sends y to the unique x in ker(m)^perp with m@x the orthogonal
+    projection of y onto ran(m): with c a basis of ran(m), w a basis of
+    ker(m)^perp = ran(m^T) and coordinates C = (c^T c)^-1 c^T on ran(m),
+    pinv = w (C m w)^-1 C, since C m w is invertible.
     """
-    if m.is_zero():
-        return SparseMat.zero(m.cols, m.rows)
-    ker = SparseMat.from_columns(nullspace(m), m.cols)
-    w = orthogonal_complement(ker, ip_dom)          # basis of ker(m)^perp
-    c = column_space(m)                             # basis of ran(m)
-    p_ran = projection_onto(c, ip_cod)
-    mw = m @ w                                      # injective, same range as m
-    e = solve_thin(c, mw)                           # mw = c @ e, e invertible
-    return w @ inverse(e) @ solve_thin(c, p_ran)
+    w = column_space(m.transpose())
+    c = column_space(m)
+    ct = c.transpose()
+    coords = inverse(ct @ c) @ ct
+    return w @ inverse(coords @ m @ w) @ coords

@@ -1,12 +1,13 @@
 """Independent dense oracles used to cross-check the production routines.
 
-Deliberately naive: dense Bareiss elimination for ranks, dense RREF for
-kernels, and a tiny monomial-dict calculus for assembling differential
-operators by direct differentiation.  Nothing here shares code with the
-package internals it is used to check.
+Deliberately naive: dense Bareiss elimination for ranks and determinants,
+dense RREF for kernels, and a tiny monomial-dict calculus for assembling
+differential operators by direct differentiation.  Nothing here shares code
+with the package internals it is used to check.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def bareiss_rank(dense) -> int:
@@ -46,6 +47,30 @@ def bareiss_rank(dense) -> int:
         if r == rows:
             break
     return r
+
+
+def bareiss_det(dense) -> Fraction:
+    """Determinant of a square matrix by dense fraction-free Bareiss elimination."""
+    m = [[Fraction(x) for x in row] for row in dense]
+    n = len(m)
+    den = 1
+    for row in m:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    a = [[int(x * den) for x in row] for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return Fraction(sign * a[-1][-1], den ** n) if n else Fraction(1)
 
 
 def dense_nullspace(dense) -> list[list[Fraction]]:

@@ -3,6 +3,8 @@ from pathlib import Path
 import pytest
 
 from bggkit import catalog
+from bggkit.bgg import hodge_split
+from bggkit.diagram import build
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "bggkit" / "data"
 
@@ -45,10 +47,11 @@ def test_higher_hessian_rejects_bad_order():
 @pytest.mark.parametrize("name", FIXED + ["higher-hessian-3d(1)",
                                           "higher-hessian-3d(3)"])
 def test_fingerprints(name):
-    # the last derived operator first acts at weight N + n, so the window
-    # must reach that far for the order comparison to see it
+    # the last harmonic block, at (i, j), first appears at weight i + j;
+    # the smallest w_max that fingerprint accepts
     entry = catalog.get(name)
-    w_max = max(5, entry.spec.N + entry.spec.n + 1)
+    support = hodge_split(build(entry.spec, 0)).support()
+    w_max = max(i + j for i, j in support)
     rep = catalog.fingerprint(entry, w_max)
     assert rep.ok, "\n".join(rep.lines())
 

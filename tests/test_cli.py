@@ -57,6 +57,17 @@ def test_derive_fingerprint(capsys):
     assert "h0_total" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("wmax, code", [("4", 2), ("5", 0)])
+def test_derive_rejects_wmax_below_harmonic_support(capsys, wmax, code):
+    # the harmonic support of conf-hessian-3d reaches i + j = 5
+    got, _, err = run(capsys, "derive", "--diagram", "conf-hessian-3d",
+                      "--wmax", wmax)
+    assert got == code
+    if code == 2:
+        assert err.startswith("invalid input:") and "at least 5" in err
+        assert err.count("\n") == 1
+
+
 def test_export_matrixmarket_round_trip(capsys, tmp_path):
     out_file = tmp_path / "op.mtx"
     code, _, _ = run(capsys, "export", "--diagram", "conf-hessian-3d",
@@ -125,6 +136,22 @@ def test_cosserat_energy_fields_file(capsys, tmp_path):
                        "--params", "1,1,1,1,1,1")
     assert code == 0
     assert "15/2" in out
+
+
+@pytest.mark.parametrize("payload", [
+    {"u": ["x", {}, {}], "omega": [{}, {}, {}]},
+    {"u": [{"1 0 0": "1"}, {"0 1 0": "1"}], "omega": [{}, {}, {}]},
+    [1, 2],
+], ids=["component-not-object", "two-components", "top-level-list"])
+def test_bad_fields_file_exit_2(capsys, tmp_path, payload):
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "cosserat-energy", "--fields", str(path),
+                         "--params", "1,1,1,1,1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:") and "--fields" in err
+    assert err.count("\n") == 1
 
 
 def test_korn_command(capsys):

@@ -3,8 +3,6 @@ from fractions import Fraction
 
 from bggkit import catalog
 from bggkit.cube import (
-    cube_block_gram,
-    cube_inner_product,
     mono_cube_gram,
     stacked_column,
     stacked_cube_gram,
@@ -12,7 +10,8 @@ from bggkit.cube import (
 )
 from bggkit.diagram import build
 from bggkit.energy import _embed_row, p_cube_integral, p_mul, random_field
-from bggkit.forms import FormBlock, ValueSpace
+
+from oracles import bareiss_det
 
 F = Fraction
 
@@ -28,10 +27,12 @@ def test_mono_gram_values():
 
 
 def test_cube_gram_is_spd():
-    blk = FormBlock(3, 1, 2, ValueSpace.coordinates("v", 2))
-    cube_inner_product(blk)  # raises if not SPD
-    g = cube_block_gram(blk)
+    # Sylvester's criterion: symmetric with every leading principal minor positive
+    g = mono_cube_gram(3, 2, 2)
     assert g == g.transpose()
+    dense = g.to_dense()
+    for k in range(1, g.rows + 1):
+        assert bareiss_det([row[:k] for row in dense[:k]]) > 0
 
 
 def test_stacked_gram_matches_direct_integrals():
