@@ -4,9 +4,11 @@ harmonic spaces together with its inverse chain maps.
 
 Every operator except d and K acts pointwise, so its constant-coefficient
 data is computed once (the splitting projections and harmonic coordinate
-maps on ``HodgeSplit``, the partial inverses on ``TOps``).  ``lift_column``
-is the single path from those constants to a column operator at one weight:
-row block j becomes I_mono (x) C_j, so every identity below closes exactly.
+maps on ``HodgeSplit``, the partial inverses on ``TOps``).
+``diagram.lift_column`` is the single path from those constants to a column
+operator at one weight: row block j becomes I_mono (x) C_j, so every
+identity below closes exactly.  Each identity is recorded in a
+``VerifyReport``; a derivation stage raises once, with the full report.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .diagram import BuiltDiagram, VerificationError
-from .forms import CoordSpace, LinMap, SumSpace, monomials, pullback_block
+from .diagram import BuiltDiagram, VerifyReport, _mono_count, lift_column, \
+    twisted_cohomology
+from .forms import CoordSpace, LinMap, SumSpace, form_indices, pullback_block
 from .linalg import (
     SparseMat,
     block_matrix,
@@ -31,26 +34,6 @@ from .linalg import (
     solve_thin,
     vstack,
 )
-
-
-def _mono_count(bd: BuiltDiagram, i: int, j: int, w: int) -> int:
-    return len(monomials(bd.n, w - i - j))
-
-
-def lift_column(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,
-                cod: SumSpace, shift: int = 0) -> SparseMat:
-    """Column operator whose block (j + shift, j) is I_mono (x) consts[j].
-
-    i is the form degree of the domain column; its row-j block at weight w
-    fixes the monomial count.  Rows missing from consts, and rows without
-    monomials, are zero blocks.
-    """
-    grid = [[None] * len(dom.parts) for _ in cod.parts]
-    for j, const in consts.items():
-        m = _mono_count(bd, i, j, w)
-        if m:
-            grid[j + shift][j] = SparseMat.identity(m).kron(const)
-    return block_matrix(grid, cod.dims(), dom.dims())
 
 
 @dataclass
@@ -71,7 +54,6 @@ class HodgeSplit:
     p_ups: dict = field(default_factory=dict)
 
     def const_dim(self, i: int, j: int) -> int:
-        from .forms import form_indices
         return len(form_indices(self.bd.n, i)) * self.bd.spec.rows[j].dim
 
     def ups_dim(self, i: int, j: int) -> int:
@@ -98,6 +80,7 @@ def _incoming(bd: BuiltDiagram, i: int, j: int) -> SparseMat | None:
 def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
     """Split every constant block and certify the splitting exactly."""
     hs = HodgeSplit(bd)
+    report = VerifyReport(bd.spec.name, bd.w_max)
     for i in range(bd.n + 1):
         for j in range(bd.N + 1):
             dim = hs.const_dim(i, j)
@@ -115,24 +98,22 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
                 constraints.insert(0, out)
             ups = SparseMat.from_columns(nullspace(vstack(constraints)), dim)
             coords = inverse(ups.transpose() @ ups) @ ups.transpose()
-            if coords @ ups != SparseMat.identity(ups.cols):
-                raise VerificationError(
-                    f"harmonic coordinates do not invert the basis at (i={i}, j={j})")
             p_ran = projection_onto(ran)
             p_kerp = projection_onto(kerp)
             p_ups = ups @ coords
-            ident = SparseMat.identity(dim)
-            if p_ran + p_kerp + p_ups != ident:
-                raise VerificationError(
-                    f"splitting does not resolve the identity at (i={i}, j={j})")
-            for a, b in ((p_ran, p_kerp), (p_ran, p_ups), (p_kerp, p_ups)):
-                if not (a @ b).is_zero():
-                    raise VerificationError(
-                        f"splitting components not orthogonal at (i={i}, j={j})")
+            at = (j,)
+            report.expect("coords ups=I", None, i, coords @ ups,
+                          SparseMat.identity(ups.cols), at)
+            report.expect("split=I", None, i, p_ran + p_kerp + p_ups,
+                          SparseMat.identity(dim), at)
+            report.expect("Pran Pkerp=0", None, i, p_ran @ p_kerp, at=at)
+            report.expect("Pran Pups=0", None, i, p_ran @ p_ups, at=at)
+            report.expect("Pkerp Pups=0", None, i, p_kerp @ p_ups, at=at)
             key = (i, j)
             hs.ran[key], hs.kerp[key], hs.ups[key] = ran, kerp, ups
             hs.coords[key] = coords
             hs.p_ran[key], hs.p_kerp[key], hs.p_ups[key] = p_ran, p_kerp, p_ups
+    report.require("hodge_split")
     return hs
 
 
@@ -176,49 +157,40 @@ def compute_T(bd: BuiltDiagram, hs: HodgeSplit) -> TOps:
                 continue
             t.const[(i, j)] = pinv_onto(inc)
     # identities on constants
+    report = VerifyReport(bd.spec.name, bd.w_max)
     for (i, j), tc in t.const.items():
         s_in = _incoming(bd, i, j)
-        # S T S = S and T S T = T
-        if (s_in @ tc @ s_in) != s_in:
-            raise VerificationError(f"STS failed at (i={i}, j={j})")
-        if (tc @ s_in @ tc) != tc:
-            raise VerificationError(f"TST failed at (i={i}, j={j})")
+        at = (j,)
+        report.expect("STS=S", None, i, s_in @ tc @ s_in, s_in, at)
+        report.expect("TST=T", None, i, tc @ s_in @ tc, tc, at)
         # T T = 0 one step further down the diagonal
         tc2 = t.const.get((i - 1, j + 1))
-        if tc2 is not None and not (tc2 @ tc).is_zero():
-            raise VerificationError(f"TT failed at (i={i}, j={j})")
+        if tc2 is not None:
+            report.expect("TT=0", None, i, tc2 @ tc, at=at)
         # ran(T) = ker(S at source)^perp
         ran_t = column_space(tc)
         kerp_src = hs.kerp[(i - 1, j + 1)]
-        if rank(hstack([ran_t, kerp_src])) != rank(ran_t) or \
-           rank(ran_t) != rank(kerp_src):
-            raise VerificationError(f"ran(T) != ker(S)^perp at (i={i}, j={j})")
+        report.holds("ranT=kerS^perp", None, i,
+                     rank(hstack([ran_t, kerp_src])) == rank(ran_t) == rank(kerp_src), at)
         # ran(S) = ker(T at target)^perp
         ran_s = hs.ran[(i, j)]
         ker_t = SparseMat.from_columns(nullspace(tc), tc.cols)
-        if not (ker_t.transpose() @ ran_s).is_zero():
-            raise VerificationError(f"ran(S) not orthogonal to ker(T) at (i={i}, j={j})")
-        if ran_s.cols + ker_t.cols != tc.cols:
-            raise VerificationError(f"ran(S) + ker(T) dims off at (i={i}, j={j})")
+        report.expect("kerT ranS=0", None, i, ker_t.transpose() @ ran_s, at=at)
+        report.holds("ranS+kerT=dim", None, i, ran_s.cols + ker_t.cols == tc.cols, at)
+    report.require("compute_T")
     return t
 
 
 def verify_T_column_identities(bd: BuiltDiagram, t: TOps, w: int) -> list:
     """TT = 0, TST = T and STS = S as column matrices at one weight."""
-    failures = []
-    for i in range(bd.n + 1):
+    report = VerifyReport(bd.spec.name, bd.w_max)
+    for i in range(1, bd.n + 1):
         t_i = t.column(i, w).mat
-        if i >= 1:
-            t_prev = t.column(i - 1, w).mat
-            if not (t_prev @ t_i).is_zero():
-                failures.append(("TT=0", w, i))
-        s_prev = bd.S(i - 1, w).mat if i >= 1 else None
-        if s_prev is not None:
-            if (t_i @ s_prev) @ t_i != t_i:
-                failures.append(("TST=T", w, i))
-            if (s_prev @ t_i) @ s_prev != s_prev:
-                failures.append(("STS=S", w, i))
-    return failures
+        s_prev = bd.S(i - 1, w).mat
+        report.expect("TT=0", w, i, t.column(i - 1, w).mat @ t_i)
+        report.expect("TST=T", w, i, (t_i @ s_prev) @ t_i, t_i)
+        report.expect("STS=S", w, i, (s_prev @ t_i) @ s_prev, s_prev)
+    return report.failures()
 
 
 @dataclass
@@ -255,7 +227,7 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
     (1) G vanishes on ker(T); (2) phi - d_V G phi lies in ker(T);
     (3) ran(G) is contained in ran(T).
     """
-    failures = []
+    report = VerifyReport(bd.spec.name, bd.w_max)
     for i in range(bd.n + 1):
         gm = g.column(i, w).mat
         tm = t.column(i, w).mat
@@ -263,23 +235,20 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
         # (1): G P_ker(T) = 0.  ker(T) = ran(S)^perp, lifted blockwise.
         p_ker = {j: SparseMat.identity(hs.const_dim(i, j)) - p
                  for (ii, j), p in hs.p_ran.items() if ii == i}
-        if not (gm @ lift_column(bd, p_ker, i, w, col, col)).is_zero():
-            failures.append(("G|kerT=0", w, i))
+        report.expect("G|kerT=0", w, i, gm @ lift_column(bd, p_ker, i, w, col, col))
         if i == 0:
             # (3) with no column below: G itself must vanish
-            if not gm.is_zero():
-                failures.append(("ranG in ranT", w, i))
+            report.expect("ranG in ranT", w, i, gm)
             continue
         # (2): T (I - d_V G) = 0
         ident = SparseMat.identity(col.dim)
-        if not (tm @ (ident - bd.d_V(i - 1, w).mat @ gm)).is_zero():
-            failures.append(("T(I-dVG)=0", w, i))
+        report.expect("T(I-dVG)=0", w, i, tm @ (ident - bd.d_V(i - 1, w).mat @ gm))
         # (3): P_ran(T) G = G; ran(T) = ker(S)^perp on column i - 1
         col_prev = bd.column(i - 1, w)
         p_ran = {j: p for (ii, j), p in hs.p_kerp.items() if ii == i - 1}
-        if lift_column(bd, p_ran, i - 1, w, col_prev, col_prev) @ gm != gm:
-            failures.append(("ranG in ranT", w, i))
-    return failures
+        report.expect("ranG in ranT", w, i,
+                      lift_column(bd, p_ran, i - 1, w, col_prev, col_prev) @ gm, gm)
+    return report.failures()
 
 
 @dataclass
@@ -366,18 +335,15 @@ class BGGComplex:
 def compute_D(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps) -> BGGComplex:
     """Assemble the derived complex and certify its defining identities."""
     bc = BGGComplex(bd, hs, t, g)
+    report = VerifyReport(bd.spec.name, bd.w_max)
     for w in range(bd.w_max + 1):
         for i in range(bd.n + 1):
-            d_i = bc.D(i, w)
+            d_i = bc.D(i, w).mat
             if i < bd.n:
-                dd = bc.D(i + 1, w) @ d_i
-                if not dd.is_zero():
-                    raise VerificationError(f"D D != 0 at i={i}, w={w}")
-            # d_V A = A D
-            lhs = bd.d_V(i, w).mat @ bc.A(i, w).mat
-            rhs = bc.A(i + 1, w).mat @ d_i.mat
-            if lhs != rhs:
-                raise VerificationError(f"d_V A != A D at i={i}, w={w}")
+                report.expect("DD=0", w, i, bc.D(i + 1, w).mat @ d_i)
+            report.expect("dVA=AD", w, i, bd.d_V(i, w).mat @ bc.A(i, w).mat,
+                          bc.A(i + 1, w).mat @ d_i)
+    report.require("compute_D")
     return bc
 
 
@@ -406,46 +372,37 @@ class BOps:
 def verify_chain_maps(bc: BGGComplex, b: BOps, w: int) -> list:
     """B d_V = D B, B A = I and A B = I - d_V G - G d_V, at one weight."""
     bd = bc.bd
-    failures = []
+    report = VerifyReport(bd.spec.name, bd.w_max)
     for i in range(bd.n + 1):
-        b_i = b.column(i, w)
+        b_i = b.column(i, w).mat
         if i < bd.n:
-            lhs = b.column(i + 1, w).mat @ bd.d_V(i, w).mat
-            rhs = bc.D(i, w).mat @ b_i.mat
-            if lhs != rhs:
-                failures.append(("B dV = D B", w, i))
-        ba = b_i.mat @ bc.A(i, w).mat
-        if ba != SparseMat.identity(bc.ups_space(i, w).dim):
-            failures.append(("B A = I", w, i))
-        ab = bc.A(i, w).mat @ b_i.mat
-        ident = SparseMat.identity(bd.column(i, w).dim)
-        hom = ident
+            report.expect("B dV = D B", w, i, b.column(i + 1, w).mat @ bd.d_V(i, w).mat,
+                          bc.D(i, w).mat @ b_i)
+        report.expect("B A = I", w, i, b_i @ bc.A(i, w).mat,
+                      SparseMat.identity(bc.ups_space(i, w).dim))
+        hom = SparseMat.identity(bd.column(i, w).dim)
         if i >= 1:
             hom = hom - bd.d_V(i - 1, w).mat @ bc.g.column(i, w).mat
         hom = hom - bc.g.column(i + 1, w).mat @ bd.d_V(i, w).mat
-        if ab != hom:
-            failures.append(("A B = I - dVG - GdV", w, i))
-    return failures
+        report.expect("A B = I - dVG - GdV", w, i, bc.A(i, w).mat @ b_i, hom)
+    return report.failures()
 
 
 def bgg_cohomology(bc: BGGComplex) -> dict:
     """Cohomology dims of the derived complex, asserted against the twisted ones."""
-    from .diagram import twisted_cohomology
-    twisted = twisted_cohomology(bc.bd)
-    dims = {}
     bd = bc.bd
+    twisted = twisted_cohomology(bd)
+    report = VerifyReport(bd.spec.name, bd.w_max)
+    dims = {}
     for w in range(bd.w_max + 1):
         prev_rank = 0
         for i in range(bd.n + 1):
-            d = bc.D(i, w)
-            r = rank(d.mat)
+            r = rank(bc.D(i, w).mat)
             h = bc.ups_space(i, w).dim - r - prev_rank
-            if h != twisted[(i, w)]:
-                raise VerificationError(
-                    f"derived cohomology mismatch at i={i}, w={w}: "
-                    f"{h} != twisted {twisted[(i, w)]}")
+            report.holds("derived=twisted", w, i, h == twisted[(i, w)])
             dims[(i, w)] = h
             prev_rank = r
+    report.require("bgg_cohomology")
     return dims
 
 
@@ -510,7 +467,7 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     pattern and the entries must agree exactly.
     """
     bd, hs, t, g, bc, b = ops.bd, ops.hs, ops.t, ops.g, ops.bc, ops.b
-    failures = []
+    report = VerifyReport(bd.spec.name, bd.w_max)
     col_i = bd.column(i, w)
     col_prev = bd.column(i - 1, w)
     col_next = bd.column(i + 1, w)
@@ -528,13 +485,8 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
 
     def check(tag, assembled, out_space, expectations, ji):
         for jo, _sp in out_space.parts:
-            got = _rows_of_block(assembled, out_space, jo)
-            want = expectations.get(jo)
-            if want is None:
-                if not got.is_zero():
-                    failures.append((tag, i, w, jo, ji))
-            elif got != want:
-                failures.append((tag, i, w, jo, ji))
+            report.expect(tag, w, i, _rows_of_block(assembled, out_space, jo),
+                          expectations.get(jo), at=(jo, ji))
 
     # homotopy blocks: row ji+k+1 carries -(Td)^k T
     gm = g.column(i, w).mat
@@ -544,9 +496,8 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
         term = tmat @ sel
         k = 0
         while not term.is_zero():
-            support = _support_rows(term, col_prev)
-            if support - {ji + k + 1}:
-                failures.append(("G shift", i, w, ji, k))
+            if not report.holds("G shift", w, i,
+                                _support_rows(term, col_prev) <= {ji + k + 1}, (ji, k)):
                 break
             expectations[ji + k + 1] = _rows_of_block(-term, col_prev, ji + k + 1)
             if d_prev is None:
@@ -566,9 +517,8 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
         term = placed
         k = 0
         while not term.is_zero():
-            support = _support_rows(term, col_i)
-            if support - {ji + k}:
-                failures.append(("A shift", i, w, ji, k))
+            if not report.holds("A shift", w, i,
+                                _support_rows(term, col_i) <= {ji + k}, (ji, k)):
                 break
             expectations[ji + k] = _rows_of_block(term, col_i, ji + k)
             term = t_next @ (d_i @ term)
@@ -624,16 +574,14 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
         term = sel
         for m in range(1, ji + 1):
             term = kmat @ term
-            support = _support_rows(term, col_i)
-            if support - {ji - m}:
-                failures.append(("F shift", i, w, ji, m))
+            if not report.holds("F shift", w, i,
+                                _support_rows(term, col_i) <= {ji - m}, (ji, m)):
                 break
             if term.is_zero():
                 break
             acc = acc + (bm @ term).scale(Fraction(1, factorial(m)))
-        if bf @ sel != acc:
-            failures.append(("BF block", i, w, ji))
-    return failures
+        report.expect("BF block", w, i, bf @ sel, acc, at=(ji,))
+    return report.failures()
 
 
 # -- equivariance ------------------------------------------------------------

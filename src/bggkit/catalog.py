@@ -319,6 +319,18 @@ def to_text(entry: CatalogEntry) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Arguments each directive needs after its own words.
+_ARGS = {"name": 1, "n": 1, "rows": 1, "row": 1, "kappa": 2, "expect": 1,
+         "expect h0_total": 1, "expect upsilon": 3, "expect orders": 2}
+
+
+def _need_args(directive: str, parts: list):
+    need = _ARGS.get(directive, 0)
+    if len(parts) - len(directive.split()) < need:
+        raise ValueError(f"{directive}: needs {need} argument(s), "
+                         f"got {' '.join(parts)!r}")
+
+
 def parse_text(text: str) -> CatalogEntry:
     """Parse the diagram text format back into a catalog entry."""
     name = None
@@ -333,6 +345,7 @@ def parse_text(text: str) -> CatalogEntry:
             continue
         parts = line.split()
         kind = parts[0]
+        _need_args(kind, parts)
         if kind == "name":
             name = parts[1]
         elif kind == "n":
@@ -361,7 +374,9 @@ def parse_text(text: str) -> CatalogEntry:
             if " source=" in line:
                 line, src = line.split(" source=", 1)
                 parts = line.split()
+            _need_args(kind, parts)
             what = parts[1]
+            _need_args(f"expect {what}", parts)
             rest = parts[2:]
             if what == "h0_total":
                 expected["h0_total"] = int(rest[0])

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import catalog, export
 from .bgg import bgg_cohomology, derive
 from .diagram import DiagramError, VerificationError, build, row_cohomology_sum, \
-    twisted_cohomology, verify_identities
+    verify_identities
 from .energy import (
     EnergyParams,
     cosserat_energy,
@@ -63,34 +63,31 @@ def cmd_verify(args) -> int:
 def cmd_cohomology(args) -> int:
     entry = _entry_from_args(args)
     bd = build(entry.spec, args.wmax)
-    payload = {"diagram": entry.name, "wmax": args.wmax, "checks": [],
-               "cohomology": {"twisted": {}, "derived": {}, "row_sum": {}}}
-    try:
-        twisted = twisted_cohomology(bd)
-        payload["checks"].append({"name": "twisted=row_sum", "ok": True})
-    except VerificationError as err:
-        print(f"cohomology check failed: {err}", file=sys.stderr)
-        return 1
     ops = derive(bd)
     try:
-        derived = bgg_cohomology(ops.bc)
-        payload["checks"].append({"name": "derived=twisted", "ok": True})
+        # certifies derived = twisted = row sum at every (i, w)
+        dims = bgg_cohomology(ops.bc)
     except VerificationError as err:
         print(f"cohomology check failed: {err}", file=sys.stderr)
         return 1
-    for (i, w), h in sorted(twisted.items()):
-        payload["cohomology"]["twisted"][f"i={i},w={w}"] = h
-        payload["cohomology"]["derived"][f"i={i},w={w}"] = derived[(i, w)]
-        payload["cohomology"]["row_sum"][f"i={i},w={w}"] = row_cohomology_sum(bd, i, w)
+    payload = {"diagram": entry.name, "wmax": args.wmax,
+               "checks": [{"name": "twisted=row_sum", "ok": True},
+                          {"name": "derived=twisted", "ok": True}],
+               "cohomology": {"twisted": {}, "derived": {}, "row_sum": {}}}
+    tables = payload["cohomology"]
+    for (i, w), h in sorted(dims.items()):
+        key = f"i={i},w={w}"
+        tables["twisted"][key] = tables["derived"][key] = h
+        tables["row_sum"][key] = row_cohomology_sum(bd, i, w)
     if args.format == "json":
         print(json.dumps(payload, indent=1))
     else:
         print(f"diagram {entry.name}: twisted = derived = row sums at every "
               f"index and weight <= {args.wmax}")
-        nonzero = {(i, w): h for (i, w), h in sorted(twisted.items()) if h}
+        nonzero = {(i, w): h for (i, w), h in sorted(dims.items()) if h}
         for (i, w), h in nonzero.items():
             print(f"  H^{i} at weight {w}: dim {h}")
-        total = sum(h for (i, w), h in twisted.items() if i == 0)
+        total = sum(h for (i, w), h in dims.items() if i == 0)
         print(f"  total H^0 across weights: {total}")
     return 0
 
@@ -145,7 +142,10 @@ def cmd_export(args) -> int:
 
 
 def _parse_params(text: str) -> EnergyParams:
-    vals = [F(x) for x in text.split(",")]
+    try:
+        vals = [F(x) for x in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"--params {text}: zero denominator") from None
     if len(vals) != 6:
         raise ValueError("expected mu,lam,mu_c,alpha,beta,gamma")
     return EnergyParams(*vals)
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.fn(args)
-    except (KeyError, ValueError, FileNotFoundError) as err:
+    except (KeyError, ValueError, OSError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 2
     except (DiagramError, VerificationError) as err:

@@ -11,7 +11,7 @@ matrices weight by weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -36,7 +36,11 @@ class DiagramError(Exception):
 
 
 class VerificationError(Exception):
-    pass
+    """An exact certificate failed; ``report`` lists every failing check."""
+
+    def __init__(self, message: str, report: VerifyReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -88,23 +92,49 @@ class DiagramSpec:
 
 @dataclass
 class CheckResult:
+    """One exact certificate.  Constant-level checks have weight None; a
+    failure's ``where`` starts with its block location, row j first."""
     name: str
-    weight: int
+    weight: int | None
     index: int
     ok: bool
     where: tuple | None = None
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
+        weight = "" if self.weight is None else f"w={self.weight} "
         loc = f" at entry {self.where}" if self.where else ""
-        return f"[{status}] {self.name}  w={self.weight} i={self.index}{loc}"
+        return f"[{status}] {self.name}  {weight}i={self.index}{loc}"
 
 
 @dataclass
 class VerifyReport:
+    """Every exact certificate of a run, recorded through ``expect`` and
+    ``holds``; ``require`` turns failures into one VerificationError."""
     diagram: str
     w_max: int
-    checks: list
+    checks: list = field(default_factory=list)
+
+    def expect(self, name: str, w: int | None, i: int, lhs: SparseMat,
+               rhs: SparseMat | None = None, at: tuple = ()):
+        """Record lhs == rhs, or lhs == 0 when rhs is None.
+
+        A failure is located at ``at`` followed by the first coordinate
+        where the two sides differ.
+        """
+        ok = lhs.is_zero() if rhs is None else lhs == rhs
+        where = None
+        if not ok:
+            other = {} if rhs is None else rhs.data
+            where = at + min(k for k in lhs.data.keys() | other.keys()
+                             if lhs.data.get(k) != other.get(k))
+        self.checks.append(CheckResult(name, w, i, ok, where))
+
+    def holds(self, name: str, w: int | None, i: int, ok: bool,
+              at: tuple = ()) -> bool:
+        """Record a rank or dimension condition; a failure is located at ``at``."""
+        self.checks.append(CheckResult(name, w, i, ok, None if ok else at))
+        return ok
 
     @property
     def ok(self) -> bool:
@@ -112,6 +142,14 @@ class VerifyReport:
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.ok]
+
+    def require(self, stage: str):
+        """Raise one VerificationError carrying this report if any check failed."""
+        bad = self.failures()
+        if bad:
+            raise VerificationError(
+                f"{stage}: {len(bad)} of {len(self.checks)} checks failed, "
+                f"first {bad[0].line()}", self)
 
     def summary(self) -> str:
         lines = [f"diagram {self.diagram}: {len(self.checks)} checks, "
@@ -197,13 +235,8 @@ class BuiltDiagram:
         return LinMap(dom, cod, acc)
 
     def S_block(self, i: int, j: int, w: int) -> LinMap:
-        dom = self.block(i, j, w)
-        cod = self.block(i + 1, j - 1, w)
-        if dom.dim == 0 or cod.dim == 0:
-            return LinMap.zero(dom, cod)
-        n_mono = len(monomials(self.n, dom.p))
-        mat = SparseMat.identity(n_mono).kron(self.partial_const(i, j))
-        return LinMap(dom, cod, mat)
+        return LinMap(self.block(i, j, w), self.block(i + 1, j - 1, w),
+                      _lift(self, self.partial_const(i, j), i, j, w))
 
     def _S_block_synthesized(self, i: int, j: int, w: int) -> LinMap:
         k = self.K_block(i, j, w)
@@ -229,30 +262,21 @@ class BuiltDiagram:
         key = (kind, i, w)
         if key in self._ops:
             return self._ops[key]
-        if i < 0 or i > self.n:
-            dom = self.column(i, w)
-            cod = dom if kind == "K" else self.column(i + 1, w)
-            out = LinMap.zero(dom, cod)
-            self._ops[key] = out
-            return out
         dom = self.column(i, w)
-        if kind == "d":
-            cod = self.column(i + 1, w)
-            grid = [[self.d_block(i, j, w).mat if j == jj else None
-                     for j in range(self.N + 1)] for jj in range(self.N + 1)]
-        elif kind == "K":
-            cod = dom
-            grid = [[None] * (self.N + 1) for _ in range(self.N + 1)]
-            for j in range(1, self.N + 1):
-                grid[j - 1][j] = self.K_block(i, j, w).mat
+        cod = dom if kind == "K" else self.column(i + 1, w)
+        if i < 0 or i > self.n:
+            mat = SparseMat.zero(cod.dim, dom.dim)
         elif kind == "S":
-            cod = self.column(i + 1, w)
-            grid = [[None] * (self.N + 1) for _ in range(self.N + 1)]
-            for j in range(1, self.N + 1):
-                grid[j - 1][j] = self.S_block(i, j, w).mat
+            consts = {j: self.partial_const(i, j) for j in range(1, self.N + 1)}
+            mat = lift_column(self, consts, i, w, dom, cod, shift=-1)
         else:
-            raise KeyError(kind)
-        mat = block_matrix(grid, cod.dims(), dom.dims())
+            grid = [[None] * (self.N + 1) for _ in range(self.N + 1)]
+            for j in range(self.N + 1):
+                if kind == "d":
+                    grid[j][j] = self.d_block(i, j, w).mat
+                elif kind == "K" and j >= 1:
+                    grid[j - 1][j] = self.K_block(i, j, w).mat
+            mat = block_matrix(grid, cod.dims(), dom.dims())
         out = LinMap(dom, cod, mat)
         self._ops[key] = out
         return out
@@ -297,11 +321,26 @@ def build(spec: DiagramSpec, w_max: int = 8, validate: bool = True) -> BuiltDiag
     return BuiltDiagram(spec, w_max, validate)
 
 
-def _first_mismatch(a: SparseMat, b: SparseMat):
-    diff = a - b
-    if diff.is_zero():
-        return None
-    return min(diff.data)
+def _mono_count(bd: BuiltDiagram, i: int, j: int, w: int) -> int:
+    return len(monomials(bd.n, w - i - j))
+
+
+def _lift(bd: BuiltDiagram, const: SparseMat, i: int, j: int, w: int) -> SparseMat:
+    """I_mono (x) const: a pointwise constant on row j of column i at weight w."""
+    return SparseMat.identity(_mono_count(bd, i, j, w)).kron(const)
+
+
+def lift_column(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,
+                cod: SumSpace, shift: int = 0) -> SparseMat:
+    """Column operator whose block (j + shift, j) is I_mono (x) consts[j].
+
+    i is the form degree of the domain column; its row-j block at weight w
+    fixes the monomial count.  Rows missing from consts are zero blocks.
+    """
+    grid = [[None] * len(dom.parts) for _ in cod.parts]
+    for j, const in consts.items():
+        grid[j + shift][j] = _lift(bd, const, i, j, w)
+    return block_matrix(grid, cod.dims(), dom.dims())
 
 
 def verify_identities(bd: BuiltDiagram) -> VerifyReport:
@@ -311,37 +350,28 @@ def verify_identities(bd: BuiltDiagram) -> VerifyReport:
     Sd = -dS, SS = 0, d_V d_V = 0, F d = d_V F, and the power rule
     d K^m - K^m d = m S K^{m-1} for m = 1..N.
     """
-    checks = []
-
-    def record(name, w, i, lhs, rhs):
-        where = _first_mismatch(lhs, rhs)
-        checks.append(CheckResult(name, w, i, where is None, where))
-
+    report = VerifyReport(bd.spec.name, bd.w_max)
+    expect = report.expect
     n, N = bd.n, bd.N
     for w in range(bd.w_max + 1):
         for i in range(n + 1):
             d_i = bd.d(i, w)
             if i < n:
-                record("dd=0", w, i, (bd.d(i + 1, w) @ d_i).mat,
-                       SparseMat.zero(bd.column(i + 2, w).dim, bd.column(i, w).dim))
+                expect("dd=0", w, i, (bd.d(i + 1, w) @ d_i).mat)
             # SK = KS blockwise
             for j in range(2, N + 1):
                 lhs = bd.S_block(i, j - 1, w) @ bd.K_block(i, j, w)
                 rhs = bd.K_block(i + 1, j - 1, w) @ bd.S_block(i, j, w)
-                where = _first_mismatch(lhs.mat, rhs.mat)
-                checks.append(CheckResult("SK=KS", w, i, where is None,
-                                          (j,) + where if where else None))
+                expect("SK=KS", w, i, lhs.mat, rhs.mat, at=(j,))
             # S = dK - Kd columnwise
             if i < n:
                 synth = (bd.d(i, w) @ bd.K(i, w)) - (bd.K(i + 1, w) @ bd.d(i, w))
-                record("S=dK-Kd", w, i, bd.S(i, w).mat, synth.mat)
-                record("Sd=-dS", w, i, (bd.S(i + 1, w) @ d_i).mat,
+                expect("S=dK-Kd", w, i, bd.S(i, w).mat, synth.mat)
+                expect("Sd=-dS", w, i, (bd.S(i + 1, w) @ d_i).mat,
                        (-(bd.d(i + 1, w) @ bd.S(i, w))).mat)
-                record("SS=0", w, i, (bd.S(i + 1, w) @ bd.S(i, w)).mat,
-                       SparseMat.zero(bd.column(i + 2, w).dim, bd.column(i, w).dim))
-                record("dVdV=0", w, i, (bd.d_V(i + 1, w) @ bd.d_V(i, w)).mat,
-                       SparseMat.zero(bd.column(i + 2, w).dim, bd.column(i, w).dim))
-            record("Fd=dVF", w, i, (bd.F(i + 1, w) @ bd.d(i, w)).mat,
+                expect("SS=0", w, i, (bd.S(i + 1, w) @ bd.S(i, w)).mat)
+                expect("dVdV=0", w, i, (bd.d_V(i + 1, w) @ bd.d_V(i, w)).mat)
+            expect("Fd=dVF", w, i, (bd.F(i + 1, w) @ bd.d(i, w)).mat,
                    (bd.d_V(i, w) @ bd.F(i, w)).mat)
             # power rule d K^m - K^m d = m S K^{m-1}
             k_i, k_i1 = bd.K(i, w).mat, bd.K(i + 1, w).mat
@@ -353,8 +383,8 @@ def verify_identities(bd: BuiltDiagram) -> VerifyReport:
                 pow_i1 = k_i1 @ pow_i1
                 lhs = (d_i.mat @ pow_i) - (pow_i1 @ d_i.mat)
                 rhs = (bd.S(i, w).mat @ prev_pow_i).scale(m)
-                record("dK^m rule", w, i, lhs, rhs)
-    return VerifyReport(bd.spec.name, bd.w_max, checks)
+                expect("dK^m rule", w, i, lhs, rhs)
+    return report
 
 
 @lru_cache(maxsize=None)
@@ -391,18 +421,15 @@ def twisted_cohomology(bd: BuiltDiagram) -> dict:
     of the row de-Rham cohomologies computed independently from the
     block-diagonal differential.
     """
+    report = VerifyReport(bd.spec.name, bd.w_max)
     dims = {}
     for w in range(bd.w_max + 1):
         prev_rank = 0
         for i in range(bd.n + 1):
-            dv = bd.d_V(i, w)
-            r = rank(dv.mat)
+            r = rank(bd.d_V(i, w).mat)
             h = bd.column(i, w).dim - r - prev_rank
-            expected = row_cohomology_sum(bd, i, w)
-            if h != expected:
-                raise VerificationError(
-                    f"twisted cohomology mismatch at i={i}, w={w}: "
-                    f"{h} != row sum {expected}")
+            report.holds("twisted=row_sum", w, i, h == row_cohomology_sum(bd, i, w))
             dims[(i, w)] = h
             prev_rank = r
+    report.require("twisted_cohomology")
     return dims

@@ -18,7 +18,7 @@ from bggkit.bgg import (
     verify_block_structure,
     verify_chain_maps,
 )
-from bggkit.diagram import DiagramSpec, KappaSpec, build
+from bggkit.diagram import DiagramSpec, KappaSpec, VerificationError, build
 from bggkit.forms import ValueSpace, monomials
 from bggkit.linalg import SparseMat, nullspace, rank
 
@@ -398,3 +398,16 @@ def test_equivariance_conf_hessian(hess_ops, matfn):
             psi_i = pullback_on_harmonics(bc, a, actions, i, w)
             psi_next = pullback_on_harmonics(bc, a, actions, i + 1, w)
             assert (psi_next.mat @ bc.D(i, w).mat) == (bc.D(i, w).mat @ psi_i.mat)
+
+
+def test_derive_reports_every_hodge_split_failure(broken_conf_deformation):
+    with pytest.raises(VerificationError) as info:
+        derive(broken_conf_deformation)
+    report = info.value.report
+    # five certificates per constant block (i, j), i <= 3, j <= 2
+    assert len(report.checks) == 5 * 4 * 3
+    # constant-level checks carry no weight; the location is (j, entry)
+    assert [(c.name, c.weight, c.index, c.where) for c in report.failures()] == [
+        ("split=I", None, 1, (1, 1, 1)), ("Pran Pkerp=0", None, 1, (1, 1, 1)),
+        ("split=I", None, 2, (1, 0, 0)), ("Pran Pkerp=0", None, 2, (1, 0, 0))]
+    assert str(info.value).startswith("hodge_split: 4 of 60 checks failed")

@@ -61,3 +61,10 @@ def test_parse_rejects_malformed():
         catalog.parse_text("name x\nn 2\nrows 2\nrow 0 name=a dim=1 labels=a\n")
     with pytest.raises(ValueError):
         catalog.parse_text("nonsense directive\n")
+
+
+@pytest.mark.parametrize("line, directive", [
+    ("name", "name"), ("kappa 1", "kappa"), ("expect upsilon 0", "expect upsilon")])
+def test_parse_rejects_short_directive(line, directive):
+    with pytest.raises(ValueError, match=f"^{directive}: needs"):
+        catalog.parse_text(line + "\n")

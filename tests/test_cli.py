@@ -154,6 +154,19 @@ def test_bad_fields_file_exit_2(capsys, tmp_path, payload):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["cosserat-energy", "--fields", "{dir}"],
+    ["verify", "--diagram-file", "{dir}"],
+    ["cosserat-energy", "--params", "1,1,1/0,1,1,1"],
+], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator"])
+def test_bad_input_exit_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
+    assert err.count("\n") == 1
+
+
 def test_korn_command(capsys):
     code, out, _ = run(capsys, "korn2d", "--rmax", "4", "--format", "json")
     assert code == 0

@@ -7,6 +7,8 @@ from bggkit.diagram import (
     DiagramError,
     DiagramSpec,
     KappaSpec,
+    VerificationError,
+    VerifyReport,
     build,
     row_cohomology_sum,
     twisted_cohomology,
@@ -98,6 +100,25 @@ def test_noncommuting_kappa_fails_exactly_at_connector_exchange():
     assert not report.ok
     failing = {c.name for c in report.failures()}
     assert "SK=KS" in failing
+
+
+def test_verify_identities_locates_first_failure(broken_conf_deformation):
+    # SK=KS is checked blockwise, so its location starts with the row j
+    first = verify_identities(broken_conf_deformation).failures()[0]
+    assert first.line() == "[FAIL] SK=KS  w=2 i=0 at entry (2, 0, 2)"
+
+
+def test_expect_locates_first_differing_entry():
+    report = VerifyReport("x", 0)
+    a = SparseMat(2, 2, {(0, 0): 1, (1, 1): 2})
+    report.expect("a=a", 0, 0, a, a)
+    report.expect("a=b", 0, 0, a, SparseMat(2, 2, {(0, 0): 1, (1, 0): 3}), at=(7,))
+    report.expect("a=0", None, 1, a)
+    assert [c.where for c in report.checks] == [None, (7, 1, 0), (0, 0)]
+    assert report.failures()[1].line() == "[FAIL] a=0  i=1 at entry (0, 0)"
+    with pytest.raises(VerificationError) as info:
+        report.require("stage")
+    assert info.value.report is report
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
