@@ -7,7 +7,8 @@ data is computed once (the splitting projections and harmonic coordinate
 maps on ``HodgeSplit``, the partial inverses on ``TOps``).
 ``diagram.lift_column`` is the single path from those constants to a column
 operator at one weight: row block j becomes I_mono (x) C_j, so every
-identity below closes exactly.  Each identity is recorded in a
+identity below closes exactly.  Column operators are cached per instance
+through ``diagram.memo``.  Each identity is recorded in a
 ``VerifyReport``; a derivation stage raises once, with the full report.
 """
 
@@ -17,12 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .diagram import BuiltDiagram, VerifyReport, _mono_count, lift_column, \
-    twisted_cohomology
+from .diagram import BuiltDiagram, VerifyReport, _mono_count, band, lift_column, \
+    memo, twisted_cohomology
 from .forms import CoordSpace, LinMap, SumSpace, form_indices, pullback_block
 from .linalg import (
     SparseMat,
-    block_matrix,
     column_space,
     hstack,
     inverse,
@@ -128,17 +128,13 @@ class TOps:
     bd: BuiltDiagram
     hs: HodgeSplit
     const: dict = field(default_factory=dict)
-    _cols: dict = field(default_factory=dict)
 
+    @memo
     def column(self, i: int, w: int) -> LinMap:
-        key = (i, w)
-        if key not in self._cols:
-            dom = self.bd.column(i, w)
-            cod = self.bd.column(i - 1, w)
-            consts = {j: c for (ii, j), c in self.const.items() if ii == i}
-            self._cols[key] = LinMap(dom, cod, lift_column(
-                self.bd, consts, i, w, dom, cod, shift=1))
-        return self._cols[key]
+        dom = self.bd.column(i, w)
+        cod = self.bd.column(i - 1, w)
+        consts = {j: c for (ii, j), c in self.const.items() if ii == i}
+        return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod, shift=1))
 
 
 def compute_T(bd: BuiltDiagram, hs: HodgeSplit) -> TOps:
@@ -198,26 +194,20 @@ class GOps:
     """Nilpotent homotopy per column index and weight."""
     bd: BuiltDiagram
     t: TOps
-    _cols: dict = field(default_factory=dict)
 
+    @memo
     def column(self, i: int, w: int) -> LinMap:
-        key = (i, w)
-        if key not in self._cols:
-            bd = self.bd
-            dom = bd.column(i, w)
-            cod = bd.column(i - 1, w)
-            tmat = self.t.column(i, w).mat
-            term = tmat
-            acc = tmat
-            if i >= 1:
-                td = tmat @ bd.d(i - 1, w).mat
-                for _ in range(bd.N):
-                    term = td @ term
-                    if term.is_zero():
-                        break
-                    acc = acc + term
-            self._cols[key] = LinMap(dom, cod, -acc)
-        return self._cols[key]
+        bd = self.bd
+        tcol = self.t.column(i, w)
+        term = acc = tcol.mat
+        if i >= 1:
+            td = tcol.mat @ bd.d(i - 1, w).mat
+            for _ in range(bd.N):
+                term = td @ term
+                if term.is_zero():
+                    break
+                acc = acc + term
+        return LinMap(tcol.dom, tcol.cod, -acc)
 
 
 def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
@@ -258,62 +248,44 @@ class BGGComplex:
     hs: HodgeSplit
     t: TOps
     g: GOps
-    _ups_spaces: dict = field(default_factory=dict)
-    _iota: dict = field(default_factory=dict)
-    _pi: dict = field(default_factory=dict)
-    _A: dict = field(default_factory=dict)
-    _D: dict = field(default_factory=dict)
 
+    @memo
     def ups_space(self, i: int, w: int) -> SumSpace:
-        key = (i, w)
-        if key not in self._ups_spaces:
-            parts = []
-            for j in range(self.bd.N + 1):
-                cnt = _mono_count(self.bd, i, j, w) * self.hs.ups_dim(i, j) \
-                    if 0 <= i <= self.bd.n else 0
-                parts.append((j, CoordSpace(f"ups({i},{j})w{w}", cnt)))
-            self._ups_spaces[key] = SumSpace(tuple(parts))
-        return self._ups_spaces[key]
+        parts = []
+        for j in range(self.bd.N + 1):
+            cnt = _mono_count(self.bd, i, j, w) * self.hs.ups_dim(i, j) \
+                if 0 <= i <= self.bd.n else 0
+            parts.append((j, CoordSpace(f"ups({i},{j})w{w}", cnt)))
+        return SumSpace(tuple(parts))
 
+    @memo
     def inclusion(self, i: int, w: int) -> LinMap:
         """Harmonic coordinates into the ambient column."""
-        key = (i, w)
-        if key not in self._iota:
-            dom, cod = self.ups_space(i, w), self.bd.column(i, w)
-            consts = {j: b for (ii, j), b in self.hs.ups.items() if ii == i}
-            self._iota[key] = LinMap(dom, cod, lift_column(
-                self.bd, consts, i, w, dom, cod))
-        return self._iota[key]
+        dom, cod = self.ups_space(i, w), self.bd.column(i, w)
+        consts = {j: b for (ii, j), b in self.hs.ups.items() if ii == i}
+        return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod))
 
+    @memo
     def projection(self, i: int, w: int) -> LinMap:
         """Ambient column onto harmonic coordinates (orthogonal projection)."""
-        key = (i, w)
-        if key not in self._pi:
-            dom, cod = self.bd.column(i, w), self.ups_space(i, w)
-            consts = {j: c for (ii, j), c in self.hs.coords.items() if ii == i}
-            self._pi[key] = LinMap(dom, cod, lift_column(
-                self.bd, consts, i, w, dom, cod))
-        return self._pi[key]
+        dom, cod = self.bd.column(i, w), self.ups_space(i, w)
+        consts = {j: c for (ii, j), c in self.hs.coords.items() if ii == i}
+        return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod))
 
+    @memo
     def A(self, i: int, w: int) -> LinMap:
         """Chain map from harmonic coordinates into the twisted complex."""
-        key = (i, w)
-        if key not in self._A:
-            iota = self.inclusion(i, w)
-            dv = self.bd.d_V(i, w)
-            g_next = self.g.column(i + 1, w)
-            self._A[key] = LinMap(iota.dom, iota.cod,
-                                  iota.mat - g_next.mat @ (dv.mat @ iota.mat))
-        return self._A[key]
+        iota = self.inclusion(i, w)
+        dv = self.bd.d_V(i, w)
+        g_next = self.g.column(i + 1, w)
+        return LinMap(iota.dom, iota.cod, iota.mat - g_next.mat @ (dv.mat @ iota.mat))
 
+    @memo
     def D(self, i: int, w: int) -> LinMap:
-        key = (i, w)
-        if key not in self._D:
-            a = self.A(i, w)
-            dv = self.bd.d_V(i, w)
-            pi = self.projection(i + 1, w)
-            self._D[key] = LinMap(a.dom, pi.cod, pi.mat @ (dv.mat @ a.mat))
-        return self._D[key]
+        a = self.A(i, w)
+        dv = self.bd.d_V(i, w)
+        pi = self.projection(i + 1, w)
+        return LinMap(a.dom, pi.cod, pi.mat @ (dv.mat @ a.mat))
 
     def block_orders(self, i: int) -> list[int]:
         """Weight shifts of the nonzero derived-operator blocks at index i."""
@@ -351,22 +323,17 @@ def compute_D(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps) -> BGGComplex:
 class BOps:
     """Projection chain map from the twisted complex onto harmonic coordinates."""
     bc: BGGComplex
-    _cols: dict = field(default_factory=dict)
 
+    @memo
     def column(self, i: int, w: int) -> LinMap:
-        key = (i, w)
-        if key not in self._cols:
-            bc = self.bc
-            bd = bc.bd
-            pi = bc.projection(i, w)
-            ident = SparseMat.identity(bd.column(i, w).dim)
-            if i >= 1:
-                dvg = bd.d_V(i - 1, w).mat @ bc.g.column(i, w).mat
-                mat = pi.mat @ (ident - dvg)
-            else:
-                mat = pi.mat
-            self._cols[key] = LinMap(bd.column(i, w), pi.cod, mat)
-        return self._cols[key]
+        bc = self.bc
+        bd = bc.bd
+        pi = bc.projection(i, w)
+        mat = pi.mat
+        if i >= 1:
+            ident = SparseMat.identity(pi.dom.dim)
+            mat = mat @ (ident - bd.d_V(i - 1, w).mat @ bc.g.column(i, w).mat)
+        return LinMap(pi.dom, pi.cod, mat)
 
 
 def verify_chain_maps(bc: BGGComplex, b: BOps, w: int) -> list:
@@ -591,14 +558,9 @@ def pullback_column(bd: BuiltDiagram, a: SparseMat, value_actions, i: int,
                     w: int) -> LinMap:
     """Blockwise pullback of a column under the linear substitution x -> a@x."""
     col = bd.column(i, w)
-    grid = [[None] * (bd.N + 1) for _ in range(bd.N + 1)]
-    for j in range(bd.N + 1):
-        blk = bd.block(i, j, w)
-        if blk.dim == 0:
-            grid[j][j] = SparseMat.zero(blk.dim, blk.dim)
-        else:
-            grid[j][j] = pullback_block(a, blk, value_actions[j]).mat
-    return LinMap(col, col, block_matrix(grid, col.dims(), col.dims()))
+    blocks = {j: pullback_block(a, blk, value_actions[j]).mat
+              for j, blk in col.parts if blk.dim}
+    return LinMap(col, col, band(blocks, col, col))
 
 
 def pullback_on_harmonics(bc: BGGComplex, a: SparseMat, value_actions,

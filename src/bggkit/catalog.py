@@ -354,7 +354,14 @@ def parse_text(text: str) -> CatalogEntry:
             row_count = int(parts[1])
         elif kind == "row":
             j = int(parts[1])
+            if j in rows:
+                raise ValueError(f"row {j}: declared twice")
+            bare = [p for p in parts[2:] if "=" not in p]
+            if bare:
+                raise ValueError(f"row {j}: needs key=value tokens, got {bare[0]!r}")
             attrs = dict(p.split("=", 1) for p in parts[2:])
+            if "dim" not in attrs:
+                raise ValueError(f"row {j}: needs dim=")
             labels = tuple(attrs["labels"].split(",")) if "labels" in attrs else None
             dim = int(attrs["dim"])
             if labels is None:
@@ -364,10 +371,16 @@ def parse_text(text: str) -> CatalogEntry:
             rows[j] = ValueSpace(attrs.get("name", f"V{j}"), labels)
         elif kind == "kappa":
             j, l = int(parts[1]), int(parts[2])
+            if (j, l) in kappa_entries:
+                raise ValueError(f"kappa {j} {l}: declared twice")
             triples = []
             for t in parts[3:]:
-                r, c, v = t.split(":")
-                triples.append((int(r), int(c), Fraction(v)))
+                try:
+                    r, c, v = t.split(":")
+                    triples.append((int(r), int(c), Fraction(v)))
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(
+                        f"kappa {j} {l}: bad entry {t!r}, expected row:col:value") from None
             kappa_entries[(j, l)] = triples
         elif kind == "expect":
             src = "unspecified"

@@ -110,16 +110,15 @@ def cmd_derive(args) -> int:
 
 def cmd_export(args) -> int:
     entry = _entry_from_args(args)
-    bd = build(entry.spec, args.wmax)
-    ops = None
-    canonical = {"d_v": "dV", "dv": "dV"}.get(args.operator.lower(), args.operator)
-    if canonical in ("T", "G", "A", "B", "D"):
-        ops = derive(bd)
     try:
-        linmap = export.get_operator(bd, ops, args.operator, args.index, args.weight)
+        canonical = export.check_request(args.operator, entry.spec.n, args.wmax,
+                                         args.index, args.weight)
     except export.ExportError as err:
         print(str(err), file=sys.stderr)
         return 2
+    bd = build(entry.spec, args.wmax)
+    ops = derive(bd) if canonical in export.DERIVED else None
+    linmap = export.get_operator(bd, ops, canonical, args.index, args.weight)
     comment = (f"diagram={entry.name} operator={canonical} index={args.index} "
                f"weight={args.weight}")
     if args.format == "matrixmarket":

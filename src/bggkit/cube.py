@@ -5,9 +5,9 @@ matrix here is exact rational.  Fields of bounded total degree live in a
 weight-stacked space: a ``SumSpace`` keyed by weight whose parts are
 row-keyed column spaces (ambient columns or harmonic coordinates).  This
 module is the one path for such spaces: ``stacked_map`` assembles per-weight
-maps block-diagonally, and ``stacked_cube_gram`` forms the Gram as
-M_mono (x) C_j on each row j, from the monomial pairings and one constant
-metric per row.
+maps block-diagonally through ``diagram.band``, and ``stacked_cube_gram``
+forms the Gram as M_mono (x) C_j on each row j, from the monomial pairings
+and one constant metric per row.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagram import BuiltDiagram
+from .diagram import BuiltDiagram, band
 from .forms import LinMap, SumSpace, monomials
-from .linalg import SparseMat, block_matrix
+from .linalg import SparseMat
 
 
 @lru_cache(maxsize=None)
@@ -42,10 +42,8 @@ def stacked_column(bd: BuiltDiagram, i: int, weights) -> SumSpace:
 
 def stacked_map(per_weight: dict, dom: SumSpace, cod: SumSpace) -> LinMap:
     """Block-diagonal assembly of per-weight column maps."""
-    wd = dom.keys()
-    grid = [[per_weight[w].mat if wi == wo else None
-             for wi, w in enumerate(wd)] for wo, _ in enumerate(wd)]
-    return LinMap(dom, cod, block_matrix(grid, cod.dims(), dom.dims()))
+    blocks = {k: per_weight[w].mat for k, w in enumerate(dom.keys())}
+    return LinMap(dom, cod, band(blocks, dom, cod))
 
 
 def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,

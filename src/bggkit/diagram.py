@@ -7,13 +7,17 @@ algebraic connector S = dK - Kd, the twisted differential d_V = d - S, and
 the exponential intertwiner F.  All operators preserve the weight
 w = polynomial degree + form degree + row index, so they are finite exact
 matrices weight by weight.
+
+Every column operator here and in ``bgg`` takes one path: ``band`` assembles
+it from its row blocks (a column operator sends row j to row j or j +- 1),
+and ``memo`` caches it once per (index, weight) on the instance that owns it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial
 
 from .forms import (
@@ -33,6 +37,30 @@ from .linalg import SparseMat, block_matrix, rank
 
 class DiagramError(Exception):
     pass
+
+
+def memo(method):
+    """Cache ``method(self, *args)`` in the instance's own ``__dict__``, so
+    the cache lives and dies with the instance."""
+    @wraps(method)
+    def cached(self, *args):
+        table = self.__dict__.setdefault("_memo", {})
+        key = (method, *args)
+        if key not in table:
+            table[key] = method(self, *args)
+        return table[key]
+    return cached
+
+
+def band(blocks: dict, dom: SumSpace, cod: SumSpace, shift: int = 0) -> SparseMat:
+    """Block matrix from dom to cod whose block (k + shift, k) is blocks[k].
+
+    k counts the parts of dom; blocks missing from ``blocks`` are zero.
+    """
+    grid = [[None] * len(dom.parts) for _ in cod.parts]
+    for k, blk in blocks.items():
+        grid[k + shift][k] = blk
+    return block_matrix(grid, cod.dims(), dom.dims())
 
 
 class VerificationError(Exception):
@@ -179,9 +207,6 @@ class BuiltDiagram:
         self.w_max = w_max
         self.n = spec.n
         self.N = spec.N
-        self._columns: dict = {}
-        self._connectors: dict = {}
-        self._ops: dict = {}
         self._verify_synthesis()
 
     # -- spaces ------------------------------------------------------------
@@ -189,30 +214,24 @@ class BuiltDiagram:
     def block(self, i: int, j: int, w: int) -> FormBlock:
         return FormBlock(self.n, i, w - i - j, self.spec.rows[j])
 
+    @memo
     def column(self, i: int, w: int) -> SumSpace:
         """Z^i at weight w: the direct sum over rows of the graded blocks."""
-        key = (i, w)
-        if key not in self._columns:
-            if i < 0 or i > self.n + 1:
-                self._columns[key] = SumSpace(())
-            else:
-                self._columns[key] = SumSpace(tuple(
-                    (j, self.block(i, j, w)) for j in range(self.N + 1)))
-        return self._columns[key]
+        if i < 0 or i > self.n + 1:
+            return SumSpace(())
+        return SumSpace(tuple((j, self.block(i, j, w)) for j in range(self.N + 1)))
 
     # -- constant-level data -------------------------------------------------
 
+    @memo
     def partial_const(self, i: int, j: int) -> SparseMat:
         """Pointwise connector on constants: Lambda^i (x) V_j -> Lambda^{i+1} (x) V_{j-1}."""
-        key = (i, j)
-        if key not in self._connectors:
-            rows_out = len(form_indices(self.n, i + 1)) * self.spec.rows[j - 1].dim
-            cols_in = len(form_indices(self.n, i)) * self.spec.rows[j].dim
-            acc = SparseMat.zero(rows_out, cols_in)
-            for l in range(1, self.n + 1):
-                acc = acc + wedge_const(self.n, i, l).kron(self.kappa(j)[l - 1])
-            self._connectors[key] = acc
-        return self._connectors[key]
+        rows_out = len(form_indices(self.n, i + 1)) * self.spec.rows[j - 1].dim
+        cols_in = len(form_indices(self.n, i)) * self.spec.rows[j].dim
+        acc = SparseMat.zero(rows_out, cols_in)
+        for l in range(1, self.n + 1):
+            acc = acc + wedge_const(self.n, i, l).kron(self.kappa(j)[l - 1])
+        return acc
 
     def kappa(self, j: int) -> tuple[SparseMat, ...]:
         return self.spec.kappa.row(j)
@@ -258,57 +277,44 @@ class BuiltDiagram:
 
     # -- column operators ------------------------------------------------------
 
-    def _column_op(self, kind: str, i: int, w: int) -> LinMap:
-        key = (kind, i, w)
-        if key in self._ops:
-            return self._ops[key]
-        dom = self.column(i, w)
-        cod = dom if kind == "K" else self.column(i + 1, w)
-        if i < 0 or i > self.n:
-            mat = SparseMat.zero(cod.dim, dom.dim)
-        elif kind == "S":
-            consts = {j: self.partial_const(i, j) for j in range(1, self.N + 1)}
-            mat = lift_column(self, consts, i, w, dom, cod, shift=-1)
-        else:
-            grid = [[None] * (self.N + 1) for _ in range(self.N + 1)]
-            for j in range(self.N + 1):
-                if kind == "d":
-                    grid[j][j] = self.d_block(i, j, w).mat
-                elif kind == "K" and j >= 1:
-                    grid[j - 1][j] = self.K_block(i, j, w).mat
-            mat = block_matrix(grid, cod.dims(), dom.dims())
-        out = LinMap(dom, cod, mat)
-        self._ops[key] = out
-        return out
+    # d and S are zero outside 0..n: compute_D reaches d_V(n + 1, w).
 
+    @memo
     def d(self, i: int, w: int) -> LinMap:
-        return self._column_op("d", i, w)
+        dom, cod = self.column(i, w), self.column(i + 1, w)
+        rows = range(self.N + 1) if 0 <= i <= self.n else ()
+        return LinMap(dom, cod, band(
+            {j: self.d_block(i, j, w).mat for j in rows}, dom, cod))
 
+    @memo
     def K(self, i: int, w: int) -> LinMap:
-        return self._column_op("K", i, w)
+        col = self.column(i, w)
+        return LinMap(col, col, band(
+            {j: self.K_block(i, j, w).mat for j, _ in col.parts if j >= 1},
+            col, col, shift=-1))
 
+    @memo
     def S(self, i: int, w: int) -> LinMap:
-        return self._column_op("S", i, w)
+        dom, cod = self.column(i, w), self.column(i + 1, w)
+        rows = range(1, self.N + 1) if 0 <= i <= self.n else ()
+        return LinMap(dom, cod, lift_column(
+            self, {j: self.partial_const(i, j) for j in rows}, i, w, dom, cod, shift=-1))
 
+    @memo
     def d_V(self, i: int, w: int) -> LinMap:
-        key = ("dV", i, w)
-        if key not in self._ops:
-            self._ops[key] = self.d(i, w) - self.S(i, w)
-        return self._ops[key]
+        return self.d(i, w) - self.S(i, w)
 
+    @memo
     def F(self, i: int, w: int) -> LinMap:
         """Column intertwiner sum_m K^m / m!; inverse of the same sum at -K."""
-        key = ("F", i, w)
-        if key not in self._ops:
-            col = self.column(i, w)
-            k = self.K(i, w).mat
-            acc = SparseMat.identity(col.dim)
-            power = SparseMat.identity(col.dim)
-            for m in range(1, self.N + 1):
-                power = k @ power
-                acc = acc + power.scale(Fraction(1, factorial(m)))
-            self._ops[key] = LinMap(col, col, acc)
-        return self._ops[key]
+        col = self.column(i, w)
+        k = self.K(i, w).mat
+        acc = SparseMat.identity(col.dim)
+        power = SparseMat.identity(col.dim)
+        for m in range(1, self.N + 1):
+            power = k @ power
+            acc = acc + power.scale(Fraction(1, factorial(m)))
+        return LinMap(col, col, acc)
 
 
 def build(spec: DiagramSpec, w_max: int = 8, validate: bool = True) -> BuiltDiagram:
@@ -337,10 +343,7 @@ def lift_column(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,
     i is the form degree of the domain column; its row-j block at weight w
     fixes the monomial count.  Rows missing from consts are zero blocks.
     """
-    grid = [[None] * len(dom.parts) for _ in cod.parts]
-    for j, const in consts.items():
-        grid[j + shift][j] = _lift(bd, const, i, j, w)
-    return block_matrix(grid, cod.dims(), dom.dims())
+    return band({j: _lift(bd, c, i, j, w) for j, c in consts.items()}, dom, cod, shift)
 
 
 def verify_identities(bd: BuiltDiagram) -> VerifyReport:

@@ -88,35 +88,33 @@ def write_stencil(linmap: LinMap, row_labels=None, col_labels=None) -> str:
 
 
 OPERATOR_NAMES = ("d", "S", "K", "dV", "F", "T", "G", "A", "B", "D")
+DERIVED = ("T", "G", "A", "B", "D")
+
+
+def check_request(name: str, n: int, w_max: int, index: int, weight: int) -> str:
+    """Canonical name of an operator request, with its weight in 0..w_max and
+    its column index in 0..n; raises ExportError otherwise."""
+    canonical = {"d_v": "dV", "dv": "dV"}.get(name.lower(), name)
+    if canonical not in OPERATOR_NAMES:
+        raise ExportError(f"unknown operator {name!r}; known: {', '.join(OPERATOR_NAMES)}")
+    if weight > w_max or weight < 0:
+        raise ExportError(f"weight {weight} outside built range 0..{w_max}")
+    if index < 0 or index > n:
+        raise ExportError(f"index {index} outside 0..{n}")
+    return canonical
 
 
 def get_operator(bd: BuiltDiagram, ops: DerivedOps | None, name: str,
                  index: int, weight: int) -> LinMap:
     """Resolve one of the named block operators at a column index and weight."""
-    canonical = {"d_v": "dV", "dv": "dV"}.get(name.lower(), name)
-    if canonical in ("d", "S", "K", "dV", "F"):
-        if weight > bd.w_max or weight < 0:
-            raise ExportError(f"weight {weight} outside built range 0..{bd.w_max}")
-        if index < 0 or index > bd.n:
-            raise ExportError(f"index {index} outside 0..{bd.n}")
-        return {
-            "d": bd.d, "S": bd.S, "K": bd.K, "dV": bd.d_V, "F": bd.F,
-        }[canonical](index, weight)
-    if canonical in ("T", "G", "A", "B", "D"):
-        if ops is None:
-            raise ExportError(f"operator {name} needs the derived pipeline")
-        if weight > bd.w_max or weight < 0:
-            raise ExportError(f"weight {weight} outside built range 0..{bd.w_max}")
-        if index < 0 or index > bd.n:
-            raise ExportError(f"index {index} outside 0..{bd.n}")
-        return {
-            "T": lambda i, w: ops.t.column(i, w),
-            "G": lambda i, w: ops.g.column(i, w),
-            "A": lambda i, w: ops.bc.A(i, w),
-            "B": lambda i, w: ops.b.column(i, w),
-            "D": lambda i, w: ops.bc.D(i, w),
-        }[canonical](index, weight)
-    raise ExportError(f"unknown operator {name!r}; known: {', '.join(OPERATOR_NAMES)}")
+    canonical = check_request(name, bd.n, bd.w_max, index, weight)
+    if canonical not in DERIVED:
+        return {"d": bd.d, "S": bd.S, "K": bd.K, "dV": bd.d_V,
+                "F": bd.F}[canonical](index, weight)
+    if ops is None:
+        raise ExportError(f"operator {name} needs the derived pipeline")
+    return {"T": ops.t.column, "G": ops.g.column, "A": ops.bc.A,
+            "B": ops.b.column, "D": ops.bc.D}[canonical](index, weight)
 
 
 def block_labels(space) -> list[str]:

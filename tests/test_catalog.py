@@ -64,7 +64,19 @@ def test_parse_rejects_malformed():
 
 
 @pytest.mark.parametrize("line, directive", [
-    ("name", "name"), ("kappa 1", "kappa"), ("expect upsilon 0", "expect upsilon")])
+    ("name", "name"), ("kappa 1", "kappa"), ("expect upsilon 0", "expect upsilon"),
+    ("row 0 name=a labels=a", "row 0"), ("row 0 dim=1 a", "row 0")])
 def test_parse_rejects_short_directive(line, directive):
     with pytest.raises(ValueError, match=f"^{directive}: needs"):
         catalog.parse_text(line + "\n")
+
+
+@pytest.mark.parametrize("line, directive", [
+    ("row 1 name=c dim=2 labels=c1,c2", "row 1"), ("kappa 1 1 0:0:2", "kappa 1 1")],
+    ids=["row", "kappa"])
+def test_parse_rejects_repeated_directive(line, directive):
+    text = ("name x\nn 1\nrows 2\nrow 0 name=a dim=1 labels=a\n"
+            "row 1 name=b dim=1 labels=b\nkappa 1 1 0:0:1\n")
+    catalog.parse_text(text)
+    with pytest.raises(ValueError, match=f"^{directive}: declared twice"):
+        catalog.parse_text(text + line + "\n")

@@ -85,6 +85,22 @@ def test_export_unknown_operator_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("operator, index, weight, message", [
+    ("Q", "0", "1", "unknown operator 'Q'"),
+    ("D", "0", "99", "weight 99 outside built range 0..8"),
+    ("dv", "4", "1", "index 4 outside 0..3"),
+], ids=["unknown-operator", "weight-above-wmax", "index-above-n"])
+def test_export_rejects_request_before_building(capsys, monkeypatch, operator,
+                                                index, weight, message):
+    import bggkit.cli
+    monkeypatch.setattr(bggkit.cli, "build", lambda *a: pytest.fail("built"))
+    code, out, err = run(capsys, "export", "--diagram", "higher-hessian-3d(3)",
+                         "--operator", operator, "--index", index, "--weight", weight)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_diagram_file_loading(capsys, tmp_path):
     from bggkit import catalog
     entry = catalog.get("plate-2d")
@@ -154,17 +170,27 @@ def test_bad_fields_file_exit_2(capsys, tmp_path, payload):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["cosserat-energy", "--fields", "{dir}"],
-    ["verify", "--diagram-file", "{dir}"],
-    ["cosserat-energy", "--params", "1,1,1/0,1,1,1"],
-], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator"])
-def test_bad_input_exit_2(capsys, tmp_path, argv):
+TWO_ROWS = "name bad\nn 1\nrows 2\nrow 0 name=a dim=1 labels=a\nrow 1 name=b dim=1 labels=b\n"
+
+
+@pytest.mark.parametrize("argv, triple", [
+    (["cosserat-energy", "--fields", "{dir}"], None),
+    (["verify", "--diagram-file", "{dir}"], None),
+    (["cosserat-energy", "--params", "1,1,1/0,1,1,1"], None),
+    (["verify", "--diagram-file", "{dir}/bad.diagram"], "0:0:1/0"),
+    (["verify", "--diagram-file", "{dir}/bad.diagram"], "0:0"),
+], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator",
+        "kappa-zero-denominator", "kappa-short-triple"])
+def test_bad_input_exit_2(capsys, tmp_path, argv, triple):
+    if triple:
+        (tmp_path / "bad.diagram").write_text(f"{TWO_ROWS}kappa 1 1 {triple}\n")
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("invalid input:")
     assert err.count("\n") == 1
+    if triple:
+        assert "kappa 1 1" in err and triple in err
 
 
 def test_korn_command(capsys):

@@ -259,12 +259,17 @@ def test_higher_hessian_builds_and_verifies():
 
 
 def test_built_diagram_is_freed():
-    # no module-level cache may pin a diagram and its column operators
+    # operators are cached on their instances, once; no module-level cache
+    # may pin a diagram, its derived operators or their columns
     import gc
     import weakref
+    from bggkit.bgg import derive
     bd = build(catalog.get("plate-2d").spec, 3)
     bd.S(0, 2)
+    assert bd.d(0, 2) is bd.d(0, 2)
+    ops = derive(bd)
+    assert ops.bc.D(0, 2) is ops.bc.D(0, 2)
     ref = weakref.ref(bd)
-    del bd
+    del bd, ops
     gc.collect()
     assert ref() is None
