@@ -32,6 +32,7 @@ from .linalg import (
     projection_onto,
     rank,
     solve_thin,
+    take_rows,
     vstack,
 )
 
@@ -299,7 +300,7 @@ class BGGComplex:
                     ro_end = ro + out_sp.space(jo).dim
                     co_end = co + in_sp.space(ji).dim
                     if any(ro <= r < ro_end and co <= c < co_end
-                           for (r, c) in d.mat.data):
+                           for (r, c) in d.mat.num):
                         orders.add(1 + jo - ji)
         return sorted(orders)
 
@@ -405,20 +406,18 @@ def _select_block(col: SumSpace, j: int) -> SparseMat:
 def _rows_of_block(mat: SparseMat, out_space: SumSpace, jo: int) -> SparseMat:
     """Extract the rows of mat belonging to the jo-th output summand."""
     off = out_space.offset(jo)
-    dim = out_space.space(jo).dim
-    ent = {(r - off, c): v for (r, c), v in mat.data.items() if off <= r < off + dim}
-    return SparseMat(dim, mat.cols, ent)
+    return take_rows(mat, range(off, off + out_space.space(jo).dim))
 
 
 def _support_rows(mat: SparseMat, out_space: SumSpace) -> set:
     """Output summands that carry nonzero entries."""
+    rows = {r for (r, _c) in mat.num}
     hit = set()
-    for (r, _c) in mat.data:
-        for j, _sp in out_space.parts:
-            off = out_space.offset(j)
-            if off <= r < off + out_space.space(j).dim:
-                hit.add(j)
-                break
+    off = 0
+    for j, sp in out_space.parts:
+        if any(r in rows for r in range(off, off + sp.dim)):
+            hit.add(j)
+        off += sp.dim
     return hit
 
 

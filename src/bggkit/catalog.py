@@ -102,8 +102,7 @@ def conf_deformation_3d() -> CatalogEntry:
     k2 = []
     for l in (1, 2, 3):
         ent = {(3, l - 1): Fraction(-1)}
-        m = _mskw_gen(l)
-        for (r, c), v in m.data.items():
+        for r, c, v in _mskw_gen(l).entries():
             ent[(r, c)] = -v
         k2.append(SparseMat(4, 3, ent))
     kappa = KappaSpec((tuple(k1), tuple(k2)))
@@ -331,6 +330,13 @@ def _need_args(directive: str, parts: list):
                          f"got {' '.join(parts)!r}")
 
 
+def _int(directive: str, what: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{directive}: {what} must be an integer, got {token!r}") from None
+
+
 def parse_text(text: str) -> CatalogEntry:
     """Parse the diagram text format back into a catalog entry."""
     name = None
@@ -339,6 +345,7 @@ def parse_text(text: str) -> CatalogEntry:
     rows: dict[int, ValueSpace] = {}
     kappa_entries: dict[tuple[int, int], list] = {}
     expected: dict = {"source": {}}
+    declared: set[str] = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -346,14 +353,18 @@ def parse_text(text: str) -> CatalogEntry:
         parts = line.split()
         kind = parts[0]
         _need_args(kind, parts)
+        if kind in ("name", "n", "rows"):
+            if kind in declared:
+                raise ValueError(f"{kind}: declared twice")
+            declared.add(kind)
         if kind == "name":
             name = parts[1]
         elif kind == "n":
-            n = int(parts[1])
+            n = _int("n", "value", parts[1])
         elif kind == "rows":
-            row_count = int(parts[1])
+            row_count = _int("rows", "value", parts[1])
         elif kind == "row":
-            j = int(parts[1])
+            j = _int("row", "index", parts[1])
             if j in rows:
                 raise ValueError(f"row {j}: declared twice")
             bare = [p for p in parts[2:] if "=" not in p]
@@ -363,14 +374,14 @@ def parse_text(text: str) -> CatalogEntry:
             if "dim" not in attrs:
                 raise ValueError(f"row {j}: needs dim=")
             labels = tuple(attrs["labels"].split(",")) if "labels" in attrs else None
-            dim = int(attrs["dim"])
+            dim = _int(f"row {j}", "dim", attrs["dim"])
             if labels is None:
                 labels = tuple(f"{attrs.get('name', 'e')}{k + 1}" for k in range(dim))
             if len(labels) != dim:
                 raise ValueError(f"row {j}: {len(labels)} labels for dim {dim}")
             rows[j] = ValueSpace(attrs.get("name", f"V{j}"), labels)
         elif kind == "kappa":
-            j, l = int(parts[1]), int(parts[2])
+            j, l = _int("kappa", "index", parts[1]), _int("kappa", "index", parts[2])
             if (j, l) in kappa_entries:
                 raise ValueError(f"kappa {j} {l}: declared twice")
             triples = []
@@ -392,15 +403,15 @@ def parse_text(text: str) -> CatalogEntry:
             _need_args(f"expect {what}", parts)
             rest = parts[2:]
             if what == "h0_total":
-                expected["h0_total"] = int(rest[0])
+                expected["h0_total"] = _int("expect h0_total", "value", rest[0])
                 expected["source"]["h0_total"] = src
             elif what == "upsilon":
-                i, j, dim = int(rest[0]), int(rest[1]), int(rest[2])
+                i, j, dim = (_int("expect upsilon", "value", x) for x in rest[:3])
                 expected.setdefault("upsilon_support", {})[(i, j)] = dim
                 expected["source"]["upsilon_support"] = src
             elif what == "orders":
-                idx = int(rest[0])
-                orders = [int(x) for x in rest[1].split(",")]
+                idx = _int("expect orders", "index", rest[0])
+                orders = [_int("expect orders", "order", x) for x in rest[1].split(",")]
                 lst = expected.setdefault("operator_orders", [])
                 while len(lst) <= idx:
                     lst.append([])

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .diagram import BuiltDiagram, band
 from .forms import LinMap, SumSpace, monomials
-from .linalg import SparseMat
+from .linalg import SparseMat, assemble
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +57,7 @@ def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
     (their values live in different value spaces).
     """
     const_metrics = const_metrics or {}
-    ent = {}
+    placed = []
     for w, col in space.parts:
         for wp, colp in space.parts:
             for j, sub in col.parts:
@@ -68,9 +68,7 @@ def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
                 metric = const_metrics.get(j)
                 if metric is None:
                     metric = SparseMat.identity(sub.dim // len(monomials(bd.n, p)))
-                pairing = mono_cube_gram(bd.n, p, pp).kron(metric)
-                r0 = space.offset(w) + col.offset(j)
-                c0 = space.offset(wp) + colp.offset(j)
-                for (r, c), v in pairing.data.items():
-                    ent[(r0 + r, c0 + c)] = v
-    return SparseMat(space.dim, space.dim, ent)
+                placed.append((space.offset(w) + col.offset(j),
+                               space.offset(wp) + colp.offset(j),
+                               mono_cube_gram(bd.n, p, pp).kron(metric)))
+    return assemble(space.dim, space.dim, placed)

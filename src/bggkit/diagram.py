@@ -153,9 +153,10 @@ class VerifyReport:
         ok = lhs.is_zero() if rhs is None else lhs == rhs
         where = None
         if not ok:
-            other = {} if rhs is None else rhs.data
-            where = at + min(k for k in lhs.data.keys() | other.keys()
-                             if lhs.data.get(k) != other.get(k))
+            rnum, rden = ({}, 1) if rhs is None else (rhs.num, rhs.den)
+            lnum, lden = lhs.num, lhs.den
+            where = at + min(k for k in lnum.keys() | rnum.keys()
+                             if lnum.get(k, 0) * rden != rnum.get(k, 0) * lden)
         self.checks.append(CheckResult(name, w, i, ok, where))
 
     def holds(self, name: str, w: int | None, i: int, ok: bool,

@@ -317,8 +317,12 @@ def _poly_mul(p: dict, q: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _subst_matrix(a_key, n: int, p: int) -> SparseMat:
-    a = dict(a_key)
+def _subst_matrix(a_num, a_den: int, n: int, p: int) -> SparseMat:
+    """Substitution matrix on degree-p monomials for x -> (a_num / a_den) @ x.
+
+    Each monomial is a product of p integer linear forms over a_den ** p.
+    """
+    a = dict(a_num)
     src = monomials(n, p)
     tgt = _mono_index(n, p)
     linear = []
@@ -333,13 +337,13 @@ def _subst_matrix(a_key, n: int, p: int) -> SparseMat:
         linear.append(lin)
     ent = {}
     for col, alpha in enumerate(src):
-        poly = {tuple([0] * n): ONE}
+        poly = {tuple([0] * n): 1}
         for k, e in enumerate(alpha):
             for _ in range(e):
                 poly = _poly_mul(poly, linear[k])
         for beta, c in poly.items():
             ent[(tgt[beta], col)] = c
-    return SparseMat(len(src), len(src), ent)
+    return SparseMat(len(src), len(src), ent).scale(Fraction(1, a_den ** p))
 
 
 def _minor(a: SparseMat, rows: tuple[int, ...], cols: tuple[int, ...]) -> Fraction:
@@ -384,7 +388,6 @@ def pullback_block(a: SparseMat, b: FormBlock, value_action: SparseMat) -> LinMa
     """
     if b.dim == 0:
         return LinMap.zero(b, b)
-    a_key = tuple(sorted((rc, v) for rc, v in a.data.items()))
-    poly = _subst_matrix(a_key, b.n, b.p)
+    poly = _subst_matrix(tuple(sorted(a.num.items())), a.den, b.n, b.p)
     lam = form_pullback_matrix(a, b.n, b.i)
     return LinMap(b, b, poly.kron(lam).kron(value_action))

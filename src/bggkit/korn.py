@@ -22,7 +22,7 @@ from .bgg import derive
 from .cube import stacked_cube_gram, stacked_map
 from .diagram import build
 from .forms import SumSpace
-from .linalg import SparseMat, nullspace, rank
+from .linalg import SparseMat, nullspace, rank, take_rows
 
 
 @dataclass
@@ -46,10 +46,12 @@ def _component_rows(space: SumSpace, row_j: int) -> list[int]:
     return rows
 
 
-def _restrict_rows(mat: SparseMat, rows: list[int]) -> SparseMat:
-    index = {r: k for k, r in enumerate(rows)}
-    ent = {(index[r], c): v for (r, c), v in mat.data.items() if r in index}
-    return SparseMat(len(rows), mat.cols, ent)
+def _to_float(mat: SparseMat) -> np.ndarray:
+    """Dense float copy; int / int is correctly rounded, as float(Fraction) is."""
+    out = np.zeros((mat.rows, mat.cols))
+    for (r, c), v in mat.num.items():
+        out[r, c] = v / mat.den
+    return out
 
 
 def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
@@ -76,7 +78,7 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
         ker = nullspace(dmat)
         kernel_dim = len(ker)
         first_rows = _component_rows(cod, 0)
-        first = _restrict_rows(dmat, first_rows)
+        first = take_rows(dmat, first_rows)
         first_kernel = dmat.cols - rank(first)
         g_in = stacked_cube_gram(bd, dom, 0, metrics[0])
         g_out = stacked_cube_gram(bd, cod, 1, metrics[1])
@@ -86,9 +88,7 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
             nullspace(kmat.transpose() @ g_in), dmat.cols)
         a_r = comp.transpose() @ a @ comp
         m_r = comp.transpose() @ g_in @ comp
-        a_np = np.array([[float(x) for x in row] for row in a_r.to_dense()])
-        m_np = np.array([[float(x) for x in row] for row in m_r.to_dense()])
-        eigvals = eigh(a_np, m_np, eigvals_only=True)
+        eigvals = eigh(_to_float(a_r), _to_float(m_r), eigvals_only=True)
         sigma_min = float(np.sqrt(max(eigvals.min(), 0.0)))
         out.append(KornRow(r, kernel_dim, first_kernel, sigma_min))
     return out

@@ -1,6 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction``.  One fraction-free elimination,
+A ``SparseMat`` stores integer numerators ``num`` over one positive common
+denominator ``den``, always in lowest terms (``gcd(den, *num.values()) ==
+1``, no zero numerators), so equal matrices have equal storage and matmul,
+add, kron, scale and block assembly run on Python ``int``.  The accessors
+``get``, ``entries``, ``to_dense``, ``column`` and ``columns`` return
+lowest-terms ``fractions.Fraction`` values.  One fraction-free elimination,
 ``_echelon_int`` (integer rows with content normalization, first nonzero
 pivot in column order), serves rank, kernel, solve, inverse, projection and
 pseudoinverse, so every result is reproducible bit for bit.
@@ -9,7 +14,7 @@ pseudoinverse, so every result is reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,35 +31,64 @@ def _as_fraction(x) -> Fraction:
 
 
 class SparseMat:
-    """Sparse rational matrix: no stored zeros, no duplicate coordinates.
+    """Sparse rational matrix: integer numerators over one denominator.
 
-    Treated as immutable after construction; all operations return new
-    matrices.  Zero-row / zero-column shapes are legal and arise routinely
-    as absent graded blocks.
+    ``num`` maps (row, col) to a nonzero int and ``den`` is a positive int
+    with no factor common to every numerator.  Treated as immutable after
+    construction; all operations return new matrices.  Zero-row /
+    zero-column shapes are legal and arise routinely as absent graded
+    blocks.
     """
 
-    __slots__ = ("rows", "cols", "data", "_row_cache")
+    __slots__ = ("rows", "cols", "num", "den", "_row_cache")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise LinAlgError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        data: dict[tuple[int, int], Fraction] = {}
+        values: dict[tuple[int, int], int | Fraction] = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else (
                 ((r, c), v) for (r, c, v) in entries)
             for (r, c), v in items:
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise LinAlgError(f"entry ({r},{c}) out of range for {rows}x{cols}")
-                v = _as_fraction(v)
+                if not isinstance(v, (int, Fraction)):
+                    v = Fraction(v)
                 if v == 0:
                     continue
-                if (r, c) in data:
+                if (r, c) in values:
                     raise LinAlgError(f"duplicate entry at ({r},{c})")
-                data[(r, c)] = v
-        self.data = data
+                values[(r, c)] = v
+        # the lcm of lowest-terms denominators leaves the numerators coprime to it
+        den = lcm(*(v.denominator for v in values.values()))
+        self.rows = rows
+        self.cols = cols
+        self.num = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        self.den = den
         self._row_cache = None
+
+    @classmethod
+    def _from_num(cls, rows: int, cols: int, num: dict, den: int) -> "SparseMat":
+        """Matrix num/den from nonzero int numerators and a positive den.
+
+        The one place that reduces to lowest terms; takes ownership of num.
+        """
+        if den != 1:
+            g = den
+            for v in num.values():
+                g = gcd(g, v)
+                if g == 1:
+                    break
+            if g > 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        out = cls.__new__(cls)
+        out.rows = rows
+        out.cols = cols
+        out.num = num
+        out.den = den
+        out._row_cache = None
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -64,7 +98,7 @@ class SparseMat:
 
     @classmethod
     def identity(cls, n: int) -> "SparseMat":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls._from_num(n, n, {(i, i): 1 for i in range(n)}, 1)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseMat":
@@ -92,46 +126,61 @@ class SparseMat:
     # -- basic access ------------------------------------------------------
 
     def get(self, r: int, c: int) -> Fraction:
-        return self.data.get((r, c), ZERO)
+        v = self.num.get((r, c))
+        return ZERO if v is None else Fraction(v, self.den)
+
+    @property
+    def data(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero entries as Fractions (a fresh read-only view)."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.num.items()}
 
     @property
     def nnz(self) -> int:
-        return len(self.data)
+        return len(self.num)
 
     def entries(self):
         """Entries as (row, col, value), sorted by coordinate."""
-        for (r, c) in sorted(self.data):
-            yield r, c, self.data[(r, c)]
+        num, den = self.num, self.den
+        for (r, c) in sorted(num):
+            yield r, c, Fraction(num[(r, c)], den)
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.num
 
     def to_dense(self) -> list[list[Fraction]]:
         out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.data.items():
-            out[r][c] = v
+        for (r, c), v in self.num.items():
+            out[r][c] = Fraction(v, self.den)
         return out
 
     def column(self, j: int) -> list[Fraction]:
         col = [ZERO] * self.rows
-        for (r, c), v in self.data.items():
+        for (r, c), v in self.num.items():
             if c == j:
-                col[r] = v
+                col[r] = Fraction(v, self.den)
         return col
 
     def columns(self) -> list[list[Fraction]]:
         cols = [[ZERO] * self.rows for _ in range(self.cols)]
-        for (r, c), v in self.data.items():
-            cols[c][r] = v
+        for (r, c), v in self.num.items():
+            cols[c][r] = Fraction(v, self.den)
         return cols
 
+    def _rows(self):
+        """Row-major adjacency [(col, numerator), ...] per row, kept only
+        once ``_rows_adj`` has built it."""
+        if self._row_cache is not None:
+            return self._row_cache
+        adj = [[] for _ in range(self.rows)]
+        for (r, c), v in self.num.items():
+            adj[r].append((c, v))
+        return adj
+
     def _rows_adj(self):
-        """Row-major adjacency [(col, val), ...] per row, built lazily."""
+        """The row-major adjacency, built lazily and kept."""
         if self._row_cache is None:
-            adj = [[] for _ in range(self.rows)]
-            for (r, c), v in self.data.items():
-                adj[r].append((c, v))
-            self._row_cache = adj
+            self._row_cache = self._rows()
         return self._row_cache
 
     # -- arithmetic --------------------------------------------------------
@@ -139,77 +188,88 @@ class SparseMat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMat):
             return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+        return (self.rows, self.cols, self.den, self.num) == \
+            (other.rows, other.cols, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.data.items())))
+        return hash((self.rows, self.cols, self.den, frozenset(self.num.items())))
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch in add")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            s = data.get(k, ZERO) + v
-            if s == 0:
-                data.pop(k, None)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        num = dict(self.num) if fa == 1 else {k: v * fa for k, v in self.num.items()}
+        for k, v in other.num.items():
+            s = num.get(k, 0) + v * fb
+            if s:
+                num[k] = s
             else:
-                data[k] = s
-        out = SparseMat(self.rows, self.cols)
-        out.data = data
-        return out
+                del num[k]
+        return SparseMat._from_num(self.rows, self.cols, num, den)
 
     def __neg__(self) -> "SparseMat":
-        out = SparseMat(self.rows, self.cols)
-        out.data = {k: -v for k, v in self.data.items()}
-        return out
+        return SparseMat._from_num(self.rows, self.cols,
+                                   {k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
         return self + (-other)
 
     def scale(self, a) -> "SparseMat":
         a = _as_fraction(a)
-        out = SparseMat(self.rows, self.cols)
-        if a != 0:
-            out.data = {k: a * v for k, v in self.data.items()}
-        return out
+        if a == 0:
+            return SparseMat(self.rows, self.cols)
+        p = a.numerator
+        return SparseMat._from_num(self.rows, self.cols,
+                                   {k: p * v for k, v in self.num.items()},
+                                   a.denominator * self.den)
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch in matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        # Only the right operand keeps its adjacency: left operands are often
+        # long-lived blocks multiplied once, where keeping it costs memory.
         brows = other._rows_adj()
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, k), a in self.data.items():
-            for j, b in brows[k]:
-                key = (i, j)
-                cur = acc.get(key)
-                acc[key] = a * b if cur is None else cur + a * b
-        out = SparseMat(self.rows, other.cols)
-        out.data = {k: v for k, v in acc.items() if v != 0}
-        return out
+        num = {}
+        for i, arow in enumerate(self._rows()):
+            if not arow:
+                continue
+            acc: dict[int, int] = {}
+            for k, a in arow:
+                for j, b in brows[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            for j, v in acc.items():
+                if v:
+                    num[(i, j)] = v
+        return SparseMat._from_num(self.rows, other.cols, num, self.den * other.den)
 
     def apply(self, vec: list[Fraction]) -> list[Fraction]:
         if len(vec) != self.cols:
             raise LinAlgError("vector length mismatch")
-        out = [ZERO] * self.rows
-        for (r, c), v in self.data.items():
-            x = vec[c]
-            if x != 0:
+        vden = lcm(*(x.denominator for x in vec))
+        vnum = [x.numerator * (vden // x.denominator) for x in vec]
+        out = [0] * self.rows
+        for (r, c), v in self.num.items():
+            x = vnum[c]
+            if x:
                 out[r] += v * x
-        return out
+        den = self.den * vden
+        return [Fraction(s, den) if s else ZERO for s in out]
 
     def transpose(self) -> "SparseMat":
-        out = SparseMat(self.cols, self.rows)
-        out.data = {(c, r): v for (r, c), v in self.data.items()}
-        return out
+        return SparseMat._from_num(self.cols, self.rows,
+                                   {(c, r): v for (r, c), v in self.num.items()}, self.den)
 
     def kron(self, other: "SparseMat") -> "SparseMat":
-        out = SparseMat(self.rows * other.rows, self.cols * other.cols)
-        data = {}
-        for (r1, c1), v1 in self.data.items():
-            for (r2, c2), v2 in other.data.items():
-                data[(r1 * other.rows + r2, c1 * other.cols + c2)] = v1 * v2
-        out.data = data
-        return out
+        orows, ocols = other.rows, other.cols
+        onum = other.num.items()
+        num = {}
+        for (r1, c1), v1 in self.num.items():
+            r0, c0 = r1 * orows, c1 * ocols
+            for (r2, c2), v2 in onum:
+                num[(r0 + r2, c0 + c2)] = v1 * v2
+        return SparseMat._from_num(self.rows * orows, self.cols * ocols, num,
+                                   self.den * other.den)
 
     def __repr__(self):
         return f"SparseMat({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -223,8 +283,7 @@ def block_matrix(grid, row_dims: list[int], col_dims: list[int]) -> SparseMat:
     coff = [0]
     for d in col_dims:
         coff.append(coff[-1] + d)
-    out = SparseMat(roff[-1], coff[-1])
-    data = {}
+    placed = []
     for bi, row in enumerate(grid):
         for bj, blk in enumerate(row):
             if blk is None:
@@ -232,11 +291,27 @@ def block_matrix(grid, row_dims: list[int], col_dims: list[int]) -> SparseMat:
             if blk.rows != row_dims[bi] or blk.cols != col_dims[bj]:
                 raise LinAlgError(f"block ({bi},{bj}) has shape {blk.rows}x{blk.cols}, "
                                   f"expected {row_dims[bi]}x{col_dims[bj]}")
-            r0, c0 = roff[bi], coff[bj]
-            for (r, c), v in blk.data.items():
-                data[(r0 + r, c0 + c)] = v
-    out.data = data
-    return out
+            placed.append((roff[bi], coff[bj], blk))
+    return assemble(roff[-1], coff[-1], placed)
+
+
+def assemble(rows: int, cols: int, placed) -> SparseMat:
+    """The rows x cols matrix holding each (r0, c0, block) with its top-left
+    corner at (r0, c0); blocks must not overlap."""
+    den = lcm(*(blk.den for _, _, blk in placed))
+    num = {}
+    for r0, c0, blk in placed:
+        f = den // blk.den
+        for (r, c), v in blk.num.items():
+            num[(r0 + r, c0 + c)] = v * f
+    return SparseMat._from_num(rows, cols, num, den)
+
+
+def take_rows(m: SparseMat, rows) -> SparseMat:
+    """The listed rows of m, in the listed order."""
+    index = {r: k for k, r in enumerate(rows)}
+    num = {(index[r], c): v for (r, c), v in m.num.items() if r in index}
+    return SparseMat._from_num(len(index), m.cols, num, m.den)
 
 
 def hstack(mats: list[SparseMat]) -> SparseMat:
@@ -252,66 +327,57 @@ def vstack(mats: list[SparseMat]) -> SparseMat:
 # -- elimination ----------------------------------------------------------
 
 
-def _int_rows(m: SparseMat):
-    """Clear denominators row by row: list of {col: int} plus row order."""
-    adj = m._rows_adj()
-    rows = []
-    for r in range(m.rows):
-        entries = adj[r]
-        if not entries:
-            continue
-        den = 1
-        for _, v in entries:
-            den = den * v.denominator // gcd(den, v.denominator)
-        row = {c: int(v * den) for c, v in entries}
-        g = 0
-        for x in row.values():
-            g = gcd(g, x)
-        if g > 1:
-            row = {c: x // g for c, x in row.items()}
-        rows.append((r, row))
-    return rows
-
-
 def _echelon_int(m: SparseMat):
     """Fraction-free sparse echelon form.
 
-    Rows are kept integral: the update is the cross-multiplication
-    pivot*row - entry*pivot_row followed by division by the row content,
-    which keeps entries integral without the blowup of naive rational
-    pivoting.  Pivot choice: for each column in order, the first remaining
-    row (in original order) with a nonzero entry.
+    Rows are the numerator rows of m divided by their content, and stay
+    integral: the update is the cross-multiplication pivot*row -
+    entry*pivot_row followed by division by the row content, which keeps
+    entries integral without the blowup of naive rational pivoting.  Pivot
+    choice: for each column in order, the first remaining row (in original
+    order) with a nonzero entry, read from a column -> remaining-rows index.
 
     Returns (pivots, rows) where pivots is a list of (row_position, col)
     into the returned echelon rows.
     """
-    rows = _int_rows(m)
-    work = [row for _, row in rows]
+    work = []
+    for adj in m._rows():
+        if adj:
+            g = gcd(*(x for _, x in adj))
+            work.append({c: x // g for c, x in adj} if g > 1 else dict(adj))
+    holders: list[set[int]] = [set() for _ in range(m.cols)]
+    for idx, row in enumerate(work):
+        for c in row:
+            holders[c].add(idx)
     pivots = []
-    used = [False] * len(work)
     for col in range(m.cols):
-        piv_idx = -1
-        for idx, row in enumerate(work):
-            if not used[idx] and col in row:
-                piv_idx = idx
-                break
-        if piv_idx < 0:
+        targets = holders[col]
+        if not targets:
             continue
-        used[piv_idx] = True
+        piv_idx = min(targets)
+        targets.discard(piv_idx)
         pivots.append((piv_idx, col))
         prow = work[piv_idx]
+        for c in prow:
+            if c != col:
+                holders[c].discard(piv_idx)
         p = prow[col]
-        for idx, row in enumerate(work):
-            if used[idx] or col not in row:
-                continue
+        for idx in targets:
+            row = work[idx]
             a = row[col]
-            new = {}
-            g = 0
-            for c in row.keys() | prow.keys():
-                x = p * row.get(c, 0) - a * prow.get(c, 0)
-                if x:
-                    new[c] = x
-                    g = gcd(g, x)
+            new = {c: p * x for c, x in row.items()}
+            for c, x in prow.items():
+                y = new.get(c, 0) - a * x
+                if y:
+                    if c not in row:
+                        holders[c].add(idx)
+                    new[c] = y
+                else:
+                    # only a column of row can cancel
+                    del new[c]
+                    if c != col:
+                        holders[c].discard(idx)
+            g = gcd(*new.values())
             if g > 1:
                 new = {c: x // g for c, x in new.items()}
             work[idx] = new
@@ -358,8 +424,9 @@ def nullspace(m: SparseMat) -> list[list[Fraction]]:
 def column_space(m: SparseMat) -> SparseMat:
     """Pivot columns of m, as a matrix whose columns span ran(m)."""
     pivots, _ = _echelon_int(m)
-    cols = [m.column(c) for _, c in pivots]
-    return SparseMat.from_columns(cols, m.rows)
+    pos = {c: k for k, (_, c) in enumerate(pivots)}
+    num = {(r, pos[c]): v for (r, c), v in m.num.items() if c in pos}
+    return SparseMat._from_num(m.rows, len(pos), num, m.den)
 
 
 def solve_dense(a: SparseMat, b: SparseMat) -> SparseMat:

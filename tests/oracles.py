@@ -1,8 +1,9 @@
 """Independent dense oracles used to cross-check the production routines.
 
 Deliberately naive: dense Bareiss elimination for ranks and determinants,
-dense RREF for kernels, and a tiny monomial-dict calculus for assembling
-differential operators by direct differentiation.  Nothing here shares code
+dense RREF for kernels, dense Fraction matrix arithmetic, the plain-scan
+fraction-free echelon form, and a tiny monomial-dict calculus for
+assembling differential operators by direct differentiation.  Nothing here shares code
 with the package internals it is used to check.
 """
 
@@ -108,6 +109,95 @@ def dense_nullspace(dense) -> list[list[Fraction]]:
             vec[pc] = -m[ri][fc]
         basis.append(vec)
     return basis
+
+
+# -- dense Fraction matrices (for the sparse storage) -----------------------
+
+# A dense matrix is a list of rows of Fractions.
+
+
+def dense_matmul(a, b, cols):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(cols)] for row in a]
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(a, q):
+    return [[Fraction(q) * x for x in row] for row in a]
+
+
+def dense_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def dense_blocks(grid, row_dims, col_dims):
+    """Block matrix from a grid of dense blocks; None blocks are zero."""
+    out = []
+    for bi, r in enumerate(row_dims):
+        for i in range(r):
+            line = []
+            for bj, c in enumerate(col_dims):
+                blk = grid[bi][bj]
+                line.extend(blk[i] if blk is not None else [Fraction(0)] * c)
+            out.append(line)
+    return out
+
+
+def dense_apply(a, vec):
+    return [sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in a]
+
+
+def scan_echelon(dense):
+    """Fraction-free echelon form by the plain first-remaining-row scan.
+
+    Each nonzero row is cleared of its denominators and divided by its
+    content; then, for each column in order, the first unused row (in
+    original order) holding it is the pivot, and every other unused row
+    holding it becomes pivot*row - entry*pivot_row divided by its content.
+    Returns (pivots, rows): (row position, column) pairs and {col: int} rows.
+    """
+    work = []
+    for row in dense:
+        ent = {c: Fraction(x) for c, x in enumerate(row) if x != 0}
+        if not ent:
+            continue
+        den = 1
+        for x in ent.values():
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = {c: int(x * den) for c, x in ent.items()}
+        g = 0
+        for x in ints.values():
+            g = gcd(g, x)
+        work.append({c: x // g for c, x in ints.items()})
+    cols = len(dense[0]) if dense else 0
+    used = [False] * len(work)
+    pivots = []
+    for col in range(cols):
+        piv = next((i for i, row in enumerate(work) if not used[i] and col in row), -1)
+        if piv < 0:
+            continue
+        used[piv] = True
+        pivots.append((piv, col))
+        prow = work[piv]
+        p = prow[col]
+        for i, row in enumerate(work):
+            if used[i] or col not in row:
+                continue
+            a = row[col]
+            new = {c: p * row.get(c, 0) - a * prow.get(c, 0) for c in row.keys() | prow.keys()}
+            new = {c: x for c, x in new.items() if x}
+            g = 0
+            for x in new.values():
+                g = gcd(g, x)
+            work[i] = {c: x // g for c, x in new.items()} if g > 1 else new
+    return pivots, work
 
 
 # -- monomial-dict polynomial calculus (for operator oracles) --------------

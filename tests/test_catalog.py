@@ -72,8 +72,9 @@ def test_parse_rejects_short_directive(line, directive):
 
 
 @pytest.mark.parametrize("line, directive", [
-    ("row 1 name=c dim=2 labels=c1,c2", "row 1"), ("kappa 1 1 0:0:2", "kappa 1 1")],
-    ids=["row", "kappa"])
+    ("row 1 name=c dim=2 labels=c1,c2", "row 1"), ("kappa 1 1 0:0:2", "kappa 1 1"),
+    ("name y", "name"), ("n 2", "n"), ("rows 2", "rows")],
+    ids=["row", "kappa", "name", "n", "rows"])
 def test_parse_rejects_repeated_directive(line, directive):
     text = ("name x\nn 1\nrows 2\nrow 0 name=a dim=1 labels=a\n"
             "row 1 name=b dim=1 labels=b\nkappa 1 1 0:0:1\n")

@@ -170,27 +170,45 @@ def test_bad_fields_file_exit_2(capsys, tmp_path, payload):
     assert err.count("\n") == 1
 
 
-TWO_ROWS = "name bad\nn 1\nrows 2\nrow 0 name=a dim=1 labels=a\nrow 1 name=b dim=1 labels=b\n"
+GOOD_FILE = ("name bad\nn 1\nrows 2\nrow 0 name=a dim=1 labels=a\n"
+             "row 1 name=b dim=1 labels=b\nkappa 1 1 0:0:1\n")
+BAD_FILE = ["verify", "--diagram-file", "{dir}/bad.diagram"]
 
 
-@pytest.mark.parametrize("argv, triple", [
-    (["cosserat-energy", "--fields", "{dir}"], None),
-    (["verify", "--diagram-file", "{dir}"], None),
-    (["cosserat-energy", "--params", "1,1,1/0,1,1,1"], None),
-    (["verify", "--diagram-file", "{dir}/bad.diagram"], "0:0:1/0"),
-    (["verify", "--diagram-file", "{dir}/bad.diagram"], "0:0"),
+def _not_int(directive, what, token):
+    return f"{directive}: {what} must be an integer, got '{token}'"
+
+
+@pytest.mark.parametrize("argv, edit, named", [
+    (["cosserat-energy", "--fields", "{dir}"], None, ()),
+    (["verify", "--diagram-file", "{dir}"], None, ()),
+    (["cosserat-energy", "--params", "1,1,1/0,1,1,1"], None, ()),
+    (BAD_FILE, ("0:0:1", "0:0:1/0"), ("kappa 1 1", "0:0:1/0")),
+    (BAD_FILE, ("0:0:1", "0:0"), ("kappa 1 1", "0:0")),
+    (BAD_FILE, ("n 1\n", "n 1\nn 2\n"), ("n: declared twice",)),
+    (BAD_FILE, ("n 1", "n x"), (_not_int("n", "value", "x"),)),
+    (BAD_FILE, ("rows 2", "rows 2.5"), (_not_int("rows", "value", "2.5"),)),
+    (BAD_FILE, ("row 0", "row x"), (_not_int("row", "index", "x"),)),
+    (BAD_FILE, ("dim=1 labels=a", "dim=x"), (_not_int("row 0", "dim", "x"),)),
+    (BAD_FILE, ("kappa 1 1", "kappa x 1"), (_not_int("kappa", "index", "x"),)),
+    (BAD_FILE, ("kappa 1 1", "kappa 1 y"), (_not_int("kappa", "index", "y"),)),
+    (BAD_FILE, ("0:0:1", "x:0:1"), ("kappa 1 1", "x:0:1")),
+    (BAD_FILE, ("0:0:1", "0:y:1"), ("kappa 1 1", "0:y:1")),
 ], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator",
-        "kappa-zero-denominator", "kappa-short-triple"])
-def test_bad_input_exit_2(capsys, tmp_path, argv, triple):
-    if triple:
-        (tmp_path / "bad.diagram").write_text(f"{TWO_ROWS}kappa 1 1 {triple}\n")
+        "kappa-zero-denominator", "kappa-short-triple", "n-declared-twice",
+        "n-not-integer", "rows-not-integer", "row-index-not-integer",
+        "dim-not-integer", "kappa-j-not-integer", "kappa-l-not-integer",
+        "triple-row-not-integer", "triple-col-not-integer"])
+def test_bad_input_exit_2(capsys, tmp_path, argv, edit, named):
+    if edit:
+        (tmp_path / "bad.diagram").write_text(GOOD_FILE.replace(*edit, 1))
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("invalid input:")
     assert err.count("\n") == 1
-    if triple:
-        assert "kappa 1 1" in err and triple in err
+    for part in named:
+        assert part in err
 
 
 def test_korn_command(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from bggkit.linalg import (
     LinAlgError,
     SparseMat,
+    _echelon_int,
     block_matrix,
     column_space,
     inverse,
@@ -19,7 +21,18 @@ from bggkit.linalg import (
     solve_thin,
 )
 
-from oracles import bareiss_rank, dense_nullspace
+from oracles import (
+    bareiss_rank,
+    dense_add,
+    dense_apply,
+    dense_blocks,
+    dense_kron,
+    dense_matmul,
+    dense_nullspace,
+    dense_scale,
+    dense_transpose,
+    scan_echelon,
+)
 
 F = Fraction
 
@@ -215,3 +228,119 @@ def test_solve_dense_solves_invertible(ab):
             solve_dense(a, b)
         return
     assert a @ solve_dense(a, b) == b
+
+
+# -- integer-numerator storage ------------------------------------------------
+
+sparse_fractions = st.one_of(st.just(F(0)), small_fractions)
+
+
+def sparse_dense(r, c):
+    """Dense Fraction rows with many zeros, some rows all zero."""
+    row = st.one_of(st.just([F(0)] * c),
+                    st.lists(sparse_fractions, min_size=c, max_size=c))
+    return st.lists(row, min_size=r, max_size=r)
+
+
+dims = st.integers(0, 4)
+scalars = st.one_of(st.just(F(0)), st.integers(-5, 5).map(F),
+                    st.builds(F, st.integers(-7, 7), st.integers(1, 6)))
+
+
+def assert_canonical(m, dense):
+    assert m.den > 0
+    assert all(m.num.values())
+    assert gcd(m.den, *m.num.values()) == 1
+    assert m.to_dense() == dense
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(dims, dims, dims).flatmap(
+    lambda s: st.tuples(st.just(s), sparse_dense(s[0], s[1]), sparse_dense(s[1], s[2]))))
+def test_matmul_matches_dense(args):
+    (r, k, c), a, b = args
+    out = mat(a) if r else SparseMat.zero(0, k)
+    rhs = mat(b) if k else SparseMat.zero(0, c)
+    prod = out @ rhs
+    assert (prod.rows, prod.cols) == (r, c)
+    assert_canonical(prod, dense_matmul(a, b, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(sparse_dense(*s), sparse_dense(*s), scalars)))
+def test_add_sub_scale_transpose_match_dense(args):
+    a, b, q = args
+    ma, mb = mat(a), mat(b)
+    cols = len(a[0])
+    assert_canonical(ma + mb, dense_add(a, b))
+    assert_canonical(ma - mb, dense_add(a, dense_scale(b, -1)))
+    assert_canonical(-ma, dense_scale(a, -1))
+    assert_canonical(ma.scale(q), dense_scale(a, q))
+    assert_canonical(ma.transpose(), dense_transpose(a, cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+                 st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(sparse_dense(s[0], s[1]), sparse_dense(s[2], s[3]))))
+def test_kron_matches_dense(args):
+    a, b = args
+    assert_canonical(mat(a).kron(mat(b)), dense_kron(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+                 st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(st.just(s), sparse_dense(s[0], s[2]), sparse_dense(s[0], s[3]),
+                        sparse_dense(s[1], s[2]), sparse_dense(s[1], s[3]),
+                        st.lists(st.booleans(), min_size=4, max_size=4))))
+def test_block_matrix_matches_dense(args):
+    (r0, r1, c0, c1), b00, b01, b10, b11, present = args
+    dense = [[b if keep else None for b, keep in zip(pair, flags)]
+             for pair, flags in (((b00, b01), present[:2]), ((b10, b11), present[2:]))]
+    grid = [[None if b is None else mat(b) for b in row] for row in dense]
+    assert_canonical(block_matrix(grid, [r0, r1], [c0, c1]),
+                     dense_blocks(dense, [r0, r1], [c0, c1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(sparse_dense(*s), st.lists(sparse_fractions, min_size=s[1],
+                                                    max_size=s[1]))))
+def test_apply_matches_dense(args):
+    a, vec = args
+    out = mat(a).apply(vec)
+    assert out == dense_apply(a, vec)
+    assert all(isinstance(x, Fraction) for x in out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.integers(1, 4).flatmap(
+    lambda c: sparse_dense(r, c))), st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+def test_equal_matrices_have_equal_storage(a, q):
+    m = mat(a)
+    routes = [m.scale(q).scale(1 / q), (m + m) - m, m.transpose().transpose(),
+              m.scale(6).scale(F(1, 6)), SparseMat.identity(m.rows) @ m]
+    for other in routes:
+        assert other == m
+        assert hash(other) == hash(m)
+        assert (other.num, other.den) == (m.num, m.den)
+    for r, c, v in m.entries():
+        assert gcd(v.numerator, v.denominator) == 1
+        assert v == a[r][c] != 0
+    assert m.data == {(r, c): v for r, c, v in m.entries()}
+
+
+def test_scaled_integer_matrix_is_not_equal():
+    m = mat([[1, 2], [0, 3]])
+    h = m.scale(F(1, 2))
+    assert h != m and h.den == 2 and h.num == m.num
+    assert h.scale(2) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda r: st.integers(1, 7).flatmap(
+    lambda c: sparse_dense(r, c))))
+def test_echelon_matches_plain_scan(a):
+    assert _echelon_int(mat(a)) == scan_echelon(a)
