@@ -172,9 +172,27 @@ def _fields_from_json(data) -> tuple:
         if not (isinstance(comps, list) and len(comps) == 3
                 and all(isinstance(c, dict) for c in comps)):
             raise ValueError(f"--fields {name} must be a list of 3 objects")
-        fields.append([dict(_field_term(name, k, v) for k, v in c.items())
-                       for c in comps])
+        fields.append([_field_component(name, c) for c in comps])
     return tuple(fields)
+
+
+def _field_component(name: str, terms: dict) -> dict:
+    """One --fields component as monomial -> nonzero coefficient.
+
+    Two keys spelling one monomial are rejected, since one would silently
+    replace the other; zero terms are dropped, so they raise no degree.
+    """
+    comp = {}
+    seen = set()
+    for key, val in terms.items():
+        mono, coeff = _field_term(name, key, val)
+        if mono in seen:
+            raise ValueError(f"--fields {name}: monomial {mono} given twice "
+                             f"(again as {key!r})")
+        seen.add(mono)
+        if coeff:
+            comp[mono] = coeff
+    return comp
 
 
 def cmd_cosserat_energy(args) -> int:

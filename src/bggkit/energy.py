@@ -5,6 +5,14 @@ a direct term-by-term assembly from a small polynomial tensor calculus, and
 the weighted norm of the first twisted differential taken from the shipped
 diagrams.  Scalars are polynomials as monomial dicts; vector and matrix
 fields are nested lists of scalars.
+
+The direct route squares and integrates each scalar on integer numerators
+over one common denominator (``l2sq_scalar``) and touches no matrix or
+diagram code, so it stays an independent oracle.  The twisted route keeps,
+per ``(diagram, w_max, metrics)``, the built diagram, its stacked column-0
+space, the stacked d_V and the ``stacked_cube_gram`` of column 1 in one
+bounded cache; a repeated request shape then costs one embedding, two
+sparse applies and an integer dot product.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 
 from . import catalog
 from .cube import stacked_column, stacked_cube_gram, stacked_map
@@ -78,29 +87,6 @@ def p_diff(a, axis):
             key = m[:axis - 1] + (e - 1,) + m[axis:]
             out[key] = c * e
     return out
-
-
-def p_mul(a, b):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(key, F(0)) + ca * cb
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def p_cube_integral(a, n) -> Fraction:
-    total = F(0)
-    for m, c in a.items():
-        f = F(1)
-        for e in m:
-            f /= e + 1
-        total += c * f
-    return total
 
 
 def grad(vec, n):
@@ -185,7 +171,29 @@ def mat_scale(a, c):
 
 
 def l2sq_scalar(a, n) -> Fraction:
-    return p_cube_integral(p_mul(a, a), n)
+    """Integral of a^2 over the unit cube [0,1]^n.
+
+    With D the lcm of a's denominators, the coefficients of (D a)^2 are
+    summed per exponent e as ints, one product per unordered pair of
+    monomials; x^e integrates to 1/prod(e_k + 1), so the integral is one
+    integer sum over the lcm of those weights, divided by D^2 once.
+    """
+    if not a:
+        return F(0)
+    den = lcm(*(c.denominator for c in a.values()))
+    terms = [(m, c.numerator * (den // c.denominator)) for m, c in a.items()]
+    acc: dict[tuple, int] = {}
+    for k, (ma, na) in enumerate(terms):
+        e = tuple(2 * x for x in ma)
+        acc[e] = acc.get(e, 0) + na * na
+        na2 = 2 * na
+        for mb, nb in terms[k + 1:]:
+            e = tuple(x + y for x, y in zip(ma, mb))
+            acc[e] = acc.get(e, 0) + na2 * nb
+    weights = {e: prod(x + 1 for x in e) for e in acc}
+    wden = lcm(*weights.values())
+    total = sum(v * (wden // weights[e]) for e, v in acc.items())
+    return F(total, wden * den * den)
 
 
 def l2sq_vec(vec, n) -> Fraction:
@@ -207,6 +215,7 @@ def field_degree(components) -> int:
 # -- constant metrics for the twisted-norm route ------------------------------
 
 
+@lru_cache(maxsize=None)
 def _proj_sym(n: int) -> SparseMat:
     """Projection onto symmetric matrices; constant index is (dx major, value)."""
     dim = n * n
@@ -220,11 +229,13 @@ def _proj_sym(n: int) -> SparseMat:
     return SparseMat(dim, dim, {k: v for k, v in ent.items() if v != 0})
 
 
+@lru_cache(maxsize=None)
 def _proj_skw(n: int) -> SparseMat:
     dim = n * n
     return SparseMat.identity(dim) - _proj_sym(n)
 
 
+@lru_cache(maxsize=None)
 def _trace_form(n: int) -> SparseMat:
     dim = n * n
     diag = [l * n + l for l in range(n)]
@@ -244,33 +255,51 @@ def cosserat_metric(params: EnergyParams) -> dict:
 # -- field embedding into diagram columns -------------------------------------
 
 
-def _embed_row(bd: BuiltDiagram, space, i: int, j: int, components) -> list:
-    """Coefficient vector of a polynomial row field inside a stacked column.
+def _embed(bd: BuiltDiagram, space, i: int, rows) -> list:
+    """Coefficient vector of polynomial row fields inside a stacked column.
 
-    Raises ValueError for a monomial whose weight the stacked space lacks,
-    so a field is never silently truncated.
+    rows[j] lists the components of the row-j field of column i.  Raises
+    ValueError for a monomial whose weight the stacked space lacks, so a
+    field is never silently truncated.
     """
     vec = [F(0)] * space.dim
-    vdim = bd.spec.rows[j].dim
-    if len(components) != vdim:
-        raise ValueError(f"row {j} expects {vdim} components")
-    mono_index = {w: {m: k for k, m in enumerate(monomials(bd.n, w - i - j))}
-                  for w in space.keys()}
-    for r, comp in enumerate(components):
-        for m, c in comp.items():
-            w = sum(m) + i + j
-            if w not in mono_index:
-                raise ValueError(
-                    f"row {j} monomial {m} needs weight {w}, beyond the stacked "
-                    f"weights (w_max {max(mono_index)})")
-            base = space.offset(w) + space.space(w).offset(j)
-            vec[base + mono_index[w][m] * vdim + r] = c
+    for j, components in enumerate(rows):
+        vdim = bd.spec.rows[j].dim
+        if len(components) != vdim:
+            raise ValueError(f"row {j} expects {vdim} components")
+        base = {w: space.offset(w) + col.offset(j) for w, col in space.parts}
+        for r, comp in enumerate(components):
+            for m, c in comp.items():
+                w = sum(m) + i + j
+                if w not in base:
+                    raise ValueError(
+                        f"row {j} monomial {m} needs weight {w}, beyond the "
+                        f"stacked weights (w_max {max(base)})")
+                vec[base[w] + monomials(bd.n, w - i - j).index(m) * vdim + r] = c
     return vec
 
 
-@lru_cache(maxsize=None)
-def _built(name: str, w_max: int) -> BuiltDiagram:
-    return build(catalog.get(name).spec, w_max)
+def _dot(a: list, b: list) -> Fraction:
+    """Exact dot product of two rational vectors, summed on integer numerators."""
+    da = lcm(*(x.denominator for x in a))
+    db = lcm(*(y.denominator for y in b))
+    return F(sum(x.numerator * (da // x.denominator) * y.numerator * (db // y.denominator)
+                 for x, y in zip(a, b)), da * db)
+
+
+@lru_cache(maxsize=8)
+def _twisted_form(name: str, w_max: int, metric_items: tuple):
+    """Built diagram, stacked column-0 space, stacked d_V and column-1 Gram.
+
+    One entry per request shape (diagram name, w_max, sorted metric items);
+    the Gram goes through stacked_cube_gram with the items as row metrics.
+    """
+    bd = build(catalog.get(name).spec, w_max)
+    weights = range(w_max + 1)
+    dom = stacked_column(bd, 0, weights)
+    cod = stacked_column(bd, 1, weights)
+    dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod).mat
+    return bd, dom, dv, stacked_cube_gram(bd, cod, 1, dict(metric_items))
 
 
 def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
@@ -281,17 +310,9 @@ def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
     catalog diagram name; metrics[j] weights row j of the image column.
     """
     w_max = max([2] + [field_degree(comps) + j for j, comps in enumerate(rows)])
-    bd = _built(name, w_max)
-    weights = range(w_max + 1)
-    dom = stacked_column(bd, 0, weights)
-    cod = stacked_column(bd, 1, weights)
-    vec = [F(0)] * dom.dim
-    for j, comps in enumerate(rows):
-        vec = [a + b for a, b in zip(vec, _embed_row(bd, dom, 0, j, comps))]
-    dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod)
-    out = dv.mat.apply(vec)
-    gout = stacked_cube_gram(bd, cod, 1, metrics).apply(out)
-    via_complex = sum((a * b for a, b in zip(out, gout)), F(0))
+    bd, dom, dv, gram = _twisted_form(name, w_max, tuple(sorted(metrics.items())))
+    out = dv.apply(_embed(bd, dom, 0, rows))
+    via_complex = _dot(out, gram.apply(out))
     if direct != via_complex:
         raise VerificationError(
             f"energy mismatch: direct {direct} != twisted route {via_complex}")

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LinAlgError(Exception):
@@ -394,7 +393,11 @@ def _kernel(m: SparseMat):
     """Pivot columns and kernel basis of m from one echelon pass.
 
     One kernel vector per free column, with entry 1 at that column, found by
-    back substitution on the echelon rows in reverse pivot order.
+    back substitution on the integer echelon rows in reverse pivot order.
+    Each vector is kept as integer numerators over one running denominator:
+    solving pivot p against the integer residual s scales every numerator
+    and the denominator by |p| / gcd(s, p).  Fractions are made once, at the
+    end, so the basis is the same as with rational back substitution.
     """
     pivots, work = _echelon_int(m)
     pivot_cols = [c for _, c in pivots]
@@ -402,16 +405,22 @@ def _kernel(m: SparseMat):
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
     for fc in free_cols:
-        vec = [ZERO] * m.cols
-        vec[fc] = ONE
+        num = {fc: 1}
+        den = 1
         for idx, pc in reversed(pivots):
             row = work[idx]
-            s = ZERO
-            for c, a in row.items():
-                if c != pc and vec[c] != 0:
-                    s += a * vec[c]
-            if s != 0:
-                vec[pc] = -s / row[pc]
+            s = sum(a * num[c] for c, a in row.items() if c in num)
+            if s:
+                p = row[pc]
+                g = gcd(s, p)
+                f = abs(p) // g
+                if f != 1:
+                    num = {c: x * f for c, x in num.items()}
+                    den *= f
+                num[pc] = -s // g if p > 0 else s // g
+        vec = [ZERO] * m.cols
+        for c, x in num.items():
+            vec[c] = Fraction(x, den)
         basis.append(vec)
     return pivot_cols, basis
 

@@ -251,6 +251,15 @@ def poly_mul_coord(p, k):
     return out
 
 
+def poly_mul(p, q):
+    """Product by the schoolbook double loop over both monomial dicts."""
+    out = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            out = poly_add(out, {tuple(x + y for x, y in zip(a, b)): c * d})
+    return out
+
+
 def poly_eq(p, q):
     return poly_add(p, poly_scale(q, -1)) == {}
 

@@ -1,12 +1,17 @@
 """Every entry point the benchmark tracer wraps must still exist in bggkit.
 
 The tracer in ``bench/tracer.py`` rebinds bggkit functions and methods by
-name; if one is deleted or renamed, a traced benchmark run breaks.  The
-tracer is compiled from its source text, so it is only read.
+name; if one is deleted or renamed, a traced benchmark run breaks.  A
+traced run also fails when a layer it expects on a workload records no
+call, which caching can cause.  The tracer is compiled from its source
+text, so it is only read.
 """
 
+import functools
 import importlib
+import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -35,3 +40,38 @@ def test_traced_methods_resolve():
 def test_mono_cube_gram_keeps_its_cache():
     from bggkit import cube
     assert hasattr(cube.mono_cube_gram, "cache_info")
+
+
+def test_cosserat_energy_reaches_traced_energy_layers(monkeypatch):
+    # a traced energy run fails unless each of these layers records a call;
+    # wrap every bggkit binding of each, the way the tracer rebinds them
+    from bggkit import cube, energy
+    from bggkit.linalg import SparseMat
+
+    calls = Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, original in [("energy.l2sq_scalar", energy.l2sq_scalar),
+                           ("cube.stacked_cube_gram", cube.stacked_cube_gram),
+                           ("cube.mono_cube_gram", cube.mono_cube_gram)]:
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and mod_name.split(".")[0] == "bggkit":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting(name, original))
+    for meth in ("kron", "apply"):
+        monkeypatch.setattr(SparseMat, meth, counting(f"SparseMat.{meth}", vars(SparseMat)[meth]))
+
+    energy._twisted_form.cache_clear()
+    x = [energy.p_mono((1, 0, 0)), energy.p_mono((0, 1, 0)), energy.p_mono((0, 0, 1))]
+    energy.cosserat_energy(x, [{}, {}, {}], energy.EnergyParams())
+    missing = [name for name in ("energy.l2sq_scalar", "cube.stacked_cube_gram",
+                                 "cube.mono_cube_gram", "SparseMat.kron", "SparseMat.apply")
+               if not calls[name]]
+    assert missing == []

@@ -154,12 +154,17 @@ def test_cosserat_energy_fields_file(capsys, tmp_path):
     assert "15/2" in out
 
 
-@pytest.mark.parametrize("payload", [
-    {"u": ["x", {}, {}], "omega": [{}, {}, {}]},
-    {"u": [{"1 0 0": "1"}, {"0 1 0": "1"}], "omega": [{}, {}, {}]},
-    [1, 2],
-], ids=["component-not-object", "two-components", "top-level-list"])
-def test_bad_fields_file_exit_2(capsys, tmp_path, payload):
+@pytest.mark.parametrize("payload, named", [
+    ({"u": ["x", {}, {}], "omega": [{}, {}, {}]}, ()),
+    ({"u": [{"1 0 0": "1"}, {"0 1 0": "1"}], "omega": [{}, {}, {}]}, ()),
+    ([1, 2], ()),
+    ({"u": [{}, {}, {}], "omega": [{}, {"1,0,0": "1", "1, 0,0": "2"}, {}]},
+     ("--fields omega", "monomial (1, 0, 0) given twice")),
+    ({"u": [{"0 2 0": "0", "0,2,0": "3"}, {}, {}], "omega": [{}, {}, {}]},
+     ("--fields u", "monomial (0, 2, 0) given twice")),
+], ids=["component-not-object", "two-components", "top-level-list",
+        "duplicate-monomial", "duplicate-monomial-one-zero"])
+def test_bad_fields_file_exit_2(capsys, tmp_path, payload, named):
     path = tmp_path / "fields.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "cosserat-energy", "--fields", str(path),
@@ -168,6 +173,27 @@ def test_bad_fields_file_exit_2(capsys, tmp_path, payload):
     assert out == ""
     assert err.startswith("invalid input:") and "--fields" in err
     assert err.count("\n") == 1
+    for part in named:
+        assert part in err
+
+
+def test_fields_zero_terms_are_dropped(capsys, tmp_path, monkeypatch):
+    # a zero term must not raise the degree the twisted route is built at
+    from bggkit import energy
+    built = []
+    real_build = energy.build
+    monkeypatch.setattr(energy, "build",
+                        lambda spec, w_max: built.append(w_max) or real_build(spec, w_max))
+    outputs = []
+    for u in ([{}, {}, {}], [{"7,0,0": "0"}, {}, {"0 0 0": "0/5"}]):
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps({"u": u, "omega": [{}, {}, {}]}))
+        energy._twisted_form.cache_clear()
+        outputs.append(run(capsys, "cosserat-energy", "--fields", str(path),
+                           "--params", "1,1,1,1,1,1"))
+    assert built == [2, 2]
+    assert outputs[0] == outputs[1] == (0, "params (mu=1, lam=1, mu_c=1, alpha=1, "
+                                        "beta=1, gamma=1): energy = 0\n", "")
 
 
 GOOD_FILE = ("name bad\nn 1\nrows 2\nrow 0 name=a dim=1 labels=a\n"

@@ -9,9 +9,9 @@ from bggkit.cube import (
     stacked_map,
 )
 from bggkit.diagram import build
-from bggkit.energy import _embed_row, p_cube_integral, p_mul, random_field
+from bggkit.energy import _embed, random_field
 
-from oracles import bareiss_det
+from oracles import bareiss_det, cube_integral, poly_mul
 
 F = Fraction
 
@@ -43,12 +43,12 @@ def test_stacked_gram_matches_direct_integrals():
     rng = random.Random(3)
     f = random_field(rng, 2, 1, 3)
     g = random_field(rng, 2, 1, 3)
-    vf = _embed_row(bd, space, 0, 0, f)
-    vg = _embed_row(bd, space, 0, 0, g)
+    vf = _embed(bd, space, 0, [f])
+    vg = _embed(bd, space, 0, [g])
     gram = stacked_cube_gram(bd, space, 0)
     gv = gram.apply(vg)
     paired = sum((a * b for a, b in zip(vf, gv)), F(0))
-    assert paired == p_cube_integral(p_mul(f[0], g[0]), 2)
+    assert paired == cube_integral(poly_mul(f[0], g[0]), 2)
 
 
 def test_stacked_map_applies_per_weight():

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bggkit import catalog
-from bggkit.diagram import build
+from bggkit import catalog, energy
+from bggkit.diagram import VerificationError, build
 from bggkit.energy import (
     EnergyParams,
+    _checked_twisted_norm,
     cosserat_energy,
+    cosserat_metric,
     curl3,
     elasticity_energy,
     generalized_cosserat_energy,
@@ -15,14 +19,14 @@ from bggkit.energy import (
     generalized_plate_energy,
     grad,
     l2sq_mat,
+    l2sq_scalar,
     mskw3,
-    p_cube_integral,
     p_mono,
     random_field,
     vskw3,
 )
 
-from oracles import cube_integral
+from oracles import cube_integral, poly_mul
 
 F = Fraction
 
@@ -31,9 +35,19 @@ ZERO3 = [{}, {}, {}]
 ONES = EnergyParams.of(1, 1, 1, 1, 1, 1)
 
 
-def test_cube_integral_matches_oracle():
-    poly = {(1, 2, 0): F(3), (0, 0, 0): F(1, 2), (2, 2, 2): F(-1)}
-    assert p_cube_integral(poly, 3) == cube_integral(poly, 3)
+def _polys(n):
+    coeffs = st.builds(F, st.integers(-6, 6), st.integers(1, 12))
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeffs, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(st.just(n), _polys(n))))
+@example((3, {}))
+@example((2, {(1, 0): F(0), (0, 2): F(1, 3), (1, 1): F(-5, 4), (0, 0): F(7, 6)}))
+@example((3, {(1, 2, 0): F(3), (0, 0, 0): F(1, 2), (2, 2, 2): F(-1)}))
+def test_l2sq_scalar_matches_oracle(case):
+    n, poly = case
+    assert l2sq_scalar(poly, n) == cube_integral(poly_mul(poly, poly), n)
 
 
 def test_vskw_of_mskw_is_identity():
@@ -75,13 +89,50 @@ def test_cosserat_twisted_norm_identity_random(seed):
 
 def test_cosserat_degree_overflow_detected():
     # a degree beyond the built weight range must not be silently truncated
-    from bggkit.energy import _embed_row
+    from bggkit.energy import _embed
     from bggkit.cube import stacked_column
     bd = build(catalog.get("elasticity-3d").spec, 2)
     dom = stacked_column(bd, 0, range(3))
     high = [p_mono((4, 0, 0)), {}, {}]
     with pytest.raises(ValueError, match="weight 4"):
-        _embed_row(bd, dom, 0, 0, high)
+        _embed(bd, dom, 0, [high])
+
+
+def _seeded_pairs(seed, count):
+    rng = random.Random(seed)
+    return [(random_field(rng, 3, 3, 2), random_field(rng, 3, 3, 2)) for _ in range(count)]
+
+
+def test_twisted_cache_rejects_wrong_direct_on_miss_and_hit():
+    (u, omega), = _seeded_pairs(8, 1)
+    metrics = cosserat_metric(ONES)
+    energy._twisted_form.cache_clear()
+    wrong = cosserat_energy(u, omega, ONES) + F(1, 7)
+    for expect_hit in (False, True):
+        if not expect_hit:
+            energy._twisted_form.cache_clear()
+        before = energy._twisted_form.cache_info()
+        with pytest.raises(VerificationError, match="energy mismatch"):
+            _checked_twisted_norm(wrong, "elasticity-3d", [u, omega], metrics)
+        after = energy._twisted_form.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == \
+            ((1, 0) if expect_hit else (0, 1))
+
+
+def test_twisted_cache_keeps_parameter_sets_apart():
+    pairs = _seeded_pairs(9, 3)
+    param_sets = [ONES, EnergyParams.of(2, 3, F(1, 2), 1, F(1, 3), 2)]
+    energy._twisted_form.cache_clear()
+    warm = [cosserat_energy(u, omega, params) for u, omega in pairs
+            for params in param_sets]
+    assert energy._twisted_form.cache_info().currsize == len(param_sets)
+    cold = []
+    for u, omega in pairs:
+        for params in param_sets:
+            energy._twisted_form.cache_clear()
+            cold.append(cosserat_energy(u, omega, params))
+    assert warm == cold
+    assert len(set(warm)) == len(warm)
 
 
 def test_dilation_energy_reduces_to_elasticity():
