@@ -346,7 +346,9 @@ def main(argv=None) -> int:
         _check_counts(args)
         return args.fn(args)
     except (KeyError, ValueError, OSError) as err:
-        print(f"invalid input: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = err.args[0] if isinstance(err, KeyError) else err
+        print(f"invalid input: {message}", file=sys.stderr)
         return 2
     except (DiagramError, VerificationError) as err:
         print(f"verification failed: {err}", file=sys.stderr)

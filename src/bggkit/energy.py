@@ -9,10 +9,10 @@ fields are nested lists of scalars.
 The direct route squares and integrates each scalar on integer numerators
 over one common denominator (``l2sq_scalar``) and touches no matrix or
 diagram code, so it stays an independent oracle.  The twisted route keeps,
-per ``(diagram, w_max, metrics)``, the built diagram, its stacked column-0
-space, the stacked d_V and the ``stacked_cube_gram`` of column 1 in one
-bounded cache; a repeated request shape then costs one embedding, two
-sparse applies and an integer dot product.
+per ``(diagram, w_max)``, the built diagram, its stacked columns and the
+stacked d_V, and per metrics on top of that the ``stacked_cube_gram`` of
+column 1, in two bounded caches; a repeated request shape then costs one
+embedding, two sparse applies and an integer dot product.
 """
 
 from __future__ import annotations
@@ -288,17 +288,25 @@ def _dot(a: list, b: list) -> Fraction:
 
 
 @lru_cache(maxsize=8)
-def _twisted_form(name: str, w_max: int, metric_items: tuple):
-    """Built diagram, stacked column-0 space, stacked d_V and column-1 Gram.
-
-    One entry per request shape (diagram name, w_max, sorted metric items);
-    the Gram goes through stacked_cube_gram with the items as row metrics.
-    """
+def _twisted_map(name: str, w_max: int):
+    """Built diagram, stacked columns 0 and 1 and the stacked d_V between them."""
     bd = build(catalog.get(name).spec, w_max)
     weights = range(w_max + 1)
     dom = stacked_column(bd, 0, weights)
     cod = stacked_column(bd, 1, weights)
     dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod).mat
+    return bd, dom, cod, dv
+
+
+@lru_cache(maxsize=8)
+def _twisted_form(name: str, w_max: int, metric_items: tuple):
+    """Built diagram, stacked column-0 space, stacked d_V and column-1 Gram.
+
+    One entry per (diagram name, w_max, sorted metric items), sharing the
+    build of _twisted_map; the Gram goes through stacked_cube_gram with the
+    items as row metrics.
+    """
+    bd, dom, cod, dv = _twisted_map(name, w_max)
     return bd, dom, dv, stacked_cube_gram(bd, cod, 1, dict(metric_items))
 
 

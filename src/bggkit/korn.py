@@ -7,7 +7,9 @@ component.  The joint kernel stays six-dimensional for every degree >= 3,
 while the first-order kernel alone grows linearly: exact dimensions are
 computed rationally, and the smallest stacked singular value on the
 orthogonal complement of the kernel is the experiment's only
-floating-point quantity.
+floating-point quantity: the smallest eigenvalue of the pencil
+(a_r, m_r), solved in numpy by a Cholesky reduction m_r = L L^T to the
+symmetric matrix L^-1 a_r L^-T, as LAPACK's sygvd does.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import catalog
 from .bgg import derive
@@ -54,6 +55,13 @@ def _to_float(mat: SparseMat) -> np.ndarray:
     return out
 
 
+def eigh(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric pencil a x = lambda m x, m > 0."""
+    low = np.linalg.cholesky(m)
+    half = np.linalg.solve(low, a)
+    return np.linalg.eigvalsh(np.linalg.solve(low, half.T))
+
+
 def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
     """Exact kernels and the floating-point smallest stacked singular value.
 
@@ -88,7 +96,7 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
             nullspace(kmat.transpose() @ g_in), dmat.cols)
         a_r = comp.transpose() @ a @ comp
         m_r = comp.transpose() @ g_in @ comp
-        eigvals = eigh(_to_float(a_r), _to_float(m_r), eigvals_only=True)
+        eigvals = eigh(_to_float(a_r), _to_float(m_r))
         sigma_min = float(np.sqrt(max(eigvals.min(), 0.0)))
         out.append(KornRow(r, kernel_dim, first_kernel, sigma_min))
     return out

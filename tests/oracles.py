@@ -2,9 +2,10 @@
 
 Deliberately naive: dense Bareiss elimination for ranks and determinants,
 dense RREF for kernels, dense Fraction matrix arithmetic, the plain-scan
-fraction-free echelon form, and a tiny monomial-dict calculus for
-assembling differential operators by direct differentiation.  Nothing here shares code
-with the package internals it is used to check.
+fraction-free echelon form, a Fraction LDL^T for definiteness, and a tiny
+monomial-dict calculus for assembling differential operators by direct
+differentiation.  Nothing here shares code with the package internals it
+is used to check.
 """
 
 from fractions import Fraction
@@ -198,6 +199,29 @@ def scan_echelon(dense):
                 g = gcd(g, x)
             work[i] = {c: x // g for c, x in new.items()} if g > 1 else new
     return pivots, work
+
+
+def ldl_pivots(dense) -> list[Fraction]:
+    """Pivots of the symmetric LDL^T factorization, without pivoting.
+
+    By Sylvester's law of inertia the matrix is positive definite exactly
+    when all n pivots are positive.  A non-positive pivot ends the
+    factorization and is the last entry returned.
+    """
+    a = [[Fraction(x) for x in row] for row in dense]
+    n = len(a)
+    pivots = []
+    for k in range(n):
+        p = a[k][k]
+        pivots.append(p)
+        if p <= 0:
+            break
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+    return pivots
 
 
 # -- monomial-dict polynomial calculus (for operator oracles) --------------

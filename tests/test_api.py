@@ -1,6 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import bggkit
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_export_resolves():
     missing = [name for name in bggkit.__all__ if not hasattr(bggkit, name)]
     assert not missing
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy must stay off the import path
+    script = ("import sys, bggkit\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bggkit.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert meta["project"]["dependencies"] == ["numpy"]

@@ -34,6 +34,19 @@ def test_unknown_diagram_exit_2(capsys):
     assert "unknown diagram" in err
 
 
+@pytest.mark.parametrize("name, message", [
+    ("nosuch", "unknown diagram 'nosuch'; known: "),
+    ("higher-hessian-3d(x)", "bad higher-hessian order: 'x'"),
+])
+def test_unknown_diagram_message_unquoted(capsys, name, message):
+    code, out, err = run(capsys, "cohomology", "--diagram", name, "--wmax", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"invalid input: {message}")
+    assert not err.rstrip("\n").endswith('"')
+    assert err.count("\n") == 1
+
+
 def test_cohomology_text(capsys):
     code, out, _ = run(capsys, "cohomology", "--diagram", "elasticity-3d",
                        "--wmax", "3")
@@ -188,6 +201,7 @@ def test_fields_zero_terms_are_dropped(capsys, tmp_path, monkeypatch):
     for u in ([{}, {}, {}], [{"7,0,0": "0"}, {}, {"0 0 0": "0/5"}]):
         path = tmp_path / "fields.json"
         path.write_text(json.dumps({"u": u, "omega": [{}, {}, {}]}))
+        energy._twisted_map.cache_clear()
         energy._twisted_form.cache_clear()
         outputs.append(run(capsys, "cosserat-energy", "--fields", str(path),
                            "--params", "1,1,1,1,1,1"))

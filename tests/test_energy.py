@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bggkit import catalog, energy
-from bggkit.diagram import VerificationError, build
+from bggkit.diagram import BuiltDiagram, VerificationError, build
 from bggkit.energy import (
     EnergyParams,
     _checked_twisted_norm,
@@ -133,6 +133,24 @@ def test_twisted_cache_keeps_parameter_sets_apart():
             cold.append(cosserat_energy(u, omega, params))
     assert warm == cold
     assert len(set(warm)) == len(warm)
+
+
+def test_parameter_sets_share_one_build():
+    (u, omega), = _seeded_pairs(10, 1)
+    param_sets = [ONES, EnergyParams.of(2, 3, F(1, 2), 1, F(1, 3), 2)]
+    energy._twisted_map.cache_clear()
+    energy._twisted_form.cache_clear()
+    for params in param_sets:
+        cosserat_energy(u, omega, params)
+    assert energy._twisted_map.cache_info().misses == 1
+    forms = [energy._twisted_form("elasticity-3d", 3,
+                                  tuple(sorted(cosserat_metric(p).items())))
+             for p in param_sets]
+    assert energy._twisted_form.cache_info().currsize == len(param_sets)
+    first, second = forms
+    assert isinstance(first[0], BuiltDiagram)
+    assert all(a is b for a, b in zip(first[:3], second[:3]))
+    assert first[3] != second[3]
 
 
 def test_dilation_energy_reduces_to_elasticity():

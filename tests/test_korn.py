@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
+from bggkit import korn
 from bggkit.korn import korn2d_experiment
+from oracles import ldl_pivots
 
 
 @pytest.fixture(scope="module")
@@ -34,3 +38,27 @@ def test_sigma_min_monotone_nonincreasing(rows):
 def test_rejects_small_rmax():
     with pytest.raises(ValueError):
         korn2d_experiment(2)
+
+
+def test_sigma_min_bracketed_by_exact_inertia(monkeypatch):
+    # lambda_min(a_r, m_r) > c exactly when a_r - c m_r is positive definite
+    recorded = []
+    to_float = korn._to_float
+
+    def record(mat):
+        recorded.append(mat)
+        return to_float(mat)
+
+    monkeypatch.setattr(korn, "_to_float", record)
+    rows = korn2d_experiment(5)
+    pencils = list(zip(recorded[0::2], recorded[1::2]))
+    assert len(pencils) == len(rows) == 3
+    rel = Fraction(1, 10**6)
+    for row, (a_r, m_r) in zip(rows, pencils):
+        lam = Fraction(row.sigma_min) ** 2
+        a, m = a_r.to_dense(), m_r.to_dense()
+        for c, definite in ((lam * (1 - rel), True), (lam * (1 + rel), False)):
+            shifted = [[x - c * y for x, y in zip(ra, rm)] for ra, rm in zip(a, m)]
+            pivots = ldl_pivots(shifted)
+            positive = len(pivots) == len(a) and all(p > 0 for p in pivots)
+            assert positive == definite, (row.degree, c)
