@@ -89,7 +89,7 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
             out = _outgoing(bd, i, j)
             ran = column_space(inc) if inc is not None else SparseMat.zero(dim, 0)
             if out is not None:
-                ker = SparseMat.from_columns(nullspace(out), dim)
+                ker = nullspace(out)
             else:
                 ker = SparseMat.identity(dim)
             kerp = orthogonal_complement(ker)
@@ -97,7 +97,7 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
             constraints = [ran.transpose()]
             if out is not None:
                 constraints.insert(0, out)
-            ups = SparseMat.from_columns(nullspace(vstack(constraints)), dim)
+            ups = nullspace(vstack(constraints))
             coords = inverse(ups.transpose() @ ups) @ ups.transpose()
             p_ran = projection_onto(ran)
             p_kerp = projection_onto(kerp)
@@ -171,7 +171,7 @@ def compute_T(bd: BuiltDiagram, hs: HodgeSplit) -> TOps:
                      rank(hstack([ran_t, kerp_src])) == rank(ran_t) == rank(kerp_src), at)
         # ran(S) = ker(T at target)^perp
         ran_s = hs.ran[(i, j)]
-        ker_t = SparseMat.from_columns(nullspace(tc), tc.cols)
+        ker_t = nullspace(tc)
         report.expect("kerT ranS=0", None, i, ker_t.transpose() @ ran_s, at=at)
         report.holds("ranS+kerT=dim", None, i, ran_s.cols + ker_t.cols == tc.cols, at)
     report.require("compute_T")

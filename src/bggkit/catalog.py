@@ -1,44 +1,26 @@
 """Ready-made diagrams with expected verification fingerprints.
 
-Entries are constructed from the explicit constant tensors of each model
-(coordinate projections/insertions, matrix action on the position vector,
-bracket with the position vector, symmetric-index contraction).  Each entry
-records the expected harmonic-space support, total degree-zero cohomology
-and operator orders, with a source tag stating how the value is known.
+The fixed entries are the shipped text files ``data/<name>.diagram``, read
+by the same parser as ``--diagram-file``; ``higher-hessian-3d(N)`` is
+generated from the symmetric-index contraction.  Each entry records the
+expected harmonic-space support, total degree-zero cohomology and operator
+orders, with a source tag stating how the value is known.
 
-Entries can also be serialized to a line-oriented text format so diagrams
-can be added without touching the code; see ``to_text`` / ``parse_text``.
+New diagrams need no code: see ``to_text`` / ``parse_text`` for the
+line-oriented text format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from .bgg import bgg_cohomology, derive
 from .diagram import DiagramSpec, KappaSpec, build, verify_identities
 from .export import frac_str
 from .forms import ValueSpace
 from .linalg import LinAlgError, SparseMat
-
-
-def _mskw_gen(k: int) -> SparseMat:
-    """3D skew generator: the matrix of v x (.) for v = e_k (1-based)."""
-    ent = {}
-    triples = {1: [(1, 2, -1), (2, 1, 1)],
-               2: [(0, 2, 1), (2, 0, -1)],
-               3: [(0, 1, -1), (1, 0, 1)]}
-    for r, c, v in triples[k]:
-        ent[(r, c)] = Fraction(v)
-    return SparseMat(3, 3, ent)
-
-
-def _unit_row(l: int, dim: int) -> SparseMat:
-    return SparseMat(1, dim, {(0, l - 1): Fraction(1)})
-
-
-def _unit_col(l: int, dim: int) -> SparseMat:
-    return SparseMat(dim, 1, {(l - 1, 0): Fraction(1)})
 
 
 @dataclass
@@ -52,72 +34,17 @@ class CatalogEntry:
     value_actions: object = None
 
 
-def conf_hessian_3d() -> CatalogEntry:
-    rows = (
-        ValueSpace("R", ("u",)),
-        ValueSpace.coordinates("v", 3),
-        ValueSpace("R", ("w",)),
-    )
-    kappa = KappaSpec((
-        tuple(_unit_row(l, 3) for l in (1, 2, 3)),   # coordinate projections
-        tuple(_unit_col(l, 3) for l in (1, 2, 3)),   # coordinate insertions
-    ))
-    spec = DiagramSpec("conf-hessian-3d", 3, rows, kappa)
-    expected = {
-        "upsilon_support": {(0, 0): 1, (1, 1): 5, (2, 1): 5, (3, 2): 1},
-        "h0_total": 5,
-        "operator_orders": [[2], [1], [2]],
-        "source": {
-            "upsilon_support": "constant-level kernel/range dimension count",
-            "h0_total": "sum of row value-space dims; nullspace oracle",
-            "operator_orders": "weight shift of derived differential blocks",
-        },
-    }
+_DATA_DIR = Path(__file__).resolve().parent / "data"
 
-    def value_actions(a: SparseMat):
-        one = SparseMat.identity(1)
-        return [one, a.transpose(), one]
-
-    return CatalogEntry(spec.name, spec, expected, value_actions)
+# The fixed entries in listing order; each is read from _DATA_DIR.
+_FIXED = ("conf-hessian-3d", "conf-deformation-3d", "mobius-2d",
+          "elasticity-3d", "plate-2d")
 
 
-def conf_deformation_3d() -> CatalogEntry:
-    rows = (
-        ValueSpace.coordinates("u", 3),
-        ValueSpace("skw+R", ("s1", "s2", "s3", "t")),
-        ValueSpace.coordinates("w", 3),
-    )
-    # Row 1: matrix action on the position vector.  The value (s, t) is the
-    # matrix t*I - mskw(s); kappa_l extracts its l-th column.
-    k1 = []
-    for l in (1, 2, 3):
-        ent = {(l - 1, 3): Fraction(1)}
-        for k in (1, 2, 3):
-            for r in range(3):
-                val = -_mskw_gen(k).get(r, l - 1)
-                if val != 0:
-                    ent[(r, k - 1)] = val
-        k1.append(SparseMat(3, 4, ent))
-    # Row 2: bracket with the position vector: omega -> (-e_l x omega, -omega_l).
-    k2 = []
-    for l in (1, 2, 3):
-        ent = {(3, l - 1): Fraction(-1)}
-        for r, c, v in _mskw_gen(l).entries():
-            ent[(r, c)] = -v
-        k2.append(SparseMat(4, 3, ent))
-    kappa = KappaSpec((tuple(k1), tuple(k2)))
-    spec = DiagramSpec("conf-deformation-3d", 3, rows, kappa)
-    expected = {
-        "upsilon_support": {(0, 0): 3, (1, 0): 5, (2, 2): 5, (3, 2): 3},
-        "h0_total": 10,
-        "operator_orders": [[1], [3], [1]],
-        "source": {
-            "upsilon_support": "constant-level kernel/range dimension count",
-            "h0_total": "conformal Killing field count; nullspace oracle",
-            "operator_orders": "weight shift of derived differential blocks",
-        },
-    }
-    return CatalogEntry(spec.name, spec, expected)
+def _conf_hessian_actions(a: SparseMat):
+    # rows R, R^3, R: pullback by a fixes the scalars and acts on v by a^T
+    one = SparseMat.identity(1)
+    return [one, a.transpose(), one]
 
 
 def _sym_indices(j: int) -> list[tuple[int, ...]]:
@@ -172,108 +99,19 @@ def higher_hessian_3d(order: int) -> CatalogEntry:
     return CatalogEntry(spec.name, spec, expected)
 
 
-def mobius_2d() -> CatalogEntry:
-    rows = (
-        ValueSpace.coordinates("u", 2),
-        ValueSpace("R+R", ("s", "t")),
-        ValueSpace.coordinates("w", 2),
-    )
-    # Row 1: (s, t) -> x (x) s + x_perp (x) t
-    k1 = (
-        SparseMat.from_dense([[1, 0], [0, 1]]),
-        SparseMat.from_dense([[0, -1], [1, 0]]),
-    )
-    # Row 2: u -> (x . u, -x_perp . u)
-    k2 = (
-        SparseMat.from_dense([[1, 0], [0, -1]]),
-        SparseMat.from_dense([[0, 1], [1, 0]]),
-    )
-    kappa = KappaSpec((k1, k2))
-    spec = DiagramSpec("mobius-2d", 2, rows, kappa)
-    expected = {
-        "upsilon_support": {(0, 0): 2, (1, 0): 2, (1, 2): 2, (2, 2): 2},
-        "h0_total": 6,
-        "operator_orders": [[1, 3], [1, 3]],
-        "source": {
-            "upsilon_support": "constant-level kernel/range dimension count",
-            "h0_total": "nullspace oracle on low-degree fields",
-            "operator_orders": "weight shift of derived differential blocks",
-        },
-    }
-    return CatalogEntry(spec.name, spec, expected)
-
-
-def elasticity_3d() -> CatalogEntry:
-    rows = (
-        ValueSpace.coordinates("u", 3),
-        ValueSpace("Skw", ("w1", "w2", "w3")),
-    )
-    # kappa_l inserts the position slot: (kappa_l w)_j = mskw(w)_{l j}
-    maps = []
-    for l in (1, 2, 3):
-        ent = {}
-        for k in (1, 2, 3):
-            for j in range(3):
-                v = _mskw_gen(k).get(l - 1, j)
-                if v != 0:
-                    ent[(j, k - 1)] = v
-        maps.append(SparseMat(3, 3, ent))
-    kappa = KappaSpec((tuple(maps),))
-    spec = DiagramSpec("elasticity-3d", 3, rows, kappa)
-    expected = {
-        "upsilon_support": {(0, 0): 3, (1, 0): 6, (2, 1): 6, (3, 1): 3},
-        "h0_total": 6,
-        "operator_orders": [[1], [2], [1]],
-        "source": {
-            "upsilon_support": "constant-level kernel/range dimension count",
-            "h0_total": "rigid-motion kernel; nullspace oracle",
-            "operator_orders": "weight shift of derived differential blocks",
-        },
-    }
-    return CatalogEntry(spec.name, spec, expected)
-
-
-def plate_2d() -> CatalogEntry:
-    rows = (
-        ValueSpace("R", ("u",)),
-        ValueSpace.coordinates("v", 2),
-    )
-    kappa = KappaSpec((tuple(_unit_row(l, 2) for l in (1, 2)),))
-    spec = DiagramSpec("plate-2d", 2, rows, kappa)
-    expected = {
-        "upsilon_support": {(0, 0): 1, (1, 1): 3, (2, 1): 2},
-        "h0_total": 3,
-        "operator_orders": [[2], [1]],
-        "source": {
-            "upsilon_support": "constant-level kernel/range dimension count",
-            "h0_total": "affine kernel; nullspace oracle",
-            "operator_orders": "weight shift of derived differential blocks",
-        },
-    }
-    return CatalogEntry(spec.name, spec, expected)
-
-
-_BUILDERS = {
-    "conf-hessian-3d": conf_hessian_3d,
-    "conf-deformation-3d": conf_deformation_3d,
-    "mobius-2d": mobius_2d,
-    "elasticity-3d": elasticity_3d,
-    "plate-2d": plate_2d,
-}
-
-BASE_NAMES = tuple(_BUILDERS) + ("higher-hessian-3d(N)",)
-
-
 def names(max_order: int = 4) -> list[str]:
-    out = list(_BUILDERS)
+    out = list(_FIXED)
     out[2:2] = [f"higher-hessian-3d({k})" for k in range(1, max_order + 1)]
     return out
 
 
 def get(name: str) -> CatalogEntry:
     """Look up a catalog entry; higher-hessian-3d takes its order in parens."""
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
+    if name in _FIXED:
+        entry = load_file(_DATA_DIR / f"{name}.diagram")
+        if name == "conf-hessian-3d":
+            entry.value_actions = _conf_hessian_actions
+        return entry
     if name.startswith("higher-hessian-3d(") and name.endswith(")"):
         arg = name[len("higher-hessian-3d("):-1]
         try:
@@ -318,15 +156,22 @@ def to_text(entry: CatalogEntry) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Arguments each directive needs after its own words.
+# Arguments each directive needs after its own words.  Those in _EXACT take
+# no more, so a stray token is an error rather than silently dropped; row
+# and kappa carry variable tails.
 _ARGS = {"name": 1, "n": 1, "rows": 1, "row": 1, "kappa": 2, "expect": 1,
          "expect h0_total": 1, "expect upsilon": 3, "expect orders": 2}
+_EXACT = {"name", "n", "rows", "expect h0_total", "expect upsilon", "expect orders"}
 
 
 def _need_args(directive: str, parts: list):
     need = _ARGS.get(directive, 0)
-    if len(parts) - len(directive.split()) < need:
+    got = len(parts) - len(directive.split())
+    if got < need:
         raise ValueError(f"{directive}: needs {need} argument(s), "
+                         f"got {' '.join(parts)!r}")
+    if got > need and directive in _EXACT:
+        raise ValueError(f"{directive}: takes {need} argument(s), "
                          f"got {' '.join(parts)!r}")
 
 

@@ -284,14 +284,12 @@ def make_parser() -> argparse.ArgumentParser:
                     "graded diagrams of polynomial-coefficient forms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, diagram=True):
-        if diagram:
-            p.add_argument("--diagram", help="catalog diagram name")
-            p.add_argument("--diagram-file", help="diagram description file")
+    def common(p, formats=("text", "json")):
+        p.add_argument("--diagram", help="catalog diagram name")
+        p.add_argument("--diagram-file", help="diagram description file")
         p.add_argument("--wmax", type=int, default=8,
                        help="largest stored weight (default 8)")
-        p.add_argument("--format", choices=("text", "matrixmarket", "json"),
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("verify", help="check every structural identity exactly")
     common(p)
@@ -306,7 +304,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("export", help="write one block operator")
-    common(p)
+    common(p, ("text", "matrixmarket", "json"))
     p.add_argument("--operator", required=True,
                    help="one of d, S, K, dV, F, T, G, A, B, D")
     p.add_argument("--index", type=int, required=True, help="column index i")

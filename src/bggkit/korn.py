@@ -84,19 +84,16 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
         cod = SumSpace(tuple((w, ops.bc.ups_space(1, w)) for w in weights))
         dmat = stacked_map({w: ops.bc.D(0, w) for w in weights}, dom, cod).mat
         ker = nullspace(dmat)
-        kernel_dim = len(ker)
         first_rows = _component_rows(cod, 0)
         first = take_rows(dmat, first_rows)
         first_kernel = dmat.cols - rank(first)
         g_in = stacked_cube_gram(bd, dom, 0, metrics[0])
         g_out = stacked_cube_gram(bd, cod, 1, metrics[1])
         a = dmat.transpose() @ g_out @ dmat
-        kmat = SparseMat.from_columns(ker, dmat.cols)
-        comp = SparseMat.from_columns(
-            nullspace(kmat.transpose() @ g_in), dmat.cols)
+        comp = nullspace(ker.transpose() @ g_in)
         a_r = comp.transpose() @ a @ comp
         m_r = comp.transpose() @ g_in @ comp
         eigvals = eigh(_to_float(a_r), _to_float(m_r))
         sigma_min = float(np.sqrt(max(eigvals.min(), 0.0)))
-        out.append(KornRow(r, kernel_dim, first_kernel, sigma_min))
+        out.append(KornRow(r, ker.cols, first_kernel, sigma_min))
     return out

@@ -396,14 +396,15 @@ def _kernel(m: SparseMat):
     back substitution on the integer echelon rows in reverse pivot order.
     Each vector is kept as integer numerators over one running denominator:
     solving pivot p against the integer residual s scales every numerator
-    and the denominator by |p| / gcd(s, p).  Fractions are made once, at the
-    end, so the basis is the same as with rational back substitution.
+    and the denominator by |p| / gcd(s, p).  The basis is returned as one
+    matrix, column k the k-th vector, over the lcm of those denominators, so
+    it is the same as with rational back substitution.
     """
     pivots, work = _echelon_int(m)
     pivot_cols = [c for _, c in pivots]
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
+    vectors = []
     for fc in free_cols:
         num = {fc: 1}
         den = 1
@@ -418,15 +419,16 @@ def _kernel(m: SparseMat):
                     num = {c: x * f for c, x in num.items()}
                     den *= f
                 num[pc] = -s // g if p > 0 else s // g
-        vec = [ZERO] * m.cols
-        for c, x in num.items():
-            vec[c] = Fraction(x, den)
-        basis.append(vec)
-    return pivot_cols, basis
+        vectors.append((num, den))
+    den = lcm(*(d for _, d in vectors))
+    basis = {(c, k): x * (den // d) for k, (num, d) in enumerate(vectors)
+             for c, x in num.items()}
+    return pivot_cols, SparseMat._from_num(m.cols, len(vectors), basis, den)
 
 
-def nullspace(m: SparseMat) -> list[list[Fraction]]:
-    """Deterministic basis of the right kernel, ordered by free column."""
+def nullspace(m: SparseMat) -> SparseMat:
+    """Deterministic basis of the right kernel as the columns of a matrix,
+    ordered by free column."""
     return _kernel(m)[1]
 
 
@@ -452,8 +454,7 @@ def solve_dense(a: SparseMat, b: SparseMat) -> SparseMat:
     pivot_cols, basis = _kernel(hstack([a, b]))
     if pivot_cols != list(range(n)):
         raise LinAlgError("singular matrix in solve_dense")
-    return SparseMat(n, b.cols, {(r, c): -vec[r] for c, vec in enumerate(basis)
-                                 for r in range(n) if vec[r] != 0})
+    return -take_rows(basis, range(n))
 
 
 def inverse(a: SparseMat) -> SparseMat:
@@ -491,7 +492,7 @@ def projection_onto(basis: SparseMat) -> SparseMat:
 
 def orthogonal_complement(basis: SparseMat) -> SparseMat:
     """Basis (columns) of the orthogonal complement of the column span."""
-    return SparseMat.from_columns(nullspace(basis.transpose()), basis.rows)
+    return nullspace(basis.transpose())
 
 
 def pinv_onto(m: SparseMat) -> SparseMat:

@@ -104,7 +104,7 @@ def test_higher_hessian_inclusion_injective():
     # empty kernel
     bd = build(catalog.get("higher-hessian-3d(2)").spec, 2)
     inc = bd.partial_const(0, 2)
-    assert nullspace(inc) == []
+    assert nullspace(inc).columns() == []
     assert inc.cols == 6 and inc.rows == 9
 
 
@@ -317,7 +317,7 @@ def test_bgg_cohomology_elasticity_and_kernel_witness(elas_ops):
     # weight-1 kernel of the twisted differential is spanned by the
     # transported row-1 constants: fields (b wedge x, b)
     dv0 = bd.d_V(0, 1)
-    ker = nullspace(dv0.mat)
+    ker = nullspace(dv0.mat).columns()
     assert len(ker) == 3
     col = bd.column(0, 1)
     f = bd.F(0, 1).mat

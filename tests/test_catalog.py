@@ -17,10 +17,40 @@ def test_names_listing():
     for name in FIXED:
         assert name in ns
     assert "higher-hessian-3d(2)" in ns
+    assert catalog.names(2) == [
+        "conf-hessian-3d", "conf-deformation-3d", "higher-hessian-3d(1)",
+        "higher-hessian-3d(2)", "mobius-2d", "elasticity-3d", "plate-2d"]
 
 
-@pytest.mark.parametrize("name", FIXED + ["higher-hessian-3d(1)"])
+def _catalog_name(stem):
+    # a file name cannot hold the parenthesized order of a generated entry
+    base, _, order = stem.rpartition("-")
+    return f"{base}({order})" if base == "higher-hessian-3d" else stem
+
+
+@pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.diagram")),
+                         ids=lambda p: p.stem)
+def test_shipped_file_is_its_catalog_entry(path):
+    entry = catalog.load_file(path)
+    name = _catalog_name(path.stem)
+    assert entry.name == name
+    ref = catalog.get(name)
+    assert (ref.name, ref.spec, ref.expected) == (entry.name, entry.spec, entry.expected)
+
+
+def test_every_fixed_name_has_a_file():
+    for name in FIXED:
+        assert (DATA_DIR / f"{name}.diagram").is_file(), name
+
+
+def test_only_conf_hessian_carries_value_actions():
+    for name in catalog.names():
+        assert (catalog.get(name).value_actions is not None) == (name == "conf-hessian-3d")
+
+
+@pytest.mark.parametrize("name", ["higher-hessian-3d(1)"])
 def test_shipped_files_match_builders(name):
+    # the generated family is the one entry that also has a builder
     fname = name.replace("(", "-").replace(")", "") + ".diagram"
     entry = catalog.load_file(DATA_DIR / fname)
     ref = catalog.get(name)
@@ -69,6 +99,22 @@ def test_parse_rejects_malformed():
 def test_parse_rejects_short_directive(line, directive):
     with pytest.raises(ValueError, match=f"^{directive}: needs"):
         catalog.parse_text(line + "\n")
+
+
+@pytest.mark.parametrize("old, new, directive, need", [
+    ("name plate-2d\n", "name plate 2d\n", "name", 1),
+    ("n 2\n", "n 2 3\n", "n", 1),
+    ("expect h0_total 3 ", "expect h0_total 3 4 ", "expect h0_total", 1),
+    ("expect orders 0 2 ", "expect orders 0 2 7 ", "expect orders", 2)],
+    ids=["name", "n", "h0_total", "orders"])
+def test_parse_rejects_trailing_tokens(old, new, directive, need):
+    # a trailing token must be rejected, not silently dropped
+    text = (DATA_DIR / "plate-2d.diagram").read_text()
+    assert old in text
+    catalog.parse_text(text)
+    with pytest.raises(ValueError) as exc:
+        catalog.parse_text(text.replace(old, new, 1))
+    assert str(exc.value) == f"{directive}: takes {need} argument(s), got {new.strip()!r}"
 
 
 @pytest.mark.parametrize("line, directive", [

@@ -234,11 +234,13 @@ def _not_int(directive, what, token):
     (BAD_FILE, ("kappa 1 1", "kappa 1 y"), (_not_int("kappa", "index", "y"),)),
     (BAD_FILE, ("0:0:1", "x:0:1"), ("kappa 1 1", "x:0:1")),
     (BAD_FILE, ("0:0:1", "0:y:1"), ("kappa 1 1", "0:y:1")),
+    (BAD_FILE, ("name bad", "name bad file"),
+     ("name: takes 1 argument(s), got 'name bad file'",)),
 ], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator",
         "kappa-zero-denominator", "kappa-short-triple", "n-declared-twice",
         "n-not-integer", "rows-not-integer", "row-index-not-integer",
         "dim-not-integer", "kappa-j-not-integer", "kappa-l-not-integer",
-        "triple-row-not-integer", "triple-col-not-integer"])
+        "triple-row-not-integer", "triple-col-not-integer", "name-extra-token"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, edit, named):
     if edit:
         (tmp_path / "bad.diagram").write_text(GOOD_FILE.replace(*edit, 1))
@@ -249,6 +251,15 @@ def test_bad_input_exit_2(capsys, tmp_path, argv, edit, named):
     assert err.count("\n") == 1
     for part in named:
         assert part in err
+
+
+@pytest.mark.parametrize("command", ["verify", "cohomology", "derive"])
+def test_matrixmarket_format_only_on_export(capsys, command):
+    # only export writes Matrix Market; the others must not accept the choice
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--diagram", "plate-2d", "--wmax", "3",
+              "--format", "matrixmarket"])
+    assert exc.value.code == 2
 
 
 def test_korn_command(capsys):

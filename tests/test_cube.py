@@ -59,4 +59,4 @@ def test_stacked_map_applies_per_weight():
     dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod)
     # kernel of the stacked map = total degree-zero cohomology = 3
     from bggkit.linalg import nullspace
-    assert len(nullspace(dv.mat)) == 3
+    assert nullspace(dv.mat).cols == 3
