@@ -331,7 +331,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _check_counts(args):
     """Reject count options below their smallest meaningful value."""
-    for name, low in (("wmax", 0), ("samples", 1), ("degree", 0)):
+    for name, low in (("wmax", 0), ("samples", 1), ("degree", 0), ("rmax", 3)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ValueError(f"--{name} must be >= {low}, got {value}")

@@ -313,6 +313,12 @@ def take_rows(m: SparseMat, rows) -> SparseMat:
     return SparseMat._from_num(len(index), m.cols, num, m.den)
 
 
+def leading_block(m: SparseMat, rows: int, cols: int) -> SparseMat:
+    """The first rows x cols block of m."""
+    num = {(r, c): v for (r, c), v in m.num.items() if r < rows and c < cols}
+    return SparseMat._from_num(rows, cols, num, m.den)
+
+
 def hstack(mats: list[SparseMat]) -> SparseMat:
     rows = mats[0].rows if mats else 0
     return block_matrix([mats], [rows], [m.cols for m in mats])

@@ -25,6 +25,17 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_exact_commands_load_no_numpy():
+    # numpy is imported only by korn2d's float step
+    script = ("import sys, bggkit, bggkit.cli\n"
+              "code = bggkit.cli.main(['verify', '--diagram', 'plate-2d', '--wmax', '3'])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bggkit.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())

@@ -236,11 +236,13 @@ def _not_int(directive, what, token):
     (BAD_FILE, ("0:0:1", "0:y:1"), ("kappa 1 1", "0:y:1")),
     (BAD_FILE, ("name bad", "name bad file"),
      ("name: takes 1 argument(s), got 'name bad file'",)),
+    (["korn2d", "--rmax", "2"], None, ("--rmax must be >= 3, got 2",)),
 ], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator",
         "kappa-zero-denominator", "kappa-short-triple", "n-declared-twice",
         "n-not-integer", "rows-not-integer", "row-index-not-integer",
         "dim-not-integer", "kappa-j-not-integer", "kappa-l-not-integer",
-        "triple-row-not-integer", "triple-col-not-integer", "name-extra-token"])
+        "triple-row-not-integer", "triple-col-not-integer", "name-extra-token",
+        "rmax-below-3"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, edit, named):
     if edit:
         (tmp_path / "bad.diagram").write_text(GOOD_FILE.replace(*edit, 1))

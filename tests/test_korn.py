@@ -2,14 +2,73 @@ from fractions import Fraction
 
 import pytest
 
-from bggkit import korn
+from bggkit import catalog, korn
+from bggkit.bgg import derive
+from bggkit.cube import stacked_cube_gram, stacked_map
+from bggkit.diagram import VerificationError, build
+from bggkit.forms import SumSpace
 from bggkit.korn import korn2d_experiment
+from bggkit.linalg import SparseMat, nullspace
 from oracles import ldl_pivots
 
 
 @pytest.fixture(scope="module")
-def rows():
-    return korn2d_experiment(6)
+def recorded():
+    """Rows of korn2d_experiment(6) and the (a_r, m_r) pencils fed to eigh."""
+    pencils = []
+    to_float = korn._to_float
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(korn, "_to_float", lambda mat: pencils.append(mat) or to_float(mat))
+        rows = korn2d_experiment(6)
+    return rows, list(zip(pencils[0::2], pencils[1::2]))
+
+
+@pytest.fixture(scope="module")
+def rows(recorded):
+    return recorded[0]
+
+
+def per_degree_pencils(r_max):
+    """Each degree's pencil built from its own stacked D, kernel and Grams."""
+    bd = build(catalog.get("mobius-2d").spec, r_max)
+    ops = derive(bd)
+    metrics = [{j: b.transpose() @ b for (ii, j), b in ops.hs.ups.items() if ii == i}
+               for i in (0, 1)]
+    out = []
+    for r in range(3, r_max + 1):
+        weights = range(r + 1)
+        dom = SumSpace(tuple((w, ops.bc.ups_space(0, w)) for w in weights))
+        cod = SumSpace(tuple((w, ops.bc.ups_space(1, w)) for w in weights))
+        dmat = stacked_map({w: ops.bc.D(0, w) for w in weights}, dom, cod).mat
+        ker = nullspace(dmat)
+        g_in = stacked_cube_gram(bd, dom, 0, metrics[0])
+        g_out = stacked_cube_gram(bd, cod, 1, metrics[1])
+        a = dmat.transpose() @ g_out @ dmat
+        comp = nullspace(ker.transpose() @ g_in)
+        out.append((comp.transpose() @ a @ comp, comp.transpose() @ g_in @ comp))
+    return out
+
+
+def test_pencils_match_per_degree_construction(recorded):
+    _, pencils = recorded
+    assert pencils == per_degree_pencils(6)
+
+
+def test_rows_do_not_depend_on_rmax():
+    assert korn2d_experiment(5) == korn2d_experiment(7)[:3]
+
+
+def test_nested_pencil_rejects_entry_beyond_leading_block():
+    a = SparseMat.from_dense([[4, 1, 2], [1, 3, 0], [2, 0, 5]])
+    m = SparseMat.from_dense([[2, 0, 1], [0, 2, 0], [1, 0, 2]])
+    nested = SparseMat(4, 3, {(0, 0): 1, (1, 1): 1, (2, 1): Fraction(1, 2), (3, 2): 1})
+    a_r, m_r = korn._nested_pencil(a, m, nested, 2, 3)
+    assert a_r == SparseMat.from_dense([[4, 1], [1, 3]])
+    assert m_r == SparseMat.from_dense([[2, 0], [0, 2]])
+    # column 1 reaches row 3, outside the leading 3 rows
+    leaky = SparseMat(4, 3, {(0, 0): 1, (1, 1): 1, (3, 1): Fraction(1, 2), (3, 2): 1})
+    with pytest.raises(VerificationError):
+        korn._nested_pencil(a, m, leaky, 2, 3)
 
 
 def test_joint_kernel_is_six(rows):
