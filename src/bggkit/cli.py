@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 verification mismatch, 2 invalid input.
+Exit codes: 0 all checks pass, 1 verification mismatch or a failed float
+step, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .energy import (
     p_mono,
     random_field,
 )
-from .korn import korn2d_experiment
+from .korn import FloatStepError, korn2d_experiment
 
 F = Fraction
 
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
         return 2
     except (DiagramError, VerificationError) as err:
         print(f"verification failed: {err}", file=sys.stderr)
+        return 1
+    except FloatStepError as err:
+        print(f"float step failed: {err}", file=sys.stderr)
         return 1
 
 

@@ -6,13 +6,16 @@ the weighted norm of the first twisted differential taken from the shipped
 diagrams.  Scalars are polynomials as monomial dicts; vector and matrix
 fields are nested lists of scalars.
 
-The direct route squares and integrates each scalar on integer numerators
-over one common denominator (``l2sq_scalar``) and touches no matrix or
-diagram code, so it stays an independent oracle.  The twisted route keeps,
+Both routes run on integers: each energy scales its fields once by the lcm
+D of their denominators and divides the value by D^2 once.  The direct
+route's calculus keeps int coefficients int, with constant factors such as
+the 1/2 of a symmetric part moved into the term's rational weight, and
+integrates each term to one Fraction (``l2sq_*``); it touches no matrix or
+diagram code, so it stays an independent oracle.  The twisted route caches,
 per ``(diagram, w_max)``, the built diagram, its stacked columns and the
-stacked d_V, and per metrics on top of that the ``stacked_cube_gram`` of
-column 1, in two bounded caches; a repeated request shape then costs one
-embedding, two sparse applies and an integer dot product.
+stacked d_V, and per metrics the ``stacked_cube_gram`` G of column 1; a
+repeated request shape then costs one embedding, one sparse apply
+y = d_V x and y^T G y on integer numerators.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def p_mono(alpha, c=F(1)):
 def p_add(a, b):
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, F(0)) + v
+        s = out.get(k, 0) + v
         if s == 0:
             out.pop(k, None)
         else:
@@ -74,7 +77,6 @@ def p_add(a, b):
 
 
 def p_scale(a, c):
-    c = F(c)
     return {k: c * v for k, v in a.items()} if c != 0 else {}
 
 
@@ -94,31 +96,14 @@ def grad(vec, n):
     return [[p_diff(vec[r], l) for l in range(1, n + 1)] for r in range(len(vec))]
 
 
-def div(vec, n):
-    out = {}
-    for l in range(1, n + 1):
-        out = p_add(out, p_diff(vec[l - 1], l))
-    return out
-
-
 def curl3(vec):
-    return [
-        p_add(p_diff(vec[2], 2), p_scale(p_diff(vec[1], 3), -1)),
-        p_add(p_diff(vec[0], 3), p_scale(p_diff(vec[2], 1), -1)),
-        p_add(p_diff(vec[1], 1), p_scale(p_diff(vec[0], 2), -1)),
-    ]
+    return twice_vskw3(grad(vec, 3))
 
 
-def sym(m):
+def twice_sym(m):
+    """m + m^T, twice the symmetric part."""
     k = len(m)
-    return [[p_scale(p_add(m[r][c], m[c][r]), F(1, 2)) for c in range(k)]
-            for r in range(k)]
-
-
-def skw(m):
-    k = len(m)
-    return [[p_scale(p_add(m[r][c], p_scale(m[c][r], -1)), F(1, 2)) for c in range(k)]
-            for r in range(k)]
+    return [[p_add(m[r][c], m[c][r]) for c in range(k)] for r in range(k)]
 
 
 def trace(m):
@@ -128,10 +113,11 @@ def trace(m):
     return out
 
 
-def dev(m):
+def k_dev(m):
+    """k m - tr(m) I for a k x k matrix m: k times the trace-free part."""
     k = len(m)
-    t = p_scale(trace(m), F(-1, k))
-    out = [[dict(m[r][c]) for c in range(k)] for r in range(k)]
+    t = p_scale(trace(m), -1)
+    out = [[p_scale(m[r][c], k) for c in range(k)] for r in range(k)]
     for r in range(k):
         out[r][r] = p_add(out[r][r], t)
     return out
@@ -156,10 +142,15 @@ def perp2(vec):
     return [p_scale(vec[1], -1), dict(vec[0])]
 
 
+def twice_vskw3(m):
+    """The axial vector of m - m^T, twice that of the skew part of m."""
+    return [p_add(m[2][1], p_scale(m[1][2], -1)),
+            p_add(m[0][2], p_scale(m[2][0], -1)),
+            p_add(m[1][0], p_scale(m[0][1], -1))]
+
+
 def vskw3(m):
-    return [p_scale(p_add(m[2][1], p_scale(m[1][2], -1)), F(1, 2)),
-            p_scale(p_add(m[0][2], p_scale(m[2][0], -1)), F(1, 2)),
-            p_scale(p_add(m[1][0], p_scale(m[0][1], -1)), F(1, 2))]
+    return [p_scale(v, F(1, 2)) for v in twice_vskw3(m)]
 
 
 def mat_add(a, b):
@@ -170,38 +161,44 @@ def mat_scale(a, c):
     return [[p_scale(x, c) for x in row] for row in a]
 
 
-def l2sq_scalar(a, n) -> Fraction:
-    """Integral of a^2 over the unit cube [0,1]^n.
+def _l2sq(comps) -> Fraction:
+    """Sum over comps of the integrals of a^2 over the unit cube [0,1]^n.
 
-    With D the lcm of a's denominators, the coefficients of (D a)^2 are
-    summed per exponent e as ints, one product per unordered pair of
-    monomials; x^e integrates to 1/prod(e_k + 1), so the integral is one
-    integer sum over the lcm of those weights, divided by D^2 once.
+    With D the lcm of the denominators, the coefficients of each (D a)^2
+    are summed per exponent e as ints, one product per unordered pair of
+    monomials; x^e integrates to 1/prod(e_k + 1), so the sum is one integer
+    over the lcm of those weights, divided by D^2 once.
     """
-    if not a:
-        return F(0)
-    den = lcm(*(c.denominator for c in a.values()))
-    terms = [(m, c.numerator * (den // c.denominator)) for m, c in a.items()]
+    den = lcm(*(c.denominator for a in comps for c in a.values()))
     acc: dict[tuple, int] = {}
-    for k, (ma, na) in enumerate(terms):
-        e = tuple(2 * x for x in ma)
-        acc[e] = acc.get(e, 0) + na * na
-        na2 = 2 * na
-        for mb, nb in terms[k + 1:]:
-            e = tuple(x + y for x, y in zip(ma, mb))
-            acc[e] = acc.get(e, 0) + na2 * nb
+    for a in comps:
+        terms = [(m, c.numerator * (den // c.denominator)) for m, c in a.items()]
+        for k, (ma, na) in enumerate(terms):
+            e = tuple(2 * x for x in ma)
+            acc[e] = acc.get(e, 0) + na * na
+            na2 = 2 * na
+            for mb, nb in terms[k + 1:]:
+                e = tuple(x + y for x, y in zip(ma, mb))
+                acc[e] = acc.get(e, 0) + na2 * nb
+    if not acc:
+        return F(0)
     weights = {e: prod(x + 1 for x in e) for e in acc}
     wden = lcm(*weights.values())
     total = sum(v * (wden // weights[e]) for e, v in acc.items())
     return F(total, wden * den * den)
 
 
+def l2sq_scalar(a, n) -> Fraction:
+    """Integral of a^2 over the unit cube [0,1]^n."""
+    return _l2sq([a])
+
+
 def l2sq_vec(vec, n) -> Fraction:
-    return sum((l2sq_scalar(v, n) for v in vec), F(0))
+    return _l2sq(vec)
 
 
 def l2sq_mat(m, n) -> Fraction:
-    return sum((l2sq_scalar(x, n) for row in m for x in row), F(0))
+    return _l2sq([x for row in m for x in row])
 
 
 def field_degree(components) -> int:
@@ -210,6 +207,41 @@ def field_degree(components) -> int:
         for m in comp.keys():
             deg = max(deg, sum(m))
     return deg
+
+
+def _integer_fields(n: int, *fields) -> tuple[list, int]:
+    """The fields over one common denominator D, as int coefficients, and D.
+
+    Each field is (name, value, count): value is a list of count
+    components, or one component when count is None; a component maps
+    monomials (n non-negative int exponents) to int or Fraction
+    coefficients.  Anything else raises ValueError naming the field and
+    the component or monomial.  Zero coefficients are dropped.
+    """
+    comps = []
+    for name, value, count in fields:
+        if count is None:
+            comps.append((name, value))
+        elif isinstance(value, (list, tuple)) and len(value) == count:
+            comps.extend((f"{name}[{r}]", comp) for r, comp in enumerate(value))
+        else:
+            got = len(value) if isinstance(value, (list, tuple)) else type(value).__name__
+            raise ValueError(f"{name} must be a list of {count} components, got {got}")
+    for label, comp in comps:
+        if not isinstance(comp, dict):
+            raise ValueError(f"{label} must be a dict of monomial coefficients")
+        for m, c in comp.items():
+            if not (isinstance(m, tuple) and len(m) == n
+                    and all(isinstance(e, int) and e >= 0 for e in m)):
+                raise ValueError(f"{label}: monomial {m!r} is not {n} "
+                                 f"non-negative int exponents")
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"{label}: coefficient {c!r} of {m} is not rational")
+    den = lcm(*(c.denominator for _, comp in comps for c in comp.values()))
+    ints = {label: {m: c.numerator * (den // c.denominator) for m, c in comp.items() if c}
+            for label, comp in comps}
+    return [ints[name] if count is None else [ints[f"{name}[{r}]"] for r in range(count)]
+            for name, _, count in fields], den
 
 
 # -- constant metrics for the twisted-norm route ------------------------------
@@ -262,7 +294,7 @@ def _embed(bd: BuiltDiagram, space, i: int, rows) -> list:
     ValueError for a monomial whose weight the stacked space lacks, so a
     field is never silently truncated.
     """
-    vec = [F(0)] * space.dim
+    vec = [0] * space.dim
     for j, components in enumerate(rows):
         vdim = bd.spec.rows[j].dim
         if len(components) != vdim:
@@ -277,14 +309,6 @@ def _embed(bd: BuiltDiagram, space, i: int, rows) -> list:
                         f"stacked weights (w_max {max(base)})")
                 vec[base[w] + monomials(bd.n, w - i - j).index(m) * vdim + r] = c
     return vec
-
-
-def _dot(a: list, b: list) -> Fraction:
-    """Exact dot product of two rational vectors, summed on integer numerators."""
-    da = lcm(*(x.denominator for x in a))
-    db = lcm(*(y.denominator for y in b))
-    return F(sum(x.numerator * (da // x.denominator) * y.numerator * (db // y.denominator)
-                 for x, y in zip(a, b)), da * db)
 
 
 @lru_cache(maxsize=8)
@@ -316,15 +340,25 @@ def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
 
     rows[j] lists the components of the row-j field of column 0 of the
     catalog diagram name; metrics[j] weights row j of the image column.
+    Rows scaled by D and direct by D^2 pass or fail together.
     """
     w_max = max([2] + [field_degree(comps) + j for j, comps in enumerate(rows)])
     bd, dom, dv, gram = _twisted_form(name, w_max, tuple(sorted(metrics.items())))
-    out = dv.apply(_embed(bd, dom, 0, rows))
-    via_complex = _dot(out, gram.apply(out))
+    y = dv.apply(_embed(bd, dom, 0, rows))
+    yden = lcm(*(x.denominator for x in y))
+    ynum = [x.numerator * (yden // x.denominator) for x in y]
+    via_complex = F(sum(v * ynum[r] * ynum[c] for (r, c), v in gram.num.items()),
+                    gram.den * yden * yden)
     if direct != via_complex:
         raise VerificationError(
             f"energy mismatch: direct {direct} != twisted route {via_complex}")
     return direct
+
+
+def _elastic(gu, params: EnergyParams) -> Fraction:
+    """mu |sym grad u|^2 + lam/2 |div u|^2 from the gradient gu of u."""
+    return (F(params.mu) / 4 * l2sq_mat(twice_sym(gu), 3)
+            + F(params.lam) / 2 * l2sq_scalar(trace(gu), 3))
 
 
 def cosserat_energy(u, omega, params: EnergyParams) -> Fraction:
@@ -335,26 +369,25 @@ def cosserat_energy(u, omega, params: EnergyParams) -> Fraction:
     equal to the weighted norm of the first twisted differential of the
     rotation-coupled elasticity diagram applied to (u, omega).
     """
+    (u, omega), den = _integer_fields(3, ("u", u, 3), ("omega", omega, 3))
     n = 3
-    gu = grad(u, n)
-    e = mat_add(gu, mskw3(omega))
+    gu, gw = grad(u, n), grad(omega, n)
+    # sym = twice_sym / 2, 2 vskw = twice_vskw3, curl = twice_vskw3 grad, div = tr grad
     direct = (
-        params.mu * l2sq_mat(sym(gu), n)
-        + params.mu_c / 2 * l2sq_vec([p_scale(v, 2) for v in vskw3(e)], n)
-        + params.lam / 2 * l2sq_scalar(div(u, n), n)
-        + (params.gamma + params.beta) / 2 * l2sq_mat(sym(grad(omega, n)), n)
-        + (params.gamma - params.beta) / 4 * l2sq_vec(curl3(omega), n)
-        + params.alpha / 2 * l2sq_scalar(div(omega, n), n)
+        _elastic(gu, params)
+        + F(params.mu_c) / 2 * l2sq_vec(twice_vskw3(mat_add(gu, mskw3(omega))), n)
+        + F(params.gamma + params.beta) / 8 * l2sq_mat(twice_sym(gw), n)
+        + F(params.gamma - params.beta) / 4 * l2sq_vec(twice_vskw3(gw), n)
+        + F(params.alpha) / 2 * l2sq_scalar(trace(gw), n)
     )
     return _checked_twisted_norm(direct, "elasticity-3d", [u, omega],
-                                 cosserat_metric(params))
+                                 cosserat_metric(params)) / (den * den)
 
 
 def elasticity_energy(u, params: EnergyParams) -> Fraction:
     """Classical strain energy mu |sym grad u|^2 + lam/2 |div u|^2."""
-    n = 3
-    gu = grad(u, n)
-    return params.mu * l2sq_mat(sym(gu), n) + params.lam / 2 * l2sq_scalar(div(u, n), n)
+    (u,), den = _integer_fields(3, ("u", u, 3))
+    return _elastic(grad(u, 3), params) / (den * den)
 
 
 def generalized_dilation_energy(phi, u, params: EnergyParams) -> Fraction:
@@ -363,9 +396,12 @@ def generalized_dilation_energy(phi, u, params: EnergyParams) -> Fraction:
     alpha |dev grad phi + mskw u|^2 + mu |sym grad u|^2 + lam/2 |div u|^2;
     at alpha = 0 this is the classical elasticity energy of u.
     """
+    (phi, u), den = _integer_fields(3, ("phi", phi, 3), ("u", u, 3))
     n = 3
-    coupled = mat_add(dev(grad(phi, n)), mskw3(u))
-    return params.alpha * l2sq_mat(coupled, n) + elasticity_energy(u, params)
+    # 3 (dev grad phi + mskw u)
+    coupled = mat_add(k_dev(grad(phi, n)), mat_scale(mskw3(u), 3))
+    return (F(params.alpha) / 9 * l2sq_mat(coupled, n)
+            + _elastic(grad(u, n), params)) / (den * den)
 
 
 def generalized_cosserat_energy(u, sigma, omega, phi, weights3) -> Fraction:
@@ -378,6 +414,8 @@ def generalized_cosserat_energy(u, sigma, omega, phi, weights3) -> Fraction:
     row enters with reversed orientation.
     """
     c1, c2, c3 = (F(x) for x in weights3)
+    (u, sigma, omega, phi), den = _integer_fields(
+        3, ("u", u, 3), ("sigma", sigma, None), ("omega", omega, 3), ("phi", phi, 3))
     n = 3
     term1 = mat_add(grad(u, n), mskw3(omega))
     for r in range(3):
@@ -393,7 +431,8 @@ def generalized_cosserat_energy(u, sigma, omega, phi, weights3) -> Fraction:
     metrics = {0: SparseMat.identity(9).scale(c1),
                1: SparseMat.identity(12).scale(c2),
                2: SparseMat.identity(9).scale(c3)}
-    return _checked_twisted_norm(direct, "conf-deformation-3d", rows, metrics)
+    return _checked_twisted_norm(direct, "conf-deformation-3d", rows,
+                                 metrics) / (den * den)
 
 
 def generalized_plate_energy(u, sigma, omega, phi, weights3) -> Fraction:
@@ -404,23 +443,24 @@ def generalized_plate_energy(u, sigma, omega, phi, weights3) -> Fraction:
     + c3 |grad phi|^2, asserted against the first twisted differential.
     """
     c1, c2, c3 = (F(x) for x in weights3)
+    (u, sigma, omega, phi), den = _integer_fields(
+        2, ("u", u, 2), ("sigma", sigma, None), ("omega", omega, None), ("phi", phi, 2))
     n = 2
     term1 = mat_add(grad(u, n), mat_scale(mskw2(omega), -1))
     for r in range(2):
         term1[r][r] = p_add(term1[r][r], p_scale(sigma, -1))
     mid_a = [p_add(p_diff(sigma, l), p_scale(phi[l - 1], -1)) for l in (1, 2)]
     pp = perp2(phi)
-    mid_b = [[p_add(p_diff(omega, l), p_scale(pp[l - 1], -1))] for l in (1, 2)]
+    mid_b = [p_add(p_diff(omega, l), p_scale(pp[l - 1], -1)) for l in (1, 2)]
     direct = (c1 * l2sq_mat(term1, n)
-              + c2 * (l2sq_vec(mid_a, n)
-                      + l2sq_vec([row[0] for row in mid_b], n))
+              + c2 * l2sq_vec(mid_a + mid_b, n)
               + c3 * l2sq_mat(grad(phi, n), n))
 
     metrics = {0: SparseMat.identity(4).scale(c1),
                1: SparseMat.identity(4).scale(c2),
                2: SparseMat.identity(4).scale(c3)}
     return _checked_twisted_norm(direct, "mobius-2d", [u, [sigma, omega], phi],
-                                 metrics)
+                                 metrics) / (den * den)
 
 
 def random_field(rng, n: int, components: int, degree: int):

@@ -49,6 +49,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+class FloatStepError(RuntimeError):
+    """numpy's eigensolver failed on one degree's pencil."""
+
+
 @dataclass
 class KornRow:
     degree: int
@@ -150,14 +154,19 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
     components, the kernel dimension of the first-order component alone
     (2(r+1), the planar failure witness), and the smallest generalized
     singular value on the L2-orthogonal complement of the joint kernel.
+    A failure of numpy's solver raises FloatStepError naming the degree.
     """
     if r_max < 3:
         raise ValueError("r_max must be >= 3")
     degrees, comp, a_full, m_full = _exact_part(r_max)
+    import numpy as np
     out = []
     for r, kernel_dim, first_kernel, k, n in degrees:
         a_r, m_r = _nested_pencil(a_full, m_full, comp, k, n)
-        eigvals = eigh(_to_float(a_r), _to_float(m_r))
+        try:
+            eigvals = eigh(_to_float(a_r), _to_float(m_r))
+        except np.linalg.LinAlgError as err:
+            raise FloatStepError(f"r={r}: the float eigensolver failed: {err}") from err
         sigma_min = math.sqrt(max(eigvals.min(), 0.0))
         out.append(KornRow(r, kernel_dim, first_kernel, sigma_min))
     return out

@@ -272,6 +272,25 @@ def test_korn_command(capsys):
     assert payload["rows"][0]["kernel_dim"] == 6
 
 
+def test_korn_float_failure_exit_1(capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, but a failed solve is not bad input
+    import numpy as np
+    from bggkit import korn
+    real, degrees = korn.eigh, []
+
+    def eigh(a, m):
+        degrees.append(len(a))
+        if len(degrees) == 2:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(a, m)
+
+    monkeypatch.setattr(korn, "eigh", eigh)
+    code, out, err = run(capsys, "korn2d", "--rmax", "4")
+    assert (code, out) == (1, "")
+    assert err == ("float step failed: r=4: the float eigensolver failed: "
+                   "Matrix is not positive definite\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "cohomology", "derive", "export"])
 def test_negative_wmax_exit_2(capsys, command):
     extra = ["--operator", "d", "--index", "0", "--weight", "0"] \

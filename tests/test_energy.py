@@ -25,6 +25,7 @@ from bggkit.energy import (
     random_field,
     vskw3,
 )
+from bggkit.forms import monomials
 
 from oracles import cube_integral, poly_mul
 
@@ -206,3 +207,69 @@ def test_energy_fifty_fields_three_param_sets():
             cosserat_energy(u, omega, params)
             count += 1
     assert count == 150
+
+
+# Values recorded before the energies ran on integer numerators.
+PINNED = [
+    (31, "2124247/6480", "1241093/4320", "101195/648"),
+    (32, "3535999/12960", "6451943/12960", "113747/810"),
+    (33, "1803749/6480", "1399507/2160", "110996/1215"),
+]
+
+
+@pytest.mark.parametrize("seed, cosserat, three_row, plate", PINNED)
+def test_energies_match_pinned_values(seed, cosserat, three_row, plate):
+    rng = random.Random(seed)
+    u, omega, phi = (random_field(rng, 3, 3, 2) for _ in range(3))
+    sigma = random_field(rng, 3, 1, 2)[0]
+    u2, phi2 = random_field(rng, 2, 2, 2), random_field(rng, 2, 2, 2)
+    s2, o2 = random_field(rng, 2, 1, 2)[0], random_field(rng, 2, 1, 2)[0]
+    params = EnergyParams.of(2, 3, F(1, 2), 1, F(1, 3), 2)
+    assert str(cosserat_energy(u, omega, params)) == cosserat
+    assert str(generalized_cosserat_energy(u, sigma, omega, phi, (F(1, 2), 2, F(3, 5)))) \
+        == three_row
+    assert str(generalized_plate_energy(u2, s2, o2, phi2, (1, F(2, 3), 2))) == plate
+
+
+_MONOS = [m for d in range(3) for m in monomials(3, d)]
+_BIG_DEN = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**9))
+_COMPONENT = st.one_of(
+    st.just({}),
+    st.dictionaries(st.sampled_from(_MONOS), st.just(F(0)), min_size=1, max_size=3),
+    st.dictionaries(st.sampled_from(_MONOS), _BIG_DEN, max_size=5),
+)
+_FIELD = st.lists(_COMPONENT, min_size=3, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_FIELD, _FIELD, _BIG_DEN.filter(lambda c: c != 0), st.integers(0, 2))
+def test_cosserat_energy_is_quadratic_in_the_fields(u, omega, c, which):
+    # scaling both fields by c changes the common denominator D of the fields
+    params = [ONES, EnergyParams.of(2, 3, F(1, 2), 1, F(1, 3), 2),
+              EnergyParams.of(1, 0, 2, F(3, 2), 0, 1)][which]
+    scale = lambda field: [{m: c * v for m, v in comp.items()} for comp in field]
+    assert cosserat_energy(scale(u), scale(omega), params) == \
+        c * c * cosserat_energy(u, omega, params)
+
+
+_ENTRY_POINTS = [
+    (lambda bad: cosserat_energy(bad, ZERO3, ONES), "u", 3),
+    (lambda bad: elasticity_energy(bad, ONES), "u", 3),
+    (lambda bad: generalized_dilation_energy(bad, ZERO3, ONES), "phi", 3),
+    (lambda bad: generalized_cosserat_energy(ZERO3, {}, bad, ZERO3, (1, 1, 1)), "omega", 3),
+    (lambda bad: generalized_plate_energy([{}, {}], {}, {}, bad, (1, 1, 1)), "phi", 2),
+]
+
+
+@pytest.mark.parametrize("kind", ["too-few-components", "monomial-too-long"])
+@pytest.mark.parametrize("energy_fn, name, n", _ENTRY_POINTS,
+                         ids=["cosserat", "elasticity", "dilation", "three-row", "plate"])
+def test_bad_field_shape_raises_value_error_naming_it(energy_fn, name, n, kind):
+    if kind == "too-few-components":
+        bad, named = [{}] * (n - 1), f"{name} must be a list of {n} components, got {n - 1}"
+    else:
+        mono = (1,) * (n + 1)
+        bad, named = [{}] * (n - 1) + [{mono: F(1)}], f"{name}[{n - 1}]: monomial {mono}"
+    with pytest.raises(ValueError) as exc:
+        energy_fn(bad)
+    assert named in str(exc.value)
