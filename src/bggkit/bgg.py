@@ -10,6 +10,10 @@ operator at one weight: row block j becomes I_mono (x) C_j, so every
 identity below closes exactly.  Column operators are cached per instance
 through ``diagram.memo``.  Each identity is recorded in a
 ``VerifyReport``; a derivation stage raises once, with the full report.
+
+The lift A is built from T and d on the thin harmonic columns only; the
+square homotopy G is formed on demand, by B, the G, chain-map and
+block-structure oracles and the exporter.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .linalg import (
     projection_onto,
     rank,
     solve_thin,
+    take_cols,
     take_rows,
     vstack,
 )
@@ -275,11 +280,24 @@ class BGGComplex:
 
     @memo
     def A(self, i: int, w: int) -> LinMap:
-        """Chain map from harmonic coordinates into the twisted complex."""
+        """Chain map from harmonic coordinates into the twisted complex.
+
+        A = iota - G_{i+1} d_V iota, summed on the thin harmonic columns as
+        iota + sum_k (T d)^k T d_V iota, k <= N, the terms ``GOps.column``
+        sums, so the square G is never formed.
+        """
+        bd = self.bd
         iota = self.inclusion(i, w)
-        dv = self.bd.d_V(i, w)
-        g_next = self.g.column(i + 1, w)
-        return LinMap(iota.dom, iota.cod, iota.mat - g_next.mat @ (dv.mat @ iota.mat))
+        t_next = self.t.column(i + 1, w).mat
+        d_i = bd.d(i, w).mat
+        acc = iota.mat
+        term = t_next @ (bd.d_V(i, w).mat @ iota.mat)
+        for _ in range(bd.N + 1):
+            if term.is_zero():
+                break
+            acc = acc + term
+            term = t_next @ (d_i @ term)
+        return LinMap(iota.dom, iota.cod, acc)
 
     @memo
     def D(self, i: int, w: int) -> LinMap:
@@ -396,17 +414,16 @@ def derive(bd: BuiltDiagram) -> DerivedOps:
 # -- triangular block-structure oracles -------------------------------------
 
 
-def _select_block(col: SumSpace, j: int) -> SparseMat:
-    """Inclusion of the j-th summand into the column (a tall selector)."""
-    dim = col.space(j).dim
-    off = col.offset(j)
-    return SparseMat(col.dim, dim, {(off + r, r): Fraction(1) for r in range(dim)})
-
-
 def _rows_of_block(mat: SparseMat, out_space: SumSpace, jo: int) -> SparseMat:
     """Extract the rows of mat belonging to the jo-th output summand."""
     off = out_space.offset(jo)
     return take_rows(mat, range(off, off + out_space.space(jo).dim))
+
+
+def _cols_of_block(mat: SparseMat, in_space: SumSpace, ji: int) -> SparseMat:
+    """Extract the columns of mat belonging to the ji-th input summand."""
+    off = in_space.offset(ji)
+    return take_cols(mat, range(off, off + in_space.space(ji).dim))
 
 
 def _support_rows(mat: SparseMat, out_space: SumSpace) -> set:
@@ -457,9 +474,8 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     # homotopy blocks: row ji+k+1 carries -(Td)^k T
     gm = g.column(i, w).mat
     for ji in range(bd.N + 1):
-        sel = _select_block(col_i, ji)
         expectations = {}
-        term = tmat @ sel
+        term = _cols_of_block(tmat, col_i, ji)
         k = 0
         while not term.is_zero():
             if not report.holds("G shift", w, i,
@@ -470,15 +486,14 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
                 break
             term = tmat @ (d_prev @ term)
             k += 1
-        check("G block", gm @ sel, col_prev, expectations, ji)
+        check("G block", _cols_of_block(gm, col_i, ji), col_prev, expectations, ji)
 
     # lift blocks on harmonic inputs: row ji+k carries (Td)^k iota
     am = bc.A(i, w).mat
     for ji in range(bd.N + 1):
-        sel = _select_block(ups_i, ji)
-        if sel.cols == 0:
+        if ups_i.space(ji).dim == 0:
             continue
-        placed = bc.inclusion(i, w).mat @ sel
+        placed = _cols_of_block(bc.inclusion(i, w).mat, ups_i, ji)
         expectations = {}
         term = placed
         k = 0
@@ -489,12 +504,13 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
             expectations[ji + k] = _rows_of_block(term, col_i, ji + k)
             term = t_next @ (d_i @ term)
             k += 1
-        check("A block", am @ sel, col_i, expectations, ji)
+        am_col = _cols_of_block(am, ups_i, ji)
+        check("A block", am_col, col_i, expectations, ji)
 
         # twisted image: row ji+k carries P_perp d (Td)^k iota
         # derived operator: row ji+k carries P d (Td)^k iota, in coordinates
-        dva = bd.d_V(i, w).mat @ (am @ sel)
-        dm_col = bc.D(i, w).mat @ sel
+        dva = bd.d_V(i, w).mat @ am_col
+        dm_col = _cols_of_block(bc.D(i, w).mat, ups_i, ji)
         chain = d_i @ placed
         expect_dva = {}
         expect_d = {}
@@ -512,41 +528,40 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     bm = b.column(i, w).mat
     pi_i = bc.projection(i, w).mat
     for ji in range(bd.N + 1):
-        sel = _select_block(col_i, ji)
-        if sel.cols == 0:
+        if col_i.space(ji).dim == 0:
             continue
-        expectations = {}
-        term = sel
-        k = 0
-        while not term.is_zero() and ji + k <= bd.N:
-            proj = pi_i @ term
-            expectations[ji + k] = _rows_of_block(proj, ups_i, ji + k)
-            if d_prev is None:
+        expectations = {ji: _rows_of_block(_cols_of_block(pi_i, col_i, ji), ups_i, ji)}
+        term = _cols_of_block(tmat, col_i, ji)
+        k = 1
+        while d_prev is not None and ji + k <= bd.N:
+            term = d_prev @ term
+            if term.is_zero():
                 break
-            term = d_prev @ (tmat @ term)
+            expectations[ji + k] = _rows_of_block(pi_i @ term, ups_i, ji + k)
+            term = tmat @ term
             k += 1
         expectations = {jo: blk for jo, blk in expectations.items()
                         if not blk.is_zero()}
-        check("B block", bm @ sel, ups_i, expectations, ji)
+        check("B block", _cols_of_block(bm, col_i, ji), ups_i, expectations, ji)
 
     # B F blocks: column ji is sum_m B(., m) K^{ji-m} / (ji-m)!
     bf = bm @ bd.F(i, w).mat
     kmat = bd.K(i, w).mat
     for ji in range(bd.N + 1):
-        sel = _select_block(col_i, ji)
-        if sel.cols == 0:
+        if col_i.space(ji).dim == 0:
             continue
-        acc = bm @ sel
-        term = sel
+        acc = _cols_of_block(bm, col_i, ji)
+        term = _cols_of_block(kmat, col_i, ji)
         for m in range(1, ji + 1):
-            term = kmat @ term
+            if m > 1:
+                term = kmat @ term
             if not report.holds("F shift", w, i,
                                 _support_rows(term, col_i) <= {ji - m}, (ji, m)):
                 break
             if term.is_zero():
                 break
             acc = acc + (bm @ term).scale(Fraction(1, factorial(m)))
-        report.expect("BF block", w, i, bf @ sel, acc, at=(ji,))
+        report.expect("BF block", w, i, _cols_of_block(bf, col_i, ji), acc, at=(ji,))
     return report.failures()
 
 

@@ -167,22 +167,30 @@ def _l2sq(comps) -> Fraction:
     With D the lcm of the denominators, the coefficients of each (D a)^2
     are summed per exponent e as ints, one product per unordered pair of
     monomials; x^e integrates to 1/prod(e_k + 1), so the sum is one integer
-    over the lcm of those weights, divided by D^2 once.
+    over the lcm of those weights, divided by D^2 once.  Each monomial's
+    exponents are packed into one int, one field per variable, each wide
+    enough for twice the largest exponent, so a pair's exponent is one int
+    addition that never carries between fields.
     """
     den = lcm(*(c.denominator for a in comps for c in a.values()))
-    acc: dict[tuple, int] = {}
+    monos = [m for a in comps for m in a]
+    if not monos:
+        return F(0)
+    bits = (2 * max(max(m, default=0) for m in monos)).bit_length()
+    shifts = [bits * k for k in range(len(monos[0]))]
+    acc: dict[int, int] = {}
     for a in comps:
-        terms = [(m, c.numerator * (den // c.denominator)) for m, c in a.items()]
-        for k, (ma, na) in enumerate(terms):
-            e = tuple(2 * x for x in ma)
+        terms = [(sum(x << s for x, s in zip(m, shifts)),
+                  c.numerator * (den // c.denominator)) for m, c in a.items()]
+        for k, (ea, na) in enumerate(terms):
+            e = 2 * ea
             acc[e] = acc.get(e, 0) + na * na
             na2 = 2 * na
-            for mb, nb in terms[k + 1:]:
-                e = tuple(x + y for x, y in zip(ma, mb))
+            for eb, nb in terms[k + 1:]:
+                e = ea + eb
                 acc[e] = acc.get(e, 0) + na2 * nb
-    if not acc:
-        return F(0)
-    weights = {e: prod(x + 1 for x in e) for e in acc}
+    mask = (1 << bits) - 1
+    weights = {e: prod(((e >> s) & mask) + 1 for s in shifts) for e in acc}
     wden = lcm(*weights.values())
     total = sum(v * (wden // weights[e]) for e, v in acc.items())
     return F(total, wden * den * den)
@@ -274,8 +282,12 @@ def _trace_form(n: int) -> SparseMat:
     return SparseMat(dim, dim, {(a, b): F(1) for a in diag for b in diag})
 
 
+@lru_cache(maxsize=8)
 def cosserat_metric(params: EnergyParams) -> dict:
-    """Block metrics on the two matrix-valued components of the twisted image."""
+    """Block metrics on the two matrix-valued components of the twisted image.
+
+    Cached per params, so every caller shares one dict: do not mutate it.
+    """
     c1 = _proj_sym(3).scale(params.mu) + _proj_skw(3).scale(params.mu_c) \
         + _trace_form(3).scale(params.lam / 2)
     c2 = _proj_sym(3).scale((params.gamma + params.beta) / 2) \

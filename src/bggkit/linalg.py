@@ -313,6 +313,13 @@ def take_rows(m: SparseMat, rows) -> SparseMat:
     return SparseMat._from_num(len(index), m.cols, num, m.den)
 
 
+def take_cols(m: SparseMat, cols) -> SparseMat:
+    """The listed columns of m, in the listed order."""
+    index = {c: k for k, c in enumerate(cols)}
+    num = {(r, index[c]): v for (r, c), v in m.num.items() if c in index}
+    return SparseMat._from_num(m.rows, len(index), num, m.den)
+
+
 def leading_block(m: SparseMat, rows: int, cols: int) -> SparseMat:
     """The first rows x cols block of m."""
     num = {(r, c): v for (r, c), v in m.num.items() if r < rows and c < cols}

@@ -18,7 +18,9 @@ from bggkit.bgg import (
     verify_block_structure,
     verify_chain_maps,
 )
-from bggkit.diagram import DiagramSpec, KappaSpec, VerificationError, build
+from bggkit import diagram
+from bggkit.diagram import DiagramSpec, KappaSpec, VerificationError, build, \
+    row_cohomology_sum, twisted_cohomology
 from bggkit.forms import ValueSpace, monomials
 from bggkit.linalg import SparseMat, nullspace, rank
 
@@ -149,6 +151,44 @@ def test_G_single_row_zero():
     for w in range(4):
         for i in range(3):
             assert ops.g.column(i, w).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(set(catalog.names()) | {"higher-hessian-3d(3)"}))
+def test_A_is_iota_minus_G_dV_iota(name):
+    # the thin-column lift equals the lift through the explicitly formed G
+    bd = build(catalog.get(name).spec, 6)
+    ops = derive(bd)
+    for w in range(7):
+        for i in range(bd.n + 1):
+            iota = ops.bc.inclusion(i, w).mat
+            g_next = ops.g.column(i + 1, w).mat
+            assert ops.bc.A(i, w).mat == iota - g_next @ (bd.d_V(i, w).mat @ iota)
+
+
+def test_cohomology_forms_no_G():
+    ops = derive(build(catalog.get("higher-hessian-3d(3)").spec, 4))
+    bgg_cohomology(ops.bc)
+    assert not ops.g.__dict__.get("_memo")
+
+
+def test_d_V_ranks_eliminated_once_per_diagram(monkeypatch):
+    bd = build(catalog.get("conf-hessian-3d").spec, 4)
+    keys = [(i, w) for w in range(bd.w_max + 1) for i in range(bd.n + 1)]
+    for i, w in keys:
+        row_cohomology_sum(bd, i, w)  # fill the oracle's cached scalar ranks
+    ops = derive(bd)
+    eliminated = []
+
+    def counting_rank(m):
+        eliminated.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(diagram, "rank", counting_rank)
+    first = twisted_cohomology(bd)
+    assert twisted_cohomology(bd) == first
+    assert bgg_cohomology(ops.bc) == first
+    assert len(eliminated) == len(keys) == (bd.n + 1) * (bd.w_max + 1)
+    assert {id(m) for m in eliminated} == {id(bd.d_V(i, w).mat) for i, w in keys}
 
 
 def test_G_properties_all(hess_ops):
