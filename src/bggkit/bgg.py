@@ -11,9 +11,11 @@ identity below closes exactly.  Column operators are cached per instance
 through ``diagram.memo``.  Each identity is recorded in a
 ``VerifyReport``; a derivation stage raises once, with the full report.
 
-The lift A is built from T and d on the thin harmonic columns only; the
-square homotopy G is formed on demand, by B, the G, chain-map and
-block-structure oracles and the exporter.
+G, A and B are the terms of one nilpotent series in T and d, each summed
+by ``diagram.nilpotent_terms``.  A is summed on the thin harmonic columns
+and B on the thin projection rows, so neither multiplies by the square
+homotopy G; G is formed only by the G, chain-map and block-structure
+oracles and by the exporter.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .diagram import BuiltDiagram, VerifyReport, _mono_count, band, lift_column, \
-    memo, twisted_cohomology
+    memo, nilpotent_terms, twisted_cohomology
 from .forms import CoordSpace, LinMap, SumSpace, form_indices, pullback_block
 from .linalg import (
     SparseMat,
@@ -203,17 +205,11 @@ class GOps:
 
     @memo
     def column(self, i: int, w: int) -> LinMap:
-        bd = self.bd
+        """G = -sum_k (T d)^k T."""
         tcol = self.t.column(i, w)
-        term = acc = tcol.mat
-        if i >= 1:
-            td = tcol.mat @ bd.d(i - 1, w).mat
-            for _ in range(bd.N):
-                term = td @ term
-                if term.is_zero():
-                    break
-                acc = acc + term
-        return LinMap(tcol.dom, tcol.cod, -acc)
+        td = tcol.mat @ self.bd.d(i - 1, w).mat
+        terms = nilpotent_terms(tcol.mat, lambda x: td @ x, self.bd.N + 1)
+        return LinMap(tcol.dom, tcol.cod, -sum(terms[1:], terms[0]))
 
 
 def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
@@ -283,21 +279,14 @@ class BGGComplex:
         """Chain map from harmonic coordinates into the twisted complex.
 
         A = iota - G_{i+1} d_V iota, summed on the thin harmonic columns as
-        iota + sum_k (T d)^k T d_V iota, k <= N, the terms ``GOps.column``
-        sums, so the square G is never formed.
+        sum_k (T d)^k iota: harmonic constants lie in ker S, as
+        ``hodge_split`` certifies (``Pkerp Pups=0``), so d_V iota = d iota.
         """
-        bd = self.bd
         iota = self.inclusion(i, w)
         t_next = self.t.column(i + 1, w).mat
-        d_i = bd.d(i, w).mat
-        acc = iota.mat
-        term = t_next @ (bd.d_V(i, w).mat @ iota.mat)
-        for _ in range(bd.N + 1):
-            if term.is_zero():
-                break
-            acc = acc + term
-            term = t_next @ (d_i @ term)
-        return LinMap(iota.dom, iota.cod, acc)
+        d_i = self.bd.d(i, w).mat
+        terms = nilpotent_terms(iota.mat, lambda x: t_next @ (d_i @ x), self.bd.N + 1)
+        return LinMap(iota.dom, iota.cod, sum(terms[1:], terms[0]))
 
     @memo
     def D(self, i: int, w: int) -> LinMap:
@@ -345,14 +334,16 @@ class BOps:
 
     @memo
     def column(self, i: int, w: int) -> LinMap:
+        """B = pi (I - d_V G), summed on the thin projection rows as
+        pi sum_k (d T)^k: pi annihilates ran S, as ``hodge_split`` certifies
+        (``Pran Pups=0``), so pi d_V G = -pi sum_k d (T d)^k T.
+        """
         bc = self.bc
-        bd = bc.bd
         pi = bc.projection(i, w)
-        mat = pi.mat
-        if i >= 1:
-            ident = SparseMat.identity(pi.dom.dim)
-            mat = mat @ (ident - bd.d_V(i - 1, w).mat @ bc.g.column(i, w).mat)
-        return LinMap(pi.dom, pi.cod, mat)
+        d_prev = bc.bd.d(i - 1, w).mat
+        t_i = bc.t.column(i, w).mat
+        terms = nilpotent_terms(pi.mat, lambda x: (x @ d_prev) @ t_i, bc.bd.N + 1)
+        return LinMap(pi.dom, pi.cod, sum(terms[1:], terms[0]))
 
 
 def verify_chain_maps(bc: BGGComplex, b: BOps, w: int) -> list:
@@ -443,11 +434,13 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
 
     Each assembled operator is compared block column by block column with
     the composite built directly from d, T, K and the splitting
-    projections: the homotopy carries -(Td)^k T on its k-th sub-diagonal,
-    the lift carries (Td)^k, the twisted image carries P_perp (dT)^k d, the
-    derived operator P (dT)^k d, the projection chain map P (dT)^k, and
-    B F combines the latter with the exponential columns.  Both the zero
-    pattern and the entries must agree exactly.
+    projections.  Two chains are formed per block column ji.  The T-chain
+    (Td)^k T gives the homotopy's -(Td)^k T on row ji+k+1 and the projection
+    chain map's P d (Td)^k T there, next to P on row ji.  The iota-chain
+    (Td)^k iota gives the lift on row ji+k, the twisted image's
+    P_perp d (Td)^k iota and the derived operator's P d (Td)^k iota.  B F
+    combines B with the powers of K, formed once.  Both the zero pattern and
+    the entries must agree exactly.
     """
     bd, hs, t, g, bc, b = ops.bd, ops.hs, ops.t, ops.g, ops.bc, ops.b
     report = VerifyReport(bd.spec.name, bd.w_max)
@@ -457,7 +450,7 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     ups_i = bc.ups_space(i, w)
     ups_next = bc.ups_space(i + 1, w)
     d_i = bd.d(i, w).mat
-    d_prev = bd.d(i - 1, w).mat if i >= 1 else None
+    d_prev = bd.d(i - 1, w).mat
     tmat = t.column(i, w).mat
     t_next = t.column(i + 1, w).mat
     # splitting projections of column i + 1, both block diagonal
@@ -465,96 +458,74 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
               for (ii, jo), p in hs.p_ran.items() if ii == i + 1}
     perp_next = lift_column(bd, p_perp, i + 1, w, col_next, col_next)
     pi_next = bc.projection(i + 1, w).mat
+    pi_i = bc.projection(i, w).mat
+    gm = g.column(i, w).mat
+    am = bc.A(i, w).mat
+    dm = bc.D(i, w).mat
+    bm = b.column(i, w).mat
 
     def check(tag, assembled, out_space, expectations, ji):
         for jo, _sp in out_space.parts:
             report.expect(tag, w, i, _rows_of_block(assembled, out_space, jo),
                           expectations.get(jo), at=(jo, ji))
 
-    # homotopy blocks: row ji+k+1 carries -(Td)^k T
-    gm = g.column(i, w).mat
-    for ji in range(bd.N + 1):
-        expectations = {}
-        term = _cols_of_block(tmat, col_i, ji)
-        k = 0
-        while not term.is_zero():
-            if not report.holds("G shift", w, i,
-                                _support_rows(term, col_prev) <= {ji + k + 1}, (ji, k)):
+    # one call per block column, so its chains are freed before the next
+    def block_column(ji):
+        t_chain = nilpotent_terms(_cols_of_block(tmat, col_i, ji),
+                                  lambda x: tmat @ (d_prev @ x), bd.N + 1)
+        expect_g = {}
+        for k, term in enumerate(t_chain):
+            if term.is_zero() or not report.holds(
+                    "G shift", w, i, _support_rows(term, col_prev) <= {ji + k + 1}, (ji, k)):
                 break
-            expectations[ji + k + 1] = _rows_of_block(-term, col_prev, ji + k + 1)
-            if d_prev is None:
-                break
-            term = tmat @ (d_prev @ term)
-            k += 1
-        check("G block", _cols_of_block(gm, col_i, ji), col_prev, expectations, ji)
+            expect_g[ji + k + 1] = _rows_of_block(-term, col_prev, ji + k + 1)
+        check("G block", _cols_of_block(gm, col_i, ji), col_prev, expect_g, ji)
 
-    # lift blocks on harmonic inputs: row ji+k carries (Td)^k iota
-    am = bc.A(i, w).mat
-    for ji in range(bd.N + 1):
+        if col_i.space(ji).dim:
+            expect_b = {ji: _rows_of_block(_cols_of_block(pi_i, col_i, ji), ups_i, ji)}
+            for k, term in enumerate(t_chain[:bd.N - ji]):
+                expect_b[ji + k + 1] = _rows_of_block(pi_i @ (d_prev @ term), ups_i,
+                                                      ji + k + 1)
+            expect_b = {jo: blk for jo, blk in expect_b.items() if not blk.is_zero()}
+            check("B block", _cols_of_block(bm, col_i, ji), ups_i, expect_b, ji)
+
         if ups_i.space(ji).dim == 0:
-            continue
-        placed = _cols_of_block(bc.inclusion(i, w).mat, ups_i, ji)
-        expectations = {}
-        term = placed
-        k = 0
-        while not term.is_zero():
+            return
+        iota_chain = nilpotent_terms(_cols_of_block(bc.inclusion(i, w).mat, ups_i, ji),
+                                     lambda x: t_next @ (d_i @ x), bd.N + 1)
+        expect_a = {}
+        for k, term in enumerate(iota_chain):
             if not report.holds("A shift", w, i,
                                 _support_rows(term, col_i) <= {ji + k}, (ji, k)):
                 break
-            expectations[ji + k] = _rows_of_block(term, col_i, ji + k)
-            term = t_next @ (d_i @ term)
-            k += 1
+            expect_a[ji + k] = _rows_of_block(term, col_i, ji + k)
         am_col = _cols_of_block(am, ups_i, ji)
-        check("A block", am_col, col_i, expectations, ji)
+        check("A block", am_col, col_i, expect_a, ji)
 
-        # twisted image: row ji+k carries P_perp d (Td)^k iota
-        # derived operator: row ji+k carries P d (Td)^k iota, in coordinates
-        dva = bd.d_V(i, w).mat @ am_col
-        dm_col = _cols_of_block(bc.D(i, w).mat, ups_i, ji)
-        chain = d_i @ placed
         expect_dva = {}
         expect_d = {}
-        k = 0
-        while not chain.is_zero() and ji + k <= bd.N:
-            jo = ji + k
-            expect_dva[jo] = _rows_of_block(perp_next @ chain, col_next, jo)
-            expect_d[jo] = _rows_of_block(pi_next @ chain, ups_next, jo)
-            chain = d_i @ (t_next @ chain)
-            k += 1
-        check("dVA block", dva, col_next, expect_dva, ji)
-        check("D block", dm_col, ups_next, expect_d, ji)
-
-    # projection chain map blocks: row ji+k carries P (dT)^k
-    bm = b.column(i, w).mat
-    pi_i = bc.projection(i, w).mat
-    for ji in range(bd.N + 1):
-        if col_i.space(ji).dim == 0:
-            continue
-        expectations = {ji: _rows_of_block(_cols_of_block(pi_i, col_i, ji), ups_i, ji)}
-        term = _cols_of_block(tmat, col_i, ji)
-        k = 1
-        while d_prev is not None and ji + k <= bd.N:
-            term = d_prev @ term
-            if term.is_zero():
+        for k, term in enumerate(iota_chain[:bd.N + 1 - ji]):
+            image = d_i @ term
+            if image.is_zero():
                 break
-            expectations[ji + k] = _rows_of_block(pi_i @ term, ups_i, ji + k)
-            term = tmat @ term
-            k += 1
-        expectations = {jo: blk for jo, blk in expectations.items()
-                        if not blk.is_zero()}
-        check("B block", _cols_of_block(bm, col_i, ji), ups_i, expectations, ji)
+            expect_dva[ji + k] = _rows_of_block(perp_next @ image, col_next, ji + k)
+            expect_d[ji + k] = _rows_of_block(pi_next @ image, ups_next, ji + k)
+        check("dVA block", bd.d_V(i, w).mat @ am_col, col_next, expect_dva, ji)
+        check("D block", _cols_of_block(dm, ups_i, ji), ups_next, expect_d, ji)
 
-    # B F blocks: column ji is sum_m B(., m) K^{ji-m} / (ji-m)!
+    for ji in range(bd.N + 1):
+        block_column(ji)
+
+    # B F blocks: column ji is sum_m B(., ji - m) K^m / m!
     bf = bm @ bd.F(i, w).mat
     kmat = bd.K(i, w).mat
+    powers = nilpotent_terms(kmat, lambda x: kmat @ x, bd.N + 1)
     for ji in range(bd.N + 1):
         if col_i.space(ji).dim == 0:
             continue
         acc = _cols_of_block(bm, col_i, ji)
-        term = _cols_of_block(kmat, col_i, ji)
-        for m in range(1, ji + 1):
-            if m > 1:
-                term = kmat @ term
+        for m, power in enumerate(powers[:ji], start=1):
+            term = _cols_of_block(power, col_i, ji)
             if not report.holds("F shift", w, i,
                                 _support_rows(term, col_i) <= {ji - m}, (ji, m)):
                 break

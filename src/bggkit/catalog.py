@@ -220,6 +220,8 @@ def parse_text(text: str) -> CatalogEntry:
                 raise ValueError(f"row {j}: needs dim=")
             labels = tuple(attrs["labels"].split(",")) if "labels" in attrs else None
             dim = _int(f"row {j}", "dim", attrs["dim"])
+            if dim < 1:
+                raise ValueError(f"row {j}: dim must be >= 1, got {dim}")
             if labels is None:
                 labels = tuple(f"{attrs.get('name', 'e')}{k + 1}" for k in range(dim))
             if len(labels) != dim:

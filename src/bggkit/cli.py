@@ -111,12 +111,8 @@ def cmd_derive(args) -> int:
 
 def cmd_export(args) -> int:
     entry = _entry_from_args(args)
-    try:
-        canonical = export.check_request(args.operator, entry.spec.n, args.wmax,
-                                         args.index, args.weight)
-    except export.ExportError as err:
-        print(str(err), file=sys.stderr)
-        return 2
+    canonical = export.check_request(args.operator, entry.spec.n, args.wmax,
+                                     args.index, args.weight)
     bd = build(entry.spec, args.wmax)
     ops = derive(bd) if canonical in export.DERIVED else None
     linmap = export.get_operator(bd, ops, canonical, args.index, args.weight)
@@ -204,7 +200,10 @@ def cmd_cosserat_energy(args) -> int:
     ]
     if args.fields:
         with open(args.fields, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
+                raise ValueError(f"--fields {args.fields}: {err}") from None
         u, omega = _fields_from_json(data)
         for params in param_sets:
             val = cosserat_energy(u, omega, params)

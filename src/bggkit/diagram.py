@@ -11,6 +11,8 @@ matrices weight by weight.
 Every column operator here and in ``bgg`` takes one path: ``band`` assembles
 it from its row blocks (a column operator sends row j to row j or j +- 1),
 and ``memo`` caches it once per (index, weight) on the instance that owns it.
+Every series (F here; G, A and B in ``bgg``) is summed from
+``nilpotent_terms``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,25 @@ def band(blocks: dict, dom: SumSpace, cod: SumSpace, shift: int = 0) -> SparseMa
     for k, blk in blocks.items():
         grid[k + shift][k] = blk
     return block_matrix(grid, cod.dims(), dom.dims())
+
+
+def nilpotent_terms(first: SparseMat, step, limit: int) -> list:
+    """The terms [first, step(first), step(step(first)), ...] of a series.
+
+    ``first`` always comes first, so an empty series keeps its shape; the
+    list ends before the first zero term after it.  Each step moves every
+    row block one row further (K lowers the row index, T d and d T raise
+    it) and a column has N + 1 rows, so at most N + 1 terms are nonzero:
+    callers pass ``limit`` = N + 1, which caps the loop and never cuts a
+    nonzero term.
+    """
+    terms = [first]
+    while len(terms) < limit and not terms[-1].is_zero():
+        term = step(terms[-1])
+        if term.is_zero():
+            break
+        terms.append(term)
+    return terms
 
 
 class VerificationError(Exception):
@@ -314,11 +335,10 @@ class BuiltDiagram:
         """Column intertwiner sum_m K^m / m!; inverse of the same sum at -K."""
         col = self.column(i, w)
         k = self.K(i, w).mat
-        acc = SparseMat.identity(col.dim)
-        power = SparseMat.identity(col.dim)
-        for m in range(1, self.N + 1):
-            power = k @ power
-            acc = acc + power.scale(Fraction(1, factorial(m)))
+        powers = nilpotent_terms(SparseMat.identity(col.dim), lambda p: k @ p, self.N + 1)
+        acc = powers[0]
+        for m in range(1, len(powers)):
+            acc = acc + powers[m].scale(Fraction(1, factorial(m)))
         return LinMap(col, col, acc)
 
 

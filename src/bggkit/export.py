@@ -18,8 +18,8 @@ from .forms import LinMap
 from .linalg import SparseMat
 
 
-class ExportError(Exception):
-    pass
+class ExportError(ValueError):
+    """A bad export request or Matrix Market file: invalid input."""
 
 
 def frac_str(v: Fraction) -> str:

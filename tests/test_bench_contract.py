@@ -75,3 +75,48 @@ def test_cosserat_energy_reaches_traced_energy_layers(monkeypatch):
                                  "cube.mono_cube_gram", "SparseMat.kron", "SparseMat.apply")
                if not calls[name]]
     assert missing == []
+
+
+def test_bgg_oracles_reach_traced_certify_layers(monkeypatch):
+    # a traced certify run fails unless each of these layers records a call;
+    # B no longer forms G, so the oracles alone must reach the homotopy
+    from bggkit import bgg, build, catalog
+
+    tracer = _tracer()
+    required = {"bgg.G_column", "bgg.projection", "bgg.verify_T_column_identities",
+                "bgg.verify_G_properties", "bgg.verify_chain_maps",
+                "bgg.verify_block_structure", "linalg.pinv_onto",
+                "linalg.projection_onto", "linalg.solve_dense", "linalg.column_space",
+                "linalg.nullspace", "linalg.rank"}
+    calls = Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for layer, mod, attr, _count in tracer.FUNCTIONS:
+        if layer not in required:
+            continue
+        original = getattr(importlib.import_module(f"bggkit.{mod}"), attr)
+        for mod_name, module in list(sys.modules.items()):
+            if module is not None and mod_name.split(".")[0] == "bggkit":
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counting(layer, original))
+    for layer, mod, cls_name, meth, _count in tracer.METHODS:
+        if layer in required:
+            cls = getattr(importlib.import_module(f"bggkit.{mod}"), cls_name)
+            monkeypatch.setattr(cls, meth, counting(layer, vars(cls)[meth]))
+
+    bd = build(catalog.get("plate-2d").spec, 3)
+    ops = bgg.derive(bd)
+    w = 3
+    bgg.verify_T_column_identities(bd, ops.t, w)
+    bgg.verify_G_properties(bd, ops.hs, ops.t, ops.g, w)
+    bgg.verify_chain_maps(ops.bc, ops.b, w)
+    for i in range(bd.n + 1):
+        bgg.verify_block_structure(ops, i, w)
+    assert sorted(required - set(calls)) == []

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from bggkit import catalog
 from bggkit.bgg import (
+    BGGComplex,
     BOps,
     GOps,
     bgg_cohomology,
@@ -21,7 +23,7 @@ from bggkit.bgg import (
 from bggkit import diagram
 from bggkit.diagram import DiagramSpec, KappaSpec, VerificationError, build, \
     row_cohomology_sum, twisted_cohomology
-from bggkit.forms import ValueSpace, monomials
+from bggkit.forms import LinMap, ValueSpace, monomials
 from bggkit.linalg import SparseMat, nullspace, rank
 
 from oracles import poly_diff, poly_monomial
@@ -153,11 +155,19 @@ def test_G_single_row_zero():
             assert ops.g.column(i, w).is_zero()
 
 
-@pytest.mark.parametrize("name", sorted(set(catalog.names()) | {"higher-hessian-3d(3)"}))
+SERIES_NAMES = sorted(set(catalog.names()) | {"higher-hessian-3d(3)"})
+
+
+@lru_cache(maxsize=None)
+def derived_to_6(name):
+    return derive(build(catalog.get(name).spec, 6))
+
+
+@pytest.mark.parametrize("name", SERIES_NAMES)
 def test_A_is_iota_minus_G_dV_iota(name):
     # the thin-column lift equals the lift through the explicitly formed G
-    bd = build(catalog.get(name).spec, 6)
-    ops = derive(bd)
+    ops = derived_to_6(name)
+    bd = ops.bd
     for w in range(7):
         for i in range(bd.n + 1):
             iota = ops.bc.inclusion(i, w).mat
@@ -165,8 +175,26 @@ def test_A_is_iota_minus_G_dV_iota(name):
             assert ops.bc.A(i, w).mat == iota - g_next @ (bd.d_V(i, w).mat @ iota)
 
 
+@pytest.mark.parametrize("name", SERIES_NAMES)
+def test_B_is_pi_times_I_minus_dV_G(name):
+    # the thin-row projection equals the projection through the formed G
+    ops = derived_to_6(name)
+    bd = ops.bd
+    for w in range(7):
+        for i in range(bd.n + 1):
+            col = bd.column(i, w)
+            g_i = ops.g.column(i, w).mat
+            want = ops.bc.projection(i, w).mat @ (
+                SparseMat.identity(col.dim) - bd.d_V(i - 1, w).mat @ g_i)
+            assert ops.b.column(i, w).mat == want
+
+
 def test_cohomology_forms_no_G():
+    # neither B nor the derived cohomology multiplies by the homotopy
     ops = derive(build(catalog.get("higher-hessian-3d(3)").spec, 4))
+    for w in range(5):
+        for i in range(4):
+            ops.b.column(i, w)
     bgg_cohomology(ops.bc)
     assert not ops.g.__dict__.get("_memo")
 
@@ -206,6 +234,20 @@ def test_block_structure_three_rows(hess_ops):
     for w in range(4):
         for i in range(4):
             assert verify_block_structure(hess_ops, i, w) == []
+
+
+@pytest.mark.parametrize("owner, method, tag", [
+    ("g", GOps.column, "G block"), ("bc", BGGComplex.A, "A block"),
+    ("b", BOps.column, "B block"), ("bc", BGGComplex.D, "D block")])
+def test_block_structure_reports_a_changed_entry(owner, method, tag):
+    # add 1 to one entry of a memoized column; the oracle must name it
+    ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
+    holder = getattr(ops, owner)
+    col = method(holder, 1, 4)
+    bump = SparseMat(col.mat.rows, col.mat.cols, {min(col.mat.num): 1})
+    holder.__dict__["_memo"][(method.__wrapped__, 1, 4)] = \
+        LinMap(col.dom, col.cod, col.mat + bump)
+    assert tag in {c.name for c in verify_block_structure(ops, 1, 4)}
 
 
 def test_block_structure_two_rows(elas_ops):

@@ -111,7 +111,7 @@ def test_export_rejects_request_before_building(capsys, monkeypatch, operator,
                          "--operator", operator, "--index", index, "--weight", weight)
     assert code == 2
     assert out == ""
-    assert err.startswith(message) and err.count("\n") == 1
+    assert err.startswith(f"invalid input: {message}") and err.count("\n") == 1
 
 
 def test_diagram_file_loading(capsys, tmp_path):
@@ -190,6 +190,18 @@ def test_bad_fields_file_exit_2(capsys, tmp_path, payload, named):
         assert part in err
 
 
+@pytest.mark.parametrize("content", [b'{"u": [}', b"\xff\xfe{}"],
+                         ids=["malformed-json", "not-utf8"])
+def test_unparsable_fields_file_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "fields.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "cosserat-energy", "--fields", str(path),
+                         "--params", "1,1,1,1,1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: --fields {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_fields_zero_terms_are_dropped(capsys, tmp_path, monkeypatch):
     # a zero term must not raise the degree the twisted route is built at
     from bggkit import energy
@@ -230,6 +242,7 @@ def _not_int(directive, what, token):
     (BAD_FILE, ("rows 2", "rows 2.5"), (_not_int("rows", "value", "2.5"),)),
     (BAD_FILE, ("row 0", "row x"), (_not_int("row", "index", "x"),)),
     (BAD_FILE, ("dim=1 labels=a", "dim=x"), (_not_int("row 0", "dim", "x"),)),
+    (BAD_FILE, ("dim=1 labels=a", "dim=0"), ("row 0: dim must be >= 1, got 0",)),
     (BAD_FILE, ("kappa 1 1", "kappa x 1"), (_not_int("kappa", "index", "x"),)),
     (BAD_FILE, ("kappa 1 1", "kappa 1 y"), (_not_int("kappa", "index", "y"),)),
     (BAD_FILE, ("0:0:1", "x:0:1"), ("kappa 1 1", "x:0:1")),
@@ -240,7 +253,7 @@ def _not_int(directive, what, token):
 ], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator",
         "kappa-zero-denominator", "kappa-short-triple", "n-declared-twice",
         "n-not-integer", "rows-not-integer", "row-index-not-integer",
-        "dim-not-integer", "kappa-j-not-integer", "kappa-l-not-integer",
+        "dim-not-integer", "dim-zero", "kappa-j-not-integer", "kappa-l-not-integer",
         "triple-row-not-integer", "triple-col-not-integer", "name-extra-token",
         "rmax-below-3"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, edit, named):
