@@ -300,15 +300,7 @@ class BGGComplex:
         orders = set()
         for w in range(self.bd.w_max + 1):
             d = self.D(i, w)
-            out_sp, in_sp = d.cod, d.dom
-            for jo in range(self.bd.N + 1):
-                for ji in range(self.bd.N + 1):
-                    ro, co = out_sp.offset(jo), in_sp.offset(ji)
-                    ro_end = ro + out_sp.space(jo).dim
-                    co_end = co + in_sp.space(ji).dim
-                    if any(ro <= r < ro_end and co <= c < co_end
-                           for (r, c) in d.mat.num):
-                        orders.add(1 + jo - ji)
+            orders |= {1 + d.cod.key_of(r) - d.dom.key_of(c) for r, c in d.mat.num}
         return sorted(orders)
 
 
@@ -405,28 +397,9 @@ def derive(bd: BuiltDiagram) -> DerivedOps:
 # -- triangular block-structure oracles -------------------------------------
 
 
-def _rows_of_block(mat: SparseMat, out_space: SumSpace, jo: int) -> SparseMat:
-    """Extract the rows of mat belonging to the jo-th output summand."""
-    off = out_space.offset(jo)
-    return take_rows(mat, range(off, off + out_space.space(jo).dim))
-
-
-def _cols_of_block(mat: SparseMat, in_space: SumSpace, ji: int) -> SparseMat:
-    """Extract the columns of mat belonging to the ji-th input summand."""
-    off = in_space.offset(ji)
-    return take_cols(mat, range(off, off + in_space.space(ji).dim))
-
-
 def _support_rows(mat: SparseMat, out_space: SumSpace) -> set:
     """Output summands that carry nonzero entries."""
-    rows = {r for (r, _c) in mat.num}
-    hit = set()
-    off = 0
-    for j, sp in out_space.parts:
-        if any(r in rows for r in range(off, off + sp.dim)):
-            hit.add(j)
-        off += sp.dim
-    return hit
+    return {out_space.key_of(r) for r, _c in mat.num}
 
 
 def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
@@ -466,40 +439,39 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
 
     def check(tag, assembled, out_space, expectations, ji):
         for jo, _sp in out_space.parts:
-            report.expect(tag, w, i, _rows_of_block(assembled, out_space, jo),
+            report.expect(tag, w, i, take_rows(assembled, out_space.span(jo)),
                           expectations.get(jo), at=(jo, ji))
 
     # one call per block column, so its chains are freed before the next
     def block_column(ji):
-        t_chain = nilpotent_terms(_cols_of_block(tmat, col_i, ji),
+        t_chain = nilpotent_terms(take_cols(tmat, col_i.span(ji)),
                                   lambda x: tmat @ (d_prev @ x), bd.N + 1)
         expect_g = {}
         for k, term in enumerate(t_chain):
             if term.is_zero() or not report.holds(
                     "G shift", w, i, _support_rows(term, col_prev) <= {ji + k + 1}, (ji, k)):
                 break
-            expect_g[ji + k + 1] = _rows_of_block(-term, col_prev, ji + k + 1)
-        check("G block", _cols_of_block(gm, col_i, ji), col_prev, expect_g, ji)
+            expect_g[ji + k + 1] = take_rows(-term, col_prev.span(ji + k + 1))
+        check("G block", take_cols(gm, col_i.span(ji)), col_prev, expect_g, ji)
 
         if col_i.space(ji).dim:
-            expect_b = {ji: _rows_of_block(_cols_of_block(pi_i, col_i, ji), ups_i, ji)}
+            expect_b = {ji: take_rows(take_cols(pi_i, col_i.span(ji)), ups_i.span(ji))}
             for k, term in enumerate(t_chain[:bd.N - ji]):
-                expect_b[ji + k + 1] = _rows_of_block(pi_i @ (d_prev @ term), ups_i,
-                                                      ji + k + 1)
+                expect_b[ji + k + 1] = take_rows(pi_i @ (d_prev @ term), ups_i.span(ji + k + 1))
             expect_b = {jo: blk for jo, blk in expect_b.items() if not blk.is_zero()}
-            check("B block", _cols_of_block(bm, col_i, ji), ups_i, expect_b, ji)
+            check("B block", take_cols(bm, col_i.span(ji)), ups_i, expect_b, ji)
 
         if ups_i.space(ji).dim == 0:
             return
-        iota_chain = nilpotent_terms(_cols_of_block(bc.inclusion(i, w).mat, ups_i, ji),
+        iota_chain = nilpotent_terms(take_cols(bc.inclusion(i, w).mat, ups_i.span(ji)),
                                      lambda x: t_next @ (d_i @ x), bd.N + 1)
         expect_a = {}
         for k, term in enumerate(iota_chain):
             if not report.holds("A shift", w, i,
                                 _support_rows(term, col_i) <= {ji + k}, (ji, k)):
                 break
-            expect_a[ji + k] = _rows_of_block(term, col_i, ji + k)
-        am_col = _cols_of_block(am, ups_i, ji)
+            expect_a[ji + k] = take_rows(term, col_i.span(ji + k))
+        am_col = take_cols(am, ups_i.span(ji))
         check("A block", am_col, col_i, expect_a, ji)
 
         expect_dva = {}
@@ -508,10 +480,10 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
             image = d_i @ term
             if image.is_zero():
                 break
-            expect_dva[ji + k] = _rows_of_block(perp_next @ image, col_next, ji + k)
-            expect_d[ji + k] = _rows_of_block(pi_next @ image, ups_next, ji + k)
+            expect_dva[ji + k] = take_rows(perp_next @ image, col_next.span(ji + k))
+            expect_d[ji + k] = take_rows(pi_next @ image, ups_next.span(ji + k))
         check("dVA block", bd.d_V(i, w).mat @ am_col, col_next, expect_dva, ji)
-        check("D block", _cols_of_block(dm, ups_i, ji), ups_next, expect_d, ji)
+        check("D block", take_cols(dm, ups_i.span(ji)), ups_next, expect_d, ji)
 
     for ji in range(bd.N + 1):
         block_column(ji)
@@ -523,16 +495,16 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     for ji in range(bd.N + 1):
         if col_i.space(ji).dim == 0:
             continue
-        acc = _cols_of_block(bm, col_i, ji)
+        acc = take_cols(bm, col_i.span(ji))
         for m, power in enumerate(powers[:ji], start=1):
-            term = _cols_of_block(power, col_i, ji)
+            term = take_cols(power, col_i.span(ji))
             if not report.holds("F shift", w, i,
                                 _support_rows(term, col_i) <= {ji - m}, (ji, m)):
                 break
             if term.is_zero():
                 break
             acc = acc + (bm @ term).scale(Fraction(1, factorial(m)))
-        report.expect("BF block", w, i, _cols_of_block(bf, col_i, ji), acc, at=(ji,))
+        report.expect("BF block", w, i, take_cols(bf, col_i.span(ji)), acc, at=(ji,))
     return report.failures()
 
 

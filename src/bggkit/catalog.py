@@ -258,6 +258,8 @@ def parse_text(text: str) -> CatalogEntry:
                 expected["source"]["upsilon_support"] = src
             elif what == "orders":
                 idx = _int("expect orders", "index", rest[0])
+                if idx < 0:
+                    raise ValueError(f"expect orders: index must be >= 0, got {idx}")
                 orders = [_int("expect orders", "order", x) for x in rest[1].split(",")]
                 lst = expected.setdefault("operator_orders", [])
                 while len(lst) <= idx:

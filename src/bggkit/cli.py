@@ -33,7 +33,10 @@ F = Fraction
 
 def _entry_from_args(args) -> catalog.CatalogEntry:
     if getattr(args, "diagram_file", None):
-        return catalog.load_file(args.diagram_file)
+        try:
+            return catalog.load_file(args.diagram_file)
+        except UnicodeDecodeError as err:
+            raise ValueError(f"--diagram-file {args.diagram_file}: {err}") from None
     if not getattr(args, "diagram", None):
         raise KeyError("no diagram given (use --diagram or --diagram-file)")
     return catalog.get(args.diagram)
@@ -142,8 +145,10 @@ def _parse_params(text: str) -> EnergyParams:
         vals = [F(x) for x in text.split(",")]
     except ZeroDivisionError:
         raise ValueError(f"--params {text}: zero denominator") from None
+    except ValueError as err:
+        raise ValueError(f"--params {text}: {err}") from None
     if len(vals) != 6:
-        raise ValueError("expected mu,lam,mu_c,alpha,beta,gamma")
+        raise ValueError(f"--params {text}: expected mu,lam,mu_c,alpha,beta,gamma")
     return EnergyParams(*vals)
 
 

@@ -420,20 +420,12 @@ def _scalar_rank(n: int, i: int, p: int) -> int:
     return rank(_d_scalar(n, i, p))
 
 
-@lru_cache(maxsize=None)
-def _scalar_block_dim(n: int, i: int, p: int) -> int:
-    unit = ValueSpace("R", ("1",))
-    return FormBlock(n, i, p, unit).dim
-
-
 def scalar_de_rham_cohomology(n: int, i: int, u: int) -> int:
     """Cohomology of the scalar homogeneous complex at row weight u, index i."""
     if u < 0 or i < 0 or i > n:
         return 0
-    dim = _scalar_block_dim(n, i, u - i)
-    r_out = _scalar_rank(n, i, u - i)
     r_in = _scalar_rank(n, i - 1, u - i + 1) if i > 0 else 0
-    return dim - r_out - r_in
+    return _d_scalar(n, i, u - i).cols - _scalar_rank(n, i, u - i) - r_in
 
 
 def row_cohomology_sum(bd: BuiltDiagram, i: int, w: int) -> int:

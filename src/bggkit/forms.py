@@ -8,14 +8,18 @@ on the monomial factor and polynomial operators act with identity on the
 value factor.
 
 Axis arguments are 1-based, matching the usual dx^1, ..., dx^n notation.
+
+Columns and stacked spaces are ``SumSpace``s, and ``SumSpace`` is the one
+place that locates a part: ``offset``, ``span`` and ``key_of`` map between a
+part's key and its coordinates, so no caller adds up part dimensions itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations
 from math import comb
 
 from .linalg import LinAlgError, SparseMat
@@ -150,6 +154,23 @@ class SumSpace:
                 return off
             off += s.dim
         raise KeyError(key)
+
+    def span(self, key) -> range:
+        """The coordinates of part ``key``."""
+        off = self.offset(key)
+        return range(off, off + self.space(key).dim)
+
+    @cached_property
+    def _ends(self) -> list[int]:
+        return list(accumulate(self.dims()))
+
+    def key_of(self, index: int):
+        """The key of the part that holds coordinate ``index``."""
+        if index >= 0:
+            for (k, _s), end in zip(self.parts, self._ends):
+                if index < end:
+                    return k
+        raise IndexError(index)
 
     def dims(self) -> list[int]:
         return [s.dim for _, s in self.parts]

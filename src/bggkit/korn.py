@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from . import catalog
@@ -64,14 +63,6 @@ class KornRow:
         return (f"r={self.degree}: joint kernel {self.kernel_dim}, "
                 f"first-order-only kernel {self.first_order_kernel_dim}, "
                 f"sigma_min {self.sigma_min:.6e}")
-
-
-def _component_rows(space: SumSpace, row_j: int) -> list[int]:
-    rows = []
-    for w, sub in space.parts:
-        off = space.offset(w) + sub.offset(row_j)
-        rows.extend(range(off, off + sub.space(row_j).dim))
-    return rows
 
 
 def _to_float(mat: SparseMat) -> np.ndarray:
@@ -123,27 +114,26 @@ def _exact_part(r_max: int):
     weights = range(r_max + 1)
     dom = SumSpace(tuple((w, ops.bc.ups_space(0, w)) for w in weights))
     cod = SumSpace(tuple((w, ops.bc.ups_space(1, w)) for w in weights))
-    # columns and rows of weight <= r
-    ncols = list(accumulate(dom.dims()))
-    nrows = list(accumulate(cod.dims()))
     dmat = stacked_map({w: ops.bc.D(0, w) for w in weights}, dom, cod).mat
     ker = nullspace(dmat)
-    if any(r >= ncols[3] for r, _ in ker.num):
+    cols_3 = dom.span(3).stop  # columns of weight <= 3
+    if any(r >= cols_3 for r, _ in ker.num):
         raise VerificationError("the joint kernel reaches beyond the degree-3 block")
     g_in = stacked_cube_gram(bd, dom, 0, metrics[0])
     g_out = stacked_cube_gram(bd, cod, 1, metrics[1])
     a = dmat.transpose() @ g_out @ dmat
     constraint = ker.transpose() @ g_in
-    if rank(leading_block(constraint, constraint.rows, ncols[3])) != constraint.rows:
+    if rank(leading_block(constraint, constraint.rows, cols_3)) != constraint.rows:
         raise VerificationError("a pivot column of ker^T g_in lies beyond the degree-3 block")
     comp = nullspace(constraint)
-    first_rows = _component_rows(cod, 0)
+    first_rows = [cod.offset(w) + r for w, sub in cod.parts for r in sub.span(0)]
     degrees = []
     for r in range(3, r_max + 1):
-        d_r = leading_block(dmat, nrows[r], ncols[r])
-        first = take_rows(d_r, [i for i in first_rows if i < nrows[r]])
+        n_rows, n_cols = cod.span(r).stop, dom.span(r).stop
+        d_r = leading_block(dmat, n_rows, n_cols)
+        first = take_rows(d_r, [i for i in first_rows if i < n_rows])
         degrees.append((r, nullspace(d_r).cols, d_r.cols - rank(first),
-                        ncols[r] - ker.cols, ncols[r]))
+                        n_cols - ker.cols, n_cols))
     return degrees, comp, comp.transpose() @ a @ comp, comp.transpose() @ g_in @ comp
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 
@@ -440,6 +441,24 @@ def test_bgg_cohomology_mobius(mob_ops):
     dims = bgg_cohomology(mob_ops.bc)
     assert sum(v for (i, w), v in dims.items() if i == 0) == 6
     assert all(v == 0 for (i, w), v in dims.items() if i > 0)
+
+
+def test_sum_space_locates_every_part(hess_ops):
+    # span, offset and key_of agree with dims() on every column and harmonic
+    # space; the spans tile the coordinates, so key_of skips empty parts
+    bd, bc = hess_ops.bd, hess_ops.bc
+    spaces = [sp for w in range(WMAX + 1) for i in range(bd.n + 1)
+              for sp in (bd.column(i, w), bc.ups_space(i, w))]
+    assert any(0 in sp.dims() for sp in spaces)
+    for sp in spaces:
+        ends = list(accumulate(sp.dims(), initial=0))
+        for k, (key, _part) in enumerate(sp.parts):
+            assert sp.span(key) == range(ends[k], ends[k + 1])
+            assert sp.offset(key) == ends[k]
+            assert [sp.key_of(r) for r in sp.span(key)] == [key] * len(sp.span(key))
+        for outside in (-1, sp.dim):
+            with pytest.raises(IndexError):
+                sp.key_of(outside)
 
 
 def test_block_orders(hess_ops, elas_ops, mob_ops):

@@ -202,6 +202,16 @@ def test_unparsable_fields_file_exit_2(capsys, tmp_path, content):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "derive"])
+def test_non_utf8_diagram_file_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "bad.diagram"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, "--diagram-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: --diagram-file {path}: 'utf-8' codec ")
+    assert err.count("\n") == 1
+
+
 def test_fields_zero_terms_are_dropped(capsys, tmp_path, monkeypatch):
     # a zero term must not raise the degree the twisted route is built at
     from bggkit import energy
@@ -249,12 +259,19 @@ def _not_int(directive, what, token):
     (BAD_FILE, ("0:0:1", "0:y:1"), ("kappa 1 1", "0:y:1")),
     (BAD_FILE, ("name bad", "name bad file"),
      ("name: takes 1 argument(s), got 'name bad file'",)),
+    (BAD_FILE, ("name bad\n", "name bad\nexpect orders -1 1\n"),
+     ("expect orders: index must be >= 0, got -1",)),
+    (["cosserat-energy", "--params", "1,2,3,4,5,x"], None,
+     ("--params 1,2,3,4,5,x: ", "'x'")),
+    (["cosserat-energy", "--params", "1,2"], None,
+     ("--params 1,2: expected mu,lam,mu_c,alpha,beta,gamma",)),
     (["korn2d", "--rmax", "2"], None, ("--rmax must be >= 3, got 2",)),
 ], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator",
         "kappa-zero-denominator", "kappa-short-triple", "n-declared-twice",
         "n-not-integer", "rows-not-integer", "row-index-not-integer",
         "dim-not-integer", "dim-zero", "kappa-j-not-integer", "kappa-l-not-integer",
         "triple-row-not-integer", "triple-col-not-integer", "name-extra-token",
+        "orders-negative-index", "params-not-a-number", "params-too-few",
         "rmax-below-3"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, edit, named):
     if edit:
