@@ -260,14 +260,12 @@ class BGGComplex:
             parts.append((j, CoordSpace(f"ups({i},{j})w{w}", cnt)))
         return SumSpace(tuple(parts))
 
-    @memo
     def inclusion(self, i: int, w: int) -> LinMap:
         """Harmonic coordinates into the ambient column."""
         dom, cod = self.ups_space(i, w), self.bd.column(i, w)
         consts = {j: b for (ii, j), b in self.hs.ups.items() if ii == i}
         return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod))
 
-    @memo
     def projection(self, i: int, w: int) -> LinMap:
         """Ambient column onto harmonic coordinates (orthogonal projection)."""
         dom, cod = self.bd.column(i, w), self.ups_space(i, w)
@@ -300,7 +298,8 @@ class BGGComplex:
         orders = set()
         for w in range(self.bd.w_max + 1):
             d = self.D(i, w)
-            orders |= {1 + d.cod.key_of(r) - d.dom.key_of(c) for r, c in d.mat.num}
+            orders |= {1 + d.cod.key_of(r) - d.dom.key_of(c)
+                       for r, row in d.mat.by_row.items() for c in row}
         return sorted(orders)
 
 
@@ -399,7 +398,7 @@ def derive(bd: BuiltDiagram) -> DerivedOps:
 
 def _support_rows(mat: SparseMat, out_space: SumSpace) -> set:
     """Output summands that carry nonzero entries."""
-    return {out_space.key_of(r) for r, _c in mat.num}
+    return {out_space.key_of(r) for r in mat.by_row}
 
 
 def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:

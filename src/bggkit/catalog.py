@@ -152,26 +152,31 @@ def to_text(entry: CatalogEntry) -> str:
     if "operator_orders" in entry.expected:
         src = entry.expected.get("source", {}).get("operator_orders", "unspecified")
         for idx, orders in enumerate(entry.expected["operator_orders"]):
-            lines.append(f"expect orders {idx} {','.join(map(str, orders))} source={src}")
+            listed = f" {','.join(map(str, orders))}" if orders else ""
+            lines.append(f"expect orders {idx}{listed} source={src}")
     return "\n".join(lines) + "\n"
 
 
 # Arguments each directive needs after its own words.  Those in _EXACT take
-# no more, so a stray token is an error rather than silently dropped; row
-# and kappa carry variable tails.
+# no more than that plus their _OPTIONAL ones, so a stray token is an error
+# rather than silently dropped; row and kappa carry variable tails.  An
+# operator index with no orders (its derived operator is zero at every
+# weight) has an empty order list.
 _ARGS = {"name": 1, "n": 1, "rows": 1, "row": 1, "kappa": 2, "expect": 1,
-         "expect h0_total": 1, "expect upsilon": 3, "expect orders": 2}
+         "expect h0_total": 1, "expect upsilon": 3, "expect orders": 1}
+_OPTIONAL = {"expect orders": 1}
 _EXACT = {"name", "n", "rows", "expect h0_total", "expect upsilon", "expect orders"}
 
 
 def _need_args(directive: str, parts: list):
     need = _ARGS.get(directive, 0)
+    most = need + _OPTIONAL.get(directive, 0)
     got = len(parts) - len(directive.split())
     if got < need:
         raise ValueError(f"{directive}: needs {need} argument(s), "
                          f"got {' '.join(parts)!r}")
-    if got > need and directive in _EXACT:
-        raise ValueError(f"{directive}: takes {need} argument(s), "
+    if got > most and directive in _EXACT:
+        raise ValueError(f"{directive}: takes {most} argument(s), "
                          f"got {' '.join(parts)!r}")
 
 
@@ -260,7 +265,8 @@ def parse_text(text: str) -> CatalogEntry:
                 idx = _int("expect orders", "index", rest[0])
                 if idx < 0:
                     raise ValueError(f"expect orders: index must be >= 0, got {idx}")
-                orders = [_int("expect orders", "order", x) for x in rest[1].split(",")]
+                orders = [_int("expect orders", "order", x)
+                          for x in rest[1].split(",")] if len(rest) > 1 else []
                 lst = expected.setdefault("operator_orders", [])
                 while len(lst) <= idx:
                     lst.append([])

@@ -32,9 +32,10 @@ from .forms import (
     monomials,
     wedge_const,
     _mult_scalar,
+    _d_factors,
     _d_scalar,
 )
-from .linalg import SparseMat, block_matrix, rank
+from .linalg import SparseMat, assemble, block_matrix, rank
 
 
 class DiagramError(Exception):
@@ -57,7 +58,8 @@ def memo(method):
 def band(blocks: dict, dom: SumSpace, cod: SumSpace, shift: int = 0) -> SparseMat:
     """Block matrix from dom to cod whose block (k + shift, k) is blocks[k].
 
-    k counts the parts of dom; blocks missing from ``blocks`` are zero.
+    k counts the parts of dom; blocks missing from ``blocks`` or None are
+    zero.  A block may be a kron pair, as ``linalg.block_matrix`` takes.
     """
     grid = [[None] * len(dom.parts) for _ in cod.parts]
     for k, blk in blocks.items():
@@ -174,10 +176,14 @@ class VerifyReport:
         ok = lhs.is_zero() if rhs is None else lhs == rhs
         where = None
         if not ok:
-            rnum, rden = ({}, 1) if rhs is None else (rhs.num, rhs.den)
-            lnum, lden = lhs.num, lhs.den
-            where = at + min(k for k in lnum.keys() | rnum.keys()
-                             if lnum.get(k, 0) * rden != rnum.get(k, 0) * lden)
+            rrows, rden = ({}, 1) if rhs is None else (rhs.by_row, rhs.den)
+            lrows, lden = lhs.by_row, lhs.den
+            differ = []
+            for r in lrows.keys() | rrows.keys():
+                lrow, rrow = lrows.get(r, {}), rrows.get(r, {})
+                differ += [(r, c) for c in lrow.keys() | rrow.keys()
+                           if lrow.get(c, 0) * rden != rrow.get(c, 0) * lden]
+            where = at + min(differ)
         self.checks.append(CheckResult(name, w, i, ok, where))
 
     def holds(self, name: str, w: int | None, i: int, ok: bool,
@@ -268,31 +274,26 @@ class BuiltDiagram:
         cod = self.block(i, j - 1, w)
         if dom.dim == 0 or cod.dim == 0:
             return LinMap.zero(dom, cod)
-        n_dx = len(form_indices(self.n, i))
-        acc = SparseMat.zero(cod.dim, dom.dim)
-        for l in range(1, self.n + 1):
-            acc = acc + _mult_scalar(self.n, dom.p, l).kron(
-                SparseMat.identity(n_dx)).kron(self.kappa(j)[l - 1])
-        return LinMap(dom, cod, acc)
+        # x^l sends each monomial to its own target, so no two terms share an entry
+        ident = SparseMat.identity(len(form_indices(self.n, i)))
+        return LinMap(dom, cod, assemble(cod.dim, dom.dim, [
+            (0, 0, (_mult_scalar(self.n, dom.p, l), ident.kron(kappa)))
+            for l, kappa in enumerate(self.kappa(j), start=1)]))
 
     def S_block(self, i: int, j: int, w: int) -> LinMap:
         return LinMap(self.block(i, j, w), self.block(i + 1, j - 1, w),
                       _lift(self, self.partial_const(i, j), i, j, w))
 
-    def _S_block_synthesized(self, i: int, j: int, w: int) -> LinMap:
-        k = self.K_block(i, j, w)
-        d_after_k = exterior_derivative(k.cod)
-        d = self.d_block(i, j, w)
-        k_after_d = self.K_block(i + 1, j, w)
-        return d_after_k @ k - k_after_d @ d
-
     def _verify_synthesis(self):
+        """S = dK - Kd on every block; each K and d block is formed once."""
+        n, N = self.n, self.N
         for w in range(self.w_max + 1):
-            for i in range(self.n + 1):
-                for j in range(1, self.N + 1):
-                    direct = self.S_block(i, j, w)
-                    synth = self._S_block_synthesized(i, j, w)
-                    if direct.mat != synth.mat:
+            k = {(i, j): self.K_block(i, j, w) for i in range(n + 2) for j in range(1, N + 1)}
+            d = {(i, j): self.d_block(i, j, w) for i in range(n + 1) for j in range(N + 1)}
+            for j in range(1, N + 1):
+                for i in range(n + 1):
+                    synth = d[(i, j - 1)] @ k[(i, j)] - k[(i + 1, j)] @ d[(i, j)]
+                    if self.S_block(i, j, w).mat != synth.mat:
                         raise DiagramError(
                             f"connector mismatch (dK - Kd vs constant form) at "
                             f"i={i}, j={j}, w={w}")
@@ -306,7 +307,7 @@ class BuiltDiagram:
         dom, cod = self.column(i, w), self.column(i + 1, w)
         rows = range(self.N + 1) if 0 <= i <= self.n else ()
         return LinMap(dom, cod, band(
-            {j: self.d_block(i, j, w).mat for j in rows}, dom, cod))
+            {j: _d_factors(self.block(i, j, w)) for j in rows}, dom, cod))
 
     @memo
     def K(self, i: int, w: int) -> LinMap:
@@ -315,7 +316,6 @@ class BuiltDiagram:
             {j: self.K_block(i, j, w).mat for j, _ in col.parts if j >= 1},
             col, col, shift=-1))
 
-    @memo
     def S(self, i: int, w: int) -> LinMap:
         dom, cod = self.column(i, w), self.column(i + 1, w)
         rows = range(1, self.N + 1) if 0 <= i <= self.n else ()
@@ -368,7 +368,8 @@ def lift_column(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,
     i is the form degree of the domain column; its row-j block at weight w
     fixes the monomial count.  Rows missing from consts are zero blocks.
     """
-    return band({j: _lift(bd, c, i, j, w) for j, c in consts.items()}, dom, cod, shift)
+    return band({j: (SparseMat.identity(_mono_count(bd, i, j, w)), c)
+                 for j, c in consts.items()}, dom, cod, shift)
 
 
 def verify_identities(bd: BuiltDiagram) -> VerifyReport:
@@ -391,13 +392,14 @@ def verify_identities(bd: BuiltDiagram) -> VerifyReport:
                 lhs = bd.S_block(i, j - 1, w) @ bd.K_block(i, j, w)
                 rhs = bd.K_block(i + 1, j - 1, w) @ bd.S_block(i, j, w)
                 expect("SK=KS", w, i, lhs.mat, rhs.mat, at=(j,))
-            # S = dK - Kd columnwise
+            # S = dK - Kd columnwise; S is not memoized, so each lift is formed once here
+            s_i = bd.S(i, w)
             if i < n:
+                s_next = bd.S(i + 1, w)
                 synth = (bd.d(i, w) @ bd.K(i, w)) - (bd.K(i + 1, w) @ bd.d(i, w))
-                expect("S=dK-Kd", w, i, bd.S(i, w).mat, synth.mat)
-                expect("Sd=-dS", w, i, (bd.S(i + 1, w) @ d_i).mat,
-                       (-(bd.d(i + 1, w) @ bd.S(i, w))).mat)
-                expect("SS=0", w, i, (bd.S(i + 1, w) @ bd.S(i, w)).mat)
+                expect("S=dK-Kd", w, i, s_i.mat, synth.mat)
+                expect("Sd=-dS", w, i, (s_next @ d_i).mat, (-(bd.d(i + 1, w) @ s_i)).mat)
+                expect("SS=0", w, i, (s_next @ s_i).mat)
                 expect("dVdV=0", w, i, (bd.d_V(i + 1, w) @ bd.d_V(i, w)).mat)
             expect("Fd=dVF", w, i, (bd.F(i + 1, w) @ bd.d(i, w)).mat,
                    (bd.d_V(i, w) @ bd.F(i, w)).mat)
@@ -410,7 +412,7 @@ def verify_identities(bd: BuiltDiagram) -> VerifyReport:
                 pow_i = k_i @ pow_i
                 pow_i1 = k_i1 @ pow_i1
                 lhs = (d_i.mat @ pow_i) - (pow_i1 @ d_i.mat)
-                rhs = (bd.S(i, w).mat @ prev_pow_i).scale(m)
+                rhs = (s_i.mat @ prev_pow_i).scale(m)
                 expect("dK^m rule", w, i, lhs, rhs)
     return report
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import mul
 
 from . import catalog
 from .cube import stacked_column, stacked_cube_gram, stacked_map
@@ -359,8 +360,12 @@ def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
     y = dv.apply(_embed(bd, dom, 0, rows))
     yden = lcm(*(x.denominator for x in y))
     ynum = [x.numerator * (yden // x.denominator) for x in y]
-    via_complex = F(sum(v * ynum[r] * ynum[c] for (r, c), v in gram.num.items()),
-                    gram.den * yden * yden)
+    quad = 0
+    for r, row in gram.by_row.items():
+        yr = ynum[r]
+        if yr:
+            quad += yr * sum(map(mul, row.values(), map(ynum.__getitem__, row)))
+    via_complex = F(quad, gram.den * yden * yden)
     if direct != via_complex:
         raise VerificationError(
             f"energy mismatch: direct {direct} != twisted route {via_complex}")

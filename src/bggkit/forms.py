@@ -286,13 +286,22 @@ def _mult_scalar(n: int, p: int, axis: int) -> SparseMat:
 # -- block-level operators --------------------------------------------------
 
 
+def _d_factors(b: FormBlock) -> tuple[SparseMat, SparseMat] | None:
+    """d on a block as the pair (scalar d, identity on values) whose kron it
+    is, or None when the map is zero."""
+    if b.dim == 0 or FormBlock(b.n, b.i + 1, b.p - 1, b.value).dim == 0:
+        return None
+    return _d_scalar(b.n, b.i, b.p), SparseMat.identity(b.value.dim)
+
+
 def exterior_derivative(b: FormBlock) -> LinMap:
     """d on a block; the target is the (i+1, p-1) block, empty if absent."""
     cod = FormBlock(b.n, b.i + 1, b.p - 1, b.value)
-    if b.dim == 0 or cod.dim == 0:
+    factors = _d_factors(b)
+    if factors is None:
         return LinMap.zero(b, cod)
-    mat = _d_scalar(b.n, b.i, b.p).kron(SparseMat.identity(b.value.dim))
-    return LinMap(b, cod, mat)
+    scalar, ident = factors
+    return LinMap(b, cod, scalar.kron(ident))
 
 
 def wedge_dx(axis: int, b: FormBlock) -> LinMap:
@@ -339,11 +348,12 @@ def _poly_mul(p: dict, q: dict) -> dict:
 
 @lru_cache(maxsize=None)
 def _subst_matrix(a_num, a_den: int, n: int, p: int) -> SparseMat:
-    """Substitution matrix on degree-p monomials for x -> (a_num / a_den) @ x.
+    """Substitution matrix on degree-p monomials for x -> (a / a_den) @ x,
+    where a_num lists the (row, col, numerator) triples of a in order.
 
     Each monomial is a product of p integer linear forms over a_den ** p.
     """
-    a = dict(a_num)
+    a = {(r, c): v for r, c, v in a_num}
     src = monomials(n, p)
     tgt = _mono_index(n, p)
     linear = []
@@ -409,6 +419,7 @@ def pullback_block(a: SparseMat, b: FormBlock, value_action: SparseMat) -> LinMa
     """
     if b.dim == 0:
         return LinMap.zero(b, b)
-    poly = _subst_matrix(tuple(sorted(a.num.items())), a.den, b.n, b.p)
+    a_num = tuple(sorted((r, c, v) for r, row in a.by_row.items() for c, v in row.items()))
+    poly = _subst_matrix(a_num, a.den, b.n, b.p)
     lam = form_pullback_matrix(a, b.n, b.i)
     return LinMap(b, b, poly.kron(lam).kron(value_action))

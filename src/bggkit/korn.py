@@ -69,8 +69,9 @@ def _to_float(mat: SparseMat) -> np.ndarray:
     """Dense float copy; int / int is correctly rounded, as float(Fraction) is."""
     import numpy as np
     out = np.zeros((mat.rows, mat.cols))
-    for (r, c), v in mat.num.items():
-        out[r, c] = v / mat.den
+    for r, row in mat.by_row.items():
+        for c, v in row.items():
+            out[r, c] = v / mat.den
     return out
 
 
@@ -89,7 +90,7 @@ def _nested_pencil(a: SparseMat, m: SparseMat, comp: SparseMat, k: int,
     They are the pencil on the first k columns of comp cut to their first n
     rows only if those columns vanish beyond row n; anything else raises.
     """
-    beyond = [(c, r) for r, c in comp.num if c < k and r >= n]
+    beyond = [(c, r) for r, row in comp.by_row.items() if r >= n for c in row if c < k]
     if beyond:
         c, r = min(beyond)
         raise VerificationError(
@@ -117,7 +118,7 @@ def _exact_part(r_max: int):
     dmat = stacked_map({w: ops.bc.D(0, w) for w in weights}, dom, cod).mat
     ker = nullspace(dmat)
     cols_3 = dom.span(3).stop  # columns of weight <= 3
-    if any(r >= cols_3 for r, _ in ker.num):
+    if any(r >= cols_3 for r in ker.by_row):
         raise VerificationError("the joint kernel reaches beyond the degree-3 block")
     g_in = stacked_cube_gram(bd, dom, 0, metrics[0])
     g_out = stacked_cube_gram(bd, cod, 1, metrics[1])

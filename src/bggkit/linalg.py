@@ -1,14 +1,23 @@
 """Exact sparse linear algebra over the rationals.
 
-A ``SparseMat`` stores integer numerators ``num`` over one positive common
-denominator ``den``, always in lowest terms (``gcd(den, *num.values()) ==
-1``, no zero numerators), so equal matrices have equal storage and matmul,
-add, kron, scale and block assembly run on Python ``int``.  The accessors
+A ``SparseMat`` is row-major: ``by_row`` maps each row that holds an entry
+to a dict {column: nonzero int numerator}, over one positive common
+denominator ``den``.  No empty row and no zero entry is stored, and the
+matrix is kept in lowest terms (no factor common to ``den`` and every
+numerator), so equal matrices have equal storage.  Every operation works on
+these rows directly and runs on Python ``int``; rows are never mutated once
+built, so results share unchanged rows with their operands.  The accessors
 ``get``, ``entries``, ``to_dense``, ``column`` and ``columns`` return
-lowest-terms ``fractions.Fraction`` values.  One fraction-free elimination,
-``_echelon_int`` (integer rows with content normalization, first nonzero
-pivot in column order), serves rank, kernel, solve, inverse, projection and
-pseudoinverse, so every result is reproducible bit for bit.
+lowest-terms ``fractions.Fraction`` values.
+
+One fraction-free elimination, ``_echelon_int``, serves rank, kernel, solve,
+inverse, projection and pseudoinverse.  For each column in order it pivots
+on the last remaining row that holds the column.  Which columns become
+pivots depends only on the column order (a column is a pivot exactly when
+it is independent of the columns before it), and given the pivots each
+kernel vector (1 at its free column, 0 at the other free columns) is
+unique, so every result is independent of the row choice and reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,16 +39,16 @@ def _as_fraction(x) -> Fraction:
 
 
 class SparseMat:
-    """Sparse rational matrix: integer numerators over one denominator.
+    """Sparse rational matrix: integer numerator rows over one denominator.
 
-    ``num`` maps (row, col) to a nonzero int and ``den`` is a positive int
-    with no factor common to every numerator.  Treated as immutable after
-    construction; all operations return new matrices.  Zero-row /
-    zero-column shapes are legal and arise routinely as absent graded
-    blocks.
+    ``by_row`` maps a row index to {column: nonzero int} and holds only
+    nonempty rows; ``den`` is a positive int with no factor common to every
+    numerator.  Treated as immutable after construction, rows included; all
+    operations return new matrices.  Zero-row / zero-column shapes are
+    legal and arise routinely as absent graded blocks.
     """
 
-    __slots__ = ("rows", "cols", "num", "den", "_row_cache")
+    __slots__ = ("rows", "cols", "by_row", "den")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -60,33 +69,36 @@ class SparseMat:
                 values[(r, c)] = v
         # the lcm of lowest-terms denominators leaves the numerators coprime to it
         den = lcm(*(v.denominator for v in values.values()))
+        by_row: dict[int, dict[int, int]] = {}
+        for (r, c), v in values.items():
+            by_row.setdefault(r, {})[c] = v.numerator * (den // v.denominator)
         self.rows = rows
         self.cols = cols
-        self.num = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        self.by_row = by_row
         self.den = den
-        self._row_cache = None
 
     @classmethod
-    def _from_num(cls, rows: int, cols: int, num: dict, den: int) -> "SparseMat":
-        """Matrix num/den from nonzero int numerators and a positive den.
+    def _from_rows(cls, rows: int, cols: int, by_row: dict, den: int) -> "SparseMat":
+        """Matrix by_row/den from nonempty rows of nonzero ints and a positive den.
 
-        The one place that reduces to lowest terms; takes ownership of num.
+        The one place that reduces to lowest terms; takes ownership of the
+        dict by_row, whose rows may be shared with other matrices.
         """
         if den != 1:
             g = den
-            for v in num.values():
-                g = gcd(g, v)
+            for row in by_row.values():
+                g = gcd(g, *row.values())
                 if g == 1:
                     break
             if g > 1:
-                num = {k: v // g for k, v in num.items()}
+                by_row = {r: {c: v // g for c, v in row.items()}
+                          for r, row in by_row.items()}
                 den //= g
         out = cls.__new__(cls)
         out.rows = rows
         out.cols = cols
-        out.num = num
+        out.by_row = by_row
         out.den = den
-        out._row_cache = None
         return out
 
     # -- constructors ------------------------------------------------------
@@ -97,7 +109,7 @@ class SparseMat:
 
     @classmethod
     def identity(cls, n: int) -> "SparseMat":
-        return cls._from_num(n, n, {(i, i): 1 for i in range(n)}, 1)
+        return cls._from_rows(n, n, {i: {i: 1} for i in range(n)}, 1)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseMat":
@@ -125,157 +137,234 @@ class SparseMat:
     # -- basic access ------------------------------------------------------
 
     def get(self, r: int, c: int) -> Fraction:
-        v = self.num.get((r, c))
+        v = self.by_row.get(r, {}).get(c)
         return ZERO if v is None else Fraction(v, self.den)
+
+    @property
+    def num(self) -> dict[tuple[int, int], int]:
+        """The numerators by coordinate (a fresh read-only view)."""
+        return {(r, c): v for r, row in self.by_row.items() for c, v in row.items()}
 
     @property
     def data(self) -> dict[tuple[int, int], Fraction]:
         """The nonzero entries as Fractions (a fresh read-only view)."""
         den = self.den
-        return {k: Fraction(v, den) for k, v in self.num.items()}
+        return {(r, c): Fraction(v, den)
+                for r, row in self.by_row.items() for c, v in row.items()}
 
     @property
     def nnz(self) -> int:
-        return len(self.num)
+        return sum(map(len, self.by_row.values()))
 
     def entries(self):
         """Entries as (row, col, value), sorted by coordinate."""
-        num, den = self.num, self.den
-        for (r, c) in sorted(num):
-            yield r, c, Fraction(num[(r, c)], den)
+        by_row, den = self.by_row, self.den
+        for r in sorted(by_row):
+            row = by_row[r]
+            for c in sorted(row):
+                yield r, c, Fraction(row[c], den)
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.by_row
 
     def to_dense(self) -> list[list[Fraction]]:
         out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.num.items():
-            out[r][c] = Fraction(v, self.den)
+        for r, row in self.by_row.items():
+            line = out[r]
+            for c, v in row.items():
+                line[c] = Fraction(v, self.den)
         return out
 
     def column(self, j: int) -> list[Fraction]:
         col = [ZERO] * self.rows
-        for (r, c), v in self.num.items():
-            if c == j:
+        for r, row in self.by_row.items():
+            v = row.get(j)
+            if v is not None:
                 col[r] = Fraction(v, self.den)
         return col
 
     def columns(self) -> list[list[Fraction]]:
         cols = [[ZERO] * self.rows for _ in range(self.cols)]
-        for (r, c), v in self.num.items():
-            cols[c][r] = Fraction(v, self.den)
+        for r, row in self.by_row.items():
+            for c, v in row.items():
+                cols[c][r] = Fraction(v, self.den)
         return cols
-
-    def _rows(self):
-        """Row-major adjacency [(col, numerator), ...] per row, kept only
-        once ``_rows_adj`` has built it."""
-        if self._row_cache is not None:
-            return self._row_cache
-        adj = [[] for _ in range(self.rows)]
-        for (r, c), v in self.num.items():
-            adj[r].append((c, v))
-        return adj
-
-    def _rows_adj(self):
-        """The row-major adjacency, built lazily and kept."""
-        if self._row_cache is None:
-            self._row_cache = self._rows()
-        return self._row_cache
 
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMat):
             return NotImplemented
-        return (self.rows, self.cols, self.den, self.num) == \
-            (other.rows, other.cols, other.den, other.num)
+        return (self.rows, self.cols, self.den, self.by_row) == \
+            (other.rows, other.cols, other.den, other.by_row)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.den, frozenset(self.num.items())))
+        return hash((self.rows, self.cols, self.den, frozenset(
+            (r, c, v) for r, row in self.by_row.items() for c, v in row.items())))
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "SparseMat") -> "SparseMat":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "SparseMat", sign: int) -> "SparseMat":
+        """self + sign * other, for sign = 1 or -1."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch in add")
         den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        num = dict(self.num) if fa == 1 else {k: v * fa for k, v in self.num.items()}
-        for k, v in other.num.items():
-            s = num.get(k, 0) + v * fb
-            if s:
-                num[k] = s
+        fa, fb = den // self.den, sign * (den // other.den)
+        # rows that only one side holds are shared (scaled when fa, fb != 1)
+        out = dict(self.by_row) if fa == 1 else \
+            {r: {c: v * fa for c, v in row.items()} for r, row in self.by_row.items()}
+        for r, brow in other.by_row.items():
+            row = out.get(r)
+            if row is None:
+                out[r] = brow if fb == 1 else {c: v * fb for c, v in brow.items()}
+                continue
+            new = dict(row)
+            for c, v in brow.items():
+                s = new.get(c, 0) + v * fb
+                if s:
+                    new[c] = s
+                else:
+                    del new[c]
+            if new:
+                out[r] = new
             else:
-                del num[k]
-        return SparseMat._from_num(self.rows, self.cols, num, den)
+                del out[r]
+        return SparseMat._from_rows(self.rows, self.cols, out, den)
 
     def __neg__(self) -> "SparseMat":
-        return SparseMat._from_num(self.rows, self.cols,
-                                   {k: -v for k, v in self.num.items()}, self.den)
-
-    def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return self + (-other)
+        return SparseMat._from_rows(
+            self.rows, self.cols,
+            {r: {c: -v for c, v in row.items()} for r, row in self.by_row.items()}, self.den)
 
     def scale(self, a) -> "SparseMat":
         a = _as_fraction(a)
         if a == 0:
             return SparseMat(self.rows, self.cols)
         p = a.numerator
-        return SparseMat._from_num(self.rows, self.cols,
-                                   {k: p * v for k, v in self.num.items()},
-                                   a.denominator * self.den)
+        return SparseMat._from_rows(
+            self.rows, self.cols,
+            {r: {c: p * v for c, v in row.items()} for r, row in self.by_row.items()},
+            a.denominator * self.den)
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch in matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # Only the right operand keeps its adjacency: left operands are often
-        # long-lived blocks multiplied once, where keeping it costs memory.
-        brows = other._rows_adj()
-        num = {}
-        for i, arow in enumerate(self._rows()):
-            if not arow:
-                continue
-            acc: dict[int, int] = {}
-            for k, a in arow:
-                for j, b in brows[k]:
-                    acc[j] = acc.get(j, 0) + a * b
-            for j, v in acc.items():
-                if v:
-                    num[(i, j)] = v
-        return SparseMat._from_num(self.rows, other.cols, num, self.den * other.den)
+        brows = other.by_row
+        out = {}
+        for i, arow in self.by_row.items():
+            acc = None
+            merged = False
+            for k, a in arow.items():
+                brow = brows.get(k)
+                if brow is None:
+                    continue
+                if acc is None:
+                    # the first row reached is shared when its multiple is 1
+                    if a == 1:
+                        acc = brow
+                    else:
+                        acc = {}
+                        for j, b in brow.items():
+                            acc[j] = a * b
+                    continue
+                if not merged:
+                    acc = dict(acc)  # never write into a row of other
+                    merged = True
+                get = acc.get
+                for j, b in brow.items():
+                    acc[j] = get(j, 0) + a * b
+            if merged and 0 in acc.values():
+                acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                out[i] = acc
+        return SparseMat._from_rows(self.rows, other.cols, out, self.den * other.den)
 
     def apply(self, vec: list[Fraction]) -> list[Fraction]:
         if len(vec) != self.cols:
             raise LinAlgError("vector length mismatch")
         vden = lcm(*(x.denominator for x in vec))
         vnum = [x.numerator * (vden // x.denominator) for x in vec]
-        out = [0] * self.rows
-        for (r, c), v in self.num.items():
-            x = vnum[c]
-            if x:
-                out[r] += v * x
+        out = [ZERO] * self.rows
         den = self.den * vden
-        return [Fraction(s, den) if s else ZERO for s in out]
+        for r, row in self.by_row.items():
+            s = 0
+            for c, v in row.items():
+                x = vnum[c]
+                if x:
+                    s += v * x
+            if s:
+                out[r] = Fraction(s, den)
+        return out
 
     def transpose(self) -> "SparseMat":
-        return SparseMat._from_num(self.cols, self.rows,
-                                   {(c, r): v for (r, c), v in self.num.items()}, self.den)
+        out: dict[int, dict[int, int]] = {}
+        for r, row in self.by_row.items():
+            for c, v in row.items():
+                col = out.get(c)
+                if col is None:
+                    out[c] = {r: v}
+                else:
+                    col[r] = v
+        return SparseMat._from_rows(self.cols, self.rows, out, self.den)
 
     def kron(self, other: "SparseMat") -> "SparseMat":
-        orows, ocols = other.rows, other.cols
-        onum = other.num.items()
-        num = {}
-        for (r1, c1), v1 in self.num.items():
-            r0, c0 = r1 * orows, c1 * ocols
-            for (r2, c2), v2 in onum:
-                num[(r0 + r2, c0 + c2)] = v1 * v2
-        return SparseMat._from_num(self.rows * orows, self.cols * ocols, num,
-                                   self.den * other.den)
+        out: dict[int, dict[int, int]] = {}
+        _place(out, 0, 0, self, other, 1)
+        return SparseMat._from_rows(self.rows * other.rows, self.cols * other.cols, out,
+                                    self.den * other.den)
 
     def __repr__(self):
         return f"SparseMat({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+def _place(out: dict, r0: int, c0: int, a: SparseMat, b: SparseMat, f: int):
+    """Write the numerator rows of f * kron(a, b) into out, top-left corner at
+    (r0, c0); a row already in out is merged with, never written into."""
+    brows, bcols = b.rows, b.cols
+    bitems = b.by_row.items()
+    get = out.get
+    for r1, row1 in a.by_row.items():
+        base = r0 + r1 * brows
+        if len(row1) == 1:
+            # every row of b at one column offset, scaled; shared if unchanged
+            [(c1, scale)] = row1.items()
+            shift = c0 + c1 * bcols
+            scale *= f
+            for r2, row2 in bitems:
+                if scale == 1 and not shift:
+                    new = row2
+                else:
+                    new = {}
+                    for c, v in row2.items():
+                        new[shift + c] = scale * v
+                held = get(base + r2)
+                out[base + r2] = new if held is None else {**held, **new}
+            continue
+        terms = [(c0 + c1 * bcols, f * v1) for c1, v1 in row1.items()]
+        for r2, row2 in bitems:
+            new = {}
+            for c, v in row2.items():
+                for shift, scale in terms:
+                    new[shift + c] = scale * v
+            held = get(base + r2)
+            out[base + r2] = new if held is None else {**held, **new}
+
+
+_ONE = SparseMat.identity(1)
+
+
+def _factors(blk) -> tuple[SparseMat, SparseMat]:
+    """A block as the pair (a, b) of a.kron(b)."""
+    return blk if isinstance(blk, tuple) else (_ONE, blk)
+
+
 def block_matrix(grid, row_dims: list[int], col_dims: list[int]) -> SparseMat:
-    """Assemble a block matrix; None blocks are zero."""
+    """Assemble a block matrix; None blocks are zero.  A block may be given
+    as a pair (a, b) standing for a.kron(b), which is placed unformed."""
     roff = [0]
     for d in row_dims:
         roff.append(roff[-1] + d)
@@ -287,8 +376,10 @@ def block_matrix(grid, row_dims: list[int], col_dims: list[int]) -> SparseMat:
         for bj, blk in enumerate(row):
             if blk is None:
                 continue
-            if blk.rows != row_dims[bi] or blk.cols != col_dims[bj]:
-                raise LinAlgError(f"block ({bi},{bj}) has shape {blk.rows}x{blk.cols}, "
+            a, b = _factors(blk)
+            shape = (a.rows * b.rows, a.cols * b.cols)
+            if shape != (row_dims[bi], col_dims[bj]):
+                raise LinAlgError(f"block ({bi},{bj}) has shape {shape[0]}x{shape[1]}, "
                                   f"expected {row_dims[bi]}x{col_dims[bj]}")
             placed.append((roff[bi], coff[bj], blk))
     return assemble(roff[-1], coff[-1], placed)
@@ -296,34 +387,65 @@ def block_matrix(grid, row_dims: list[int], col_dims: list[int]) -> SparseMat:
 
 def assemble(rows: int, cols: int, placed) -> SparseMat:
     """The rows x cols matrix holding each (r0, c0, block) with its top-left
-    corner at (r0, c0); blocks must not overlap."""
-    den = lcm(*(blk.den for _, _, blk in placed))
-    num = {}
-    for r0, c0, blk in placed:
-        f = den // blk.den
-        for (r, c), v in blk.num.items():
-            num[(r0 + r, c0 + c)] = v * f
-    return SparseMat._from_num(rows, cols, num, den)
+    corner at (r0, c0); no two blocks may hold the same entry.  A block may
+    be given as a pair (a, b) standing for a.kron(b), which is placed
+    unformed."""
+    placed = [(r0, c0, *_factors(blk)) for r0, c0, blk in placed]
+    den = lcm(*(a.den * b.den for _, _, a, b in placed))
+    out: dict[int, dict[int, int]] = {}
+    for r0, c0, a, b in placed:
+        _place(out, r0, c0, a, b, den // (a.den * b.den))
+    return SparseMat._from_rows(rows, cols, out, den)
+
+
+def _positions(indices, what: str) -> dict:
+    """{index: position} for a listing of distinct indices."""
+    pos = {}
+    for k, i in enumerate(indices):
+        if i in pos:
+            raise LinAlgError(f"{what} {i} is listed twice")
+        pos[i] = k
+    return pos
+
+
+def _cols_at(m: SparseMat, pos: dict) -> SparseMat:
+    """The columns of m listed in pos, column c moved to pos[c]."""
+    out = {}
+    for r, row in m.by_row.items():
+        new = {pos[c]: v for c, v in row.items() if c in pos}
+        if new:
+            out[r] = new
+    return SparseMat._from_rows(m.rows, len(pos), out, m.den)
 
 
 def take_rows(m: SparseMat, rows) -> SparseMat:
-    """The listed rows of m, in the listed order."""
-    index = {r: k for k, r in enumerate(rows)}
-    num = {(index[r], c): v for (r, c), v in m.num.items() if r in index}
-    return SparseMat._from_num(len(index), m.cols, num, m.den)
+    """The listed rows of m, in the listed order; an index may appear once."""
+    pos = _positions(rows, "row")
+    src = m.by_row
+    out = {k: src[r] for r, k in pos.items() if r in src}
+    return SparseMat._from_rows(len(pos), m.cols, out, m.den)
 
 
 def take_cols(m: SparseMat, cols) -> SparseMat:
-    """The listed columns of m, in the listed order."""
-    index = {c: k for k, c in enumerate(cols)}
-    num = {(r, index[c]): v for (r, c), v in m.num.items() if c in index}
-    return SparseMat._from_num(m.rows, len(index), num, m.den)
+    """The listed columns of m, in the listed order; an index may appear once."""
+    return _cols_at(m, _positions(cols, "column"))
 
 
 def leading_block(m: SparseMat, rows: int, cols: int) -> SparseMat:
     """The first rows x cols block of m."""
-    num = {(r, c): v for (r, c), v in m.num.items() if r < rows and c < cols}
-    return SparseMat._from_num(rows, cols, num, m.den)
+    src = m.by_row
+    out = {}
+    for r in range(rows):
+        row = src.get(r)
+        if row is None:
+            continue
+        if max(row) < cols:
+            out[r] = row
+        else:
+            new = {c: v for c, v in row.items() if c < cols}
+            if new:
+                out[r] = new
+    return SparseMat._from_rows(rows, cols, out, m.den)
 
 
 def hstack(mats: list[SparseMat]) -> SparseMat:
@@ -342,31 +464,37 @@ def vstack(mats: list[SparseMat]) -> SparseMat:
 def _echelon_int(m: SparseMat):
     """Fraction-free sparse echelon form.
 
-    Rows are the numerator rows of m divided by their content, and stay
-    integral: the update is the cross-multiplication pivot*row -
-    entry*pivot_row followed by division by the row content, which keeps
-    entries integral without the blowup of naive rational pivoting.  Pivot
-    choice: for each column in order, the first remaining row (in original
-    order) with a nonzero entry, read from a column -> remaining-rows index.
+    Rows are the numerator rows of m, in row order, divided by their
+    content, and stay integral: the update is the cross-multiplication
+    pivot*row - entry*pivot_row followed by division by the row content,
+    which keeps entries integral without the blowup of naive rational
+    pivoting.  Pivot choice: for each column in order, the last remaining
+    row (in original order) with a nonzero entry, read from a column ->
+    remaining-rows index.
 
     Returns (pivots, rows) where pivots is a list of (row_position, col)
     into the returned echelon rows.
     """
     work = []
-    for adj in m._rows():
-        if adj:
-            g = gcd(*(x for _, x in adj))
-            work.append({c: x // g for c, x in adj} if g > 1 else dict(adj))
-    holders: list[set[int]] = [set() for _ in range(m.cols)]
+    src = m.by_row
+    for r in sorted(src):
+        row = src[r]
+        g = gcd(*row.values())
+        work.append({c: x // g for c, x in row.items()} if g > 1 else row)
+    holders: dict[int, set[int]] = {}
     for idx, row in enumerate(work):
         for c in row:
-            holders[c].add(idx)
+            held = holders.get(c)
+            if held is None:
+                holders[c] = {idx}
+            else:
+                held.add(idx)
     pivots = []
     for col in range(m.cols):
-        targets = holders[col]
+        targets = holders.pop(col, None)
         if not targets:
             continue
-        piv_idx = min(targets)
+        piv_idx = max(targets)
         targets.discard(piv_idx)
         pivots.append((piv_idx, col))
         prow = work[piv_idx]
@@ -377,7 +505,12 @@ def _echelon_int(m: SparseMat):
         for idx in targets:
             row = work[idx]
             a = row[col]
-            new = {c: p * x for c, x in row.items()}
+            if p == 1:
+                new = dict(row)
+            else:
+                new = {}
+                for c, x in row.items():
+                    new[c] = p * x
             for c, x in prow.items():
                 y = new.get(c, 0) - a * x
                 if y:
@@ -434,9 +567,16 @@ def _kernel(m: SparseMat):
                 num[pc] = -s // g if p > 0 else s // g
         vectors.append((num, den))
     den = lcm(*(d for _, d in vectors))
-    basis = {(c, k): x * (den // d) for k, (num, d) in enumerate(vectors)
-             for c, x in num.items()}
-    return pivot_cols, SparseMat._from_num(m.cols, len(vectors), basis, den)
+    basis: dict[int, dict[int, int]] = {}
+    for k, (num, d) in enumerate(vectors):
+        f = den // d
+        for c, x in num.items():
+            held = basis.get(c)
+            if held is None:
+                basis[c] = {k: x * f}
+            else:
+                held[k] = x * f
+    return pivot_cols, SparseMat._from_rows(m.cols, len(vectors), basis, den)
 
 
 def nullspace(m: SparseMat) -> SparseMat:
@@ -448,9 +588,7 @@ def nullspace(m: SparseMat) -> SparseMat:
 def column_space(m: SparseMat) -> SparseMat:
     """Pivot columns of m, as a matrix whose columns span ran(m)."""
     pivots, _ = _echelon_int(m)
-    pos = {c: k for k, (_, c) in enumerate(pivots)}
-    num = {(r, pos[c]): v for (r, c), v in m.num.items() if c in pos}
-    return SparseMat._from_num(m.rows, len(pos), num, m.den)
+    return _cols_at(m, {c: k for k, (_, c) in enumerate(pivots)})
 
 
 def solve_dense(a: SparseMat, b: SparseMat) -> SparseMat:

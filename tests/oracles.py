@@ -156,10 +156,10 @@ def dense_apply(a, vec):
 
 
 def scan_echelon(dense):
-    """Fraction-free echelon form by the plain first-remaining-row scan.
+    """Fraction-free echelon form by the plain last-remaining-row scan.
 
     Each nonzero row is cleared of its denominators and divided by its
-    content; then, for each column in order, the first unused row (in
+    content; then, for each column in order, the last unused row (in
     original order) holding it is the pivot, and every other unused row
     holding it becomes pivot*row - entry*pivot_row divided by its content.
     Returns (pivots, rows): (row position, column) pairs and {col: int} rows.
@@ -181,7 +181,7 @@ def scan_echelon(dense):
     used = [False] * len(work)
     pivots = []
     for col in range(cols):
-        piv = next((i for i, row in enumerate(work) if not used[i] and col in row), -1)
+        piv = max((i for i, row in enumerate(work) if not used[i] and col in row), default=-1)
         if piv < 0:
             continue
         used[piv] = True

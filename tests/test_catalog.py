@@ -1,8 +1,14 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bggkit import catalog
+from bggkit.diagram import DiagramSpec, KappaSpec
+from bggkit.forms import ValueSpace
+from bggkit.linalg import SparseMat
 from bggkit.bgg import hodge_split
 from bggkit.diagram import build
 
@@ -127,3 +133,52 @@ def test_parse_rejects_repeated_directive(line, directive):
     catalog.parse_text(text)
     with pytest.raises(ValueError, match=f"^{directive}: declared twice"):
         catalog.parse_text(text + line + "\n")
+
+
+# -- text format round trip ---------------------------------------------------
+
+# Tokens of the whitespace-separated format: no whitespace, no '#' (a comment),
+# and no ',' or '=' inside a label or name.
+_token = st.from_regex(r"[A-Za-z][A-Za-z0-9_.()-]{0,6}", fullmatch=True)
+_source = st.from_regex(r"[a-z0-9]([a-z0-9;:() -]{0,10}[a-z0-9])?", fullmatch=True)
+_value = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+
+
+@st.composite
+def _entries(draw):
+    n = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    rows = tuple(ValueSpace(draw(_token), tuple(draw(st.lists(
+        _token, min_size=d, max_size=d, unique=True)))) for d in dims)
+    kappa = []
+    for j in range(1, len(dims)):
+        maps = []
+        for _ in range(n):
+            cells = draw(st.dictionaries(
+                st.tuples(st.integers(0, dims[j - 1] - 1), st.integers(0, dims[j] - 1)),
+                _value, max_size=4))
+            maps.append(SparseMat(dims[j - 1], dims[j], cells))
+        kappa.append(tuple(maps))
+    name = draw(_token)
+    expected = {"source": {}}
+    if draw(st.booleans()):
+        expected["h0_total"] = draw(st.integers(-5, 50))
+        expected["source"]["h0_total"] = draw(_source)
+    if draw(st.booleans()):
+        expected["upsilon_support"] = draw(st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(0, 30),
+            min_size=1, max_size=5))
+        expected["source"]["upsilon_support"] = draw(_source)
+    if draw(st.booleans()):
+        expected["operator_orders"] = draw(st.lists(
+            st.lists(st.integers(-3, 6), max_size=3), min_size=1, max_size=4))
+        expected["source"]["operator_orders"] = draw(_source)
+    return catalog.CatalogEntry(name, DiagramSpec(name, n, rows, KappaSpec(tuple(kappa))),
+                                expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_entries())
+def test_text_round_trip_keeps_every_field(entry):
+    back = catalog.parse_text(catalog.to_text(entry))
+    assert (back.name, back.spec, back.expected) == (entry.name, entry.spec, entry.expected)

@@ -9,9 +9,11 @@ from bggkit.linalg import (
     LinAlgError,
     SparseMat,
     _echelon_int,
+    assemble,
     block_matrix,
     column_space,
     inverse,
+    leading_block,
     nullspace,
     orthogonal_complement,
     pinv_onto,
@@ -19,6 +21,8 @@ from bggkit.linalg import (
     rank,
     solve_dense,
     solve_thin,
+    take_cols,
+    take_rows,
 )
 
 from oracles import (
@@ -248,8 +252,12 @@ scalars = st.one_of(st.just(F(0)), st.integers(-5, 5).map(F),
 
 
 def assert_canonical(m, dense):
+    """m stores only nonempty rows of nonzero numerators in lowest terms."""
     assert m.den > 0
-    assert all(m.num.values())
+    assert all(m.by_row.values())
+    assert all(all(row.values()) for row in m.by_row.values())
+    assert all(0 <= r < m.rows and all(0 <= c < m.cols for c in row)
+               for r, row in m.by_row.items())
     assert gcd(m.den, *m.num.values()) == 1
     assert m.to_dense() == dense
 
@@ -264,6 +272,9 @@ def test_matmul_matches_dense(args):
     prod = out @ rhs
     assert (prod.rows, prod.cols) == (r, c)
     assert_canonical(prod, dense_matmul(a, b, c))
+    # the product shares rows with its operands; neither may have changed
+    assert_canonical(prod + prod, dense_add(*[dense_matmul(a, b, c)] * 2))
+    assert out.to_dense() == a and rhs.to_dense() == b
 
 
 @settings(max_examples=100, deadline=None)
@@ -278,6 +289,7 @@ def test_add_sub_scale_transpose_match_dense(args):
     assert_canonical(-ma, dense_scale(a, -1))
     assert_canonical(ma.scale(q), dense_scale(a, q))
     assert_canonical(ma.transpose(), dense_transpose(a, cols))
+    assert_canonical(mb.scale(q).transpose(), dense_transpose(dense_scale(b, q), cols))
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,8 +312,14 @@ def test_block_matrix_matches_dense(args):
     dense = [[b if keep else None for b, keep in zip(pair, flags)]
              for pair, flags in (((b00, b01), present[:2]), ((b10, b11), present[2:]))]
     grid = [[None if b is None else mat(b) for b in row] for row in dense]
-    assert_canonical(block_matrix(grid, [r0, r1], [c0, c1]),
-                     dense_blocks(dense, [r0, r1], [c0, c1]))
+    want = dense_blocks(dense, [r0, r1], [c0, c1])
+    assert_canonical(block_matrix(grid, [r0, r1], [c0, c1]), want)
+    placed = [(r0 * bi, c0 * bj, blk) for bi, row in enumerate(grid)
+              for bj, blk in enumerate(row) if blk is not None]
+    assert_canonical(assemble(r0 + r1, c0 + c1, placed), want)
+    # a block given as a kron pair is placed as its product
+    kron_placed = [(r, c, (SparseMat.identity(1), blk)) for r, c, blk in placed]
+    assert_canonical(assemble(r0 + r1, c0 + c1, kron_placed), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,6 +338,7 @@ def test_apply_matches_dense(args):
     lambda c: sparse_dense(r, c))), st.builds(F, st.integers(1, 9), st.integers(1, 9)))
 def test_equal_matrices_have_equal_storage(a, q):
     m = mat(a)
+    assert_canonical(m, a)
     routes = [m.scale(q).scale(1 / q), (m + m) - m, m.transpose().transpose(),
               m.scale(6).scale(F(1, 6)), SparseMat.identity(m.rows) @ m]
     for other in routes:
@@ -344,3 +363,80 @@ def test_scaled_integer_matrix_is_not_equal():
     lambda c: sparse_dense(r, c))))
 def test_echelon_matches_plain_scan(a):
     assert _echelon_int(mat(a)) == scan_echelon(a)
+
+
+# -- row selection and leading blocks ----------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(dims, dims).flatmap(lambda s: st.tuples(
+    st.just(s), sparse_dense(*s), st.permutations(range(s[0])), st.permutations(range(s[1])),
+    st.integers(0, s[0]), st.integers(0, s[1]))))
+def test_take_rows_cols_and_leading_block_match_dense(args):
+    (r, c), a, row_order, col_order, nr, nc = args
+    m = mat(a) if r else SparseMat.zero(0, c)
+    dense = m.to_dense()
+    kept_rows, kept_cols = row_order[:nr], col_order[:nc]
+    assert_canonical(take_rows(m, kept_rows), [dense[i] for i in kept_rows])
+    assert_canonical(take_cols(m, kept_cols), [[row[j] for j in kept_cols] for row in dense])
+    assert_canonical(leading_block(m, nr, nc), [row[:nc] for row in dense[:nr]])
+    assert_canonical(take_rows(m, range(r)), dense)
+
+
+def test_zero_shapes_are_canonical():
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (2, 2)]:
+        z = SparseMat.zero(rows, cols)
+        dense = [[F(0)] * cols for _ in range(rows)]
+        for m in (z, z.transpose().transpose(), z + z, z.scale(3), -z,
+                  take_rows(z, range(rows)), take_cols(z, range(cols)),
+                  leading_block(z, rows, cols), assemble(rows, cols, [(0, 0, z)])):
+            assert_canonical(m, dense)
+        assert z.by_row == {} and z.den == 1
+
+
+def test_take_rows_rejects_a_repeated_index():
+    with pytest.raises(LinAlgError, match="row 0 is listed twice"):
+        take_rows(SparseMat.identity(3), [0, 0, 1])
+
+
+def test_take_cols_rejects_a_repeated_index():
+    with pytest.raises(LinAlgError, match="column 2 is listed twice"):
+        take_cols(SparseMat.identity(3), [2, 1, 2])
+
+
+# -- independence of the pivot row ---------------------------------------------
+
+
+def permutation(order):
+    """The matrix P with (P @ a) row k = row order[k] of a."""
+    return SparseMat(len(order), len(order), {(k, i): 1 for k, i in enumerate(order)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda s: st.tuples(
+    sparse_dense(*s), st.permutations(range(s[0])))))
+def test_results_do_not_depend_on_row_order(args):
+    # permuting rows changes only which row the elimination pivots on
+    a, order = args
+    m, p = mat(a), permutation(order)
+    pm = p @ m
+    for out in (nullspace(m), column_space(m), pinv_onto(m)):
+        assert_canonical(out, out.to_dense())
+    assert rank(pm) == rank(m)
+    assert nullspace(pm) == nullspace(m)
+    assert column_space(pm) == p @ column_space(m)
+    assert pinv_onto(pm) == pinv_onto(m) @ p.transpose()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    dense_rows(n, n), st.integers(1, 3).flatmap(lambda k: dense_rows(n, k)),
+    st.permutations(range(n)))))
+def test_square_solves_do_not_depend_on_row_order(args):
+    a, b, order = args
+    if rank(a) < a.rows:
+        return
+    p = permutation(order)
+    assert solve_dense(p @ a, p @ b) == solve_dense(a, b)
+    assert inverse(p @ a) == inverse(a) @ p.transpose()
+    assert pinv_onto(p @ a) == pinv_onto(a) @ p.transpose()
