@@ -2,9 +2,11 @@
 
 The fixed entries are the shipped text files ``data/<name>.diagram``, read
 by the same parser as ``--diagram-file``; ``higher-hessian-3d(N)`` is
-generated from the symmetric-index contraction.  Each entry records the
-expected harmonic-space support, total degree-zero cohomology and operator
-orders, with a source tag stating how the value is known.
+generated, its symmetric-index contraction kappa_l being the transpose of
+multiplication by x_l on the degree-j monomials that index Sym^j.  Each
+entry records the expected harmonic-space support, total degree-zero
+cohomology and operator orders, with a source tag stating how the value is
+known.
 
 New diagrams need no code: see ``to_text`` / ``parse_text`` for the
 line-oriented text format.
@@ -14,13 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 from .bgg import bgg_cohomology, derive
 from .diagram import DiagramSpec, KappaSpec, build, verify_identities
 from .export import frac_str
-from .forms import ValueSpace
-from .linalg import LinAlgError, SparseMat
+from .forms import ValueSpace, _mult_scalar
+from .linalg import LinAlgError, SparseMat, take_cols, take_rows
 
 
 @dataclass
@@ -48,16 +52,9 @@ def _conf_hessian_actions(a: SparseMat):
 
 
 def _sym_indices(j: int) -> list[tuple[int, ...]]:
-    """Sorted multi-indices of length j over {1,2,3} (basis of Sym^j)."""
-    if j == 0:
-        return [()]
-    out = []
-    prev = _sym_indices(j - 1)
-    for m in prev:
-        start = m[-1] if m else 1
-        for k in range(start, 4):
-            out.append(m + (k,))
-    return out
+    """Sorted multi-indices of length j over {1,2,3} (basis of Sym^j); index m
+    stands for the monomial prod_{l in m} x_l, so this is monomials(3, j) reversed."""
+    return list(combinations_with_replacement((1, 2, 3), j))
 
 
 def higher_hessian_3d(order: int) -> CatalogEntry:
@@ -68,22 +65,13 @@ def higher_hessian_3d(order: int) -> CatalogEntry:
         labels = tuple("s" + "".join(map(str, m)) if m else "1"
                        for m in _sym_indices(j))
         rows.append(ValueSpace(f"Sym{j}", labels))
-    kappa_rows = []
-    for j in range(1, order + 1):
-        src = _sym_indices(j)
-        tgt = {m: k for k, m in enumerate(_sym_indices(j - 1))}
-        maps = []
-        src_index = {m: k for k, m in enumerate(src)}
-        for l in (1, 2, 3):
-            ent = {}
-            for tk, row in tgt.items():
-                full = tuple(sorted((l,) + tk))
-                ent[(row, src_index[full])] = Fraction(1)
-            maps.append(SparseMat(len(tgt), len(src), ent))
-        kappa_rows.append(tuple(maps))
+    # kappa_l removes one l from an index: (x_l times)^T in _sym_indices' order
+    back = [range(comb(j + 2, 2) - 1, -1, -1) for j in range(order + 1)]
+    kappa_rows = [tuple(take_rows(take_cols(_mult_scalar(3, j - 1, l).transpose(), back[j]),
+                                  back[j - 1]) for l in (1, 2, 3))
+                  for j in range(1, order + 1)]
     spec = DiagramSpec(f"higher-hessian-3d({order})", 3, tuple(rows),
                        KappaSpec(tuple(kappa_rows)))
-    from math import comb
     w_dim = 3 * comb(order + 2, 2) - comb(order + 1, 2)
     expected = {
         "upsilon_support": {(0, 0): 1, (1, order): comb(order + 3, 2),
@@ -126,8 +114,18 @@ def get(name: str) -> CatalogEntry:
 
 
 def to_text(entry: CatalogEntry) -> str:
-    """Serialize an entry to the line-oriented diagram format."""
+    """Serialize an entry to the line-oriented diagram format; a name, label
+    or source tag that the format cannot carry raises ValueError."""
     spec = entry.spec
+    tokens = [("diagram name", spec.name)] + [("row name", vs.name) for vs in spec.rows] + [
+        ("label", lab) for vs in spec.rows for lab in vs.basis_labels]
+    for what, value in tokens:
+        if any(c.isspace() or c in "#,=" for c in value):
+            raise ValueError(f"{what} {value!r} holds whitespace, '#', ',' or '='")
+    for key, src in entry.expected.get("source", {}).items():
+        if "#" in src or len(src.splitlines()) > 1 or src != src.rstrip():
+            raise ValueError(f"source {src!r} of {key} holds '#', a line break "
+                             "or trailing whitespace")
     lines = [
         "# bggkit diagram, format v1",
         f"name {spec.name}",

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, combinations
 from math import comb
 
-from .linalg import LinAlgError, SparseMat
+from .linalg import LinAlgError, SparseMat, hstack, take_cols
 
 ONE = Fraction(1)
 
@@ -96,7 +96,7 @@ class FormBlock:
         if not (0 <= self.i <= self.n + 1):
             raise ValueError("form degree out of range")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         if self.p < 0 or self.i > self.n:
             return 0
@@ -331,83 +331,39 @@ def mult_coord(axis: int, b: FormBlock) -> LinMap:
 
 
 # -- pullback along linear substitutions ------------------------------------
+# Pullback along x -> a@x is an algebra map, so it is built from the generators
+# of d and K by recursion on the first factor of each monomial and dx product.
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            s = out.get(key, 0) + ca * cb
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
+def _combination(a: SparseMat, k: int, gen) -> SparseMat:
+    """sum_j a[k, j] gen(j + 1), for gen taking a 1-based axis."""
+    return sum((gen(j + 1).scale(a.get(k, j)) for j in range(1, a.cols)),
+               gen(1).scale(a.get(k, 0)))
 
 
 @lru_cache(maxsize=None)
-def _subst_matrix(a_num, a_den: int, n: int, p: int) -> SparseMat:
-    """Substitution matrix on degree-p monomials for x -> (a / a_den) @ x,
-    where a_num lists the (row, col, numerator) triples of a in order.
-
-    Each monomial is a product of p integer linear forms over a_den ** p.
-    """
-    a = {(r, c): v for r, c, v in a_num}
-    src = monomials(n, p)
-    tgt = _mono_index(n, p)
-    linear = []
-    for k in range(n):
-        lin = {}
-        for j in range(n):
-            v = a.get((k, j), 0)
-            if v != 0:
-                e = [0] * n
-                e[j] = 1
-                lin[tuple(e)] = v
-        linear.append(lin)
-    ent = {}
-    for col, alpha in enumerate(src):
-        poly = {tuple([0] * n): 1}
-        for k, e in enumerate(alpha):
-            for _ in range(e):
-                poly = _poly_mul(poly, linear[k])
-        for beta, c in poly.items():
-            ent[(tgt[beta], col)] = c
-    return SparseMat(len(src), len(src), ent).scale(Fraction(1, a_den ** p))
-
-
-def _minor(a: SparseMat, rows: tuple[int, ...], cols: tuple[int, ...]) -> Fraction:
-    k = len(rows)
-    if k == 0:
-        return ONE
-    sub = [[a.get(r, c) for c in cols] for r in rows]
-    # cofactor expansion; k <= n is tiny
-    if k == 1:
-        return sub[0][0]
-    det = Fraction(0)
-    for j in range(k):
-        if sub[0][j] == 0:
-            continue
-        minor_rows = tuple(rows[1:])
-        minor_cols = tuple(c for t, c in enumerate(cols) if t != j)
-        det += (-1) ** j * sub[0][j] * _minor(a, minor_rows, minor_cols)
-    return det
+def _subst_matrix(a: SparseMat, n: int, p: int) -> SparseMat:
+    """Pullback on degree-p monomials, as x^alpha = x_k x^(alpha - e_k) with k
+    the first variable of alpha.  The alpha sharing k are one lexicographic
+    run, last k first, over the leading alpha - e_k: those free of x before x_k."""
+    if p == 0:
+        return SparseMat.identity(1)
+    prev = _subst_matrix(a, n, p - 1)
+    return hstack([_combination(a, k, partial(_mult_scalar, n, p - 1))
+                   @ take_cols(prev, range(len(monomials(n - k, p - 1))))
+                   for k in reversed(range(n))])
 
 
 def form_pullback_matrix(a: SparseMat, n: int, i: int) -> SparseMat:
-    """Pullback on Lambda^i under x -> a@x: dx^J -> sum_J' det(a[J,J']) dx^J'."""
-    src = form_indices(n, i)
-    tgt = _form_index(n, i)
-    ent = {}
-    for col, idx in enumerate(src):
-        rows0 = tuple(j - 1 for j in idx)
-        for new_idx, row in tgt.items():
-            cols0 = tuple(j - 1 for j in new_idx)
-            det = _minor(a, rows0, cols0)
-            if det != 0:
-                ent[(row, col)] = det
-    return SparseMat(len(src), len(src), ent)
+    """Pullback on Lambda^i under x -> a@x: dx^J -> sum_J' det(a[J,J']) dx^J',
+    as dx^J = dx^j ^ dx^(J-j) with j the first index of J.  The J sharing j
+    are one lexicographic run over the trailing J-j: those above j."""
+    if i == 0:
+        return SparseMat.identity(1)
+    prev = form_pullback_matrix(a, n, i - 1)
+    return hstack([_combination(a, j - 1, partial(wedge_const, n, i - 1))
+                   @ take_cols(prev, range(prev.cols - comb(n - j, i - 1), prev.cols))
+                   for j in range(1, n - i + 2)])
 
 
 def pullback_block(a: SparseMat, b: FormBlock, value_action: SparseMat) -> LinMap:
@@ -419,7 +375,6 @@ def pullback_block(a: SparseMat, b: FormBlock, value_action: SparseMat) -> LinMa
     """
     if b.dim == 0:
         return LinMap.zero(b, b)
-    a_num = tuple(sorted((r, c, v) for r, row in a.by_row.items() for c, v in row.items()))
-    poly = _subst_matrix(a_num, a.den, b.n, b.p)
+    poly = _subst_matrix(a, b.n, b.p)
     lam = form_pullback_matrix(a, b.n, b.i)
     return LinMap(b, b, poly.kron(lam).kron(value_action))

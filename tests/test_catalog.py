@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,6 +72,23 @@ def test_expected_values_carry_source_tags():
         src = entry.expected["source"]
         for key in ("upsilon_support", "h0_total", "operator_orders"):
             assert key in src and src[key]
+
+
+# sha256 of to_text(higher_hessian_3d(k)); only k = 1 also ships as a file
+_HIGHER_HESSIAN_TEXT = {
+    1: "730614198b2cbeeaf93baea0734fd4228b00c2534ca185bce5e944c13d5f59e0",
+    2: "3fb5113d92e6d3582ef540c91c88d1f219e21c90bcc7f3a5ec1107a03a8dbc01",
+    3: "abe6ea349a968af0734b4250b54df9d1dd8f360fe5a32814ab7ae279640bbaf7",
+    4: "d278406aaddcb16b1b90a877de291bd09e505c028771db84051ce42dee6a3d36",
+    5: "067555e9aa1c1382a4fd1987e133b41279e94bd995a223d6c3d8bc970fb27ba8",
+    6: "3c0a9c592cd7a10b3b9370020cf7c2dfd1eeea102e95e3c6cdf80a4ffc96adc7",
+}
+
+
+@pytest.mark.parametrize("order", sorted(_HIGHER_HESSIAN_TEXT))
+def test_higher_hessian_text_is_pinned(order):
+    text = catalog.to_text(catalog.higher_hessian_3d(order))
+    assert hashlib.sha256(text.encode()).hexdigest() == _HIGHER_HESSIAN_TEXT[order]
 
 
 def test_higher_hessian_rejects_bad_order():
@@ -182,3 +200,21 @@ def _entries(draw):
 def test_text_round_trip_keeps_every_field(entry):
     back = catalog.parse_text(catalog.to_text(entry))
     assert (back.name, back.spec, back.expected) == (entry.name, entry.spec, entry.expected)
+
+
+def _one_row_entry(name="x", row="a", label="a", source="s"):
+    spec = DiagramSpec(name, 1, (ValueSpace(row, (label,)),), KappaSpec(()))
+    return catalog.CatalogEntry(name, spec, {"h0_total": 1, "source": {"h0_total": source}})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("diagram name", "a b"), ("diagram name", "a#b"), ("row name", "v=1"),
+    ("row name", "v,1"), ("label", "a#b"), ("label", "a b"), ("label", "a,b"),
+    ("label", "a=b"), ("label", "a\nb"), ("source", "see #3"),
+    ("source", "line\nbreak"), ("source", "ends\r\n"), ("source", "ends ")])
+def test_to_text_rejects_what_the_format_cannot_carry(field, value):
+    key = {"diagram name": "name", "row name": "row"}.get(field, field)
+    good = _one_row_entry()
+    assert catalog.parse_text(catalog.to_text(good)).spec == good.spec
+    with pytest.raises(ValueError, match=f"^{field} "):
+        catalog.to_text(_one_row_entry(**{key: value}))

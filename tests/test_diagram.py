@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,14 @@ def test_verify_identities_locates_first_failure(broken_conf_deformation):
     # SK=KS is checked blockwise, so its location starts with the row j
     first = verify_identities(broken_conf_deformation).failures()[0]
     assert first.line() == "[FAIL] SK=KS  w=2 i=0 at entry (2, 0, 2)"
+
+
+def test_verify_identities_check_list_is_pinned(broken_conf_deformation):
+    # every certificate line of the broken fixture, in order
+    lines = [c.line() for c in verify_identities(broken_conf_deformation).checks]
+    assert len(lines) == 155
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "853142daf12fe544baffab80da0030c3cd92041cc508af39e68c679e49f9c7c1"
 
 
 def test_expect_locates_first_differing_entry():

@@ -16,6 +16,7 @@ from bggkit.forms import (
     wedge_sign,
 )
 from bggkit.linalg import SparseMat, rank
+from oracles import bareiss_det, poly_mul
 
 F = Fraction
 R = ValueSpace("R", ("1",))
@@ -183,6 +184,32 @@ def test_form_pullback_matrix_is_minors():
     assert lam1 == a.transpose()
     lam3 = form_pullback_matrix(a, 3, 3)
     assert lam3.get(0, 0) == 1  # determinant
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pullback_matches_substitution_and_minor_oracles(n):
+    # neither symmetric nor orthogonal, so a, a^T and a^-1 all differ
+    full = [[F(2, 3), F(-1), F(0)], [F(1, 2), F(3), F(-2, 5)], [F(0), F(1, 4), F(-1)]]
+    a = [row[:n] for row in full[:n]]
+    # x_k -> sum_j a[k][j] x_j, and dx^J -> sum_J' det(a[J, J']) dx^J'
+    linear = [{tuple(int(t == j) for t in range(n)): a[k][j] for j in range(n)}
+              for k in range(n)]
+    for i in range(n + 1):
+        for p in range(5):
+            b = scalar_block(n, i, p)
+            pos = {(alpha, idx): k for k, (alpha, idx, _) in enumerate(b.basis())}
+            ent = {}
+            for (alpha, idx), col in pos.items():
+                poly = {(0,) * n: F(1)}
+                for k, e in enumerate(alpha):
+                    for _ in range(e):
+                        poly = poly_mul(poly, linear[k])
+                for new in form_indices(n, i):
+                    det = bareiss_det([[a[r - 1][c - 1] for c in new] for r in idx])
+                    for beta, c in poly.items():
+                        ent[(pos[(beta, new)], col)] = c * det
+            pulled = pullback_block(SparseMat.from_dense(a), b, SparseMat.identity(1))
+            assert pulled.mat == SparseMat(b.dim, b.dim, ent), (i, p)
 
 
 def test_pullback_commutes_with_d():
