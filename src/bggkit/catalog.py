@@ -114,14 +114,15 @@ def get(name: str) -> CatalogEntry:
 
 
 def to_text(entry: CatalogEntry) -> str:
-    """Serialize an entry to the line-oriented diagram format; a name, label
-    or source tag that the format cannot carry raises ValueError."""
+    """Serialize an entry to the line-oriented diagram format; a name or
+    label that is empty or holds whitespace, '#', ',' or '=', or a source
+    tag that the format cannot carry, raises ValueError."""
     spec = entry.spec
     tokens = [("diagram name", spec.name)] + [("row name", vs.name) for vs in spec.rows] + [
         ("label", lab) for vs in spec.rows for lab in vs.basis_labels]
     for what, value in tokens:
-        if any(c.isspace() or c in "#,=" for c in value):
-            raise ValueError(f"{what} {value!r} holds whitespace, '#', ',' or '='")
+        if not value or any(c.isspace() or c in "#,=" for c in value):
+            raise ValueError(f"{what} {value!r} is empty or holds whitespace, '#', ',' or '='")
     for key, src in entry.expected.get("source", {}).items():
         if "#" in src or len(src.splitlines()) > 1 or src != src.rstrip():
             raise ValueError(f"source {src!r} of {key} holds '#', a line break "

@@ -1,19 +1,20 @@
 """Exact L2 inner products over the unit cube and degree-stacked spaces.
 
 Monomial integrals over [0,1]^n are products of 1/(a_k + 1), so every Gram
-matrix here is exact rational.  Fields of bounded total degree live in a
-weight-stacked space: a ``SumSpace`` keyed by weight whose parts are
-row-keyed column spaces (ambient columns or harmonic coordinates).  This
+matrix here is exact rational; the monomial pairings are built as integer
+numerators over the lcm of those products.  Fields of bounded total degree
+live in a weight-stacked space: a ``SumSpace`` keyed by weight whose parts
+are row-keyed column spaces (ambient columns or harmonic coordinates).  This
 module is the one path for such spaces: ``stacked_map`` assembles per-weight
 maps block-diagonally through ``diagram.band``, and ``stacked_cube_gram``
-forms the Gram as M_mono (x) C_j on each row j, from the monomial pairings
-and one constant metric per row.
+places M_mono (x) C_j on each row j as an unformed kron pair, from the
+monomial pairings and one constant metric per row.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 
 from .diagram import BuiltDiagram, band
 from .forms import LinMap, SumSpace, monomials
@@ -22,17 +23,13 @@ from .linalg import SparseMat, assemble
 
 @lru_cache(maxsize=None)
 def mono_cube_gram(n: int, p: int, q: int) -> SparseMat:
-    """Pairings of degree-p against degree-q monomials over the unit cube."""
-    rows = monomials(n, p)
-    cols = monomials(n, q)
-    ent = {}
-    for r, alpha in enumerate(rows):
-        for c, beta in enumerate(cols):
-            v = Fraction(1)
-            for ak, bk in zip(alpha, beta):
-                v /= ak + bk + 1
-            ent[(r, c)] = v
-    return SparseMat(len(rows), len(cols), ent)
+    """Pairings of degree-p against degree-q monomials over the unit cube:
+    1 / prod_k (alpha_k + beta_k + 1), as integer numerators over their lcm."""
+    rows, cols = monomials(n, p), monomials(n, q)
+    prods = [[prod(a + b + 1 for a, b in zip(alpha, beta)) for beta in cols] for alpha in rows]
+    den = lcm(*(x for row in prods for x in row))
+    by_row = {r: {c: den // x for c, x in enumerate(row)} for r, row in enumerate(prods) if row}
+    return SparseMat._from_rows(len(rows), len(cols), by_row, den)
 
 
 def stacked_column(bd: BuiltDiagram, i: int, weights) -> SumSpace:
@@ -61,8 +58,7 @@ def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
     for w, col in space.parts:
         for wp, colp in space.parts:
             for j, sub in col.parts:
-                subp = colp.space(j)
-                if sub.dim == 0 or subp.dim == 0:
+                if sub.dim == 0 or colp.space(j).dim == 0:
                     continue
                 p, pp = w - i - j, wp - i - j
                 metric = const_metrics.get(j)
@@ -70,5 +66,5 @@ def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
                     metric = SparseMat.identity(sub.dim // len(monomials(bd.n, p)))
                 placed.append((space.offset(w) + col.offset(j),
                                space.offset(wp) + colp.offset(j),
-                               mono_cube_gram(bd.n, p, pp).kron(metric)))
+                               (mono_cube_gram(bd.n, p, pp), metric)))
     return assemble(space.dim, space.dim, placed)

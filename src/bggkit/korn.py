@@ -12,9 +12,11 @@ floating-point quantity: the smallest eigenvalue of the pencil
 symmetric matrix L^-1 a_r L^-T, as LAPACK's sygvd does.  numpy is imported
 only by that float step.
 
-The exact pencils are built once, at r_max: degree r's pencil is the
-leading k_r x k_r principal block of the r_max pencil (A, M), where k_r
-counts the free columns of weight <= r.  This is exact because
+The exact pencils are built once, at r_max, with A formed through D comp.
+Degree r's pencil is the leading k_r x k_r principal block of the r_max
+pencil (A, M), where k_r counts the free columns of weight <= r, so (A, M)
+is converted to floats once and each degree solves on its leading slice.
+This is exact because
 
 * the stacked operator D is block-diagonal by weight, so degree r's D, its
   Grams g_in, g_out and D^T g_out D are the leading blocks of the r_max ones;
@@ -122,7 +124,6 @@ def _exact_part(r_max: int):
         raise VerificationError("the joint kernel reaches beyond the degree-3 block")
     g_in = stacked_cube_gram(bd, dom, 0, metrics[0])
     g_out = stacked_cube_gram(bd, cod, 1, metrics[1])
-    a = dmat.transpose() @ g_out @ dmat
     constraint = ker.transpose() @ g_in
     if rank(leading_block(constraint, constraint.rows, cols_3)) != constraint.rows:
         raise VerificationError("a pivot column of ker^T g_in lies beyond the degree-3 block")
@@ -133,9 +134,10 @@ def _exact_part(r_max: int):
         n_rows, n_cols = cod.span(r).stop, dom.span(r).stop
         d_r = leading_block(dmat, n_rows, n_cols)
         first = take_rows(d_r, [i for i in first_rows if i < n_rows])
-        degrees.append((r, nullspace(d_r).cols, d_r.cols - rank(first),
+        degrees.append((r, d_r.cols - rank(d_r), d_r.cols - rank(first),
                         n_cols - ker.cols, n_cols))
-    return degrees, comp, comp.transpose() @ a @ comp, comp.transpose() @ g_in @ comp
+    image = dmat @ comp
+    return degrees, comp, image.transpose() @ (g_out @ image), comp.transpose() @ (g_in @ comp)
 
 
 def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
@@ -151,11 +153,12 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
         raise ValueError("r_max must be >= 3")
     degrees, comp, a_full, m_full = _exact_part(r_max)
     import numpy as np
+    a_float, m_float = _to_float(a_full), _to_float(m_full)
     out = []
     for r, kernel_dim, first_kernel, k, n in degrees:
-        a_r, m_r = _nested_pencil(a_full, m_full, comp, k, n)
+        _nested_pencil(a_full, m_full, comp, k, n)
         try:
-            eigvals = eigh(_to_float(a_r), _to_float(m_r))
+            eigvals = eigh(a_float[:k, :k], m_float[:k, :k])
         except np.linalg.LinAlgError as err:
             raise FloatStepError(f"r={r}: the float eigensolver failed: {err}") from err
         sigma_min = math.sqrt(max(eigvals.min(), 0.0))

@@ -210,7 +210,8 @@ def _one_row_entry(name="x", row="a", label="a", source="s"):
 @pytest.mark.parametrize("field, value", [
     ("diagram name", "a b"), ("diagram name", "a#b"), ("row name", "v=1"),
     ("row name", "v,1"), ("label", "a#b"), ("label", "a b"), ("label", "a,b"),
-    ("label", "a=b"), ("label", "a\nb"), ("source", "see #3"),
+    ("label", "a=b"), ("label", "a\nb"), ("diagram name", ""), ("row name", ""),
+    ("label", ""), ("source", "see #3"),
     ("source", "line\nbreak"), ("source", "ends\r\n"), ("source", "ends ")])
 def test_to_text_rejects_what_the_format_cannot_carry(field, value):
     key = {"diagram name": "name", "row name": "row"}.get(field, field)
@@ -218,3 +219,10 @@ def test_to_text_rejects_what_the_format_cannot_carry(field, value):
     assert catalog.parse_text(catalog.to_text(good)).spec == good.spec
     with pytest.raises(ValueError, match=f"^{field} "):
         catalog.to_text(_one_row_entry(**{key: value}))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_every_catalog_entry_serializes(name):
+    entry = catalog.get(name)
+    back = catalog.parse_text(catalog.to_text(entry))
+    assert (back.name, back.spec, back.expected) == (entry.name, entry.spec, entry.expected)

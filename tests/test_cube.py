@@ -26,6 +26,21 @@ def test_mono_gram_values():
     assert g.get(rows.index((1, 0)), cols.index((1, 1))) == F(1, 6)
 
 
+def test_mono_gram_matches_fraction_products():
+    from bggkit.forms import monomials
+    for n in range(1, 4):
+        for p in range(6):
+            for q in range(6):
+                want = {}
+                for r, alpha in enumerate(monomials(n, p)):
+                    for c, beta in enumerate(monomials(n, q)):
+                        v = F(1)
+                        for ak, bk in zip(alpha, beta):
+                            v /= ak + bk + 1
+                        want[(r, c)] = v
+                assert mono_cube_gram(n, p, q).data == want, (n, p, q)
+
+
 def test_cube_gram_is_spd():
     # Sylvester's criterion: symmetric with every leading principal minor positive
     g = mono_cube_gram(3, 2, 2)

@@ -12,15 +12,25 @@ from bggkit.linalg import SparseMat, nullspace
 from oracles import ldl_pivots
 
 
+def _recording_nested_pencil(mp, pencils):
+    """Patch korn._nested_pencil to append each degree's exact (a_r, m_r)."""
+    nested = korn._nested_pencil
+
+    def record(*args):
+        pencils.append(nested(*args))
+        return pencils[-1]
+
+    mp.setattr(korn, "_nested_pencil", record)
+
+
 @pytest.fixture(scope="module")
 def recorded():
-    """Rows of korn2d_experiment(6) and the (a_r, m_r) pencils fed to eigh."""
+    """Rows of korn2d_experiment(6) and each degree's exact pencil (a_r, m_r)."""
     pencils = []
-    to_float = korn._to_float
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(korn, "_to_float", lambda mat: pencils.append(mat) or to_float(mat))
+        _recording_nested_pencil(mp, pencils)
         rows = korn2d_experiment(6)
-    return rows, list(zip(pencils[0::2], pencils[1::2]))
+    return rows, pencils
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +62,19 @@ def per_degree_pencils(r_max):
 def test_pencils_match_per_degree_construction(recorded):
     _, pencils = recorded
     assert pencils == per_degree_pencils(6)
+
+
+def test_eigh_gets_each_degrees_pencil_in_floats(monkeypatch):
+    # the floats solved at degree r are those of the exact (a_r, m_r)
+    pencils, solved = [], []
+    _recording_nested_pencil(monkeypatch, pencils)
+    eigh = korn.eigh
+    monkeypatch.setattr(korn, "eigh", lambda a, m: solved.append((a, m)) or eigh(a, m))
+    korn2d_experiment(5)
+    assert len(solved) == len(pencils) == 3
+    for (a, m), (a_r, m_r) in zip(solved, pencils):
+        assert a.tolist() == [[float(x) for x in row] for row in a_r.to_dense()]
+        assert m.tolist() == [[float(x) for x in row] for row in m_r.to_dense()]
 
 
 def test_rows_do_not_depend_on_rmax():
@@ -101,16 +124,9 @@ def test_rejects_small_rmax():
 
 def test_sigma_min_bracketed_by_exact_inertia(monkeypatch):
     # lambda_min(a_r, m_r) > c exactly when a_r - c m_r is positive definite
-    recorded = []
-    to_float = korn._to_float
-
-    def record(mat):
-        recorded.append(mat)
-        return to_float(mat)
-
-    monkeypatch.setattr(korn, "_to_float", record)
+    pencils = []
+    _recording_nested_pencil(monkeypatch, pencils)
     rows = korn2d_experiment(5)
-    pencils = list(zip(recorded[0::2], recorded[1::2]))
     assert len(pencils) == len(rows) == 3
     rel = Fraction(1, 10**6)
     for row, (a_r, m_r) in zip(rows, pencils):
