@@ -18,7 +18,7 @@ from math import lcm, prod
 
 from .diagram import BuiltDiagram, band
 from .forms import LinMap, SumSpace, monomials
-from .linalg import SparseMat, assemble
+from .linalg import LinAlgError, SparseMat, assemble
 
 
 @lru_cache(maxsize=None)
@@ -48,10 +48,10 @@ def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
     """L2 Gram on a weight-stacked space of form degree i.
 
     Row j of weight w holds polynomials of degree w - i - j tensored with a
-    constant space; const_metrics[j] is the metric on that constant space
-    (the identity where absent).  Blocks of equal row index pair across
-    weights through the monomial integrals; distinct rows are orthogonal
-    (their values live in different value spaces).
+    constant space; const_metrics[j], square of that space's dimension, is
+    its metric (the identity where absent).  Blocks of equal row index pair
+    across weights through the monomial integrals; distinct rows are
+    orthogonal (their values live in different value spaces).
     """
     const_metrics = const_metrics or {}
     placed = []
@@ -61,9 +61,13 @@ def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
                 if sub.dim == 0 or colp.space(j).dim == 0:
                     continue
                 p, pp = w - i - j, wp - i - j
+                dim = sub.dim // len(monomials(bd.n, p))
                 metric = const_metrics.get(j)
                 if metric is None:
-                    metric = SparseMat.identity(sub.dim // len(monomials(bd.n, p)))
+                    metric = SparseMat.identity(dim)
+                elif (metric.rows, metric.cols) != (dim, dim):
+                    raise LinAlgError(f"row {j} has constant dimension {dim}, but its "
+                                      f"metric is {metric.rows}x{metric.cols}")
                 placed.append((space.offset(w) + col.offset(j),
                                space.offset(wp) + colp.offset(j),
                                (mono_cube_gram(bd.n, p, pp), metric)))

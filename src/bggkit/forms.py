@@ -204,7 +204,9 @@ class LinMap:
         return LinMap(self.dom, self.cod, self.mat + other.mat)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
-        return self + (-other)
+        if (self.dom, self.cod) != (other.dom, other.cod):
+            raise LinAlgError("difference shape mismatch")
+        return LinMap(self.dom, self.cod, self.mat - other.mat)
 
     def __neg__(self) -> "LinMap":
         return LinMap(self.dom, self.cod, -self.mat)

@@ -12,14 +12,15 @@ floating-point quantity: the smallest eigenvalue of the pencil
 symmetric matrix L^-1 a_r L^-T, as LAPACK's sygvd does.  numpy is imported
 only by that float step.
 
-The exact pencils are built once, at r_max, with A formed through D comp.
-Degree r's pencil is the leading k_r x k_r principal block of the r_max
-pencil (A, M), where k_r counts the free columns of weight <= r, so (A, M)
-is converted to floats once and each degree solves on its leading slice.
-This is exact because
+Everything exact is built once, at r_max, with A formed through D comp.
+The stacked operator D is block-diagonal by weight, so degree r's kernel
+dimensions are sums over weights <= r of per-weight ones, and degree r's D,
+its Grams g_in, g_out and D^T g_out D are leading blocks of the r_max ones.
+Degree r's pencil is then the leading k_r x k_r block of the r_max pencil
+(A, M), k_r the number of free columns of weight <= r, and no per-degree
+exact block is formed: (A, M) is converted to floats once and each degree
+solves on its leading slice.  This is exact because
 
-* the stacked operator D is block-diagonal by weight, so degree r's D, its
-  Grams g_in, g_out and D^T g_out D are the leading blocks of the r_max ones;
 * the joint kernel lives in the degree-3 block, so every degree sees all of
   it and degree r's constraint ker^T g_in is the leading column block of the
   r_max one;
@@ -29,14 +30,15 @@ This is exact because
   k_r vectors of the r_max basis cut to their first n_r rows, n_r the
   number of columns of weight <= r.
 
-The kernel support, the pivot columns and each cut basis are certified
-exactly at run time; a failure raises ``VerificationError``.
+Three certificates are checked exactly at run time: the kernel support, the
+pivot columns and each degree's cut; a failure raises ``VerificationError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from . import catalog
@@ -85,29 +87,24 @@ def eigh(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.linalg.solve(low, half.T))
 
 
-def _nested_pencil(a: SparseMat, m: SparseMat, comp: SparseMat, k: int,
-                   n: int) -> tuple[SparseMat, SparseMat]:
-    """The leading k x k blocks of the pencil (a, m) = comp^T (.) comp.
-
-    They are the pencil on the first k columns of comp cut to their first n
-    rows only if those columns vanish beyond row n; anything else raises.
-    """
+def _check_nested(comp: SparseMat, k: int, n: int) -> None:
+    """Raise unless the first k columns of comp vanish beyond row n, as the
+    pencil on them cut to n rows is then the leading k x k block of comp's."""
     beyond = [(c, r) for r, row in comp.by_row.items() if r >= n for c in row if c < k]
     if beyond:
         c, r = min(beyond)
         raise VerificationError(
             f"complement vector {c} has an entry in row {r}, beyond the "
             f"leading {n} rows; the degree's pencil is not a principal block")
-    return leading_block(a, k, k), leading_block(m, k, k)
 
 
 def _exact_part(r_max: int):
     """Everything exact, built once at r_max.
 
     Returns, per degree r = 3..r_max, the tuple (r, joint kernel dimension,
-    first-order kernel dimension, k_r, n_r), and the complement basis with
-    the r_max pencil (A, M).  Only these leave the function, so the derived
-    diagram and the Grams are freed before the float step loads numpy.
+    first-order kernel dimension, k_r), and the r_max pencil (A, M), whose
+    leading k_r x k_r block is degree r's.  Only these leave the function, so
+    the diagram and the Grams are freed before the float step loads numpy.
     """
     bd = build(catalog.get("mobius-2d").spec, r_max)
     ops = derive(bd)
@@ -117,7 +114,12 @@ def _exact_part(r_max: int):
     weights = range(r_max + 1)
     dom = SumSpace(tuple((w, ops.bc.ups_space(0, w)) for w in weights))
     cod = SumSpace(tuple((w, ops.bc.ups_space(1, w)) for w in weights))
-    dmat = stacked_map({w: ops.bc.D(0, w) for w in weights}, dom, cod).mat
+    per_weight = {w: ops.bc.D(0, w) for w in weights}
+    # D is block-diagonal by weight, so degree r's kernels sum weights <= r
+    joint = list(accumulate(d.dom.dim - rank(d.mat) for d in per_weight.values()))
+    first = list(accumulate(d.dom.dim - rank(take_rows(d.mat, d.cod.span(0)))
+                            for d in per_weight.values()))
+    dmat = stacked_map(per_weight, dom, cod).mat
     ker = nullspace(dmat)
     cols_3 = dom.span(3).stop  # columns of weight <= 3
     if any(r >= cols_3 for r in ker.by_row):
@@ -128,16 +130,13 @@ def _exact_part(r_max: int):
     if rank(leading_block(constraint, constraint.rows, cols_3)) != constraint.rows:
         raise VerificationError("a pivot column of ker^T g_in lies beyond the degree-3 block")
     comp = nullspace(constraint)
-    first_rows = [cod.offset(w) + r for w, sub in cod.parts for r in sub.span(0)]
     degrees = []
     for r in range(3, r_max + 1):
-        n_rows, n_cols = cod.span(r).stop, dom.span(r).stop
-        d_r = leading_block(dmat, n_rows, n_cols)
-        first = take_rows(d_r, [i for i in first_rows if i < n_rows])
-        degrees.append((r, d_r.cols - rank(d_r), d_r.cols - rank(first),
-                        n_cols - ker.cols, n_cols))
+        n_cols = dom.span(r).stop
+        _check_nested(comp, n_cols - ker.cols, n_cols)
+        degrees.append((r, joint[r], first[r], n_cols - ker.cols))
     image = dmat @ comp
-    return degrees, comp, image.transpose() @ (g_out @ image), comp.transpose() @ (g_in @ comp)
+    return degrees, image.transpose() @ (g_out @ image), comp.transpose() @ (g_in @ comp)
 
 
 def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
@@ -151,12 +150,11 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
     """
     if r_max < 3:
         raise ValueError("r_max must be >= 3")
-    degrees, comp, a_full, m_full = _exact_part(r_max)
+    degrees, a_full, m_full = _exact_part(r_max)
     import numpy as np
     a_float, m_float = _to_float(a_full), _to_float(m_full)
     out = []
-    for r, kernel_dim, first_kernel, k, n in degrees:
-        _nested_pencil(a_full, m_full, comp, k, n)
+    for r, kernel_dim, first_kernel, k in degrees:
         try:
             eigvals = eigh(a_float[:k, :k], m_float[:k, :k])
         except np.linalg.LinAlgError as err:

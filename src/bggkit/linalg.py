@@ -387,10 +387,15 @@ def block_matrix(grid, row_dims: list[int], col_dims: list[int]) -> SparseMat:
 
 def assemble(rows: int, cols: int, placed) -> SparseMat:
     """The rows x cols matrix holding each (r0, c0, block) with its top-left
-    corner at (r0, c0); no two blocks may hold the same entry.  A block may
-    be given as a pair (a, b) standing for a.kron(b), which is placed
-    unformed."""
+    corner at (r0, c0); each must fit, and no two may hold the same entry.
+    A block may be given as a pair (a, b) standing for a.kron(b), which is
+    placed unformed."""
     placed = [(r0, c0, *_factors(blk)) for r0, c0, blk in placed]
+    for r0, c0, a, b in placed:
+        h, w = a.rows * b.rows, a.cols * b.cols
+        if min(r0, c0) < 0 or r0 + h > rows or c0 + w > cols:
+            raise LinAlgError(f"a {h}x{w} block at ({r0},{c0}) does not fit "
+                              f"in {rows}x{cols}")
     den = lcm(*(a.den * b.den for _, _, a, b in placed))
     out: dict[int, dict[int, int]] = {}
     for r0, c0, a, b in placed:
@@ -398,10 +403,12 @@ def assemble(rows: int, cols: int, placed) -> SparseMat:
     return SparseMat._from_rows(rows, cols, out, den)
 
 
-def _positions(indices, what: str) -> dict:
-    """{index: position} for a listing of distinct indices."""
+def _positions(indices, size: int, what: str) -> dict:
+    """{index: position} for a listing of distinct indices in range(size)."""
     pos = {}
     for k, i in enumerate(indices):
+        if not 0 <= i < size:
+            raise LinAlgError(f"{what} {i} is out of range for {size} {what}s")
         if i in pos:
             raise LinAlgError(f"{what} {i} is listed twice")
         pos[i] = k
@@ -420,7 +427,7 @@ def _cols_at(m: SparseMat, pos: dict) -> SparseMat:
 
 def take_rows(m: SparseMat, rows) -> SparseMat:
     """The listed rows of m, in the listed order; an index may appear once."""
-    pos = _positions(rows, "row")
+    pos = _positions(rows, m.rows, "row")
     src = m.by_row
     out = {k: src[r] for r, k in pos.items() if r in src}
     return SparseMat._from_rows(len(pos), m.cols, out, m.den)
@@ -428,11 +435,13 @@ def take_rows(m: SparseMat, rows) -> SparseMat:
 
 def take_cols(m: SparseMat, cols) -> SparseMat:
     """The listed columns of m, in the listed order; an index may appear once."""
-    return _cols_at(m, _positions(cols, "column"))
+    return _cols_at(m, _positions(cols, m.cols, "column"))
 
 
 def leading_block(m: SparseMat, rows: int, cols: int) -> SparseMat:
     """The first rows x cols block of m."""
+    if not (0 <= rows <= m.rows and 0 <= cols <= m.cols):
+        raise LinAlgError(f"leading block {rows}x{cols} does not fit in {m.rows}x{m.cols}")
     src = m.by_row
     out = {}
     for r in range(rows):

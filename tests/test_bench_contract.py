@@ -14,13 +14,49 @@ import types
 from collections import Counter
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench(name):
+    """bench/<name>.py compiled from its source text; the file is only read."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def _tracer():
-    module = types.ModuleType("bench_tracer")
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
-    return module
+    return _bench("tracer")
+
+
+def _count_layers(monkeypatch, required) -> Counter:
+    """Count the calls on each required layer: wrap every bggkit binding of
+    its traced functions, and its traced methods, the way the tracer does."""
+    tracer = _tracer()
+    calls = Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for layer, mod, attr, _count in tracer.FUNCTIONS:
+        if layer not in required:
+            continue
+        original = getattr(importlib.import_module(f"bggkit.{mod}"), attr)
+        for mod_name, module in list(sys.modules.items()):
+            if module is not None and mod_name.split(".")[0] == "bggkit":
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counting(layer, original))
+    for layer, mod, cls_name, meth, _count in tracer.METHODS:
+        if layer in required:
+            cls = getattr(importlib.import_module(f"bggkit.{mod}"), cls_name)
+            monkeypatch.setattr(cls, meth, counting(layer, vars(cls)[meth]))
+    return calls
 
 
 def test_traced_functions_resolve():
@@ -84,34 +120,12 @@ def test_bgg_oracles_reach_traced_certify_layers(monkeypatch):
     # B no longer forms G, so the oracles alone must reach the homotopy
     from bggkit import bgg, build, catalog
 
-    tracer = _tracer()
     required = {"bgg.G_column", "bgg.projection", "bgg.verify_T_column_identities",
                 "bgg.verify_G_properties", "bgg.verify_chain_maps",
                 "bgg.verify_block_structure", "linalg.pinv_onto",
                 "linalg.projection_onto", "linalg.solve_dense", "linalg.column_space",
                 "linalg.nullspace", "linalg.rank"}
-    calls = Counter()
-
-    def counting(name, fn):
-        @functools.wraps(fn)
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for layer, mod, attr, _count in tracer.FUNCTIONS:
-        if layer not in required:
-            continue
-        original = getattr(importlib.import_module(f"bggkit.{mod}"), attr)
-        for mod_name, module in list(sys.modules.items()):
-            if module is not None and mod_name.split(".")[0] == "bggkit":
-                for name, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, name, counting(layer, original))
-    for layer, mod, cls_name, meth, _count in tracer.METHODS:
-        if layer in required:
-            cls = getattr(importlib.import_module(f"bggkit.{mod}"), cls_name)
-            monkeypatch.setattr(cls, meth, counting(layer, vars(cls)[meth]))
+    calls = _count_layers(monkeypatch, required)
 
     bd = build(catalog.get("plate-2d").spec, 3)
     ops = bgg.derive(bd)
@@ -121,4 +135,16 @@ def test_bgg_oracles_reach_traced_certify_layers(monkeypatch):
     bgg.verify_chain_maps(ops.bc, ops.b, w)
     for i in range(bd.n + 1):
         bgg.verify_block_structure(ops, i, w)
+    assert sorted(required - set(calls)) == []
+
+
+def test_korn_experiment_reaches_traced_korn_layers(monkeypatch):
+    # a traced korn run fails unless every layer bench/run.py expects on korn
+    # records a call
+    from bggkit import korn
+
+    required = {layer for layer, workloads in _bench("run").LAYERS.items()
+                if "korn" in workloads}
+    calls = _count_layers(monkeypatch, required)
+    korn.korn2d_experiment(4)
     assert sorted(required - set(calls)) == []

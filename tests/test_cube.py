@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from bggkit import catalog
 from bggkit.cube import (
     mono_cube_gram,
@@ -10,6 +12,7 @@ from bggkit.cube import (
 )
 from bggkit.diagram import build
 from bggkit.energy import _embed, random_field
+from bggkit.linalg import LinAlgError, SparseMat
 
 from oracles import bareiss_det, cube_integral, poly_mul
 
@@ -64,6 +67,15 @@ def test_stacked_gram_matches_direct_integrals():
     gv = gram.apply(vg)
     paired = sum((a * b for a, b in zip(vf, gv)), F(0))
     assert paired == cube_integral(poly_mul(f[0], g[0]), 2)
+
+
+def test_stacked_gram_rejects_a_metric_of_the_wrong_size():
+    # row 1 of the plate's 0-forms holds 2-dimensional constants
+    bd = build(catalog.get("plate-2d").spec, 2)
+    space = stacked_column(bd, 0, range(3))
+    assert stacked_cube_gram(bd, space, 0, {1: SparseMat.identity(2)}).rows == 12
+    with pytest.raises(LinAlgError, match="row 1 has constant dimension 2, but its metric is 3x3"):
+        stacked_cube_gram(bd, space, 0, {1: SparseMat.identity(3)})
 
 
 def test_stacked_map_applies_per_weight():

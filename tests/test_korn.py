@@ -8,29 +8,20 @@ from bggkit.cube import stacked_cube_gram, stacked_map
 from bggkit.diagram import VerificationError, build
 from bggkit.forms import SumSpace
 from bggkit.korn import korn2d_experiment
-from bggkit.linalg import SparseMat, nullspace
+from bggkit.linalg import SparseMat, leading_block, nullspace
 from oracles import ldl_pivots
 
 
-def _recording_nested_pencil(mp, pencils):
-    """Patch korn._nested_pencil to append each degree's exact (a_r, m_r)."""
-    nested = korn._nested_pencil
-
-    def record(*args):
-        pencils.append(nested(*args))
-        return pencils[-1]
-
-    mp.setattr(korn, "_nested_pencil", record)
+def exact_pencils(r_max):
+    """Each degree's exact pencil (a_r, m_r), cut from the r_max pencil."""
+    degrees, a, m = korn._exact_part(r_max)
+    return [(leading_block(a, k, k), leading_block(m, k, k)) for *_, k in degrees]
 
 
 @pytest.fixture(scope="module")
 def recorded():
     """Rows of korn2d_experiment(6) and each degree's exact pencil (a_r, m_r)."""
-    pencils = []
-    with pytest.MonkeyPatch.context() as mp:
-        _recording_nested_pencil(mp, pencils)
-        rows = korn2d_experiment(6)
-    return rows, pencils
+    return korn2d_experiment(6), exact_pencils(6)
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +57,11 @@ def test_pencils_match_per_degree_construction(recorded):
 
 def test_eigh_gets_each_degrees_pencil_in_floats(monkeypatch):
     # the floats solved at degree r are those of the exact (a_r, m_r)
-    pencils, solved = [], []
-    _recording_nested_pencil(monkeypatch, pencils)
+    solved = []
     eigh = korn.eigh
     monkeypatch.setattr(korn, "eigh", lambda a, m: solved.append((a, m)) or eigh(a, m))
     korn2d_experiment(5)
+    pencils = exact_pencils(5)
     assert len(solved) == len(pencils) == 3
     for (a, m), (a_r, m_r) in zip(solved, pencils):
         assert a.tolist() == [[float(x) for x in row] for row in a_r.to_dense()]
@@ -82,16 +73,12 @@ def test_rows_do_not_depend_on_rmax():
 
 
 def test_nested_pencil_rejects_entry_beyond_leading_block():
-    a = SparseMat.from_dense([[4, 1, 2], [1, 3, 0], [2, 0, 5]])
-    m = SparseMat.from_dense([[2, 0, 1], [0, 2, 0], [1, 0, 2]])
     nested = SparseMat(4, 3, {(0, 0): 1, (1, 1): 1, (2, 1): Fraction(1, 2), (3, 2): 1})
-    a_r, m_r = korn._nested_pencil(a, m, nested, 2, 3)
-    assert a_r == SparseMat.from_dense([[4, 1], [1, 3]])
-    assert m_r == SparseMat.from_dense([[2, 0], [0, 2]])
+    korn._check_nested(nested, 2, 3)
     # column 1 reaches row 3, outside the leading 3 rows
     leaky = SparseMat(4, 3, {(0, 0): 1, (1, 1): 1, (3, 1): Fraction(1, 2), (3, 2): 1})
-    with pytest.raises(VerificationError):
-        korn._nested_pencil(a, m, leaky, 2, 3)
+    with pytest.raises(VerificationError, match="complement vector 1 has an entry in row 3"):
+        korn._check_nested(leaky, 2, 3)
 
 
 def test_joint_kernel_is_six(rows):
@@ -122,11 +109,10 @@ def test_rejects_small_rmax():
         korn2d_experiment(2)
 
 
-def test_sigma_min_bracketed_by_exact_inertia(monkeypatch):
+def test_sigma_min_bracketed_by_exact_inertia():
     # lambda_min(a_r, m_r) > c exactly when a_r - c m_r is positive definite
-    pencils = []
-    _recording_nested_pencil(monkeypatch, pencils)
     rows = korn2d_experiment(5)
+    pencils = exact_pencils(5)
     assert len(pencils) == len(rows) == 3
     rel = Fraction(1, 10**6)
     for row, (a_r, m_r) in zip(rows, pencils):

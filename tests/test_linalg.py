@@ -404,6 +404,34 @@ def test_take_cols_rejects_a_repeated_index():
         take_cols(SparseMat.identity(3), [2, 1, 2])
 
 
+@pytest.mark.parametrize("take, indices, message", [
+    (take_rows, [0, 5], "row 5 is out of range for 2 rows"),
+    (take_rows, [-1], "row -1 is out of range for 2 rows"),
+    (take_cols, [2], "column 2 is out of range for 2 columns"),
+    (take_cols, [1, -2], "column -2 is out of range for 2 columns"),
+])
+def test_take_rejects_an_index_outside_the_matrix(take, indices, message):
+    with pytest.raises(LinAlgError, match=message):
+        take(SparseMat.identity(2), indices)
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 1), (1, 3), (-1, 2)])
+def test_leading_block_rejects_a_block_outside_the_matrix(rows, cols):
+    with pytest.raises(LinAlgError, match=f"leading block {rows}x{cols} does not fit in 2x2"):
+        leading_block(SparseMat.identity(2), rows, cols)
+
+
+@pytest.mark.parametrize("placed", [
+    [(1, 1, SparseMat.identity(3))],
+    [(0, 1, (SparseMat.identity(1), SparseMat.identity(2)))],
+    [(-1, 0, SparseMat.identity(1))],
+])
+def test_assemble_rejects_a_block_outside_the_matrix(placed):
+    r0, c0, _ = placed[0]
+    with pytest.raises(LinAlgError, match=rf"block at \({r0},{c0}\) does not fit in 2x2"):
+        assemble(2, 2, placed)
+
+
 # -- independence of the pivot row ---------------------------------------------
 
 
