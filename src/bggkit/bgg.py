@@ -16,6 +16,14 @@ by ``diagram.nilpotent_terms``.  A is summed on the thin harmonic columns
 and B on the thin projection rows, so neither multiplies by the square
 homotopy G; G is formed only by the G, chain-map and block-structure
 oracles and by the exporter.
+
+A product that several stages read is formed once per (i, w) and memoized
+with its factors: ``BGGComplex.dVA`` = d_V A gives D = pi d_V A and is the
+assembled side of ``compute_D``'s dVA=AD and of the block-structure
+oracle's dVA blocks; ``GOps.dVG`` = d_V G is read by the G oracle's
+T(I - d_V G) = 0 and by the chain-map oracle's A B = I - d_V G - G d_V.
+Each oracle still forms its expected side, the T- and iota-chains included,
+from d, T and the splitting, so no oracle reads the series it checks.
 """
 
 from __future__ import annotations
@@ -211,6 +219,11 @@ class GOps:
         terms = nilpotent_terms(tcol.mat, lambda x: td @ x, self.bd.N + 1)
         return LinMap(tcol.dom, tcol.cod, -sum(terms[1:], terms[0]))
 
+    @memo
+    def dVG(self, i: int, w: int) -> LinMap:
+        """d_V G, formed once for the G and chain-map oracles."""
+        return self.bd.d_V(i - 1, w) @ self.column(i, w)
+
 
 def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
                         w: int) -> list:
@@ -234,7 +247,7 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
             continue
         # (2): T (I - d_V G) = 0
         ident = SparseMat.identity(col.dim)
-        report.expect("T(I-dVG)=0", w, i, tm @ (ident - bd.d_V(i - 1, w).mat @ gm))
+        report.expect("T(I-dVG)=0", w, i, tm @ (ident - g.dVG(i, w).mat))
         # (3): P_ran(T) G = G; ran(T) = ker(S)^perp on column i - 1
         col_prev = bd.column(i - 1, w)
         p_ran = {j: p for (ii, j), p in hs.p_kerp.items() if ii == i - 1}
@@ -287,11 +300,13 @@ class BGGComplex:
         return LinMap(iota.dom, iota.cod, sum(terms[1:], terms[0]))
 
     @memo
+    def dVA(self, i: int, w: int) -> LinMap:
+        """d_V A, formed once for D, ``compute_D`` and the block-structure oracle."""
+        return self.bd.d_V(i, w) @ self.A(i, w)
+
+    @memo
     def D(self, i: int, w: int) -> LinMap:
-        a = self.A(i, w)
-        dv = self.bd.d_V(i, w)
-        pi = self.projection(i + 1, w)
-        return LinMap(a.dom, pi.cod, pi.mat @ (dv.mat @ a.mat))
+        return self.projection(i + 1, w) @ self.dVA(i, w)
 
     def block_orders(self, i: int) -> list[int]:
         """Weight shifts of the nonzero derived-operator blocks at index i."""
@@ -312,8 +327,7 @@ def compute_D(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps) -> BGGComplex:
             d_i = bc.D(i, w).mat
             if i < bd.n:
                 report.expect("DD=0", w, i, bc.D(i + 1, w).mat @ d_i)
-            report.expect("dVA=AD", w, i, bd.d_V(i, w).mat @ bc.A(i, w).mat,
-                          bc.A(i + 1, w).mat @ d_i)
+            report.expect("dVA=AD", w, i, bc.dVA(i, w).mat, bc.A(i + 1, w).mat @ d_i)
     report.require("compute_D")
     return bc
 
@@ -350,7 +364,7 @@ def verify_chain_maps(bc: BGGComplex, b: BOps, w: int) -> list:
                       SparseMat.identity(bc.ups_space(i, w).dim))
         hom = SparseMat.identity(bd.column(i, w).dim)
         if i >= 1:
-            hom = hom - bd.d_V(i - 1, w).mat @ bc.g.column(i, w).mat
+            hom = hom - bc.g.dVG(i, w).mat
         hom = hom - bc.g.column(i + 1, w).mat @ bd.d_V(i, w).mat
         report.expect("A B = I - dVG - GdV", w, i, bc.A(i, w).mat @ b_i, hom)
     return report.failures()
@@ -410,7 +424,9 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     (Td)^k T gives the homotopy's -(Td)^k T on row ji+k+1 and the projection
     chain map's P d (Td)^k T there, next to P on row ji.  The iota-chain
     (Td)^k iota gives the lift on row ji+k, the twisted image's
-    P_perp d (Td)^k iota and the derived operator's P d (Td)^k iota.  B F
+    P_perp d (Td)^k iota and the derived operator's P d (Td)^k iota.  The
+    d (Td)^k T and d (Td)^k iota behind those are the products the chain
+    steps form, kept rather than formed again.  B F
     combines B with the powers of K, formed once.  Both the zero pattern and
     the entries must agree exactly.
     """
@@ -431,8 +447,10 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     perp_next = lift_column(bd, p_perp, i + 1, w, col_next, col_next)
     pi_next = bc.projection(i + 1, w).mat
     pi_i = bc.projection(i, w).mat
+    iota = bc.inclusion(i, w).mat
     gm = g.column(i, w).mat
     am = bc.A(i, w).mat
+    dvam = bc.dVA(i, w).mat
     dm = bc.D(i, w).mat
     bm = b.column(i, w).mat
 
@@ -441,10 +459,21 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
             report.expect(tag, w, i, take_rows(assembled, out_space.span(jo)),
                           expectations.get(jo), at=(jo, ji))
 
+    def chain(first, outer, inner):
+        """The terms of the series (outer inner)^k first, and the products
+        inner @ term that its steps form on the way."""
+        images = []
+
+        def step(x):
+            images.append(inner @ x)
+            return outer @ images[-1]
+        # a limit one past the N + 1 rows steps from every nonzero term, so
+        # each one has its image (a zero first term has none, and needs none)
+        return nilpotent_terms(first, step, bd.N + 2), images
+
     # one call per block column, so its chains are freed before the next
     def block_column(ji):
-        t_chain = nilpotent_terms(take_cols(tmat, col_i.span(ji)),
-                                  lambda x: tmat @ (d_prev @ x), bd.N + 1)
+        t_chain, d_t_chain = chain(take_cols(tmat, col_i.span(ji)), tmat, d_prev)
         expect_g = {}
         for k, term in enumerate(t_chain):
             if term.is_zero() or not report.holds(
@@ -455,33 +484,30 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
 
         if col_i.space(ji).dim:
             expect_b = {ji: take_rows(take_cols(pi_i, col_i.span(ji)), ups_i.span(ji))}
-            for k, term in enumerate(t_chain[:bd.N - ji]):
-                expect_b[ji + k + 1] = take_rows(pi_i @ (d_prev @ term), ups_i.span(ji + k + 1))
+            for k, image in enumerate(d_t_chain):
+                expect_b[ji + k + 1] = take_rows(pi_i @ image, ups_i.span(ji + k + 1))
             expect_b = {jo: blk for jo, blk in expect_b.items() if not blk.is_zero()}
             check("B block", take_cols(bm, col_i.span(ji)), ups_i, expect_b, ji)
 
         if ups_i.space(ji).dim == 0:
             return
-        iota_chain = nilpotent_terms(take_cols(bc.inclusion(i, w).mat, ups_i.span(ji)),
-                                     lambda x: t_next @ (d_i @ x), bd.N + 1)
+        iota_chain, d_iota_chain = chain(take_cols(iota, ups_i.span(ji)), t_next, d_i)
         expect_a = {}
         for k, term in enumerate(iota_chain):
             if not report.holds("A shift", w, i,
                                 _support_rows(term, col_i) <= {ji + k}, (ji, k)):
                 break
             expect_a[ji + k] = take_rows(term, col_i.span(ji + k))
-        am_col = take_cols(am, ups_i.span(ji))
-        check("A block", am_col, col_i, expect_a, ji)
+        check("A block", take_cols(am, ups_i.span(ji)), col_i, expect_a, ji)
 
         expect_dva = {}
         expect_d = {}
-        for k, term in enumerate(iota_chain[:bd.N + 1 - ji]):
-            image = d_i @ term
+        for k, image in enumerate(d_iota_chain):
             if image.is_zero():
                 break
             expect_dva[ji + k] = take_rows(perp_next @ image, col_next.span(ji + k))
             expect_d[ji + k] = take_rows(pi_next @ image, ups_next.span(ji + k))
-        check("dVA block", bd.d_V(i, w).mat @ am_col, col_next, expect_dva, ji)
+        check("dVA block", take_cols(dvam, ups_i.span(ji)), col_next, expect_dva, ji)
         check("D block", take_cols(dm, ups_i.span(ji)), ups_next, expect_d, ji)
 
     for ji in range(bd.N + 1):

@@ -74,8 +74,8 @@ def nilpotent_terms(first: SparseMat, step, limit: int) -> list:
     list ends before the first zero term after it.  Each step moves every
     row block one row further (K lowers the row index, T d and d T raise
     it) and a column has N + 1 rows, so at most N + 1 terms are nonzero:
-    callers pass ``limit`` = N + 1, which caps the loop and never cuts a
-    nonzero term.
+    callers pass ``limit`` = N + 1 (N when ``first`` is K itself), which
+    caps the loop and never cuts a nonzero term.
     """
     terms = [first]
     while len(terms) < limit and not terms[-1].is_zero():
@@ -335,10 +335,10 @@ class BuiltDiagram:
         """Column intertwiner sum_m K^m / m!; inverse of the same sum at -K."""
         col = self.column(i, w)
         k = self.K(i, w).mat
-        powers = nilpotent_terms(SparseMat.identity(col.dim), lambda p: k @ p, self.N + 1)
-        acc = powers[0]
-        for m in range(1, len(powers)):
-            acc = acc + powers[m].scale(Fraction(1, factorial(m)))
+        acc = SparseMat.identity(col.dim)
+        # K^m lowers the row by m, so at most K, ..., K^N are nonzero
+        for m, power in enumerate(nilpotent_terms(k, lambda p: k @ p, self.N), start=1):
+            acc = acc + power.scale(Fraction(1, factorial(m)))
         return LinMap(col, col, acc)
 
 

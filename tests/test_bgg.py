@@ -18,6 +18,7 @@ from bggkit.bgg import (
     pullback_column,
     pullback_on_harmonics,
     verify_G_properties,
+    verify_T_column_identities,
     verify_block_structure,
     verify_chain_maps,
 )
@@ -220,6 +221,36 @@ def test_d_V_ranks_eliminated_once_per_diagram(monkeypatch):
     assert {id(m) for m in eliminated} == {id(bd.d_V(i, w).mat) for i, w in keys}
 
 
+def test_shared_products_formed_once_per_weight(monkeypatch):
+    # derive and the four oracles read d_V A and d_V G, but form each once
+    formed = []
+    matmul = SparseMat.__matmul__
+
+    def recording_matmul(a, b):
+        formed.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMat, "__matmul__", recording_matmul)
+    ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
+    bd, bc, g = ops.bd, ops.bc, ops.g
+    for w in range(bd.w_max + 1):
+        verify_T_column_identities(bd, ops.t, w)
+        verify_G_properties(bd, ops.hs, ops.t, g, w)
+        verify_chain_maps(bc, ops.b, w)
+        for i in range(bd.n + 1):
+            verify_block_structure(ops, i, w)
+    monkeypatch.undo()
+
+    def times(left, right):
+        return sum(a is left and b is right for a, b in formed)
+
+    for w in range(bd.w_max + 1):
+        for i in range(bd.n + 1):
+            assert times(bd.d_V(i, w).mat, bc.A(i, w).mat) == 1
+            if i >= 1:
+                assert times(bd.d_V(i - 1, w).mat, g.column(i, w).mat) == 1
+
+
 def test_G_properties_all(hess_ops):
     for w in range(WMAX + 1):
         assert verify_G_properties(hess_ops.bd, hess_ops.hs, hess_ops.t,
@@ -239,7 +270,8 @@ def test_block_structure_three_rows(hess_ops):
 
 @pytest.mark.parametrize("owner, method, tag", [
     ("g", GOps.column, "G block"), ("bc", BGGComplex.A, "A block"),
-    ("b", BOps.column, "B block"), ("bc", BGGComplex.D, "D block")])
+    ("b", BOps.column, "B block"), ("bc", BGGComplex.D, "D block"),
+    ("bc", BGGComplex.dVA, "dVA block")])
 def test_block_structure_reports_a_changed_entry(owner, method, tag):
     # add 1 to one entry of a memoized column; the oracle must name it
     ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
@@ -249,6 +281,16 @@ def test_block_structure_reports_a_changed_entry(owner, method, tag):
     holder.__dict__["_memo"][(method.__wrapped__, 1, 4)] = \
         LinMap(col.dom, col.cod, col.mat + bump)
     assert tag in {c.name for c in verify_block_structure(ops, 1, 4)}
+
+
+def test_chain_maps_report_a_changed_dVG():
+    # the chain-map oracle reads the shared d_V G; a wrong entry must show
+    ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
+    col = ops.g.dVG(1, 4)
+    bump = SparseMat(col.mat.rows, col.mat.cols, {min(col.mat.num): 1})
+    ops.g.__dict__["_memo"][(GOps.dVG.__wrapped__, 1, 4)] = \
+        LinMap(col.dom, col.cod, col.mat + bump)
+    assert "A B = I - dVG - GdV" in {c.name for c in verify_chain_maps(ops.bc, ops.b, 4)}
 
 
 def test_block_structure_two_rows(elas_ops):
