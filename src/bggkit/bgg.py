@@ -34,7 +34,7 @@ from math import factorial
 
 from .diagram import BuiltDiagram, VerifyReport, _mono_count, band, lift_column, \
     memo, nilpotent_terms, twisted_cohomology
-from .forms import CoordSpace, LinMap, SumSpace, form_indices, pullback_block
+from .forms import CoordSpace, LinMap, SumSpace, blocks, form_indices, pullback_block
 from .linalg import (
     SparseMat,
     column_space,
@@ -46,8 +46,6 @@ from .linalg import (
     projection_onto,
     rank,
     solve_thin,
-    take_cols,
-    take_rows,
     vstack,
 )
 
@@ -213,11 +211,11 @@ class GOps:
 
     @memo
     def column(self, i: int, w: int) -> LinMap:
-        """G = -sum_k (T d)^k T."""
+        """G = -sum_k (T d)^k T, summed from -T."""
         tcol = self.t.column(i, w)
         td = tcol.mat @ self.bd.d(i - 1, w).mat
-        terms = nilpotent_terms(tcol.mat, lambda x: td @ x, self.bd.N + 1)
-        return LinMap(tcol.dom, tcol.cod, -sum(terms[1:], terms[0]))
+        terms = nilpotent_terms(-tcol.mat, lambda x: td @ x, self.bd.N + 1)
+        return LinMap(tcol.dom, tcol.cod, sum(terms[1:], terms[0]))
 
     @memo
     def dVG(self, i: int, w: int) -> LinMap:
@@ -245,9 +243,8 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
             # (3) with no column below: G itself must vanish
             report.expect("ranG in ranT", w, i, gm)
             continue
-        # (2): T (I - d_V G) = 0
-        ident = SparseMat.identity(col.dim)
-        report.expect("T(I-dVG)=0", w, i, tm @ (ident - g.dVG(i, w).mat))
+        # (2): T (I - d_V G) = 0, read as T d_V G = T
+        report.expect("T(I-dVG)=0", w, i, tm @ g.dVG(i, w).mat, tm)
         # (3): P_ran(T) G = G; ran(T) = ker(S)^perp on column i - 1
         col_prev = bd.column(i - 1, w)
         p_ran = {j: p for (ii, j), p in hs.p_kerp.items() if ii == i - 1}
@@ -310,12 +307,8 @@ class BGGComplex:
 
     def block_orders(self, i: int) -> list[int]:
         """Weight shifts of the nonzero derived-operator blocks at index i."""
-        orders = set()
-        for w in range(self.bd.w_max + 1):
-            d = self.D(i, w)
-            orders |= {1 + d.cod.key_of(r) - d.dom.key_of(c)
-                       for r, row in d.mat.by_row.items() for c in row}
-        return sorted(orders)
+        ds = [self.D(i, w) for w in range(self.bd.w_max + 1)]
+        return sorted({1 + jo - ji for d in ds for jo, ji in blocks(d.mat, d.cod, d.dom)})
 
 
 def compute_D(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps) -> BGGComplex:
@@ -410,126 +403,99 @@ def derive(bd: BuiltDiagram) -> DerivedOps:
 # -- triangular block-structure oracles -------------------------------------
 
 
-def _support_rows(mat: SparseMat, out_space: SumSpace) -> set:
-    """Output summands that carry nonzero entries."""
-    return {out_space.key_of(r) for r in mat.by_row}
-
-
 def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     """Check the triangular block form of G, A, d_V A, D, B and B F.
 
-    Each assembled operator is compared block column by block column with
-    the composite built directly from d, T, K and the splitting
-    projections.  Two chains are formed per block column ji.  The T-chain
-    (Td)^k T gives the homotopy's -(Td)^k T on row ji+k+1 and the projection
-    chain map's P d (Td)^k T there, next to P on row ji.  The iota-chain
-    (Td)^k iota gives the lift on row ji+k, the twisted image's
-    P_perp d (Td)^k iota and the derived operator's P d (Td)^k iota.  The
-    d (Td)^k T and d (Td)^k iota behind those are the products the chain
-    steps form, kept rather than formed again.  B F
-    combines B with the powers of K, formed once.  Both the zero pattern and
-    the entries must agree exactly.
+    Each assembled operator is split by ``forms.blocks`` and compared block
+    by block with the composite built directly from d, T, K and the
+    splitting projections.  The T-chain (Td)^k T and the iota-chain
+    (Td)^k iota are formed once, on the whole T and iota: block column ji of
+    a term is the term of that block column alone.  (Td)^k T gives G's
+    -(Td)^k T on row ji+k+1 and B's P d (Td)^k T there, next to P on row ji;
+    (Td)^k iota gives A's term on row ji+k, d_V A's P_perp d (Td)^k iota and
+    D's P d (Td)^k iota.  The d (Td)^k products are those the chain steps
+    form.  B F combines B with the powers of K.  The G, A and F shift checks
+    read which block diagonal each split term lies on.  Both the zero
+    pattern and the entries must agree exactly.
     """
     bd, hs, t, g, bc, b = ops.bd, ops.hs, ops.t, ops.g, ops.bc, ops.b
     report = VerifyReport(bd.spec.name, bd.w_max)
-    col_i = bd.column(i, w)
-    col_prev = bd.column(i - 1, w)
-    col_next = bd.column(i + 1, w)
-    ups_i = bc.ups_space(i, w)
-    ups_next = bc.ups_space(i + 1, w)
-    d_i = bd.d(i, w).mat
-    d_prev = bd.d(i - 1, w).mat
-    tmat = t.column(i, w).mat
-    t_next = t.column(i + 1, w).mat
-    # splitting projections of column i + 1, both block diagonal
+    col_i, col_next, ups_i = bd.column(i, w), bd.column(i + 1, w), bc.ups_space(i, w)
+    # splitting projections, all block diagonal: P_perp on column i + 1, P on i and i + 1
     p_perp = {jo: SparseMat.identity(hs.const_dim(i + 1, jo)) - p
               for (ii, jo), p in hs.p_ran.items() if ii == i + 1}
     perp_next = lift_column(bd, p_perp, i + 1, w, col_next, col_next)
-    pi_next = bc.projection(i + 1, w).mat
-    pi_i = bc.projection(i, w).mat
-    iota = bc.inclusion(i, w).mat
-    gm = g.column(i, w).mat
-    am = bc.A(i, w).mat
-    dvam = bc.dVA(i, w).mat
-    dm = bc.D(i, w).mat
-    bm = b.column(i, w).mat
+    pi_i, pi_next = bc.projection(i, w).mat, bc.projection(i + 1, w).mat
+    gop, bop = g.column(i, w), b.column(i, w)
+    aop, dvaop, dop = bc.A(i, w), bc.dVA(i, w), bc.D(i, w)
 
-    def check(tag, assembled, out_space, expectations, ji):
-        for jo, _sp in out_space.parts:
-            report.expect(tag, w, i, take_rows(assembled, out_space.span(jo)),
-                          expectations.get(jo), at=(jo, ji))
-
-    def chain(first, outer, inner):
-        """The terms of the series (outer inner)^k first, and the products
-        inner @ term that its steps form on the way."""
+    def chain(first, outer, inner, like):
+        """The terms of the series (outer inner)^k first, split as maps like
+        ``like``, and the products inner @ term that its steps form."""
         images = []
 
         def step(x):
             images.append(inner @ x)
             return outer @ images[-1]
         # a limit one past the N + 1 rows steps from every nonzero term, so
-        # each one has its image (a zero first term has none, and needs none)
-        return nilpotent_terms(first, step, bd.N + 2), images
+        # each one has its image
+        terms = nilpotent_terms(first, step, bd.N + 2)
+        return [blocks(x, like.cod, like.dom) for x in terms], images
 
-    # one call per block column, so its chains are freed before the next
-    def block_column(ji):
-        t_chain, d_t_chain = chain(take_cols(tmat, col_i.span(ji)), tmat, d_prev)
-        expect_g = {}
-        for k, term in enumerate(t_chain):
-            if term.is_zero() or not report.holds(
-                    "G shift", w, i, _support_rows(term, col_prev) <= {ji + k + 1}, (ji, k)):
-                break
-            expect_g[ji + k + 1] = take_rows(-term, col_prev.span(ji + k + 1))
-        check("G block", take_cols(gm, col_i.span(ji)), col_prev, expect_g, ji)
+    def walk(tag, splits, row_of, start=0):
+        """Block column ji of the k-th split term, for k from start, while it
+        is nonzero and lies on row row_of(ji, k) >= 0 alone, keyed (row, ji);
+        the first term elsewhere fails ``tag`` at (ji, k) and ends the walk."""
+        found = {}
+        for ji in sorted({jj for _, jj in splits[0]}):
+            for k, split in enumerate(splits, start):
+                row = row_of(ji, k)
+                col = {jo: blk for (jo, jj), blk in split.items() if jj == ji}
+                if row < 0 or not col or not report.holds(tag, w, i, col.keys() <= {row}, (ji, k)):
+                    break
+                found[(row, ji)] = col[row]
+        return found
 
-        if col_i.space(ji).dim:
-            expect_b = {ji: take_rows(take_cols(pi_i, col_i.span(ji)), ups_i.span(ji))}
-            for k, image in enumerate(d_t_chain):
-                expect_b[ji + k + 1] = take_rows(pi_i @ image, ups_i.span(ji + k + 1))
-            expect_b = {jo: blk for jo, blk in expect_b.items() if not blk.is_zero()}
-            check("B block", take_cols(bm, col_i.span(ji)), ups_i, expect_b, ji)
+    def diagonal(like, mats):
+        """The block (ji + k, ji) of the k-th matrix, a map like ``like``;
+        each matrix is split and dropped in turn."""
+        return {(jo, ji): blk for k, x in enumerate(mats)
+                for (jo, ji), blk in blocks(x, like.cod, like.dom).items() if jo - ji == k}
 
-        if ups_i.space(ji).dim == 0:
-            return
-        iota_chain, d_iota_chain = chain(take_cols(iota, ups_i.span(ji)), t_next, d_i)
-        expect_a = {}
-        for k, term in enumerate(iota_chain):
-            if not report.holds("A shift", w, i,
-                                _support_rows(term, col_i) <= {ji + k}, (ji, k)):
-                break
-            expect_a[ji + k] = take_rows(term, col_i.span(ji + k))
-        check("A block", take_cols(am, ups_i.span(ji)), col_i, expect_a, ji)
+    def check(tag, op, want):
+        got = blocks(op.mat, op.cod, op.dom)
+        for ji, part in op.dom.parts:
+            for jo, out in op.cod.parts:
+                report.expect(tag, w, i, got.get((jo, ji), SparseMat.zero(out.dim, part.dim)),
+                              want.get((jo, ji)), at=(jo, ji))
 
-        expect_dva = {}
-        expect_d = {}
-        for k, image in enumerate(d_iota_chain):
-            if image.is_zero():
-                break
-            expect_dva[ji + k] = take_rows(perp_next @ image, col_next.span(ji + k))
-            expect_d[ji + k] = take_rows(pi_next @ image, ups_next.span(ji + k))
-        check("dVA block", take_cols(dvam, ups_i.span(ji)), col_next, expect_dva, ji)
-        check("D block", take_cols(dm, ups_i.span(ji)), ups_next, expect_d, ji)
+    tmat = t.column(i, w).mat
+    splits, images = chain(tmat, tmat, bd.d(i - 1, w).mat, gop)
+    check("G block", -gop, walk("G shift", splits, lambda ji, k: ji + k + 1))
+    check("B block", bop, diagonal(bop, [pi_i] + [pi_i @ x for x in images]))
 
-    for ji in range(bd.N + 1):
-        block_column(ji)
+    # the iota-chain replaces the T-chain, and is freed before the K powers
+    splits, images = chain(bc.inclusion(i, w).mat, t.column(i + 1, w).mat, bd.d(i, w).mat, aop)
+    check("A block", aop, walk("A shift", splits, lambda ji, k: ji + k))
+    check("dVA block", dvaop, diagonal(dvaop, (perp_next @ x for x in images)))
+    check("D block", dop, diagonal(dop, (pi_next @ x for x in images)))
+    del splits, images
 
-    # B F blocks: column ji is sum_m B(., ji - m) K^m / m!
-    bf = bm @ bd.F(i, w).mat
+    # B F block column ji is B (I + sum_m K^m / m!) on column ji; its rows
+    # are read as one part, so each block column is compared whole
+    rows = SumSpace(((None, ups_i),))
     kmat = bd.K(i, w).mat
     powers = nilpotent_terms(kmat, lambda x: kmat @ x, bd.N + 1)
-    for ji in range(bd.N + 1):
-        if col_i.space(ji).dim == 0:
-            continue
-        acc = take_cols(bm, col_i.span(ji))
-        for m, power in enumerate(powers[:ji], start=1):
-            term = take_cols(power, col_i.span(ji))
-            if not report.holds("F shift", w, i,
-                                _support_rows(term, col_i) <= {ji - m}, (ji, m)):
-                break
-            if term.is_zero():
-                break
-            acc = acc + (bm @ term).scale(Fraction(1, factorial(m)))
-        report.expect("BF block", w, i, take_cols(bf, col_i.span(ji)), acc, at=(ji,))
+    shifted = walk("F shift", [blocks(p, col_i, col_i) for p in powers],
+                   lambda ji, m: ji - m, start=1)
+    b_k = [blocks(x, rows, col_i) for x in [bop.mat] + [bop.mat @ p for p in powers]]
+    bf = blocks(bop.mat @ bd.F(i, w).mat, rows, col_i)
+    for ji, part in col_i.parts:
+        zero = SparseMat.zero(ups_i.dim, part.dim)
+        ms = [ji - jo for jo, jj in shifted if jj == ji]
+        want = sum((b_k[m].get((None, ji), zero).scale(Fraction(1, factorial(m)))
+                    for m in ms), b_k[0].get((None, ji), zero))
+        report.expect("BF block", w, i, bf.get((None, ji), zero), want, at=(ji,))
     return report.failures()
 
 
@@ -540,9 +506,9 @@ def pullback_column(bd: BuiltDiagram, a: SparseMat, value_actions, i: int,
                     w: int) -> LinMap:
     """Blockwise pullback of a column under the linear substitution x -> a@x."""
     col = bd.column(i, w)
-    blocks = {j: pullback_block(a, blk, value_actions[j]).mat
-              for j, blk in col.parts if blk.dim}
-    return LinMap(col, col, band(blocks, col, col))
+    diag = {j: pullback_block(a, blk, value_actions[j]).mat
+            for j, blk in col.parts if blk.dim}
+    return LinMap(col, col, band(diag, col, col))
 
 
 def pullback_on_harmonics(bc: BGGComplex, a: SparseMat, value_actions,

@@ -10,8 +10,8 @@ value factor.
 Axis arguments are 1-based, matching the usual dx^1, ..., dx^n notation.
 
 Columns and stacked spaces are ``SumSpace``s, and ``SumSpace`` is the one
-place that locates a part: ``offset``, ``span`` and ``key_of`` map between a
-part's key and its coordinates, so no caller adds up part dimensions itself.
+place that locates a part, through ``offset``, ``span`` and ``blocks`` (a
+matrix split by part), so no caller adds up part dimensions itself.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 
 from .linalg import LinAlgError, SparseMat, hstack, take_cols
@@ -160,20 +160,30 @@ class SumSpace:
         off = self.offset(key)
         return range(off, off + self.space(key).dim)
 
-    @cached_property
-    def _ends(self) -> list[int]:
-        return list(accumulate(self.dims()))
-
-    def key_of(self, index: int):
-        """The key of the part that holds coordinate ``index``."""
-        if index >= 0:
-            for (k, _s), end in zip(self.parts, self._ends):
-                if index < end:
-                    return k
-        raise IndexError(index)
+    def _part_at(self) -> list:
+        """(key, first coordinate) of the part holding each coordinate, one
+        tuple per part; built per call, as a cached table saved no time."""
+        at = []
+        for k, s in self.parts:
+            at += [(k, len(at))] * s.dim
+        return at
 
     def dims(self) -> list[int]:
         return [s.dim for _, s in self.parts]
+
+
+def blocks(mat: SparseMat, out_space: SumSpace, in_space: SumSpace) -> dict:
+    """The nonzero blocks of ``mat``, a map from ``in_space`` to ``out_space``,
+    keyed (output part, input part), each in its two parts' own coordinates."""
+    row_at, col_at = out_space._part_at(), in_space._part_at()
+    found = {}
+    for r, row in mat.by_row.items():
+        jo, r0 = row_at[r]
+        for c, v in row.items():
+            ji, c0 = col_at[c]
+            found.setdefault((jo, ji), {}).setdefault(r - r0, {})[c - c0] = v
+    return {(jo, ji): SparseMat._from_rows(out_space.space(jo).dim, in_space.space(ji).dim,
+                                           rows, mat.den) for (jo, ji), rows in found.items()}
 
 
 @dataclass

@@ -9,6 +9,7 @@ from bggkit.bgg import (
     BGGComplex,
     BOps,
     GOps,
+    TOps,
     bgg_cohomology,
     compute_D,
     compute_T,
@@ -23,10 +24,10 @@ from bggkit.bgg import (
     verify_chain_maps,
 )
 from bggkit import diagram
-from bggkit.diagram import DiagramSpec, KappaSpec, VerificationError, build, \
-    row_cohomology_sum, twisted_cohomology
-from bggkit.forms import LinMap, ValueSpace, monomials
-from bggkit.linalg import SparseMat, nullspace, rank
+from bggkit.diagram import BuiltDiagram, DiagramSpec, KappaSpec, VerificationError, \
+    build, row_cohomology_sum, twisted_cohomology
+from bggkit.forms import LinMap, ValueSpace, blocks, monomials
+from bggkit.linalg import SparseMat, assemble, nullspace, rank
 
 from oracles import poly_diff, poly_monomial
 
@@ -268,19 +269,39 @@ def test_block_structure_three_rows(hess_ops):
             assert verify_block_structure(hess_ops, i, w) == []
 
 
+# where the oracle locates a bump of each operator's first entry at (1, 4)
+BUMP_FOUND_AT = {"G block": (1, 0, 0, 0), "A block": (1, 1, 0, 1),
+                 "B block": (1, 0, 0, 3), "D block": (1, 1, 0, 0),
+                 "dVA block": (1, 1, 0, 3), "BF block": (0, 2, 0)}
+
+
 @pytest.mark.parametrize("owner, method, tag", [
     ("g", GOps.column, "G block"), ("bc", BGGComplex.A, "A block"),
     ("b", BOps.column, "B block"), ("bc", BGGComplex.D, "D block"),
-    ("bc", BGGComplex.dVA, "dVA block")])
+    ("bc", BGGComplex.dVA, "dVA block"), ("bd", BuiltDiagram.F, "BF block")])
 def test_block_structure_reports_a_changed_entry(owner, method, tag):
-    # add 1 to one entry of a memoized column; the oracle must name it
+    # add 1 to the first entry of a memoized column; the oracle must name
+    # exactly that block and entry, and nothing else
     ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
     holder = getattr(ops, owner)
     col = method(holder, 1, 4)
     bump = SparseMat(col.mat.rows, col.mat.cols, {min(col.mat.num): 1})
     holder.__dict__["_memo"][(method.__wrapped__, 1, 4)] = \
         LinMap(col.dom, col.cod, col.mat + bump)
-    assert tag in {c.name for c in verify_block_structure(ops, 1, 4)}
+    assert [c.line() for c in verify_block_structure(ops, 1, 4)] == \
+        [f"[FAIL] {tag}  w=4 i=1 at entry {BUMP_FOUND_AT[tag]}"]
+
+
+def test_block_structure_reports_a_term_below_the_last_row():
+    # an entry in T's last block column maps row N past the last row; the
+    # T-chain steps it on, and its B expectation has no row to sit on
+    ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
+    col = ops.t.column(1, 4)
+    bump = SparseMat(col.mat.rows, col.mat.cols, {(0, col.mat.cols - 1): 1})
+    ops.t.__dict__["_memo"][(TOps.column.__wrapped__, 1, 4)] = \
+        LinMap(col.dom, col.cod, col.mat + bump)
+    lines = [c.line() for c in verify_block_structure(ops, 1, 4)]
+    assert "[FAIL] G shift  w=4 i=1 at entry (2, 0)" in lines
 
 
 def test_chain_maps_report_a_changed_dVG():
@@ -486,8 +507,10 @@ def test_bgg_cohomology_mobius(mob_ops):
 
 
 def test_sum_space_locates_every_part(hess_ops):
-    # span, offset and key_of agree with dims() on every column and harmonic
-    # space; the spans tile the coordinates, so key_of skips empty parts
+    # span and offset agree with dims() on every column and harmonic space;
+    # blocks splits an identity into exactly its diagonal parts and a matrix
+    # with one entry per pair of parts into every pair, a zero-dimensional
+    # part yields no block, and the blocks of an operator reassemble it
     bd, bc = hess_ops.bd, hess_ops.bc
     spaces = [sp for w in range(WMAX + 1) for i in range(bd.n + 1)
               for sp in (bd.column(i, w), bc.ups_space(i, w))]
@@ -497,10 +520,20 @@ def test_sum_space_locates_every_part(hess_ops):
         for k, (key, _part) in enumerate(sp.parts):
             assert sp.span(key) == range(ends[k], ends[k + 1])
             assert sp.offset(key) == ends[k]
-            assert [sp.key_of(r) for r in sp.span(key)] == [key] * len(sp.span(key))
-        for outside in (-1, sp.dim):
-            with pytest.raises(IndexError):
-                sp.key_of(outside)
+        filled = [key for key, part in sp.parts if part.dim]
+        assert blocks(SparseMat.identity(sp.dim), sp, sp) == {
+            (key, key): SparseMat.identity(sp.space(key).dim) for key in filled}
+        corners = SparseMat(sp.dim, sp.dim, {(sp.offset(a), sp.offset(b)): 1
+                                             for a in filled for b in filled})
+        assert blocks(corners, sp, sp).keys() == {(a, b) for a in filled for b in filled}
+    ops = [op for w in range(WMAX + 1) for i in range(bd.n + 1)
+           for op in (bd.d(i, w), bd.K(i, w), bc.inclusion(i, w), bc.D(i, w))]
+    for op in ops:
+        split = blocks(op.mat, op.cod, op.dom)
+        assert not any(blk.is_zero() for blk in split.values())
+        assert assemble(op.mat.rows, op.mat.cols, [
+            (op.cod.offset(jo), op.dom.offset(ji), blk)
+            for (jo, ji), blk in split.items()]) == op.mat
 
 
 def test_block_orders(hess_ops, elas_ops, mob_ops):

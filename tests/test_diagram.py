@@ -5,6 +5,7 @@ import pytest
 
 from bggkit import catalog
 from bggkit.diagram import (
+    BuiltDiagram,
     DiagramError,
     DiagramSpec,
     KappaSpec,
@@ -15,7 +16,7 @@ from bggkit.diagram import (
     twisted_cohomology,
     verify_identities,
 )
-from bggkit.forms import ValueSpace
+from bggkit.forms import LinMap, ValueSpace
 from bggkit.linalg import SparseMat
 
 F = Fraction
@@ -115,6 +116,17 @@ def test_verify_identities_check_list_is_pinned(broken_conf_deformation):
     assert len(lines) == 155
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "853142daf12fe544baffab80da0030c3cd92041cc508af39e68c679e49f9c7c1"
+
+
+def test_sk_ks_reads_the_column_operators():
+    # SK = KS is read off the column products, so a wrong entry of the
+    # memoized K column shows there, at its block (j - 2, j)
+    bd = build(catalog.get("conf-hessian-3d").spec, 4)
+    k = bd.K(2, 4)
+    bd.__dict__["_memo"][(BuiltDiagram.K.__wrapped__, 2, 4)] = \
+        LinMap(k.dom, k.cod, k.mat + SparseMat(k.mat.rows, k.mat.cols, {(8, 26): 1}))
+    failing = [c.line() for c in verify_identities(bd).failures() if c.name == "SK=KS"]
+    assert failing == ["[FAIL] SK=KS  w=4 i=1 at entry (2, 8, 1)"]
 
 
 def test_expect_locates_first_differing_entry():
