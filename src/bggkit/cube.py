@@ -1,14 +1,16 @@
-"""Exact L2 inner products over the unit cube and degree-stacked spaces.
+"""Exact L2 inner products over a cube and degree-stacked spaces.
 
-Monomial integrals over [0,1]^n are products of 1/(a_k + 1), so every Gram
-matrix here is exact rational; the monomial pairings are built as integer
-numerators over the lcm of those products.  Fields of bounded total degree
-live in a weight-stacked space: a ``SumSpace`` keyed by weight whose parts
-are row-keyed column spaces (ambient columns or harmonic coordinates).  This
-module is the one path for such spaces: ``stacked_map`` assembles per-weight
-maps block-diagonally through ``diagram.band``, and ``stacked_cube_gram``
-places M_mono (x) C_j on each row j as an unformed kron pair, from the
-monomial pairings and one constant metric per row.
+A monomial x^s integrates to prod_k 1/(s_k + 1) over the unit cube [0,1]^n
+and, over the centered cube [-1/2,1/2]^n that the Korn experiment uses, to
+prod_k 1/(2^s_k (s_k + 1)) if every s_k is even and to 0 otherwise.  So every
+Gram here is exact rational, built as integer numerators over the lcm of
+those products.  Fields of bounded total degree live in a weight-stacked
+space: a ``SumSpace`` keyed by weight whose parts are row-keyed column
+spaces (ambient columns or harmonic coordinates).  This module is the one
+path for such spaces: ``stacked_map`` assembles per-weight maps
+block-diagonally through ``diagram.band``, and ``stacked_cube_gram`` places
+M_mono (x) C_j on each row j as an unformed kron pair, from the monomial
+pairings and one constant metric per row.
 """
 
 from __future__ import annotations
@@ -22,13 +24,16 @@ from .linalg import LinAlgError, SparseMat, assemble
 
 
 @lru_cache(maxsize=None)
-def mono_cube_gram(n: int, p: int, q: int) -> SparseMat:
-    """Pairings of degree-p against degree-q monomials over the unit cube:
-    1 / prod_k (alpha_k + beta_k + 1), as integer numerators over their lcm."""
+def mono_cube_gram(n: int, p: int, q: int, centered: bool = False) -> SparseMat:
+    """Pairings of degree-p against degree-q monomials over the unit or the
+    centered cube, as integer numerators over their lcm."""
     rows, cols = monomials(n, p), monomials(n, q)
-    prods = [[prod(a + b + 1 for a, b in zip(alpha, beta)) for beta in cols] for alpha in rows]
-    den = lcm(*(x for row in prods for x in row))
-    by_row = {r: {c: den // x for c, x in enumerate(row)} for r, row in enumerate(prods) if row}
+    sums = [[[a + b for a, b in zip(alpha, beta)] for beta in cols] for alpha in rows]
+    # 1 / the integral of x^s, where it does not vanish
+    inv = [{c: prod((t + 1) << (t if centered else 0) for t in s) for c, s in enumerate(row)
+            if not (centered and any(t & 1 for t in s))} for row in sums]
+    den = lcm(*(x for row in inv for x in row.values()))
+    by_row = {r: {c: den // x for c, x in row.items()} for r, row in enumerate(inv) if row}
     return SparseMat._from_rows(len(rows), len(cols), by_row, den)
 
 
@@ -44,8 +49,9 @@ def stacked_map(per_weight: dict, dom: SumSpace, cod: SumSpace) -> LinMap:
 
 
 def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
-                      const_metrics: dict | None = None) -> SparseMat:
-    """L2 Gram on a weight-stacked space of form degree i.
+                      const_metrics: dict | None = None, centered: bool = False) -> SparseMat:
+    """L2 Gram on a weight-stacked space of form degree i, on the unit or the
+    centered cube.
 
     Row j of weight w holds polynomials of degree w - i - j tensored with a
     constant space; const_metrics[j], square of that space's dimension, is
@@ -70,5 +76,5 @@ def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
                                       f"metric is {metric.rows}x{metric.cols}")
                 placed.append((space.offset(w) + col.offset(j),
                                space.offset(wp) + colp.offset(j),
-                               (mono_cube_gram(bd.n, p, pp), metric)))
+                               (mono_cube_gram(bd.n, p, pp, centered), metric)))
     return assemble(space.dim, space.dim, placed)

@@ -392,7 +392,8 @@ def verify_identities(bd: BuiltDiagram) -> VerifyReport:
             if i < n:
                 expect("dd=0", w, i, (bd.d(i + 1, w) @ d_i).mat)
             if N >= 2:  # SK - KS = 0 on block (j - 2, j), the one block both products reach
-                gap = blocks(s[i].mat @ k_i - k_next @ s[i].mat, s[i].cod, s[i].dom)
+                sk_2 = s[i].mat @ k_i  # also the power rule's m = 2 term
+                gap = blocks(sk_2 - k_next @ s[i].mat, s[i].cod, s[i].dom)
                 for j in range(2, N + 1):
                     expect("SK=KS", w, i, gap.get((j - 2, j), SparseMat.zero(
                         s[i].cod.space(j - 2).dim, s[i].dom.space(j).dim)), at=(j,))
@@ -409,7 +410,7 @@ def verify_identities(bd: BuiltDiagram) -> VerifyReport:
             # power rule d K^m - K^m d = m S K^{m-1}: each term gains one K per m
             for m in range(1, N + 1):
                 if m > 1:
-                    dk, kd, sk = dk @ k_i, k_next @ kd, sk @ k_i
+                    dk, kd, sk = dk @ k_i, k_next @ kd, sk_2 if m == 2 else sk @ k_i
                     lhs = dk - kd
                 expect("dK^m rule", w, i, lhs, sk.scale(m))
     return report

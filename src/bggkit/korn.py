@@ -1,16 +1,21 @@
 """Planar conformal rigidity experiment.
 
-On vector fields of bounded degree over the unit square, the first derived
-operator of the planar three-row diagram stacks a first-order component
-(the Cauchy-Riemann type trace-free symmetric gradient) with a third-order
-component.  The joint kernel stays six-dimensional for every degree >= 3,
-while the first-order kernel alone grows linearly: exact dimensions are
-computed rationally, and the smallest stacked singular value on the
-orthogonal complement of the kernel is the experiment's only
+On vector fields of bounded degree over the centered square, the first
+derived operator of the planar three-row diagram stacks a first-order
+component (the Cauchy-Riemann type trace-free symmetric gradient) with a
+third-order component.  The joint kernel stays six-dimensional for every
+degree >= 3, while the first-order kernel alone grows linearly: exact
+dimensions are computed rationally, and the smallest stacked singular value
+on the orthogonal complement of the kernel is the experiment's only
 floating-point quantity: the smallest eigenvalue of the pencil
 (a_r, m_r), solved in numpy by a Cholesky reduction m_r = L L^T to the
 symmetric matrix L^-1 a_r L^-T, as LAPACK's sygvd does.  numpy is imported
 only by that float step.
+
+On [-1/2,1/2]^2 a monomial pairing vanishes unless both exponent sums are
+even, and no value differs from the unit square's: D has constant
+coefficients, and the shift by (1/2, 1/2) is an L2 isometry that maps the
+fields of each degree onto themselves.
 
 Everything exact is built once, at r_max, with A formed through D comp.
 The stacked operator D is block-diagonal by weight, so degree r's kernel
@@ -18,8 +23,7 @@ dimensions are sums over weights <= r of per-weight ones, and degree r's D,
 its Grams g_in, g_out and D^T g_out D are leading blocks of the r_max ones.
 Degree r's pencil is then the leading k_r x k_r block of the r_max pencil
 (A, M), k_r the number of free columns of weight <= r, and no per-degree
-exact block is formed: (A, M) is converted to floats once and each degree
-solves on its leading slice.  This is exact because
+exact block is formed.  This is exact because
 
 * the joint kernel lives in the degree-3 block, so every degree sees all of
   it and degree r's constraint ker^T g_in is the leading column block of the
@@ -29,6 +33,10 @@ solves on its leading slice.  This is exact because
   pivot column lies in the degree-3 block, degree r's basis is the first
   k_r vectors of the r_max basis cut to their first n_r rows, n_r the
   number of columns of weight <= r.
+
+(A, M) is converted to floats once and split into parity classes, the
+connected components of its joint sparsity graph (29, 29, 34 and 34 at
+r_max = 10); each degree solves each class on its coordinates below k_r.
 
 Three certificates are checked exactly at run time: the kernel support, the
 pivot columns and each degree's cut; a failure raises ``VerificationError``.
@@ -46,7 +54,7 @@ from .bgg import derive
 from .cube import stacked_cube_gram, stacked_map
 from .diagram import VerificationError, build
 from .forms import SumSpace
-from .linalg import SparseMat, leading_block, nullspace, rank, take_rows
+from .linalg import SparseMat, components, leading_block, nullspace, rank, take_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,8 +132,8 @@ def _exact_part(r_max: int):
     cols_3 = dom.span(3).stop  # columns of weight <= 3
     if any(r >= cols_3 for r in ker.by_row):
         raise VerificationError("the joint kernel reaches beyond the degree-3 block")
-    g_in = stacked_cube_gram(bd, dom, 0, metrics[0])
-    g_out = stacked_cube_gram(bd, cod, 1, metrics[1])
+    g_in = stacked_cube_gram(bd, dom, 0, metrics[0], centered=True)
+    g_out = stacked_cube_gram(bd, cod, 1, metrics[1], centered=True)
     constraint = ker.transpose() @ g_in
     if rank(leading_block(constraint, constraint.rows, cols_3)) != constraint.rows:
         raise VerificationError("a pivot column of ker^T g_in lies beyond the degree-3 block")
@@ -151,14 +159,15 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
     if r_max < 3:
         raise ValueError("r_max must be >= 3")
     degrees, a_full, m_full = _exact_part(r_max)
+    classes = components(a_full, m_full)
     import numpy as np
     a_float, m_float = _to_float(a_full), _to_float(m_full)
     out = []
     for r, kernel_dim, first_kernel, k in degrees:
+        cuts = [np.ix_(idx, idx) for idx in ([i for i in c if i < k] for c in classes) if idx]
         try:
-            eigvals = eigh(a_float[:k, :k], m_float[:k, :k])
+            lowest = min(eigh(a_float[cut], m_float[cut])[0] for cut in cuts)
         except np.linalg.LinAlgError as err:
             raise FloatStepError(f"r={r}: the float eigensolver failed: {err}") from err
-        sigma_min = math.sqrt(max(eigvals.min(), 0.0))
-        out.append(KornRow(r, kernel_dim, first_kernel, sigma_min))
+        out.append(KornRow(r, kernel_dim, first_kernel, math.sqrt(max(lowest, 0.0))))
     return out

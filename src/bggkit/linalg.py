@@ -457,6 +457,22 @@ def leading_block(m: SparseMat, rows: int, cols: int) -> SparseMat:
     return SparseMat._from_rows(rows, cols, out, m.den)
 
 
+def components(*mats: SparseMat) -> list[list[int]]:
+    """Connected components of the joint sparsity graph of square matrices
+    (i ~ j when some matrix holds (i, j)), as sorted index lists in order of
+    their least index; a symmetric pencil is block-diagonal on them."""
+    cls = [{i} for i in range(mats[0].rows)]
+    for m in mats:
+        for r, row in m.by_row.items():
+            for c in row:
+                into, part = cls[r], cls[c]
+                if into is not part:
+                    into |= part
+                    for i in part:
+                        cls[i] = into
+    return sorted({id(s): sorted(s) for s in cls}.values())
+
+
 def hstack(mats: list[SparseMat]) -> SparseMat:
     rows = mats[0].rows if mats else 0
     return block_matrix([mats], [rows], [m.cols for m in mats])

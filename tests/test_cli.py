@@ -302,15 +302,29 @@ def test_korn_command(capsys):
     assert payload["rows"][0]["kernel_dim"] == 6
 
 
+def test_korn_rmax_12_exits_0(capsys):
+    # numpy's Cholesky fails on the whole unit-square pencil at r = 12, not on the classes
+    code, out, _ = run(capsys, "korn2d", "--rmax", "12", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert [(r["degree"], r["kernel_dim"]) for r in payload["rows"]] == \
+        [(r, 6) for r in range(3, 13)]
+
+
 def test_korn_float_failure_exit_1(capsys, monkeypatch):
     # numpy's LinAlgError is a ValueError, but a failed solve is not bad input
     import numpy as np
     from bggkit import korn
-    real, degrees = korn.eigh, []
+    real, sizes = korn.eigh, []
+    monkeypatch.setattr(korn, "eigh", lambda a, m: sizes.append(len(a)) or real(a, m))
+    korn.korn2d_experiment(4)
+    # degrees are solved in order, one class at a time: fail on degree 4's last class
+    last, solved = len(sizes), []
 
     def eigh(a, m):
-        degrees.append(len(a))
-        if len(degrees) == 2:
+        solved.append(len(a))
+        if len(solved) == last:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         return real(a, m)
 

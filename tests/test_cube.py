@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,7 +13,8 @@ from bggkit.cube import (
 )
 from bggkit.diagram import build
 from bggkit.energy import _embed, random_field
-from bggkit.linalg import LinAlgError, SparseMat
+from bggkit.forms import monomials
+from bggkit.linalg import LinAlgError, SparseMat, take_cols, take_rows
 
 from oracles import bareiss_det, cube_integral, poly_mul
 
@@ -22,7 +24,6 @@ F = Fraction
 def test_mono_gram_values():
     g = mono_cube_gram(2, 1, 2)
     # <x1, x1^2> = 1/4; <x1, x1 x2> = 1/3 * 1/2
-    from bggkit.forms import monomials
     rows = monomials(2, 1)
     cols = monomials(2, 2)
     assert g.get(rows.index((1, 0)), cols.index((2, 0))) == F(1, 4)
@@ -30,18 +31,53 @@ def test_mono_gram_values():
 
 
 def test_mono_gram_matches_fraction_products():
-    from bggkit.forms import monomials
-    for n in range(1, 4):
-        for p in range(6):
-            for q in range(6):
-                want = {}
-                for r, alpha in enumerate(monomials(n, p)):
-                    for c, beta in enumerate(monomials(n, q)):
-                        v = F(1)
-                        for ak, bk in zip(alpha, beta):
-                            v /= ak + bk + 1
-                        want[(r, c)] = v
-                assert mono_cube_gram(n, p, q).data == want, (n, p, q)
+    # x^s integrates over [lo, hi] to (hi^(s+1) - lo^(s+1)) / (s+1)
+    for centered, (lo, hi) in ((False, (F(0), F(1))), (True, (F(-1, 2), F(1, 2)))):
+        for n in range(1, 4):
+            for p in range(6):
+                for q in range(6):
+                    want = {}
+                    for r, alpha in enumerate(monomials(n, p)):
+                        for c, beta in enumerate(monomials(n, q)):
+                            v = F(1)
+                            for s in (a + b for a, b in zip(alpha, beta)):
+                                v *= (hi ** (s + 1) - lo ** (s + 1)) / (s + 1)
+                            if v:
+                                want[(r, c)] = v
+                    assert mono_cube_gram(n, p, q, centered).data == want, (centered, n, p, q)
+
+
+def _shift_to_unit(space, n):
+    """Row-0 coordinates of a stacked space of 0-forms, and the matrix T on
+    them that expands each centered monomial (y - 1/2)^alpha in y."""
+    idx, at = [], {}
+    for w, col in space.parts:
+        monos = monomials(n, w)
+        dimc = col.space(0).dim // len(monos)
+        for m, alpha in enumerate(monos):
+            for c in range(dimc):
+                at[(alpha, c)] = len(idx)
+                idx.append(space.offset(w) + col.offset(0) + m * dimc + c)
+    t = {}
+    for (alpha, c), j in at.items():
+        poly = {(0,) * n: F(1)}
+        for k, a in enumerate(alpha):
+            poly = poly_mul(poly, {tuple(b if kk == k else 0 for kk in range(n)):
+                                   comb(a, b) * F(-1, 2) ** (a - b) for b in range(a + 1)})
+        for beta, v in poly.items():
+            t[(at[(beta, c)], j)] = v
+    return idx, SparseMat(len(idx), len(idx), t)
+
+
+def test_centered_stacked_gram_is_the_shifted_unit_gram():
+    bd = build(catalog.get("mobius-2d").spec, 5)
+    for r in range(6):
+        space = stacked_column(bd, 0, range(r + 1))
+        idx, t = _shift_to_unit(space, bd.n)
+        unit, centered = (stacked_cube_gram(bd, space, 0, centered=c) for c in (False, True))
+        row_0 = [take_cols(take_rows(g, idx), idx) for g in (unit, centered)]
+        assert row_0[1] == t.transpose() @ row_0[0] @ t, r
+        assert row_0[1].nnz < row_0[0].nnz or r == 0
 
 
 def test_cube_gram_is_spd():

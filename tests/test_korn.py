@@ -8,7 +8,7 @@ from bggkit.cube import stacked_cube_gram, stacked_map
 from bggkit.diagram import VerificationError, build
 from bggkit.forms import SumSpace
 from bggkit.korn import korn2d_experiment
-from bggkit.linalg import SparseMat, leading_block, nullspace
+from bggkit.linalg import SparseMat, components, leading_block, nullspace, take_cols, take_rows
 from oracles import ldl_pivots
 
 
@@ -29,8 +29,22 @@ def rows(recorded):
     return recorded[0]
 
 
-def per_degree_pencils(r_max):
-    """Each degree's pencil built from its own stacked D, kernel and Grams."""
+def principal(mat, idx):
+    return take_cols(take_rows(mat, idx), idx)
+
+
+def class_cuts(r_max):
+    """The exact r_max pencil, its classes, and per degree each class's
+    coordinates below k_r, in the order the float step solves them."""
+    degrees, a, m = korn._exact_part(r_max)
+    classes = components(a, m)
+    cuts = [(r, [[i for i in cls if i < k] for cls in classes]) for r, *_, k in degrees]
+    return a, m, classes, cuts
+
+
+def per_degree_pencils(r_max, centered=True):
+    """Each degree's pencil built from its own stacked D, kernel and Grams,
+    over the centered square or else the unit square."""
     bd = build(catalog.get("mobius-2d").spec, r_max)
     ops = derive(bd)
     metrics = [{j: b.transpose() @ b for (ii, j), b in ops.hs.ups.items() if ii == i}
@@ -42,8 +56,8 @@ def per_degree_pencils(r_max):
         cod = SumSpace(tuple((w, ops.bc.ups_space(1, w)) for w in weights))
         dmat = stacked_map({w: ops.bc.D(0, w) for w in weights}, dom, cod).mat
         ker = nullspace(dmat)
-        g_in = stacked_cube_gram(bd, dom, 0, metrics[0])
-        g_out = stacked_cube_gram(bd, cod, 1, metrics[1])
+        g_in = stacked_cube_gram(bd, dom, 0, metrics[0], centered=centered)
+        g_out = stacked_cube_gram(bd, cod, 1, metrics[1], centered=centered)
         a = dmat.transpose() @ g_out @ dmat
         comp = nullspace(ker.transpose() @ g_in)
         out.append((comp.transpose() @ a @ comp, comp.transpose() @ g_in @ comp))
@@ -56,16 +70,61 @@ def test_pencils_match_per_degree_construction(recorded):
 
 
 def test_eigh_gets_each_degrees_pencil_in_floats(monkeypatch):
-    # the floats solved at degree r are those of the exact (a_r, m_r)
+    # the floats solved at degree r are the principal class blocks of the exact (A, M)
     solved = []
     eigh = korn.eigh
     monkeypatch.setattr(korn, "eigh", lambda a, m: solved.append((a, m)) or eigh(a, m))
     korn2d_experiment(5)
-    pencils = exact_pencils(5)
-    assert len(solved) == len(pencils) == 3
-    for (a, m), (a_r, m_r) in zip(solved, pencils):
-        assert a.tolist() == [[float(x) for x in row] for row in a_r.to_dense()]
-        assert m.tolist() == [[float(x) for x in row] for row in m_r.to_dense()]
+    a, m, _, cuts = class_cuts(5)
+    want = [(principal(a, idx), principal(m, idx)) for _, idxs in cuts for idx in idxs if idx]
+    assert len(solved) == len(want) > len(cuts)
+    for (a_f, m_f), (a_c, m_c) in zip(solved, want):
+        assert a_f.tolist() == [[float(x) for x in row] for row in a_c.to_dense()]
+        assert m_f.tolist() == [[float(x) for x in row] for row in m_c.to_dense()]
+
+
+def test_class_blocks_reassemble_the_pencil():
+    a, m, classes, _ = class_cuts(10)
+    assert sorted(i for cls in classes for i in cls) == list(range(a.rows))
+    assert [len(cls) for cls in classes] == [29, 29, 34, 34]
+    for mat in (a, m):
+        placed = {(cls[r], cls[c]): v for cls in classes
+                  for r, c, v in principal(mat, cls).entries()}
+        assert SparseMat(mat.rows, mat.cols, placed) == mat
+
+
+def test_class_spectra_make_up_the_pencils_spectrum():
+    import numpy as np
+    a, m, _, cuts = class_cuts(8)
+    a_f, m_f = korn._to_float(a), korn._to_float(m)
+    for r, idxs in cuts:
+        k = sum(map(len, idxs))
+        whole = korn.eigh(a_f[:k, :k], m_f[:k, :k])
+        parts = np.sort(np.concatenate([korn.eigh(a_f[np.ix_(i, i)], m_f[np.ix_(i, i)])
+                                        for i in idxs if i]))
+        np.testing.assert_allclose(parts, whole, rtol=1e-8, err_msg=f"r={r}")
+
+
+def test_minimizing_class_grows_only_at_odd_degrees():
+    import numpy as np
+    a, m, classes, cuts = class_cuts(10)
+    a_f, m_f = korn._to_float(a), korn._to_float(m)
+    lowest = [int(np.argmin([korn.eigh(a_f[np.ix_(i, i)], m_f[np.ix_(i, i)])[0] if i else np.inf
+                             for i in idxs])) for _, idxs in cuts]
+    c = lowest[0]
+    assert lowest == [c] * len(cuts)
+    for (r, before), (_, after) in zip(cuts, cuts[1:]):
+        if r % 2:  # r + 1 is even
+            assert after[c] == before[c], r + 1
+        else:
+            assert len(after[c]) > len(before[c]), r + 1
+
+
+def test_sigma_min_equal_at_2k_plus_1_and_2k_plus_2():
+    rows = korn2d_experiment(10)
+    for odd, even in zip(rows[::2], rows[1::2]):
+        assert (odd.degree % 2, even.degree) == (1, odd.degree + 1)
+        assert odd.sigma_min == even.sigma_min, odd.degree
 
 
 def test_rows_do_not_depend_on_rmax():
@@ -101,7 +160,7 @@ def test_sigma_min_monotone_nonincreasing(rows):
     # adding polynomial degrees can only lower the constrained minimum
     vals = [row.sigma_min for row in rows]
     for a, b in zip(vals, vals[1:]):
-        assert b <= a + 1e-9
+        assert b <= a
 
 
 def test_rejects_small_rmax():
@@ -110,16 +169,17 @@ def test_rejects_small_rmax():
 
 
 def test_sigma_min_bracketed_by_exact_inertia():
-    # lambda_min(a_r, m_r) > c exactly when a_r - c m_r is positive definite
+    # lambda_min(a_r, m_r) > c exactly when a_r - c m_r is positive definite;
+    # the shift from the unit square keeps the spectrum, so its pencils bracket too
     rows = korn2d_experiment(5)
-    pencils = exact_pencils(5)
-    assert len(pencils) == len(rows) == 3
     rel = Fraction(1, 10**6)
-    for row, (a_r, m_r) in zip(rows, pencils):
-        lam = Fraction(row.sigma_min) ** 2
-        a, m = a_r.to_dense(), m_r.to_dense()
-        for c, definite in ((lam * (1 - rel), True), (lam * (1 + rel), False)):
-            shifted = [[x - c * y for x, y in zip(ra, rm)] for ra, rm in zip(a, m)]
-            pivots = ldl_pivots(shifted)
-            positive = len(pivots) == len(a) and all(p > 0 for p in pivots)
-            assert positive == definite, (row.degree, c)
+    for pencils in (exact_pencils(5), per_degree_pencils(5, centered=False)):
+        assert len(pencils) == len(rows) == 3
+        for row, (a_r, m_r) in zip(rows, pencils):
+            lam = Fraction(row.sigma_min) ** 2
+            a, m = a_r.to_dense(), m_r.to_dense()
+            for c, definite in ((lam * (1 - rel), True), (lam * (1 + rel), False)):
+                shifted = [[x - c * y for x, y in zip(ra, rm)] for ra, rm in zip(a, m)]
+                pivots = ldl_pivots(shifted)
+                positive = len(pivots) == len(a) and all(p > 0 for p in pivots)
+                assert positive == definite, (row.degree, c)
