@@ -276,6 +276,7 @@ class BGGComplex:
         consts = {j: b for (ii, j), b in self.hs.ups.items() if ii == i}
         return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod))
 
+    @memo
     def projection(self, i: int, w: int) -> LinMap:
         """Ambient column onto harmonic coordinates (orthogonal projection)."""
         dom, cod = self.bd.column(i, w), self.ups_space(i, w)

@@ -7,10 +7,10 @@ Gram here is exact rational, built as integer numerators over the lcm of
 those products.  Fields of bounded total degree live in a weight-stacked
 space: a ``SumSpace`` keyed by weight whose parts are row-keyed column
 spaces (ambient columns or harmonic coordinates).  This module is the one
-path for such spaces: ``stacked_map`` assembles per-weight maps
-block-diagonally through ``diagram.band``, and ``stacked_cube_gram`` places
-M_mono (x) C_j on each row j as an unformed kron pair, from the monomial
-pairings and one constant metric per row.
+path for such spaces: ``stacked_map`` stacks per-weight maps, spaces
+included, through ``diagram.band``, ``embed`` places row fields in a stacked
+space, and ``stacked_cube_gram`` places M_mono (x) C_j on each row j as an
+unformed kron pair, from the monomial pairings and one metric per row.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .diagram import BuiltDiagram, band
-from .forms import LinMap, SumSpace, monomials
+from .forms import LinMap, SumSpace, _mono_index, monomials
 from .linalg import LinAlgError, SparseMat, assemble
 
 
@@ -37,15 +37,38 @@ def mono_cube_gram(n: int, p: int, q: int, centered: bool = False) -> SparseMat:
     return SparseMat._from_rows(len(rows), len(cols), by_row, den)
 
 
-def stacked_column(bd: BuiltDiagram, i: int, weights) -> SumSpace:
-    """Direct sum over weights of the column spaces (bounded-degree fields)."""
-    return SumSpace(tuple((w, bd.column(i, w)) for w in weights))
-
-
-def stacked_map(per_weight: dict, dom: SumSpace, cod: SumSpace) -> LinMap:
-    """Block-diagonal assembly of per-weight column maps."""
-    blocks = {k: per_weight[w].mat for k, w in enumerate(dom.keys())}
+def stacked_map(per_weight: dict) -> LinMap:
+    """Block-diagonal assembly of per-weight maps {w: LinMap}; its domain and
+    codomain are the weight-keyed sums of theirs."""
+    dom = SumSpace(tuple((w, m.dom) for w, m in per_weight.items()))
+    cod = SumSpace(tuple((w, m.cod) for w, m in per_weight.items()))
+    blocks = {k: m.mat for k, m in enumerate(per_weight.values())}
     return LinMap(dom, cod, band(blocks, dom, cod))
+
+
+def embed(bd: BuiltDiagram, space: SumSpace, i: int, rows) -> list:
+    """Coefficient vector of polynomial row fields inside a stacked column.
+
+    rows[j] lists the components of the row-j field of column i.  Raises
+    ValueError for a row with the wrong number of components, and for a
+    monomial whose weight the stacked space lacks, so a field is never
+    silently truncated.
+    """
+    vec = [0] * space.dim
+    for j, components in enumerate(rows):
+        vdim = bd.spec.rows[j].dim
+        if len(components) != vdim:
+            raise ValueError(f"row {j} expects {vdim} components")
+        base = {w: space.offset(w) + col.offset(j) for w, col in space.parts}
+        for r, comp in enumerate(components):
+            for m, c in comp.items():
+                w = sum(m) + i + j
+                if w not in base:
+                    raise ValueError(
+                        f"row {j} monomial {m} needs weight {w}, beyond the "
+                        f"stacked weights (w_max {max(base)})")
+                vec[base[w] + _mono_index(bd.n, w - i - j)[m] * vdim + r] = c
+    return vec
 
 
 def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
@@ -57,7 +80,8 @@ def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
     constant space; const_metrics[j], square of that space's dimension, is
     its metric (the identity where absent).  Blocks of equal row index pair
     across weights through the monomial integrals; distinct rows are
-    orthogonal (their values live in different value spaces).
+    orthogonal (their values live in different value spaces).  Centered
+    pairings of degrees p, p' with p + p' odd vanish and are skipped.
     """
     const_metrics = const_metrics or {}
     placed = []
@@ -67,6 +91,8 @@ def stacked_cube_gram(bd: BuiltDiagram, space: SumSpace, i: int,
                 if sub.dim == 0 or colp.space(j).dim == 0:
                     continue
                 p, pp = w - i - j, wp - i - j
+                if centered and (p + pp) & 1:
+                    continue
                 dim = sub.dim // len(monomials(bd.n, p))
                 metric = const_metrics.get(j)
                 if metric is None:

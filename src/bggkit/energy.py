@@ -11,11 +11,11 @@ D of their denominators and divides the value by D^2 once.  The direct
 route's calculus keeps int coefficients int, with constant factors such as
 the 1/2 of a symmetric part moved into the term's rational weight, and
 integrates each term to one Fraction (``l2sq_*``); it touches no matrix or
-diagram code, so it stays an independent oracle.  The twisted route caches,
-per ``(diagram, w_max)``, the built diagram, its stacked columns and the
-stacked d_V, and per metrics the ``stacked_cube_gram`` G of column 1; a
-repeated request shape then costs one embedding, one sparse apply
-y = d_V x and y^T G y on integer numerators.
+diagram code, so it stays an independent oracle.  The twisted route takes
+its stacked spaces and field layout from ``cube``, and caches per
+``(diagram, w_max)`` the built diagram and stacked d_V, and per metrics
+the ``stacked_cube_gram`` G of d_V's codomain; a repeated request shape
+then costs one embedding, one sparse apply y = d_V x and y^T G y.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from math import lcm, prod
 from operator import mul
 
 from . import catalog
-from .cube import stacked_column, stacked_cube_gram, stacked_map
-from .diagram import BuiltDiagram, VerificationError, build
+from .cube import embed, stacked_cube_gram, stacked_map
+from .diagram import VerificationError, build
 from .forms import monomials
 from .linalg import SparseMat
 
@@ -197,16 +197,16 @@ def _l2sq(comps) -> Fraction:
     return F(total, wden * den * den)
 
 
-def l2sq_scalar(a, n) -> Fraction:
-    """Integral of a^2 over the unit cube [0,1]^n."""
+def l2sq_scalar(a) -> Fraction:
+    """Integral of a^2 over the unit cube in a's variables."""
     return _l2sq([a])
 
 
-def l2sq_vec(vec, n) -> Fraction:
+def l2sq_vec(vec) -> Fraction:
     return _l2sq(vec)
 
 
-def l2sq_mat(m, n) -> Fraction:
+def l2sq_mat(m) -> Fraction:
     return _l2sq([x for row in m for x in row])
 
 
@@ -253,7 +253,7 @@ def _integer_fields(n: int, *fields) -> tuple[list, int]:
             for name, _, count in fields], den
 
 
-# -- constant metrics for the twisted-norm route ------------------------------
+# -- the twisted-norm route ---------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -297,54 +297,23 @@ def cosserat_metric(params: EnergyParams) -> dict:
     return {0: c1, 1: c2}
 
 
-# -- field embedding into diagram columns -------------------------------------
-
-
-def _embed(bd: BuiltDiagram, space, i: int, rows) -> list:
-    """Coefficient vector of polynomial row fields inside a stacked column.
-
-    rows[j] lists the components of the row-j field of column i.  Raises
-    ValueError for a monomial whose weight the stacked space lacks, so a
-    field is never silently truncated.
-    """
-    vec = [0] * space.dim
-    for j, components in enumerate(rows):
-        vdim = bd.spec.rows[j].dim
-        if len(components) != vdim:
-            raise ValueError(f"row {j} expects {vdim} components")
-        base = {w: space.offset(w) + col.offset(j) for w, col in space.parts}
-        for r, comp in enumerate(components):
-            for m, c in comp.items():
-                w = sum(m) + i + j
-                if w not in base:
-                    raise ValueError(
-                        f"row {j} monomial {m} needs weight {w}, beyond the "
-                        f"stacked weights (w_max {max(base)})")
-                vec[base[w] + monomials(bd.n, w - i - j).index(m) * vdim + r] = c
-    return vec
-
-
 @lru_cache(maxsize=8)
 def _twisted_map(name: str, w_max: int):
-    """Built diagram, stacked columns 0 and 1 and the stacked d_V between them."""
+    """Built diagram and the stacked d_V from column 0 to column 1."""
     bd = build(catalog.get(name).spec, w_max)
-    weights = range(w_max + 1)
-    dom = stacked_column(bd, 0, weights)
-    cod = stacked_column(bd, 1, weights)
-    dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod).mat
-    return bd, dom, cod, dv
+    return bd, stacked_map({w: bd.d_V(0, w) for w in range(w_max + 1)})
 
 
 @lru_cache(maxsize=8)
 def _twisted_form(name: str, w_max: int, metric_items: tuple):
-    """Built diagram, stacked column-0 space, stacked d_V and column-1 Gram.
+    """Built diagram, stacked d_V and the Gram on its codomain.
 
     One entry per (diagram name, w_max, sorted metric items), sharing the
     build of _twisted_map; the Gram goes through stacked_cube_gram with the
     items as row metrics.
     """
-    bd, dom, cod, dv = _twisted_map(name, w_max)
-    return bd, dom, dv, stacked_cube_gram(bd, cod, 1, dict(metric_items))
+    bd, dv = _twisted_map(name, w_max)
+    return bd, dv, stacked_cube_gram(bd, dv.cod, 1, dict(metric_items))
 
 
 def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
@@ -356,8 +325,8 @@ def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
     Rows scaled by D and direct by D^2 pass or fail together.
     """
     w_max = max([2] + [field_degree(comps) + j for j, comps in enumerate(rows)])
-    bd, dom, dv, gram = _twisted_form(name, w_max, tuple(sorted(metrics.items())))
-    y = dv.apply(_embed(bd, dom, 0, rows))
+    bd, dv, gram = _twisted_form(name, w_max, tuple(sorted(metrics.items())))
+    y = dv.mat.apply(embed(bd, dv.dom, 0, rows))
     yden = lcm(*(x.denominator for x in y))
     ynum = [x.numerator * (yden // x.denominator) for x in y]
     quad = 0
@@ -374,8 +343,8 @@ def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
 
 def _elastic(gu, params: EnergyParams) -> Fraction:
     """mu |sym grad u|^2 + lam/2 |div u|^2 from the gradient gu of u."""
-    return (F(params.mu) / 4 * l2sq_mat(twice_sym(gu), 3)
-            + F(params.lam) / 2 * l2sq_scalar(trace(gu), 3))
+    return (F(params.mu) / 4 * l2sq_mat(twice_sym(gu))
+            + F(params.lam) / 2 * l2sq_scalar(trace(gu)))
 
 
 def cosserat_energy(u, omega, params: EnergyParams) -> Fraction:
@@ -392,10 +361,10 @@ def cosserat_energy(u, omega, params: EnergyParams) -> Fraction:
     # sym = twice_sym / 2, 2 vskw = twice_vskw3, curl = twice_vskw3 grad, div = tr grad
     direct = (
         _elastic(gu, params)
-        + F(params.mu_c) / 2 * l2sq_vec(twice_vskw3(mat_add(gu, mskw3(omega))), n)
-        + F(params.gamma + params.beta) / 8 * l2sq_mat(twice_sym(gw), n)
-        + F(params.gamma - params.beta) / 4 * l2sq_vec(twice_vskw3(gw), n)
-        + F(params.alpha) / 2 * l2sq_scalar(trace(gw), n)
+        + F(params.mu_c) / 2 * l2sq_vec(twice_vskw3(mat_add(gu, mskw3(omega))))
+        + F(params.gamma + params.beta) / 8 * l2sq_mat(twice_sym(gw))
+        + F(params.gamma - params.beta) / 4 * l2sq_vec(twice_vskw3(gw))
+        + F(params.alpha) / 2 * l2sq_scalar(trace(gw))
     )
     return _checked_twisted_norm(direct, "elasticity-3d", [u, omega],
                                  cosserat_metric(params)) / (den * den)
@@ -417,7 +386,7 @@ def generalized_dilation_energy(phi, u, params: EnergyParams) -> Fraction:
     n = 3
     # 3 (dev grad phi + mskw u)
     coupled = mat_add(k_dev(grad(phi, n)), mat_scale(mskw3(u), 3))
-    return (F(params.alpha) / 9 * l2sq_mat(coupled, n)
+    return (F(params.alpha) / 9 * l2sq_mat(coupled)
             + _elastic(grad(u, n), params)) / (den * den)
 
 
@@ -439,9 +408,9 @@ def generalized_cosserat_energy(u, sigma, omega, phi, weights3) -> Fraction:
         term1[r][r] = p_add(term1[r][r], p_scale(sigma, -1))
     mid_a = [p_add(p_diff(sigma, l), p_scale(phi[l - 1], -1)) for l in (1, 2, 3)]
     mid_b = mat_add(grad(omega, n), mskw3(phi))
-    direct = (c1 * l2sq_mat(term1, n)
-              + c2 * (l2sq_vec(mid_a, n) + l2sq_mat(mid_b, n))
-              + c3 * l2sq_mat(grad(phi, n), n))
+    direct = (c1 * l2sq_mat(term1)
+              + c2 * (l2sq_vec(mid_a) + l2sq_mat(mid_b))
+              + c3 * l2sq_mat(grad(phi, n)))
 
     # middle-row value order: skew slots, then trace; the bottom row is reversed
     rows = [u, omega + [sigma], [p_scale(c, -1) for c in phi]]
@@ -469,9 +438,9 @@ def generalized_plate_energy(u, sigma, omega, phi, weights3) -> Fraction:
     mid_a = [p_add(p_diff(sigma, l), p_scale(phi[l - 1], -1)) for l in (1, 2)]
     pp = perp2(phi)
     mid_b = [p_add(p_diff(omega, l), p_scale(pp[l - 1], -1)) for l in (1, 2)]
-    direct = (c1 * l2sq_mat(term1, n)
-              + c2 * l2sq_vec(mid_a + mid_b, n)
-              + c3 * l2sq_mat(grad(phi, n), n))
+    direct = (c1 * l2sq_mat(term1)
+              + c2 * l2sq_vec(mid_a + mid_b)
+              + c3 * l2sq_mat(grad(phi, n)))
 
     metrics = {0: SparseMat.identity(4).scale(c1),
                1: SparseMat.identity(4).scale(c2),

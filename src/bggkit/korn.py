@@ -53,7 +53,6 @@ from . import catalog
 from .bgg import derive
 from .cube import stacked_cube_gram, stacked_map
 from .diagram import VerificationError, build
-from .forms import SumSpace
 from .linalg import SparseMat, components, leading_block, nullspace, rank, take_rows
 
 if TYPE_CHECKING:
@@ -119,21 +118,19 @@ def _exact_part(r_max: int):
     # the L2 metric on harmonic coordinates is ups^T ups on every row
     metrics = [{j: b.transpose() @ b for (ii, j), b in ops.hs.ups.items() if ii == i}
                for i in (0, 1)]
-    weights = range(r_max + 1)
-    dom = SumSpace(tuple((w, ops.bc.ups_space(0, w)) for w in weights))
-    cod = SumSpace(tuple((w, ops.bc.ups_space(1, w)) for w in weights))
-    per_weight = {w: ops.bc.D(0, w) for w in weights}
+    per_weight = {w: ops.bc.D(0, w) for w in range(r_max + 1)}
     # D is block-diagonal by weight, so degree r's kernels sum weights <= r
     joint = list(accumulate(d.dom.dim - rank(d.mat) for d in per_weight.values()))
     first = list(accumulate(d.dom.dim - rank(take_rows(d.mat, d.cod.span(0)))
                             for d in per_weight.values()))
-    dmat = stacked_map(per_weight, dom, cod).mat
+    stacked = stacked_map(per_weight)
+    dmat, dom = stacked.mat, stacked.dom
     ker = nullspace(dmat)
     cols_3 = dom.span(3).stop  # columns of weight <= 3
     if any(r >= cols_3 for r in ker.by_row):
         raise VerificationError("the joint kernel reaches beyond the degree-3 block")
     g_in = stacked_cube_gram(bd, dom, 0, metrics[0], centered=True)
-    g_out = stacked_cube_gram(bd, cod, 1, metrics[1], centered=True)
+    g_out = stacked_cube_gram(bd, stacked.cod, 1, metrics[1], centered=True)
     constraint = ker.transpose() @ g_in
     if rank(leading_block(constraint, constraint.rows, cols_3)) != constraint.rows:
         raise VerificationError("a pivot column of ker^T g_in lies beyond the degree-3 block")

@@ -4,21 +4,22 @@ from math import comb
 
 import pytest
 
-from bggkit import catalog
-from bggkit.cube import (
-    mono_cube_gram,
-    stacked_column,
-    stacked_cube_gram,
-    stacked_map,
-)
+from bggkit import catalog, cube
+from bggkit.cube import embed, mono_cube_gram, stacked_cube_gram, stacked_map
 from bggkit.diagram import build
-from bggkit.energy import _embed, random_field
+from bggkit.energy import p_mono, random_field
 from bggkit.forms import monomials
-from bggkit.linalg import LinAlgError, SparseMat, take_cols, take_rows
+from bggkit.korn import korn2d_experiment
+from bggkit.linalg import LinAlgError, SparseMat, nullspace, take_cols, take_rows
 
 from oracles import bareiss_det, cube_integral, poly_mul
 
 F = Fraction
+
+
+def stacked_d_v(bd, weights):
+    """d_V from column 0 to column 1, stacked over weights."""
+    return stacked_map({w: bd.d_V(0, w) for w in weights})
 
 
 def test_mono_gram_values():
@@ -72,7 +73,7 @@ def _shift_to_unit(space, n):
 def test_centered_stacked_gram_is_the_shifted_unit_gram():
     bd = build(catalog.get("mobius-2d").spec, 5)
     for r in range(6):
-        space = stacked_column(bd, 0, range(r + 1))
+        space = stacked_d_v(bd, range(r + 1)).dom
         idx, t = _shift_to_unit(space, bd.n)
         unit, centered = (stacked_cube_gram(bd, space, 0, centered=c) for c in (False, True))
         row_0 = [take_cols(take_rows(g, idx), idx) for g in (unit, centered)]
@@ -93,12 +94,12 @@ def test_stacked_gram_matches_direct_integrals():
     # pair two scalar fields through the stacked Gram and compare against
     # the direct product-integral over the unit cube
     bd = build(catalog.get("plate-2d").spec, 4)
-    space = stacked_column(bd, 0, range(5))
+    space = stacked_d_v(bd, range(5)).dom
     rng = random.Random(3)
     f = random_field(rng, 2, 1, 3)
     g = random_field(rng, 2, 1, 3)
-    vf = _embed(bd, space, 0, [f])
-    vg = _embed(bd, space, 0, [g])
+    vf = embed(bd, space, 0, [f])
+    vg = embed(bd, space, 0, [g])
     gram = stacked_cube_gram(bd, space, 0)
     gv = gram.apply(vg)
     paired = sum((a * b for a, b in zip(vf, gv)), F(0))
@@ -108,7 +109,7 @@ def test_stacked_gram_matches_direct_integrals():
 def test_stacked_gram_rejects_a_metric_of_the_wrong_size():
     # row 1 of the plate's 0-forms holds 2-dimensional constants
     bd = build(catalog.get("plate-2d").spec, 2)
-    space = stacked_column(bd, 0, range(3))
+    space = stacked_d_v(bd, range(3)).dom
     assert stacked_cube_gram(bd, space, 0, {1: SparseMat.identity(2)}).rows == 12
     with pytest.raises(LinAlgError, match="row 1 has constant dimension 2, but its metric is 3x3"):
         stacked_cube_gram(bd, space, 0, {1: SparseMat.identity(3)})
@@ -116,10 +117,36 @@ def test_stacked_gram_rejects_a_metric_of_the_wrong_size():
 
 def test_stacked_map_applies_per_weight():
     bd = build(catalog.get("plate-2d").spec, 3)
-    weights = range(4)
-    dom = stacked_column(bd, 0, weights)
-    cod = stacked_column(bd, 1, weights)
-    dv = stacked_map({w: bd.d_V(0, w) for w in weights}, dom, cod)
+    dv = stacked_d_v(bd, range(4))
+    assert [(w, col) for w, col in dv.dom.parts] == [(w, bd.column(0, w)) for w in range(4)]
+    assert [(w, col) for w, col in dv.cod.parts] == [(w, bd.column(1, w)) for w in range(4)]
     # kernel of the stacked map = total degree-zero cohomology = 3
-    from bggkit.linalg import nullspace
     assert nullspace(dv.mat).cols == 3
+
+
+def test_embed_rejects_a_weight_beyond_the_stack():
+    # a degree beyond the built weight range must not be silently truncated
+    bd = build(catalog.get("elasticity-3d").spec, 2)
+    dom = stacked_d_v(bd, range(3)).dom
+    high = [p_mono((4, 0, 0)), {}, {}]
+    with pytest.raises(ValueError, match="weight 4"):
+        embed(bd, dom, 0, [high])
+
+
+def test_embed_rejects_a_row_with_the_wrong_component_count():
+    bd = build(catalog.get("elasticity-3d").spec, 2)
+    dom = stacked_d_v(bd, range(3)).dom
+    with pytest.raises(ValueError, match="row 1 expects 3 components"):
+        embed(bd, dom, 0, [[{}, {}, {}], [{}, {}]])
+
+
+def test_centered_gram_looks_up_no_odd_pairing(monkeypatch):
+    # over [-1/2,1/2]^n a pairing of degrees p and q vanishes when p + q is odd
+    keys = []
+    lookup = cube.mono_cube_gram
+    monkeypatch.setattr(cube, "mono_cube_gram",
+                        lambda n, p, q, centered=False: keys.append((p, q, centered))
+                        or lookup(n, p, q, centered))
+    korn2d_experiment(6)
+    centered = [(p, q) for p, q, c in keys if c]
+    assert centered and all((p + q) % 2 == 0 for p, q in centered)

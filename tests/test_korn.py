@@ -6,7 +6,6 @@ from bggkit import catalog, korn
 from bggkit.bgg import derive
 from bggkit.cube import stacked_cube_gram, stacked_map
 from bggkit.diagram import VerificationError, build
-from bggkit.forms import SumSpace
 from bggkit.korn import korn2d_experiment
 from bggkit.linalg import SparseMat, components, leading_block, nullspace, take_cols, take_rows
 from oracles import ldl_pivots
@@ -51,13 +50,11 @@ def per_degree_pencils(r_max, centered=True):
                for i in (0, 1)]
     out = []
     for r in range(3, r_max + 1):
-        weights = range(r + 1)
-        dom = SumSpace(tuple((w, ops.bc.ups_space(0, w)) for w in weights))
-        cod = SumSpace(tuple((w, ops.bc.ups_space(1, w)) for w in weights))
-        dmat = stacked_map({w: ops.bc.D(0, w) for w in weights}, dom, cod).mat
+        d = stacked_map({w: ops.bc.D(0, w) for w in range(r + 1)})
+        dmat = d.mat
         ker = nullspace(dmat)
-        g_in = stacked_cube_gram(bd, dom, 0, metrics[0], centered=centered)
-        g_out = stacked_cube_gram(bd, cod, 1, metrics[1], centered=centered)
+        g_in = stacked_cube_gram(bd, d.dom, 0, metrics[0], centered=centered)
+        g_out = stacked_cube_gram(bd, d.cod, 1, metrics[1], centered=centered)
         a = dmat.transpose() @ g_out @ dmat
         comp = nullspace(ker.transpose() @ g_in)
         out.append((comp.transpose() @ a @ comp, comp.transpose() @ g_in @ comp))
