@@ -276,9 +276,9 @@ class BGGComplex:
         consts = {j: b for (ii, j), b in self.hs.ups.items() if ii == i}
         return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod))
 
-    @memo
     def projection(self, i: int, w: int) -> LinMap:
-        """Ambient column onto harmonic coordinates (orthogonal projection)."""
+        """Ambient column onto harmonic coordinates (orthogonal projection);
+        not memoized, as the cohomology path reads each lift once (in D)."""
         dom, cod = self.bd.column(i, w), self.ups_space(i, w)
         consts = {j: c for (ii, j), c in self.hs.coords.items() if ii == i}
         return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod))

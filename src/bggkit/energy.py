@@ -97,10 +97,6 @@ def grad(vec, n):
     return [[p_diff(vec[r], l) for l in range(1, n + 1)] for r in range(len(vec))]
 
 
-def curl3(vec):
-    return twice_vskw3(grad(vec, 3))
-
-
 def twice_sym(m):
     """m + m^T, twice the symmetric part."""
     k = len(m)
@@ -148,10 +144,6 @@ def twice_vskw3(m):
     return [p_add(m[2][1], p_scale(m[1][2], -1)),
             p_add(m[0][2], p_scale(m[2][0], -1)),
             p_add(m[1][0], p_scale(m[0][1], -1))]
-
-
-def vskw3(m):
-    return [p_scale(v, F(1, 2)) for v in twice_vskw3(m)]
 
 
 def mat_add(a, b):
@@ -257,23 +249,14 @@ def _integer_fields(n: int, *fields) -> tuple[list, int]:
 
 
 @lru_cache(maxsize=None)
-def _proj_sym(n: int) -> SparseMat:
-    """Projection onto symmetric matrices; constant index is (dx major, value)."""
-    dim = n * n
-    ent = {}
-    for l in range(n):
-        for r in range(n):
-            a = l * n + r       # basis element e_r dx^{l+1}, i.e. entry (r, l)
-            b = r * n + l
-            ent[(a, a)] = ent.get((a, a), F(0)) + F(1, 2)
-            ent[(a, b)] = ent.get((a, b), F(0)) + F(1, 2)
-    return SparseMat(dim, dim, {k: v for k, v in ent.items() if v != 0})
-
-
-@lru_cache(maxsize=None)
-def _proj_skw(n: int) -> SparseMat:
-    dim = n * n
-    return SparseMat.identity(dim) - _proj_sym(n)
+def _proj_sym_skw(n: int) -> tuple[SparseMat, SparseMat]:
+    """Projections (I + Sw)/2 and (I - Sw)/2 onto symmetric and skew n x n
+    matrices, Sw the transpose.  The constant index is (dx major, value):
+    entry (r, l), the basis element e_r dx^{l+1}, sits at l * n + r."""
+    sw = SparseMat(n * n, n * n, {(l * n + r, r * n + l): F(1)
+                                  for l in range(n) for r in range(n)})
+    eye = SparseMat.identity(n * n)
+    return (eye + sw).scale(F(1, 2)), (eye - sw).scale(F(1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -289,11 +272,10 @@ def cosserat_metric(params: EnergyParams) -> dict:
 
     Cached per params, so every caller shares one dict: do not mutate it.
     """
-    c1 = _proj_sym(3).scale(params.mu) + _proj_skw(3).scale(params.mu_c) \
-        + _trace_form(3).scale(params.lam / 2)
-    c2 = _proj_sym(3).scale((params.gamma + params.beta) / 2) \
-        + _proj_skw(3).scale((params.gamma - params.beta) / 2) \
-        + _trace_form(3).scale(params.alpha / 2)
+    sym, skw = _proj_sym_skw(3)
+    c1 = sym.scale(params.mu) + skw.scale(params.mu_c) + _trace_form(3).scale(params.lam / 2)
+    c2 = sym.scale((params.gamma + params.beta) / 2) \
+        + skw.scale((params.gamma - params.beta) / 2) + _trace_form(3).scale(params.alpha / 2)
     return {0: c1, 1: c2}
 
 

@@ -138,9 +138,6 @@ class SumSpace:
     def dim(self) -> int:
         return sum(s.dim for _, s in self.parts)
 
-    def keys(self):
-        return [k for k, _ in self.parts]
-
     def space(self, key):
         for k, s in self.parts:
             if k == key:
@@ -208,11 +205,6 @@ class LinMap:
             raise LinAlgError("composition domain mismatch")
         return LinMap(other.dom, self.cod, self.mat @ other.mat)
 
-    def __add__(self, other: "LinMap") -> "LinMap":
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise LinAlgError("sum shape mismatch")
-        return LinMap(self.dom, self.cod, self.mat + other.mat)
-
     def __sub__(self, other: "LinMap") -> "LinMap":
         if (self.dom, self.cod) != (other.dom, other.cod):
             raise LinAlgError("difference shape mismatch")
@@ -220,9 +212,6 @@ class LinMap:
 
     def __neg__(self) -> "LinMap":
         return LinMap(self.dom, self.cod, -self.mat)
-
-    def scale(self, a) -> "LinMap":
-        return LinMap(self.dom, self.cod, self.mat.scale(a))
 
     def is_zero(self) -> bool:
         return self.mat.is_zero()

@@ -7,8 +7,8 @@ matrix is kept in lowest terms (no factor common to ``den`` and every
 numerator), so equal matrices have equal storage.  Every operation works on
 these rows directly and runs on Python ``int``; rows are never mutated once
 built, so results share unchanged rows with their operands.  The accessors
-``get``, ``entries``, ``to_dense``, ``column`` and ``columns`` return
-lowest-terms ``fractions.Fraction`` values.
+``get``, ``entries``, ``to_dense`` and ``columns`` return lowest-terms
+``fractions.Fraction`` values.
 
 One fraction-free elimination, ``_echelon_int``, serves rank, kernel, solve,
 inverse, projection and pseudoinverse.  For each column in order it pivots
@@ -174,14 +174,6 @@ class SparseMat:
             for c, v in row.items():
                 line[c] = Fraction(v, self.den)
         return out
-
-    def column(self, j: int) -> list[Fraction]:
-        col = [ZERO] * self.rows
-        for r, row in self.by_row.items():
-            v = row.get(j)
-            if v is not None:
-                col[r] = Fraction(v, self.den)
-        return col
 
     def columns(self) -> list[list[Fraction]]:
         cols = [[ZERO] * self.rows for _ in range(self.cols)]

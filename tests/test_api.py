@@ -25,6 +25,23 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_package_exports_only_the_readme_names():
+    # the README's Library example imports these four; the rest is reached
+    # through submodules, so the applications stay off the import path
+    script = ("import sys, bggkit\n"
+              "print(sorted(bggkit.__all__))\n"
+              "print(sorted(m for m in ('bggkit.energy', 'bggkit.korn', 'bggkit.cube')\n"
+              "             if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bggkit.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    line, = [ln for ln in (ROOT / "README.md").read_text().splitlines()
+             if ln.startswith("from bggkit import ")]
+    readme_names = sorted(n.strip() for n in line.removeprefix("from bggkit import ").split(","))
+    assert proc.stdout.splitlines() == [str(readme_names), "[]"]
+    assert readme_names == ["build", "catalog", "derive", "verify_identities"]
+
+
 def test_exact_commands_load_no_numpy():
     # numpy is imported only by korn2d's float step
     script = ("import sys, bggkit, bggkit.cli\n"

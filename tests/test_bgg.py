@@ -252,14 +252,6 @@ def test_shared_products_formed_once_per_weight(monkeypatch):
                 assert times(bd.d_V(i - 1, w).mat, g.column(i, w).mat) == 1
 
 
-def test_projection_formed_once_per_weight(hess_ops):
-    # D, B and the block-structure oracle all read the same lifted projection
-    bc = hess_ops.bc
-    for w in range(WMAX + 1):
-        for i in range(bc.bd.n + 1):
-            assert bc.projection(i, w) is bc.projection(i, w)
-
-
 def test_G_properties_all(hess_ops):
     for w in range(WMAX + 1):
         assert verify_G_properties(hess_ops.bd, hess_ops.hs, hess_ops.t,

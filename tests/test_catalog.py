@@ -91,6 +91,11 @@ def test_higher_hessian_text_is_pinned(order):
     assert hashlib.sha256(text.encode()).hexdigest() == _HIGHER_HESSIAN_TEXT[order]
 
 
+def test_shipped_higher_hessian_file_matches_generator():
+    shipped = (DATA_DIR / "higher-hessian-3d-1.diagram").read_bytes()
+    assert shipped == catalog.to_text(catalog.higher_hessian_3d(1)).encode()
+
+
 def test_higher_hessian_rejects_bad_order():
     with pytest.raises(ValueError):
         catalog.higher_hessian_3d(0)

@@ -12,7 +12,6 @@ from bggkit.energy import (
     _checked_twisted_norm,
     cosserat_energy,
     cosserat_metric,
-    curl3,
     elasticity_energy,
     generalized_cosserat_energy,
     generalized_dilation_energy,
@@ -23,7 +22,7 @@ from bggkit.energy import (
     mskw3,
     p_mono,
     random_field,
-    vskw3,
+    twice_vskw3,
 )
 from bggkit.forms import monomials
 
@@ -53,15 +52,29 @@ def test_l2sq_scalar_matches_oracle(case):
 
 def test_vskw_of_mskw_is_identity():
     c = [p_mono((0, 0, 0), 2), p_mono((0, 0, 0), -3), p_mono((0, 0, 0), F(1, 2))]
-    assert vskw3(mskw3(c)) == c
+    assert twice_vskw3(mskw3(c)) == [{m: 2 * v for m, v in comp.items()} for comp in c]
 
 
-def test_curl_is_twice_vskw_grad():
-    rng = random.Random(11)
-    u = random_field(rng, 3, 3, 3)
-    gu = grad(u, 3)
-    doubled = [dict((k, 2 * v) for k, v in comp.items()) for comp in vskw3(gu)]
-    assert curl3(u) == doubled
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cosserat_metric_quadratic_forms(seed):
+    # x^T C x on a rational 3x3 matrix X, entry (r, l) at dx-major index 3 l + r
+    rng = random.Random(seed)
+    rat = lambda: F(rng.randint(-9, 9), rng.randint(1, 6))
+    p = EnergyParams.of(*(rat() for _ in range(6)))
+    x = [[rat() for _ in range(3)] for _ in range(3)]
+    vec = [x[r][l] for l in range(3) for r in range(3)]
+    sq = lambda sign: sum(((x[r][l] + sign * x[l][r]) / 2) ** 2
+                          for r in range(3) for l in range(3))
+    sym, skw, tr2 = sq(1), sq(-1), (x[0][0] + x[1][1] + x[2][2]) ** 2
+    metric = cosserat_metric(p)
+    form = {}
+    for k, c in metric.items():
+        assert c == c.transpose()
+        dense = c.to_dense()
+        form[k] = sum(vec[a] * dense[a][b] * vec[b] for a in range(9) for b in range(9))
+    assert form[0] == p.mu * sym + p.mu_c * skw + p.lam / 2 * tr2
+    assert form[1] == (p.gamma + p.beta) / 2 * sym + (p.gamma - p.beta) / 2 * skw \
+        + p.alpha / 2 * tr2
 
 
 def test_cosserat_identity_displacement():
