@@ -3,13 +3,14 @@ partial inverses, the nilpotent homotopy, and the derived complex on the
 harmonic spaces together with its inverse chain maps.
 
 Every operator except d and K acts pointwise, so its constant-coefficient
-data is computed once (the splitting projections and harmonic coordinate
-maps on ``HodgeSplit``, the partial inverses on ``TOps``).
-``diagram.lift_column`` is the single path from those constants to a column
-operator at one weight: row block j becomes I_mono (x) C_j, so every
-identity below closes exactly.  Column operators are cached per instance
-through ``diagram.memo``.  Each identity is recorded in a
-``VerifyReport``; a derivation stage raises once, with the full report.
+data is computed once (the splitting bases, projections and harmonic
+coordinate maps on ``HodgeSplit``, the partial inverses on ``TOps``) and
+stored as {i: {j: C}}, by form degree i and row j.  ``diagram.lift_column``
+is the single path from one degree's {j: C} to a column operator at one
+weight: row block j becomes I_mono (x) C_j, so every identity below closes
+exactly.  Column operators are cached per instance through ``diagram.memo``.
+Each identity is recorded in a ``VerifyReport``; a derivation stage raises
+once, with the full report.
 
 G, A and B are the terms of one nilpotent series in T and d, each summed
 by ``diagram.nilpotent_terms``.  A is summed on the thin harmonic columns
@@ -36,45 +37,41 @@ from .diagram import BuiltDiagram, VerifyReport, _mono_count, band, lift_column,
     memo, nilpotent_terms, twisted_cohomology
 from .forms import CoordSpace, LinMap, SumSpace, blocks, form_indices, pullback_block
 from .linalg import (
+    LinAlgError,
     SparseMat,
     column_space,
     hstack,
     inverse,
     nullspace,
-    orthogonal_complement,
     pinv_onto,
     projection_onto,
     rank,
-    solve_thin,
     vstack,
 )
 
 
 @dataclass
 class HodgeSplit:
-    """Constant-coefficient orthogonal splitting per (form degree, row).
+    """Constant-coefficient orthogonal splitting, keyed {i: {j: C}} by form
+    degree and row, the layout ``diagram.lift_column`` takes.
 
     Each space splits as ran(incoming) + ker(outgoing)^perp + harmonic,
-    pairwise orthogonal for the standard coordinate inner product.
-    ``coords`` maps a constant onto the coordinates of its harmonic part.
+    pairwise orthogonal for the standard coordinate inner product.  ``ran``,
+    ``kerp`` and ``ups`` hold bases of the three summands; ``coords`` maps a
+    constant onto the coordinates of its harmonic part, ``p_kerp`` projects
+    onto the middle summand and ``p_perp`` = I - P_ran onto the last two.
     """
     bd: BuiltDiagram
     ran: dict = field(default_factory=dict)
     kerp: dict = field(default_factory=dict)
     ups: dict = field(default_factory=dict)
     coords: dict = field(default_factory=dict)
-    p_ran: dict = field(default_factory=dict)
     p_kerp: dict = field(default_factory=dict)
-    p_ups: dict = field(default_factory=dict)
-
-    def const_dim(self, i: int, j: int) -> int:
-        return len(form_indices(self.bd.n, i)) * self.bd.spec.rows[j].dim
-
-    def ups_dim(self, i: int, j: int) -> int:
-        return self.ups[(i, j)].cols
+    p_perp: dict = field(default_factory=dict)
 
     def support(self) -> dict:
-        return {(i, j): b.cols for (i, j), b in self.ups.items() if b.cols > 0}
+        return {(i, j): b.cols for i, row in self.ups.items()
+                for j, b in row.items() if b.cols > 0}
 
 
 def _outgoing(bd: BuiltDiagram, i: int, j: int) -> SparseMat | None:
@@ -97,15 +94,12 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
     report = VerifyReport(bd.spec.name, bd.w_max)
     for i in range(bd.n + 1):
         for j in range(bd.N + 1):
-            dim = hs.const_dim(i, j)
+            dim = len(form_indices(bd.n, i)) * bd.spec.rows[j].dim
             inc = _incoming(bd, i, j)
             out = _outgoing(bd, i, j)
             ran = column_space(inc) if inc is not None else SparseMat.zero(dim, 0)
-            if out is not None:
-                ker = nullspace(out)
-            else:
-                ker = SparseMat.identity(dim)
-            kerp = orthogonal_complement(ker)
+            # ker(out)^perp = ran(out^T); a missing connector has kernel everything
+            kerp = column_space(out.transpose()) if out is not None else SparseMat.zero(dim, 0)
             # harmonic part: ran^perp intersected with ker
             constraints = [ran.transpose()]
             if out is not None:
@@ -123,10 +117,10 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
             report.expect("Pran Pkerp=0", None, i, p_ran @ p_kerp, at=at)
             report.expect("Pran Pups=0", None, i, p_ran @ p_ups, at=at)
             report.expect("Pkerp Pups=0", None, i, p_kerp @ p_ups, at=at)
-            key = (i, j)
-            hs.ran[key], hs.kerp[key], hs.ups[key] = ran, kerp, ups
-            hs.coords[key] = coords
-            hs.p_ran[key], hs.p_kerp[key], hs.p_ups[key] = p_ran, p_kerp, p_ups
+            for store, c in ((hs.ran, ran), (hs.kerp, kerp), (hs.ups, ups),
+                             (hs.coords, coords), (hs.p_kerp, p_kerp),
+                             (hs.p_perp, SparseMat.identity(dim) - p_ran)):
+                store.setdefault(i, {})[j] = c
     report.require("hodge_split")
     return hs
 
@@ -135,9 +129,10 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
 class TOps:
     """Partial inverses of the connectors, per block and per weight.
 
-    ``const`` holds, per (i, j) with an incoming connector, the constant
-    partial inverse; its kernel and range projectors are ``HodgeSplit``'s
-    I - p_ran at (i, j) and p_kerp at the source, as ``compute_T`` certifies.
+    ``const`` holds, as {i: {j: C}} for every form degree i, the constant
+    partial inverse of each row j with an incoming connector; its kernel
+    and range projectors are ``HodgeSplit``'s p_perp at (i, j) and p_kerp at
+    the source (i - 1, j + 1), as ``compute_T`` certifies.
     """
     bd: BuiltDiagram
     hs: HodgeSplit
@@ -147,8 +142,8 @@ class TOps:
     def column(self, i: int, w: int) -> LinMap:
         dom = self.bd.column(i, w)
         cod = self.bd.column(i - 1, w)
-        consts = {j: c for (ii, j), c in self.const.items() if ii == i}
-        return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod, shift=1))
+        return LinMap(dom, cod, lift_column(self.bd, self.const.get(i, {}), i, w, dom, cod,
+                                            shift=1))
 
 
 def compute_T(bd: BuiltDiagram, hs: HodgeSplit) -> TOps:
@@ -161,32 +156,30 @@ def compute_T(bd: BuiltDiagram, hs: HodgeSplit) -> TOps:
     """
     t = TOps(bd, hs)
     for i in range(bd.n + 1):
-        for j in range(bd.N + 1):
-            inc = _incoming(bd, i, j)
-            if inc is None:
-                continue
-            t.const[(i, j)] = pinv_onto(inc)
+        t.const[i] = {j: pinv_onto(inc) for j in range(bd.N + 1)
+                      if (inc := _incoming(bd, i, j)) is not None}
     # identities on constants
     report = VerifyReport(bd.spec.name, bd.w_max)
-    for (i, j), tc in t.const.items():
-        s_in = _incoming(bd, i, j)
-        at = (j,)
-        report.expect("STS=S", None, i, s_in @ tc @ s_in, s_in, at)
-        report.expect("TST=T", None, i, tc @ s_in @ tc, tc, at)
-        # T T = 0 one step further down the diagonal
-        tc2 = t.const.get((i - 1, j + 1))
-        if tc2 is not None:
-            report.expect("TT=0", None, i, tc2 @ tc, at=at)
-        # ran(T) = ker(S at source)^perp
-        ran_t = column_space(tc)
-        kerp_src = hs.kerp[(i - 1, j + 1)]
-        report.holds("ranT=kerS^perp", None, i,
-                     rank(hstack([ran_t, kerp_src])) == rank(ran_t) == rank(kerp_src), at)
-        # ran(S) = ker(T at target)^perp
-        ran_s = hs.ran[(i, j)]
-        ker_t = nullspace(tc)
-        report.expect("kerT ranS=0", None, i, ker_t.transpose() @ ran_s, at=at)
-        report.holds("ranS+kerT=dim", None, i, ran_s.cols + ker_t.cols == tc.cols, at)
+    for i, row in t.const.items():
+        for j, tc in row.items():
+            s_in = _incoming(bd, i, j)
+            at = (j,)
+            report.expect("STS=S", None, i, s_in @ tc @ s_in, s_in, at)
+            report.expect("TST=T", None, i, tc @ s_in @ tc, tc, at)
+            # T T = 0 one step further down the diagonal
+            tc2 = t.const[i - 1].get(j + 1)
+            if tc2 is not None:
+                report.expect("TT=0", None, i, tc2 @ tc, at=at)
+            # ran(T) = ker(S at source)^perp
+            ran_t = column_space(tc)
+            kerp_src = hs.kerp[i - 1][j + 1]
+            report.holds("ranT=kerS^perp", None, i,
+                         rank(hstack([ran_t, kerp_src])) == rank(ran_t) == rank(kerp_src), at)
+            # ran(S) = ker(T at target)^perp
+            ran_s = hs.ran[i][j]
+            ker_t = nullspace(tc)
+            report.expect("kerT ranS=0", None, i, ker_t.transpose() @ ran_s, at=at)
+            report.holds("ranS+kerT=dim", None, i, ran_s.cols + ker_t.cols == tc.cols, at)
     report.require("compute_T")
     return t
 
@@ -236,9 +229,7 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
         tm = t.column(i, w).mat
         col = bd.column(i, w)
         # (1): G P_ker(T) = 0.  ker(T) = ran(S)^perp, lifted blockwise.
-        p_ker = {j: SparseMat.identity(hs.const_dim(i, j)) - p
-                 for (ii, j), p in hs.p_ran.items() if ii == i}
-        report.expect("G|kerT=0", w, i, gm @ lift_column(bd, p_ker, i, w, col, col))
+        report.expect("G|kerT=0", w, i, gm @ lift_column(bd, hs.p_perp[i], i, w, col, col))
         if i == 0:
             # (3) with no column below: G itself must vanish
             report.expect("ranG in ranT", w, i, gm)
@@ -247,9 +238,8 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
         report.expect("T(I-dVG)=0", w, i, tm @ g.dVG(i, w).mat, tm)
         # (3): P_ran(T) G = G; ran(T) = ker(S)^perp on column i - 1
         col_prev = bd.column(i - 1, w)
-        p_ran = {j: p for (ii, j), p in hs.p_kerp.items() if ii == i - 1}
         report.expect("ranG in ranT", w, i,
-                      lift_column(bd, p_ran, i - 1, w, col_prev, col_prev) @ gm, gm)
+                      lift_column(bd, hs.p_kerp[i - 1], i - 1, w, col_prev, col_prev) @ gm, gm)
     return report.failures()
 
 
@@ -265,7 +255,7 @@ class BGGComplex:
     def ups_space(self, i: int, w: int) -> SumSpace:
         parts = []
         for j in range(self.bd.N + 1):
-            cnt = _mono_count(self.bd, i, j, w) * self.hs.ups_dim(i, j) \
+            cnt = _mono_count(self.bd, i, j, w) * self.hs.ups[i][j].cols \
                 if 0 <= i <= self.bd.n else 0
             parts.append((j, CoordSpace(f"ups({i},{j})w{w}", cnt)))
         return SumSpace(tuple(parts))
@@ -273,15 +263,13 @@ class BGGComplex:
     def inclusion(self, i: int, w: int) -> LinMap:
         """Harmonic coordinates into the ambient column."""
         dom, cod = self.ups_space(i, w), self.bd.column(i, w)
-        consts = {j: b for (ii, j), b in self.hs.ups.items() if ii == i}
-        return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod))
+        return LinMap(dom, cod, lift_column(self.bd, self.hs.ups.get(i, {}), i, w, dom, cod))
 
     def projection(self, i: int, w: int) -> LinMap:
         """Ambient column onto harmonic coordinates (orthogonal projection);
         not memoized, as the cohomology path reads each lift once (in D)."""
         dom, cod = self.bd.column(i, w), self.ups_space(i, w)
-        consts = {j: c for (ii, j), c in self.hs.coords.items() if ii == i}
-        return LinMap(dom, cod, lift_column(self.bd, consts, i, w, dom, cod))
+        return LinMap(dom, cod, lift_column(self.bd, self.hs.coords.get(i, {}), i, w, dom, cod))
 
     @memo
     def A(self, i: int, w: int) -> LinMap:
@@ -423,9 +411,7 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
     report = VerifyReport(bd.spec.name, bd.w_max)
     col_i, col_next, ups_i = bd.column(i, w), bd.column(i + 1, w), bc.ups_space(i, w)
     # splitting projections, all block diagonal: P_perp on column i + 1, P on i and i + 1
-    p_perp = {jo: SparseMat.identity(hs.const_dim(i + 1, jo)) - p
-              for (ii, jo), p in hs.p_ran.items() if ii == i + 1}
-    perp_next = lift_column(bd, p_perp, i + 1, w, col_next, col_next)
+    perp_next = lift_column(bd, hs.p_perp.get(i + 1, {}), i + 1, w, col_next, col_next)
     pi_i, pi_next = bc.projection(i, w).mat, bc.projection(i + 1, w).mat
     gop, bop = g.column(i, w), b.column(i, w)
     aop, dvaop, dop = bc.A(i, w), bc.dVA(i, w), bc.D(i, w)
@@ -514,10 +500,13 @@ def pullback_column(bd: BuiltDiagram, a: SparseMat, value_actions, i: int,
 
 def pullback_on_harmonics(bc: BGGComplex, a: SparseMat, value_actions,
                           i: int, w: int) -> LinMap:
-    """The induced action on harmonic coordinates; requires invariance."""
+    """The induced action on harmonic coordinates, pi phi iota; raises
+    LinAlgError unless phi maps the harmonic space into itself."""
     iota = bc.inclusion(i, w)
     phi = pullback_column(bc.bd, a, value_actions, i, w)
     image = phi.mat @ iota.mat
-    coords = solve_thin(iota.mat, image)
+    coords = bc.projection(i, w).mat @ image
+    if iota.mat @ coords != image:
+        raise LinAlgError(f"pullback leaves the harmonic space at i={i}, w={w}")
     sp = bc.ups_space(i, w)
     return LinMap(sp, sp, coords)

@@ -37,19 +37,41 @@ def write_matrix_market(mat: SparseMat, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(k: int, line: str, kinds, what: str) -> list:
+    """The whitespace-separated fields of file line k, parsed by kinds."""
+    parts = line.split()
+    if len(parts) == len(kinds):
+        try:
+            return [kind(p) for kind, p in zip(kinds, parts)]
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ExportError(f"line {k}: bad {what} line: {line.strip()!r}")
+
+
 def read_matrix_market(text: str) -> SparseMat:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
+    """Parse a file written by ``write_matrix_market``; any malformed line
+    raises ExportError naming its 1-based line number."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("%%MatrixMarket"):
         raise ExportError("missing MatrixMarket header")
-    header = lines[0].split()
+    header = lines[0][1].split()
     if header[1:4] != ["matrix", "coordinate", "rational"]:
-        raise ExportError(f"unsupported MatrixMarket type: {lines[0]}")
-    body = [ln for ln in lines[1:] if not ln.lstrip().startswith("%")]
-    rows, cols, nnz = (int(x) for x in body[0].split())
-    entries = []
-    for ln in body[1:]:
-        r, c, v = ln.split()
-        entries.append((int(r) - 1, int(c) - 1, Fraction(v)))
+        raise ExportError(f"unsupported MatrixMarket type: {lines[0][1]}")
+    body = [(k, ln) for k, ln in lines[1:] if not ln.lstrip().startswith("%")]
+    if not body:
+        raise ExportError("missing size line")
+    k, size = body[0]
+    rows, cols, nnz = _fields(k, size, (int, int, int), "size")
+    if min(rows, cols) < 0:
+        raise ExportError(f"line {k}: negative size: {size.strip()!r}")
+    entries = {}
+    for k, ln in body[1:]:
+        r, c, v = _fields(k, ln, (int, int, Fraction), "entry")
+        if not (1 <= r <= rows and 1 <= c <= cols):
+            raise ExportError(f"line {k}: entry ({r}, {c}) outside {rows} x {cols}")
+        if (r - 1, c - 1) in entries:
+            raise ExportError(f"line {k}: repeated entry ({r}, {c})")
+        entries[(r - 1, c - 1)] = v
     if len(entries) != nnz:
         raise ExportError(f"expected {nnz} entries, found {len(entries)}")
     return SparseMat(rows, cols, entries)

@@ -116,8 +116,7 @@ def _exact_part(r_max: int):
     bd = build(catalog.get("mobius-2d").spec, r_max)
     ops = derive(bd)
     # the L2 metric on harmonic coordinates is ups^T ups on every row
-    metrics = [{j: b.transpose() @ b for (ii, j), b in ops.hs.ups.items() if ii == i}
-               for i in (0, 1)]
+    metrics = [{j: b.transpose() @ b for j, b in ops.hs.ups[i].items()} for i in (0, 1)]
     per_weight = {w: ops.bc.D(0, w) for w in range(r_max + 1)}
     # D is block-diagonal by weight, so degree r's kernels sum weights <= r
     joint = list(accumulate(d.dom.dim - rank(d.mat) for d in per_weight.values()))

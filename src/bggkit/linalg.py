@@ -629,19 +629,6 @@ def inverse(a: SparseMat) -> SparseMat:
     return solve_dense(a, SparseMat.identity(a.rows))
 
 
-def solve_thin(q: SparseMat, b: SparseMat) -> SparseMat:
-    """Solve q @ x = b exactly where q has full column rank.
-
-    Raises if any column of b is outside ran(q); used to express vectors
-    in the coordinates of a subspace basis.
-    """
-    qtq = q.transpose() @ q
-    x = solve_dense(qtq, q.transpose() @ b)
-    if q @ x != b:
-        raise LinAlgError("inconsistent thin solve: rhs not in column span")
-    return x
-
-
 # -- projections, pseudoinverse --------------------------------------------
 
 
@@ -656,11 +643,6 @@ def projection_onto(basis: SparseMat) -> SparseMat:
     except LinAlgError:
         raise LinAlgError("projection basis is linearly dependent")
     return basis @ inv @ bt
-
-
-def orthogonal_complement(basis: SparseMat) -> SparseMat:
-    """Basis (columns) of the orthogonal complement of the column span."""
-    return nullspace(basis.transpose())
 
 
 def pinv_onto(m: SparseMat) -> SparseMat:

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +14,32 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_every_export_resolves():
     missing = [name for name in bggkit.__all__ if not hasattr(bggkit, name)]
     assert not missing
+
+
+def _imported_names(tree):
+    """Each name an import statement binds, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "bggkit").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # a name counts as used if the module reads it or lists it in __all__;
+    # an attribute chain such as numpy.linalg is read through its root name
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    assert [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
+            if name not in used] == []
 
 
 def test_import_loads_no_scipy():

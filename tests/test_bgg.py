@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 
 import pytest
 
@@ -27,7 +28,7 @@ from bggkit import diagram
 from bggkit.diagram import BuiltDiagram, DiagramSpec, KappaSpec, VerificationError, \
     build, row_cohomology_sum, twisted_cohomology
 from bggkit.forms import LinMap, ValueSpace, blocks, monomials
-from bggkit.linalg import SparseMat, assemble, nullspace, rank
+from bggkit.linalg import LinAlgError, SparseMat, assemble, nullspace, rank
 
 from oracles import poly_diff, poly_monomial
 
@@ -75,9 +76,12 @@ def test_hodge_split_single_row():
     bd = build(spec, 3)
     hs = hodge_split(bd)
     for i in range(3):
-        dim = hs.const_dim(i, 0)
-        assert hs.ups[(i, 0)].cols == dim
-        assert hs.p_ups[(i, 0)] == SparseMat.identity(dim)
+        # no connector: the whole constant space is harmonic
+        dim = comb(2, i) * 2
+        ups = hs.ups[i][0]
+        assert ups.cols == dim
+        assert hs.p_perp[i][0] == SparseMat.identity(dim)
+        assert hs.coords[i][0] @ ups == SparseMat.identity(dim)
 
 
 def test_hodge_split_conf_hessian_support(hess_ops):
@@ -125,14 +129,14 @@ def test_T_inverse_when_bijective(hess_ops):
     # the first middle-row connector is bijective; T is its exact inverse
     bd, t = hess_ops.bd, hess_ops.t
     s = bd.partial_const(0, 1)
-    tc = t.const[(1, 0)]
+    tc = t.const[1][0]
     assert tc @ s == SparseMat.identity(s.cols)
     assert s @ tc == SparseMat.identity(s.rows)
 
 
 def test_T_mobius_half_trace_table(mob_ops):
     # partial inverse of the complex-structure embedding: (tr/2, -sskw)
-    tc = mob_ops.t.const[(1, 0)]
+    tc = mob_ops.t.const[1][0]
     # basis of 2x2 matrices as (dx major, value minor): M11 M21 M12 M22
     expect = SparseMat.from_dense([
         [F(1, 2), 0, 0, F(1, 2)],
@@ -410,13 +414,11 @@ def test_two_row_case_reductions(elas_ops):
     collapses: first P_perp d, then d T d with no projection, then d."""
     bd, bc, t, hs = elas_ops.bd, elas_ops.bc, elas_ops.t, elas_ops.hs
     for w in range(1, 5):
-        # index 0: embedded derived operator equals (I - P_ran) d iota
+        # index 0: embedded derived operator equals P_perp d iota, P_perp = I - P_ran
         iota0 = bc.inclusion(0, w).mat
         emb = bc.inclusion(1, w).mat @ bc.D(0, w).mat
         col1 = bd.column(1, w)
-        p_ran = {j: hs.p_ran[(1, j)] for j in range(bd.N + 1)}
-        p_full = lift_column(bd, p_ran, 1, w, col1, col1)
-        want = (SparseMat.identity(col1.dim) - p_full) @ (bd.d(0, w).mat @ iota0)
+        want = lift_column(bd, hs.p_perp[1], 1, w, col1, col1) @ (bd.d(0, w).mat @ iota0)
         assert emb == want
 
         # index 1: d T d with the kernel projection provably redundant
@@ -574,6 +576,21 @@ def test_equivariance_conf_hessian(hess_ops, matfn):
             psi_i = pullback_on_harmonics(bc, a, actions, i, w)
             psi_next = pullback_on_harmonics(bc, a, actions, i + 1, w)
             assert (psi_next.mat @ bc.D(i, w).mat) == (bc.D(i, w).mat @ psi_i.mat)
+
+
+def test_pullback_on_harmonics_rejects_a_non_invariant_map(hess_ops):
+    # a shear is not conformal: its pullback leaves the harmonic space,
+    # first at weight 2 on form degree 1, and the induced action is refused
+    a = SparseMat.from_dense([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    actions = catalog.get("conf-hessian-3d").value_actions(a)
+    leaves = []
+    for w in range(5):
+        for i in range(4):
+            try:
+                pullback_on_harmonics(hess_ops.bc, a, actions, i, w)
+            except LinAlgError:
+                leaves.append((i, w))
+    assert leaves == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)]
 
 
 def test_derive_reports_every_hodge_split_failure(broken_conf_deformation):

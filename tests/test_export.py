@@ -23,6 +23,25 @@ def test_round_trip_exact():
     assert back == m
 
 
+MM_HEAD = "%%MatrixMarket matrix coordinate rational general\n% comment\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (MM_HEAD, "missing size line"),
+    (MM_HEAD + "2 2\n", "line 3: bad size line: '2 2'"),
+    (MM_HEAD + "2 2 1\n1 1 x\n", "line 4: bad entry line: '1 1 x'"),
+    (MM_HEAD + "2 2 1\n1 1 1/0\n", "line 4: bad entry line: '1 1 1/0'"),
+    (MM_HEAD + "2 2 1\n0 1 1\n", "line 4: entry (0, 1) outside 2 x 2"),
+    (MM_HEAD + "2 2 1\n1 3 1\n", "line 4: entry (1, 3) outside 2 x 2"),
+    (MM_HEAD + "2 2 2\n1 1 1\n\n1 1 2\n", "line 6: repeated entry (1, 1)"),
+], ids=["no-size", "short-size", "bad-value", "zero-denominator", "index-zero",
+        "index-past-shape", "repeated-entry"])
+def test_malformed_matrix_market_rejected(text, message):
+    with pytest.raises(export.ExportError) as info:
+        export.read_matrix_market(text)
+    assert str(info.value) == message
+
+
 def test_deterministic_bytes(hessian):
     bd, ops = hessian
     lm = export.get_operator(bd, ops, "D", 0, 3)

@@ -46,8 +46,7 @@ def per_degree_pencils(r_max, centered=True):
     over the centered square or else the unit square."""
     bd = build(catalog.get("mobius-2d").spec, r_max)
     ops = derive(bd)
-    metrics = [{j: b.transpose() @ b for (ii, j), b in ops.hs.ups.items() if ii == i}
-               for i in (0, 1)]
+    metrics = [{j: b.transpose() @ b for j, b in ops.hs.ups[i].items()} for i in (0, 1)]
     out = []
     for r in range(3, r_max + 1):
         d = stacked_map({w: ops.bc.D(0, w) for w in range(r + 1)})

@@ -12,15 +12,14 @@ from bggkit.linalg import (
     assemble,
     block_matrix,
     column_space,
+    hstack,
     inverse,
     leading_block,
     nullspace,
-    orthogonal_complement,
     pinv_onto,
     projection_onto,
     rank,
     solve_dense,
-    solve_thin,
     take_cols,
     take_rows,
 )
@@ -110,7 +109,7 @@ def test_column_space_spans():
     assert c.cols == 2
     assert rank(c) == 2
     # every column of m is a combination of the pivot columns
-    solve_thin(c, m)
+    assert rank(hstack([c, m])) == rank(c)
 
 
 def project(basis, v):
@@ -174,13 +173,6 @@ def test_pinv_left_inverse_for_injective():
     m = mat([[1, 0], [0, 1], [1, 1]])
     p = pinv_onto(m)
     assert p @ m == SparseMat.identity(2)
-
-
-def test_orthogonal_complement_dims():
-    b = SparseMat.from_columns([[F(1), F(1), F(0)]], 3)
-    c = orthogonal_complement(b)
-    assert c.cols == 2
-    assert (b.transpose() @ c).is_zero()
 
 
 def test_block_matrix_and_kron():
