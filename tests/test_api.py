@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -43,7 +44,7 @@ def test_every_import_is_used(path):
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy must stay off the import path
+    # bggkit has no runtime dependency; scipy must stay off the import path
     script = ("import sys, bggkit\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(bggkit.__file__).resolve().parent.parent))
@@ -69,18 +70,33 @@ def test_package_exports_only_the_readme_names():
     assert readme_names == ["build", "catalog", "derive", "verify_identities"]
 
 
+SUBCOMMANDS = [
+    ["verify", "--diagram", "plate-2d", "--wmax", "3"],
+    ["cohomology", "--diagram", "plate-2d", "--wmax", "3"],
+    ["derive", "--diagram", "plate-2d", "--wmax", "3"],
+    ["export", "--diagram", "plate-2d", "--wmax", "3", "--operator", "d",
+     "--index", "0", "--weight", "1"],
+    ["cosserat-energy", "--samples", "1", "--degree", "1"],
+    ["korn2d", "--rmax", "4"],
+]
+
+
 def test_exact_commands_load_no_numpy():
-    # numpy is imported only by korn2d's float step
-    script = ("import sys, bggkit, bggkit.cli\n"
-              "code = bggkit.cli.main(['verify', '--diagram', 'plate-2d', '--wmax', '3'])\n"
-              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    # the korn2d float step is pure Python, so no subcommand loads numpy
+    script = ("import contextlib, io, json, sys, bggkit, bggkit.cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = bggkit.cli.main(argv)\n"
+              "    print(argv[0], code, sorted(m for m in sys.modules\n"
+              "                                if m.split('.')[0] == 'numpy'))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(bggkit.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(SUBCOMMANDS)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines() == [f"{argv[0]} 0 []" for argv in SUBCOMMANDS]
 
 
-def test_runtime_dependencies_are_numpy_only():
+def test_runtime_dependencies_are_empty():
     tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
-    assert meta["project"]["dependencies"] == ["numpy"]
+    assert meta["project"]["dependencies"] == []
+    assert "numpy" in meta["project"]["optional-dependencies"]["test"]

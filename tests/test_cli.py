@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -303,7 +304,7 @@ def test_korn_command(capsys):
 
 
 def test_korn_rmax_12_exits_0(capsys):
-    # numpy's Cholesky fails on the whole unit-square pencil at r = 12, not on the classes
+    # a float Cholesky fails on the whole unit-square pencil at r = 12, not on the classes
     code, out, _ = run(capsys, "korn2d", "--rmax", "12", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -313,26 +314,25 @@ def test_korn_rmax_12_exits_0(capsys):
 
 
 def test_korn_float_failure_exit_1(capsys, monkeypatch):
-    # numpy's LinAlgError is a ValueError, but a failed solve is not bad input
-    import numpy as np
+    # a failed float solve is not bad input: exit 1, not 2
     from bggkit import korn
     real, sizes = korn.eigh, []
     monkeypatch.setattr(korn, "eigh", lambda a, m: sizes.append(len(a)) or real(a, m))
     korn.korn2d_experiment(4)
-    # degrees are solved in order, one class at a time: fail on degree 4's last class
+    # distinct class cuts are solved in degree order: fail on the last, first met at degree 4
     last, solved = len(sizes), []
 
     def eigh(a, m):
         solved.append(len(a))
         if len(solved) == last:
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+            a = [[-x for x in row] for row in a]
         return real(a, m)
 
     monkeypatch.setattr(korn, "eigh", eigh)
     code, out, err = run(capsys, "korn2d", "--rmax", "4")
     assert (code, out) == (1, "")
-    assert err == ("float step failed: r=4: the float eigensolver failed: "
-                   "Matrix is not positive definite\n")
+    assert re.fullmatch(r"float step failed: r=4: a is not positive definite: "
+                        r"Cholesky pivot 0 is -\S+\n", err)
 
 
 @pytest.mark.parametrize("command", ["verify", "cohomology", "derive", "export"])

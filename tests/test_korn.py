@@ -1,3 +1,6 @@
+import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,7 @@ from bggkit import catalog, korn
 from bggkit.bgg import derive
 from bggkit.cube import stacked_cube_gram, stacked_map
 from bggkit.diagram import VerificationError, build
-from bggkit.korn import korn2d_experiment
+from bggkit.korn import FloatStepError, korn2d_experiment
 from bggkit.linalg import SparseMat, components, leading_block, nullspace, take_cols, take_rows
 from oracles import ldl_pivots
 
@@ -41,6 +44,35 @@ def class_cuts(r_max):
     return a, m, classes, cuts
 
 
+def distinct_cuts(cuts):
+    """The nonempty class cuts in the order the float step first meets them."""
+    seen = []
+    for _, idxs in cuts:
+        seen += [idx for idx in idxs if idx and idx not in seen]
+    return seen
+
+
+def float_pencil(a, m, idx):
+    return korn._dense(a, idx), korn._dense(m, idx)
+
+
+def oracle_spectrum(a, m):
+    """Ascending eigenvalues of the float pencil (a, m) from numpy, by m's
+    Cholesky factor; a test-only oracle."""
+    np = pytest.importorskip("numpy")
+    low = np.linalg.cholesky(np.array(m))
+    half = np.linalg.solve(low, np.array(a))
+    return np.linalg.eigvalsh(np.linalg.solve(low, half.T))
+
+
+def oracle_lowest(a, m):
+    """Lowest eigenvalue of the float pencil (a, m) from numpy, as 1 / the
+    highest of (m, a) by a's Cholesky factor.  The reduction by m's factor
+    is off by 6.4e-9 relative on the 34-column cut at r_max 10, against a
+    50-digit solve; this one agrees with that solve to 1.3e-12."""
+    return 1 / oracle_spectrum(m, a)[-1]
+
+
 def per_degree_pencils(r_max, centered=True):
     """Each degree's pencil built from its own stacked D, kernel and Grams,
     over the centered square or else the unit square."""
@@ -66,17 +98,19 @@ def test_pencils_match_per_degree_construction(recorded):
 
 
 def test_eigh_gets_each_degrees_pencil_in_floats(monkeypatch):
-    # the floats solved at degree r are the principal class blocks of the exact (A, M)
+    # the floats solved are the principal class blocks of the exact (A, M),
+    # each distinct cut once, in the order the degrees first reach it
     solved = []
     eigh = korn.eigh
     monkeypatch.setattr(korn, "eigh", lambda a, m: solved.append((a, m)) or eigh(a, m))
     korn2d_experiment(5)
     a, m, _, cuts = class_cuts(5)
-    want = [(principal(a, idx), principal(m, idx)) for _, idxs in cuts for idx in idxs if idx]
+    want = [(principal(a, idx), principal(m, idx)) for idx in distinct_cuts(cuts)]
     assert len(solved) == len(want) > len(cuts)
+    assert len(want) < sum(bool(idx) for _, idxs in cuts for idx in idxs)
     for (a_f, m_f), (a_c, m_c) in zip(solved, want):
-        assert a_f.tolist() == [[float(x) for x in row] for row in a_c.to_dense()]
-        assert m_f.tolist() == [[float(x) for x in row] for row in m_c.to_dense()]
+        assert a_f == [[float(x) for x in row] for row in a_c.to_dense()]
+        assert m_f == [[float(x) for x in row] for row in m_c.to_dense()]
 
 
 def test_class_blocks_reassemble_the_pencil():
@@ -90,23 +124,22 @@ def test_class_blocks_reassemble_the_pencil():
 
 
 def test_class_spectra_make_up_the_pencils_spectrum():
-    import numpy as np
+    np = pytest.importorskip("numpy")
     a, m, _, cuts = class_cuts(8)
-    a_f, m_f = korn._to_float(a), korn._to_float(m)
     for r, idxs in cuts:
         k = sum(map(len, idxs))
-        whole = korn.eigh(a_f[:k, :k], m_f[:k, :k])
-        parts = np.sort(np.concatenate([korn.eigh(a_f[np.ix_(i, i)], m_f[np.ix_(i, i)])
+        whole = oracle_spectrum(*float_pencil(a, m, range(k)))
+        parts = np.sort(np.concatenate([oracle_spectrum(*float_pencil(a, m, i))
                                         for i in idxs if i]))
         np.testing.assert_allclose(parts, whole, rtol=1e-8, err_msg=f"r={r}")
+        lowest = min(korn.eigh(*float_pencil(a, m, i)) for i in idxs if i)
+        assert lowest == pytest.approx(whole[0], rel=1e-8), r
 
 
 def test_minimizing_class_grows_only_at_odd_degrees():
-    import numpy as np
     a, m, classes, cuts = class_cuts(10)
-    a_f, m_f = korn._to_float(a), korn._to_float(m)
-    lowest = [int(np.argmin([korn.eigh(a_f[np.ix_(i, i)], m_f[np.ix_(i, i)])[0] if i else np.inf
-                             for i in idxs])) for _, idxs in cuts]
+    lowest = [min(range(len(idxs)), key=lambda c: korn.eigh(*float_pencil(a, m, idxs[c]))
+                  if idxs[c] else math.inf) for _, idxs in cuts]
     c = lowest[0]
     assert lowest == [c] * len(cuts)
     for (r, before), (_, after) in zip(cuts, cuts[1:]):
@@ -114,6 +147,55 @@ def test_minimizing_class_grows_only_at_odd_degrees():
             assert after[c] == before[c], r + 1
         else:
             assert len(after[c]) > len(before[c]), r + 1
+
+
+def random_spd(rng, n):
+    b = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+    return [[sum(x * y for x, y in zip(bi, bj)) + (i == j) / 10 for j, bj in enumerate(b)]
+            for i, bi in enumerate(b)]
+
+
+def test_eigh_matches_numpy_on_every_distinct_cut():
+    a, m, _, cuts = class_cuts(10)
+    for idx in distinct_cuts(cuts):
+        a_f, m_f = float_pencil(a, m, idx)
+        assert korn.eigh(a_f, m_f) == pytest.approx(oracle_lowest(a_f, m_f), rel=1e-9), idx
+
+
+@pytest.mark.parametrize("n", [1, 2, *range(3, 41)])
+def test_eigh_matches_numpy_on_random_pencils(n):
+    rng = random.Random(7000 + n)
+    a, m = random_spd(rng, n), random_spd(rng, n)
+    assert korn.eigh(a, m) == pytest.approx(oracle_lowest(a, m), rel=1e-9)
+
+
+def test_eigh_on_a_diagonal_pencil():
+    # no column has an entry below the diagonal, so every Householder step is skipped
+    a = [[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+    m = [[1.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+    assert korn.eigh(a, m) == pytest.approx(0.25, rel=1e-15)
+
+
+@pytest.mark.parametrize("a", [[[0.0]], [[-1.0]], [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["zero", "negative", "indefinite"])
+def test_eigh_rejects_a_pencil_that_is_not_definite(a):
+    m = [[1.0 * (i == j) for j in range(len(a))] for i in range(len(a))]
+    with pytest.raises(FloatStepError, match=f"Cholesky pivot {len(a) - 1} is "):
+        korn.eigh(a, m)
+
+
+# lambda_min of the odd degrees' pencils, from 45-digit unit-square solves
+LAMBDA_MIN = {3: "9.42989481350794933", 5: "9.19793398884544864",
+              7: "9.18413792299197412", 9: "9.18075747890423089",
+              11: "9.18060111384320668"}
+
+
+def test_sigma_min_matches_reference_values():
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for row in korn2d_experiment(12):
+            want = Decimal(LAMBDA_MIN[row.degree - 1 + row.degree % 2]).sqrt()
+            assert abs(Decimal(row.sigma_min) / want - 1) <= Decimal("1e-9"), row.degree
 
 
 def test_sigma_min_equal_at_2k_plus_1_and_2k_plus_2():
