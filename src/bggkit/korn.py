@@ -34,11 +34,20 @@ exact block is formed.  This is exact because
 
 (A, M) splits into parity classes, the connected components of its joint
 sparsity graph (29, 29, 34 and 34 at r_max = 10); each degree solves each
-class on its coordinates below k_r, and each distinct cut (18 among 32 at
-r_max = 10) is converted to floats and solved once.
+class on its coordinates below k_r.  The classes come in twins: pairing a
+later class's coordinates with an earlier one's in index order, the twin's
+pencil is S (A, M) S on the earlier class, S a diagonal of signs.  A twin is
+certified exactly: equal lengths, equally many coordinates below every k_r,
+and every stored numerator of A and M on the twin equal to s_t s_u times its
+paired one.  Congruence by S keeps each cut's spectrum, and every float step
+of ``eigh`` commutes with it exactly, so a certified twin is not solved: its
+representative's value is its own, bit for bit.  Each distinct cut of the
+other classes (9 among 32 at r_max = 10) is converted to floats and solved
+once.
 
 Three certificates are checked exactly at run time: the kernel support, the
 pivot columns and each degree's cut; a failure raises ``VerificationError``.
+The twin certificate is exact too, but a pair that fails it is solved twice.
 """
 
 from __future__ import annotations
@@ -143,6 +152,50 @@ def _check_nested(comp: SparseMat, k: int, n: int) -> None:
             f"leading {n} rows; the degree's pencil is not a principal block")
 
 
+def _twins(a: SparseMat, m: SparseMat, classes: list[list[int]], ks: list[int]) -> dict[int, int]:
+    """Certified twins: {class index: the earlier class it is a twin of}.
+
+    Class b is a twin of class c when, pairing their coordinates in index
+    order, both have the same length and as many coordinates below every k,
+    and signs s exist with every numerator of a and m on b equal to s_t s_u
+    times the paired one on c.  The relation is transitive, so b's earliest
+    twin is a class that is no twin.
+    """
+    twins = {}
+    for b, cb in enumerate(classes):
+        for c, cc in enumerate(classes[:b]):
+            if (len(cc) == len(cb)
+                    and all(sum(i < k for i in cc) == sum(i < k for i in cb) for k in ks)
+                    and _signed_pairing((a, m), dict(zip(cc, cb)))):
+                twins[b] = c
+                break
+    return twins
+
+
+def _signed_pairing(mats, pair: dict[int, int]) -> bool:
+    """Whether signs s on pair's keys give mat[pair t][pair u] == s_t s_u
+    mat[t][u] for every stored entry of each mat, in both directions.
+
+    A walk of the joint sparsity graph from the first key fixes the signs and
+    checks each row it reaches; a key it does not reach fails the pairing."""
+    first = next(iter(pair))
+    sign, todo = {first: 1}, [first]
+    while todo:
+        st = sign[t := todo.pop()]
+        for mat in mats:
+            row, twin = mat.by_row.get(t, {}), mat.by_row.get(pair[t], {})
+            if len(row) != len(twin):  # so every entry of twin is paired
+                return False
+            for u, v in row.items():
+                w = twin.get(pair.get(u))
+                if (su := sign.get(u)) is None and w in (v, -v):
+                    sign[u] = st if w == v else -st
+                    todo.append(u)
+                elif w != (v if su == st else -v):  # an unsigned u fails here too
+                    return False
+    return len(sign) == len(pair)
+
+
 def _exact_part(r_max: int):
     """Everything exact, built once at r_max.
 
@@ -195,10 +248,13 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
         raise ValueError("r_max must be >= 3")
     degrees, a_full, m_full = _exact_part(r_max)
     classes = components(a_full, m_full)
+    # a certified twin's cuts share its representative's spectrum, bit for bit
+    twins = _twins(a_full, m_full, classes, [k for *_, k in degrees])
+    solved = [c for b, c in enumerate(classes) if b not in twins]
     lowest: dict[tuple[int, ...], float] = {}  # distinct class cut -> its lowest eigenvalue
     out = []
     for r, kernel_dim, first_kernel, k in degrees:
-        cuts = [cut for cut in (tuple(i for i in c if i < k) for c in classes) if cut]
+        cuts = [cut for cut in (tuple(i for i in c if i < k) for c in solved) if cut]
         try:
             for cut in (cut for cut in cuts if cut not in lowest):
                 lowest[cut] = eigh(_dense(a_full, cut), _dense(m_full, cut))

@@ -313,6 +313,22 @@ def test_korn_rmax_12_exits_0(capsys):
         [(r, 6) for r in range(3, 13)]
 
 
+# sigma_min of korn2d --rmax 10 as float.hex, each for r = 2k+1 and 2k+2;
+# pinned so that no change to the float step moves them unseen
+KORN_RMAX_10_SIGMA_MIN = ["0x1.891069af29911p+1", "0x1.84331ac2d1512p+1",
+                          "0x1.83e88bf7d574cp+1", "0x1.83d644f40268ep+1"]
+
+
+def test_korn_rmax_10_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "korn2d", "--rmax", "10", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["degree"] for r in rows] == list(range(3, 11))
+    assert [float.hex(r["sigma_min"]) for r in rows] == \
+        [h for h in KORN_RMAX_10_SIGMA_MIN for _ in range(2)]
+    assert run(capsys, "korn2d", "--rmax", "10", "--format", "json")[1] == out
+
+
 def test_korn_float_failure_exit_1(capsys, monkeypatch):
     # a failed float solve is not bad input: exit 1, not 2
     from bggkit import korn

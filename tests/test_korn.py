@@ -97,20 +97,128 @@ def test_pencils_match_per_degree_construction(recorded):
     assert pencils == per_degree_pencils(6)
 
 
-def test_eigh_gets_each_degrees_pencil_in_floats(monkeypatch):
-    # the floats solved are the principal class blocks of the exact (A, M),
-    # each distinct cut once, in the order the degrees first reach it
-    solved = []
-    eigh = korn.eigh
+def record_solves(monkeypatch):
+    """Each eigh call's float pencil and the coordinates _dense cut it on."""
+    solved, idxs = [], []
+    eigh, dense = korn.eigh, korn._dense
     monkeypatch.setattr(korn, "eigh", lambda a, m: solved.append((a, m)) or eigh(a, m))
+    monkeypatch.setattr(korn, "_dense", lambda mat, idx: idxs.append(list(idx)) or dense(mat, idx))
+    return solved, idxs
+
+
+def twins_at(r_max):
+    degrees, a, m = korn._exact_part(r_max)
+    return korn._twins(a, m, components(a, m), [k for *_, k in degrees])
+
+
+def test_eigh_gets_each_degrees_pencil_in_floats(monkeypatch):
+    # the floats solved are the principal class blocks of the exact (A, M):
+    # each distinct cut of a class that is no certified twin, once, in the
+    # order the degrees first reach it; no cut of a certified twin is solved
+    solved, idxs = record_solves(monkeypatch)
     korn2d_experiment(5)
     a, m, _, cuts = class_cuts(5)
-    want = [(principal(a, idx), principal(m, idx)) for idx in distinct_cuts(cuts)]
+    assert twins_at(5) == {1: 0, 3: 2}
+    kept = [(r, [idxs_r[0], idxs_r[2]]) for r, idxs_r in cuts]
+    want = distinct_cuts(kept)
+    assert idxs[::2] == idxs[1::2] == want
     assert len(solved) == len(want) > len(cuts)
-    assert len(want) < sum(bool(idx) for _, idxs in cuts for idx in idxs)
-    for (a_f, m_f), (a_c, m_c) in zip(solved, want):
-        assert a_f == [[float(x) for x in row] for row in a_c.to_dense()]
-        assert m_f == [[float(x) for x in row] for row in m_c.to_dense()]
+    assert len(want) < sum(bool(idx) for _, idxs_r in kept for idx in idxs_r)
+    assert not [idx for _, idxs_r in cuts for idx in (idxs_r[1], idxs_r[3]) if idx in idxs]
+    for (a_f, m_f), idx in zip(solved, want):
+        assert a_f == [[float(x) for x in row] for row in principal(a, idx).to_dense()]
+        assert m_f == [[float(x) for x in row] for row in principal(m, idx).to_dense()]
+
+
+def test_twin_certificate_halves_the_solves_at_rmax_10(monkeypatch):
+    assert twins_at(10) == {1: 0, 3: 2}
+    solved, _ = record_solves(monkeypatch)
+    korn2d_experiment(10)
+    assert len(solved) == 9
+
+
+def flipped(mat, t, u, scale):
+    """A copy of mat with entries (t, u) and (u, t) multiplied by scale."""
+    return SparseMat(mat.rows, mat.cols,
+                     {(r, c): v * scale if {r, c} == {t, u} else v for r, c, v in mat.entries()})
+
+
+@pytest.mark.parametrize("kind", ["sign", "scale"])
+def test_a_broken_twin_is_solved(monkeypatch, kind):
+    degrees, a, m = korn._exact_part(6)
+    classes = components(a, m)
+    b = classes[1]
+    if kind == "sign":  # a pair of M that A also holds: its flip contradicts S
+        t, u = next((t, u) for t in b for u in sorted(m.by_row[t]) if t < u and u in a.by_row[t])
+        m = flipped(m, t, u, -1)
+    else:
+        a = flipped(a, b[-1], b[-1], 2)
+    assert components(a, m) == classes
+    assert korn._twins(a, m, classes, [k for *_, k in degrees]) == {3: 2}
+    monkeypatch.setattr(korn, "_exact_part", lambda r_max: (degrees, a, m))
+    _, idxs = record_solves(monkeypatch)
+    korn2d_experiment(6)
+    solved = {i for idx in idxs for i in idx}
+    assert solved == {*classes[0], *classes[1], *classes[2]}
+
+
+def test_twins_need_equal_counts_below_every_cut():
+    # classes {0, 2} and {1, 3} pair 0-1 and 2-3, numerators equal up to the
+    # signs (1, -1); below 2 each holds one coordinate, below 3 they differ
+    a = SparseMat(4, 4, {**{(i, i): 1 for i in range(4)},
+                         (0, 2): 1, (2, 0): 1, (1, 3): -1, (3, 1): -1})
+    m = SparseMat(4, 4, {(i, i): 2 for i in range(4)})
+    classes = components(a, m)
+    assert classes == [[0, 2], [1, 3]]
+    assert korn._twins(a, m, classes, [2, 4]) == {1: 0}
+    assert korn._twins(a, m, classes, [3, 4]) == {}
+    assert korn._twins(a, m, classes, [1]) == {}
+
+
+def test_twins_need_every_entry_paired_both_ways():
+    # the path 0-2-4 against 1-3-5: every entry of the first has its pair,
+    # but only the second holds (1, 5)
+    edges = [(0, 2), (2, 4), (1, 3), (3, 5)]
+    path = {(i, i): 3 for i in range(6)} | {e: 1 for e in edges} | {e[::-1]: 1 for e in edges}
+    m = SparseMat(6, 6, {(i, i): 1 for i in range(6)})
+    a = SparseMat(6, 6, path)
+    assert korn._twins(a, m, components(a, m), [6]) == {1: 0}
+    a = SparseMat(6, 6, path | {(1, 5): 1, (5, 1): 1})
+    assert korn._twins(a, m, components(a, m), [6]) == {}
+    # an entry that is neither the paired one nor its negative, with no
+    # transposed entry whose check would catch it
+    one_way = {e: v for e, v in path.items() if e not in ((4, 2), (5, 3))}
+    a = SparseMat(6, 6, one_way)
+    assert korn._twins(a, m, components(a, m), [6]) == {1: 0}
+    a = SparseMat(6, 6, one_way | {(3, 5): 2})
+    assert korn._twins(a, m, components(a, m), [6]) == {}
+
+
+def test_twins_need_the_walk_to_reach_the_class():
+    # classes that are not connected: the walk from 0 never meets 2, whose
+    # diagonal differs from its pair's
+    a = SparseMat(4, 4, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 2})
+    assert korn._twins(a, a, [[0, 2], [1, 3]], [4]) == {}
+
+
+@pytest.mark.parametrize("r_max", [4, 8, 12])
+def test_certified_twins_change_no_value(monkeypatch, r_max):
+    certified, twins = korn2d_experiment(r_max), twins_at(r_max)
+    assert twins == {1: 0, 3: 2}
+    monkeypatch.setattr(korn, "_twins", lambda *_: {})
+    _, idxs = record_solves(monkeypatch)
+    values, eigh = [], korn.eigh
+    monkeypatch.setattr(korn, "eigh", lambda a, m: values.append(eigh(a, m)) or values[-1])
+    assert korn2d_experiment(r_max) == certified
+    lowest = dict(zip(map(tuple, idxs[::2]), values))
+    *_, cuts = class_cuts(r_max)
+    checked = 0
+    for b, c in twins.items():
+        for _, idxs_r in cuts:
+            if idxs_r[b]:
+                assert lowest[tuple(idxs_r[b])] == lowest[tuple(idxs_r[c])], idxs_r[b]
+                checked += 1
+    assert checked >= len(cuts)
 
 
 def test_class_blocks_reassemble_the_pencil():
