@@ -6,11 +6,15 @@ Every operator except d and K acts pointwise, so its constant-coefficient
 data is computed once (the splitting bases, projections and harmonic
 coordinate maps on ``HodgeSplit``, the partial inverses on ``TOps``) and
 stored as {i: {j: C}}, by form degree i and row j.  ``diagram.lift_column``
-is the single path from one degree's {j: C} to a column operator at one
-weight: row block j becomes I_mono (x) C_j, so every identity below closes
-exactly.  Column operators are cached per instance through ``diagram.memo``.
-Each identity is recorded in a ``VerifyReport``; a derivation stage raises
-once, with the full report.
+forms one degree's {j: C} as a column operator at one weight, row block j
+becoming I_mono (x) C_j, and ``diagram.lift_apply`` gives that operator's
+exact product with a matrix without forming it, so every identity below
+closes exactly.  The derived complex only applies T and pi: A applies T and
+D applies pi.  Their lifts, ``TOps.column`` and ``BGGComplex.projection``,
+are formed only for B, G, the oracles, the exporter and the pullbacks.
+Column operators are cached per instance through ``diagram.memo``.  Each
+identity is recorded in a ``VerifyReport``; a derivation stage raises once,
+with the full report.
 
 G, A and B are the terms of one nilpotent series in T and d, each summed
 by ``diagram.nilpotent_terms``.  A is summed on the thin harmonic columns
@@ -33,8 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .diagram import BuiltDiagram, VerifyReport, _mono_count, band, lift_column, \
-    memo, nilpotent_terms, twisted_cohomology
+from .diagram import BuiltDiagram, VerifyReport, _mono_count, band, lift_apply, \
+    lift_column, memo, nilpotent_terms, twisted_cohomology
 from .forms import CoordSpace, LinMap, SumSpace, blocks, form_indices, pullback_block
 from .linalg import (
     LinAlgError,
@@ -190,9 +194,10 @@ def verify_T_column_identities(bd: BuiltDiagram, t: TOps, w: int) -> list:
     for i in range(1, bd.n + 1):
         t_i = t.column(i, w).mat
         s_prev = bd.S(i - 1, w).mat
+        ts = t_i @ s_prev
         report.expect("TT=0", w, i, t.column(i - 1, w).mat @ t_i)
-        report.expect("TST=T", w, i, (t_i @ s_prev) @ t_i, t_i)
-        report.expect("STS=S", w, i, (s_prev @ t_i) @ s_prev, s_prev)
+        report.expect("TST=T", w, i, ts @ t_i, t_i)
+        report.expect("STS=S", w, i, s_prev @ ts, s_prev)
     return report.failures()
 
 
@@ -267,7 +272,8 @@ class BGGComplex:
 
     def projection(self, i: int, w: int) -> LinMap:
         """Ambient column onto harmonic coordinates (orthogonal projection);
-        not memoized, as the cohomology path reads each lift once (in D)."""
+        not memoized, so no lift outlives its reader (B, the block-structure
+        oracle, ``pullback_on_harmonics``).  D applies it without forming it."""
         dom, cod = self.bd.column(i, w), self.ups_space(i, w)
         return LinMap(dom, cod, lift_column(self.bd, self.hs.coords.get(i, {}), i, w, dom, cod))
 
@@ -278,11 +284,12 @@ class BGGComplex:
         A = iota - G_{i+1} d_V iota, summed on the thin harmonic columns as
         sum_k (T d)^k iota: harmonic constants lie in ker S, as
         ``hodge_split`` certifies (``Pkerp Pups=0``), so d_V iota = d iota.
+        Each step applies T through ``lift_apply``, so T's lift is not formed.
         """
-        iota = self.inclusion(i, w)
-        t_next = self.t.column(i + 1, w).mat
-        d_i = self.bd.d(i, w).mat
-        terms = nilpotent_terms(iota.mat, lambda x: t_next @ (d_i @ x), self.bd.N + 1)
+        bd, iota = self.bd, self.inclusion(i, w)
+        t_next, d_i = self.t.const.get(i + 1, {}), bd.d(i, w)
+        terms = nilpotent_terms(iota.mat, lambda x: lift_apply(
+            bd, t_next, i + 1, w, d_i.cod, d_i.dom, d_i.mat @ x, shift=1), bd.N + 1)
         return LinMap(iota.dom, iota.cod, sum(terms[1:], terms[0]))
 
     @memo
@@ -292,7 +299,10 @@ class BGGComplex:
 
     @memo
     def D(self, i: int, w: int) -> LinMap:
-        return self.projection(i + 1, w) @ self.dVA(i, w)
+        """pi d_V A, with pi applied to d_V A rather than formed."""
+        dva, ups = self.dVA(i, w), self.ups_space(i + 1, w)
+        return LinMap(dva.dom, ups, lift_apply(self.bd, self.hs.coords.get(i + 1, {}), i + 1, w,
+                                               dva.cod, ups, dva.mat))
 
     def block_orders(self, i: int) -> list[int]:
         """Weight shifts of the nonzero derived-operator blocks at index i."""

@@ -11,6 +11,8 @@ matrices weight by weight.
 Every column operator here and in ``bgg`` takes one path: ``band`` assembles
 it from its row blocks (a column operator sends row j to row j or j +- 1),
 and ``memo`` caches it once per (index, weight) on the instance that owns it.
+A pointwise operator lifted from constants is either assembled by
+``lift_column`` or applied to a matrix by ``lift_apply``, which forms no lift.
 Every series (F here; G, A and B in ``bgg``) is summed from
 ``nilpotent_terms``.
 """
@@ -20,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import factorial
+from itertools import accumulate
+from math import factorial, lcm
 
 from .forms import (
     FormBlock,
@@ -36,7 +39,7 @@ from .forms import (
     _d_factors,
     _d_scalar,
 )
-from .linalg import SparseMat, assemble, block_matrix, rank
+from .linalg import LinAlgError, SparseMat, assemble, block_matrix, rank
 
 
 class DiagramError(Exception):
@@ -265,6 +268,12 @@ class BuiltDiagram:
     def kappa(self, j: int) -> tuple[SparseMat, ...]:
         return self.spec.kappa.row(j)
 
+    @memo
+    def _K_consts(self, i: int, j: int) -> tuple[SparseMat, ...]:
+        """I_Lambda^i (x) kappa_l for each axis l: K's constants on degree-i forms."""
+        ident = SparseMat.identity(len(form_indices(self.n, i)))
+        return tuple(ident.kron(kappa) for kappa in self.kappa(j))
+
     # -- block operators -----------------------------------------------------
 
     def d_block(self, i: int, j: int, w: int) -> LinMap:
@@ -276,10 +285,9 @@ class BuiltDiagram:
         if dom.dim == 0 or cod.dim == 0:
             return LinMap.zero(dom, cod)
         # x^l sends each monomial to its own target, so no two terms share an entry
-        ident = SparseMat.identity(len(form_indices(self.n, i)))
         return LinMap(dom, cod, assemble(cod.dim, dom.dim, [
-            (0, 0, (_mult_scalar(self.n, dom.p, l), ident.kron(kappa)))
-            for l, kappa in enumerate(self.kappa(j), start=1)]))
+            (0, 0, (_mult_scalar(self.n, dom.p, l), const))
+            for l, const in enumerate(self._K_consts(i, j), start=1)]))
 
     def S_block(self, i: int, j: int, w: int) -> LinMap:
         return LinMap(self.block(i, j, w), self.block(i + 1, j - 1, w),
@@ -371,6 +379,47 @@ def lift_column(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,
     """
     return band({j: (SparseMat.identity(_mono_count(bd, i, j, w)), c)
                  for j, c in consts.items()}, dom, cod, shift)
+
+
+def lift_apply(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,
+               cod: SumSpace, x: SparseMat, shift: int = 0) -> SparseMat:
+    """``lift_column(bd, consts, i, w, dom, cod, shift) @ x``, without forming
+    the lift: row a of C = consts[j] on monomial m combines the rows of x at
+    dom's row-j offset + m * C.cols + b into cod's row-(j + shift) offset +
+    m * C.rows + a, accumulated as ``SparseMat.__matmul__`` does."""
+    if x.rows != dom.dim:
+        raise LinAlgError(f"shape mismatch in lift_apply: {dom.dim} columns @ {x.rows} rows")
+    den = lcm(*(c.den for c in consts.values()))
+    doff, coff = [0, *accumulate(dom.dims())], [0, *accumulate(cod.dims())]
+    xrows = x.by_row
+    out = {}
+    for j, c in consts.items():
+        f = den // c.den
+        crows = [(a, [(b, f * v) for b, v in row.items()]) for a, row in c.by_row.items()]
+        for m in range(_mono_count(bd, i, j, w)):
+            src, dst = doff[j] + m * c.cols, coff[j + shift] + m * c.rows
+            for a, crow in crows:
+                acc = None
+                merged = False
+                for b, v in crow:
+                    xrow = xrows.get(src + b)
+                    if xrow is None:
+                        continue
+                    if acc is None:
+                        # the first row reached is shared when its multiple is 1
+                        acc = xrow if v == 1 else {k: v * y for k, y in xrow.items()}
+                        continue
+                    if not merged:
+                        acc = dict(acc)  # never write into a row of x
+                        merged = True
+                    get = acc.get
+                    for k, y in xrow.items():
+                        acc[k] = get(k, 0) + v * y
+                if merged and 0 in acc.values():
+                    acc = {k: y for k, y in acc.items() if y}
+                if acc:
+                    out[dst + a] = acc
+    return SparseMat._from_rows(cod.dim, x.cols, out, den * x.den)
 
 
 def verify_identities(bd: BuiltDiagram) -> VerifyReport:

@@ -148,3 +148,17 @@ def test_korn_experiment_reaches_traced_korn_layers(monkeypatch):
     calls = _count_layers(monkeypatch, required)
     korn.korn2d_experiment(4)
     assert sorted(required - set(calls)) == []
+
+
+def test_cohomology_path_reaches_traced_cohomology_layers(monkeypatch):
+    # a traced cohomology run fails unless every layer bench/run.py expects
+    # on cohomology records a call
+    from bggkit import bgg, catalog, diagram
+
+    required = {layer for layer, workloads in _bench("run").LAYERS.items()
+                if "cohomology" in workloads}
+    calls = _count_layers(monkeypatch, required)
+    bd = diagram.build(catalog.get("higher-hessian-3d(3)").spec, 3)
+    diagram.twisted_cohomology(bd)
+    bgg.bgg_cohomology(bgg.derive(bd).bc)
+    assert sorted(required - set(calls)) == []

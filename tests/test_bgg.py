@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from bggkit import catalog
+from bggkit import catalog, korn
 from bggkit.bgg import (
     BGGComplex,
     BOps,
@@ -26,7 +26,7 @@ from bggkit.bgg import (
 )
 from bggkit import diagram
 from bggkit.diagram import BuiltDiagram, DiagramSpec, KappaSpec, VerificationError, \
-    build, row_cohomology_sum, twisted_cohomology
+    build, lift_apply, row_cohomology_sum, twisted_cohomology
 from bggkit.forms import LinMap, ValueSpace, blocks, monomials
 from bggkit.linalg import LinAlgError, SparseMat, assemble, nullspace, rank
 
@@ -196,13 +196,55 @@ def test_B_is_pi_times_I_minus_dV_G(name):
             assert ops.b.column(i, w).mat == want
 
 
-def test_cohomology_forms_no_G():
-    # neither B nor the derived cohomology multiplies by the homotopy
+def _probe(rows: int) -> SparseMat:
+    """A rows x 3 matrix over denominators 2 and 3, with empty rows and
+    entries of both signs."""
+    return SparseMat(rows, 3, {(r, c): F((5 * r + c) % 7 - 3, 2 + r % 2)
+                               for r in range(rows) for c in range(3) if (r + c) % 3})
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_lift_apply_is_lift_column_times_x(name):
+    # T constants (shift 1) and harmonic coordinates (shift 0) on every (i, w),
+    # with i = 0 (no T rows) and n + 1 (neither) giving empty and absent
+    # rows and low weights zero-dimensional parts
+    ops = derive(build(catalog.get(name).spec, WMAX))
+    bd = ops.bd
+    assert max(c.den for row in ops.t.const.values() for c in row.values()) > 1
+    for w in range(WMAX + 1):
+        for i in range(bd.n + 2):
+            col = bd.column(i, w)
+            for consts, cod, shift in ((ops.t.const.get(i, {}), bd.column(i - 1, w), 1),
+                                       (ops.hs.coords.get(i, {}), ops.bc.ups_space(i, w), 0)):
+                x = _probe(col.dim)
+                want = lift_column(bd, consts, i, w, col, cod, shift) @ x
+                assert lift_apply(bd, consts, i, w, col, cod, x, shift) == want, (i, w, shift)
+                assert x == _probe(col.dim)  # rows of x are shared, never written
+
+
+def test_cohomology_forms_no_G(monkeypatch):
+    # derive, the derived cohomology and korn apply T and pi to thin
+    # matrices without forming their lifts; neither B nor the derived
+    # cohomology multiplies by the homotopy
+    formed = []
+
+    def count_calls(cls, meth):
+        original = vars(cls)[meth]
+
+        def counting(self, *args):
+            formed.append(meth)
+            return original(self, *args)
+        monkeypatch.setattr(cls, meth, counting)
+    count_calls(TOps, "column")
+    count_calls(BGGComplex, "projection")
     ops = derive(build(catalog.get("higher-hessian-3d(3)").spec, 4))
+    bgg_cohomology(ops.bc)
+    assert not ops.t.__dict__.get("_memo")
+    korn.korn2d_experiment(4)
+    assert formed == []
     for w in range(5):
         for i in range(4):
             ops.b.column(i, w)
-    bgg_cohomology(ops.bc)
     assert not ops.g.__dict__.get("_memo")
 
 
