@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .diagram import BuiltDiagram, VerifyReport, _mono_count, band, lift_apply, \
-    lift_column, memo, nilpotent_terms, twisted_cohomology
+from .diagram import BuiltDiagram, VerifyReport, _count_cohomology, _mono_count, band, \
+    lift_apply, lift_column, memo, nilpotent_terms, twisted_cohomology
 from .forms import CoordSpace, LinMap, SumSpace, blocks, form_indices, pullback_block
 from .linalg import (
     LinAlgError,
@@ -364,20 +364,10 @@ def verify_chain_maps(bc: BGGComplex, b: BOps, w: int) -> list:
 
 def bgg_cohomology(bc: BGGComplex) -> dict:
     """Cohomology dims of the derived complex, asserted against the twisted ones."""
-    bd = bc.bd
-    twisted = twisted_cohomology(bd)
-    report = VerifyReport(bd.spec.name, bd.w_max)
-    dims = {}
-    for w in range(bd.w_max + 1):
-        prev_rank = 0
-        for i in range(bd.n + 1):
-            r = rank(bc.D(i, w).mat)
-            h = bc.ups_space(i, w).dim - r - prev_rank
-            report.holds("derived=twisted", w, i, h == twisted[(i, w)])
-            dims[(i, w)] = h
-            prev_rank = r
-    report.require("bgg_cohomology")
-    return dims
+    twisted = twisted_cohomology(bc.bd)
+    return _count_cohomology(bc.bd, "bgg_cohomology", "derived=twisted",
+                             lambda i, w: bc.ups_space(i, w).dim,
+                             lambda i, w: rank(bc.D(i, w).mat), lambda i, w: twisted[(i, w)])
 
 
 @dataclass

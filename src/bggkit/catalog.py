@@ -43,6 +43,7 @@ _DATA_DIR = Path(__file__).resolve().parent / "data"
 # The fixed entries in listing order; each is read from _DATA_DIR.
 _FIXED = ("conf-hessian-3d", "conf-deformation-3d", "mobius-2d",
           "elasticity-3d", "plate-2d")
+_LISTED_ORDER = 4  # names() lists higher-hessian-3d up to this order; get() takes any
 
 
 def _conf_hessian_actions(a: SparseMat):
@@ -87,9 +88,9 @@ def higher_hessian_3d(order: int) -> CatalogEntry:
     return CatalogEntry(spec.name, spec, expected)
 
 
-def names(max_order: int = 4) -> list[str]:
+def names() -> list[str]:
     out = list(_FIXED)
-    out[2:2] = [f"higher-hessian-3d({k})" for k in range(1, max_order + 1)]
+    out[2:2] = [f"higher-hessian-3d({k})" for k in range(1, _LISTED_ORDER + 1)]
     return out
 
 
@@ -113,6 +114,13 @@ def get(name: str) -> CatalogEntry:
 # -- text serialization ------------------------------------------------------
 
 
+def _token(what: str, value: str) -> str:
+    """value if the text format can carry it as a name or label, else ValueError."""
+    if not value or any(c.isspace() or c in "#,=" for c in value):
+        raise ValueError(f"{what} {value!r} is empty or holds whitespace, '#', ',' or '='")
+    return value
+
+
 def to_text(entry: CatalogEntry) -> str:
     """Serialize an entry to the line-oriented diagram format; a name or
     label that is empty or holds whitespace, '#', ',' or '=', or a source
@@ -121,8 +129,7 @@ def to_text(entry: CatalogEntry) -> str:
     tokens = [("diagram name", spec.name)] + [("row name", vs.name) for vs in spec.rows] + [
         ("label", lab) for vs in spec.rows for lab in vs.basis_labels]
     for what, value in tokens:
-        if not value or any(c.isspace() or c in "#,=" for c in value):
-            raise ValueError(f"{what} {value!r} is empty or holds whitespace, '#', ',' or '='")
+        _token(what, value)
     for key, src in entry.expected.get("source", {}).items():
         if "#" in src or len(src.splitlines()) > 1 or src != src.rstrip():
             raise ValueError(f"source {src!r} of {key} holds '#', a line break "
@@ -207,7 +214,7 @@ def parse_text(text: str) -> CatalogEntry:
                 raise ValueError(f"{kind}: declared twice")
             declared.add(kind)
         if kind == "name":
-            name = parts[1]
+            name = _token("name: diagram name", parts[1])
         elif kind == "n":
             n = _int("n", "value", parts[1])
         elif kind == "rows":
@@ -222,7 +229,9 @@ def parse_text(text: str) -> CatalogEntry:
             attrs = dict(p.split("=", 1) for p in parts[2:])
             if "dim" not in attrs:
                 raise ValueError(f"row {j}: needs dim=")
-            labels = tuple(attrs["labels"].split(",")) if "labels" in attrs else None
+            row_name = _token(f"row {j}: name", attrs.get("name", f"V{j}"))
+            labels = tuple(_token(f"row {j}: label", lab) for lab in
+                           attrs["labels"].split(",")) if "labels" in attrs else None
             dim = _int(f"row {j}", "dim", attrs["dim"])
             if dim < 1:
                 raise ValueError(f"row {j}: dim must be >= 1, got {dim}")
@@ -230,7 +239,7 @@ def parse_text(text: str) -> CatalogEntry:
                 labels = tuple(f"{attrs.get('name', 'e')}{k + 1}" for k in range(dim))
             if len(labels) != dim:
                 raise ValueError(f"row {j}: {len(labels)} labels for dim {dim}")
-            rows[j] = ValueSpace(attrs.get("name", f"V{j}"), labels)
+            rows[j] = ValueSpace(row_name, labels)
         elif kind == "kappa":
             j, l = _int("kappa", "index", parts[1]), _int("kappa", "index", parts[2])
             if (j, l) in kappa_entries:

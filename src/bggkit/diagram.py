@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import accumulate
 from math import factorial, lcm
 
 from .forms import (
@@ -390,14 +389,14 @@ def lift_apply(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,
     if x.rows != dom.dim:
         raise LinAlgError(f"shape mismatch in lift_apply: {dom.dim} columns @ {x.rows} rows")
     den = lcm(*(c.den for c in consts.values()))
-    doff, coff = [0, *accumulate(dom.dims())], [0, *accumulate(cod.dims())]
     xrows = x.by_row
     out = {}
     for j, c in consts.items():
         f = den // c.den
         crows = [(a, [(b, f * v) for b, v in row.items()]) for a, row in c.by_row.items()]
+        doff, coff = dom.offset(j), cod.offset(j + shift)
         for m in range(_mono_count(bd, i, j, w)):
-            src, dst = doff[j] + m * c.cols, coff[j + shift] + m * c.rows
+            src, dst = doff + m * c.cols, coff + m * c.rows
             for a, crow in crows:
                 acc = None
                 merged = False
@@ -484,23 +483,24 @@ def row_cohomology_sum(bd: BuiltDiagram, i: int, w: int) -> int:
                for j in range(bd.N + 1))
 
 
-def twisted_cohomology(bd: BuiltDiagram) -> dict:
-    """Cohomology dims of the twisted complex per (index, weight).
-
-    Computed as dim ker d_V^i - rank d_V^{i-1} and asserted equal to the sum
-    of the row de-Rham cohomologies computed independently from the
-    block-diagonal differential.  Each d_V rank is eliminated once per
-    built diagram, so a repeated call re-checks without eliminating.
-    """
+def _count_cohomology(bd: BuiltDiagram, stage: str, check: str, dim, rank_of, expected) -> dict:
+    """Cohomology dims h = dim(i, w) - rank(i, w) - rank(i - 1, w) per (index,
+    weight), each checked as ``check``: h == expected(i, w); raises once."""
     report = VerifyReport(bd.spec.name, bd.w_max)
     dims = {}
     for w in range(bd.w_max + 1):
-        prev_rank = 0
-        for i in range(bd.n + 1):
-            r = bd._d_V_rank(i, w)
-            h = bd.column(i, w).dim - r - prev_rank
-            report.holds("twisted=row_sum", w, i, h == row_cohomology_sum(bd, i, w))
-            dims[(i, w)] = h
-            prev_rank = r
-    report.require("twisted_cohomology")
+        ranks = [rank_of(i, w) for i in range(bd.n + 1)]
+        for i, r in enumerate(ranks):
+            dims[(i, w)] = h = dim(i, w) - r - (ranks[i - 1] if i else 0)
+            report.holds(check, w, i, h == expected(i, w))
+    report.require(stage)
     return dims
+
+
+def twisted_cohomology(bd: BuiltDiagram) -> dict:
+    """Cohomology dims of the twisted complex per (index, weight), asserted
+    equal to the row de-Rham sums computed independently.  Each d_V rank is
+    eliminated once per built diagram, so a repeated call only re-checks."""
+    return _count_cohomology(bd, "twisted_cohomology", "twisted=row_sum",
+                             lambda i, w: bd.column(i, w).dim, bd._d_V_rank,
+                             lambda i, w: row_cohomology_sum(bd, i, w))

@@ -16,16 +16,16 @@ coefficients, and the shift by (1/2, 1/2) is an L2 isometry that maps the
 fields of each degree onto themselves.
 
 Everything exact is built once, at r_max, with A formed through D comp.
-The stacked operator D is block-diagonal by weight, so degree r's kernel
-dimensions are sums over weights <= r of per-weight ones, and degree r's D,
-its Grams g_in, g_out and D^T g_out D are leading blocks of the r_max ones.
-Degree r's pencil is then the leading k_r x k_r block of the r_max pencil
-(A, M), k_r the number of free columns of weight <= r, and no per-degree
-exact block is formed.  This is exact because
+The stacked operator D is block-diagonal by weight, so degree r's
+first-order kernel dimension is a sum over weights <= r of per-weight ones,
+and degree r's D, its Grams g_in, g_out and D^T g_out D are leading blocks
+of the r_max ones.  Degree r's pencil is then the leading k_r x k_r block
+of the r_max pencil (A, M), k_r the number of free columns of weight <= r,
+and no per-degree exact block is formed.  This is exact because
 
-* the joint kernel lives in the degree-3 block, so every degree sees all of
-  it and degree r's constraint ker^T g_in is the leading column block of the
-  r_max one;
+* the joint kernel ker lives in the degree-3 block, so it is every degree's
+  joint kernel, counted once, and degree r's constraint ker^T g_in is the
+  leading column block of the r_max one;
 * the complement basis is the reduced kernel basis of that constraint,
   whose vector for free column f is supported on columns <= f.  When every
   pivot column lies in the degree-3 block, degree r's basis is the first
@@ -209,14 +209,13 @@ def _exact_part(r_max: int):
     # the L2 metric on harmonic coordinates is ups^T ups on every row
     metrics = [{j: b.transpose() @ b for j, b in ops.hs.ups[i].items()} for i in (0, 1)]
     per_weight = {w: ops.bc.D(0, w) for w in range(r_max + 1)}
-    # D is block-diagonal by weight, so degree r's kernels sum weights <= r
-    joint = list(accumulate(d.dom.dim - rank(d.mat) for d in per_weight.values()))
+    # D is block-diagonal by weight, so degree r's first-order kernel sums weights <= r
     first = list(accumulate(d.dom.dim - rank(take_rows(d.mat, d.cod.span(0)))
                             for d in per_weight.values()))
     stacked = stacked_map(per_weight)
     dmat, dom = stacked.mat, stacked.dom
     ker = nullspace(dmat)
-    cols_3 = dom.span(3).stop  # columns of weight <= 3
+    cols_3 = dom.span(3).stop  # columns of weight <= 3; ker within them is every degree's
     if any(r >= cols_3 for r in ker.by_row):
         raise VerificationError("the joint kernel reaches beyond the degree-3 block")
     g_in = stacked_cube_gram(bd, dom, 0, metrics[0], centered=True)
@@ -229,7 +228,7 @@ def _exact_part(r_max: int):
     for r in range(3, r_max + 1):
         n_cols = dom.span(r).stop
         _check_nested(comp, n_cols - ker.cols, n_cols)
-        degrees.append((r, joint[r], first[r], n_cols - ker.cols))
+        degrees.append((r, ker.cols, first[r], n_cols - ker.cols))
     image = dmat @ comp
     return degrees, image.transpose() @ (g_out @ image), comp.transpose() @ (g_in @ comp)
 

@@ -24,7 +24,8 @@ from bggkit.bgg import (
     verify_block_structure,
     verify_chain_maps,
 )
-from bggkit import diagram
+from bggkit import bgg, diagram
+from bggkit.cli import main
 from bggkit.diagram import BuiltDiagram, DiagramSpec, KappaSpec, VerificationError, \
     build, lift_apply, row_cohomology_sum, twisted_cohomology
 from bggkit.forms import LinMap, ValueSpace, blocks, monomials
@@ -266,6 +267,37 @@ def test_d_V_ranks_eliminated_once_per_diagram(monkeypatch):
     assert bgg_cohomology(ops.bc) == first
     assert len(eliminated) == len(keys) == (bd.n + 1) * (bd.w_max + 1)
     assert {id(m) for m in eliminated} == {id(bd.d_V(i, w).mat) for i, w in keys}
+
+
+def test_cohomology_certificates_fail_where_the_counts_differ(monkeypatch, capsys):
+    # an oracle off by one at (i, w) = (1, 2) fails that one check, in one error
+    at = (1, 2)
+    bd = build(catalog.get("plate-2d").spec, 3)
+    ops = derive(bd)
+    row_sum = diagram.row_cohomology_sum
+    monkeypatch.setattr(diagram, "row_cohomology_sum",
+                        lambda bd, i, w: row_sum(bd, i, w) + ((i, w) == at))
+    with pytest.raises(VerificationError) as exc:
+        twisted_cohomology(bd)
+    assert str(exc.value).startswith("twisted_cohomology: 1 of ")
+    assert [(c.name, c.weight, c.index) for c in exc.value.report.failures()] == [
+        ("twisted=row_sum", at[1], at[0])]
+    monkeypatch.undo()
+
+    def twisted_off_by_one(bd):
+        dims = twisted_cohomology(bd)
+        dims[at] += 1
+        return dims
+
+    monkeypatch.setattr(bgg, "twisted_cohomology", twisted_off_by_one)
+    with pytest.raises(VerificationError) as exc:
+        bgg_cohomology(ops.bc)
+    assert str(exc.value).startswith("bgg_cohomology: 1 of ")
+    assert [(c.name, c.weight, c.index) for c in exc.value.report.failures()] == [
+        ("derived=twisted", at[1], at[0])]
+    assert main(["cohomology", "--diagram", "plate-2d", "--wmax", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cohomology check failed: ") and err.count("\n") == 1
 
 
 def test_shared_products_formed_once_per_weight(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bggkit import catalog
+from bggkit.cli import main
 from bggkit.diagram import DiagramSpec, KappaSpec
 from bggkit.forms import ValueSpace
 from bggkit.linalg import SparseMat
@@ -20,13 +21,10 @@ FIXED = ["conf-hessian-3d", "conf-deformation-3d", "mobius-2d",
 
 
 def test_names_listing():
-    ns = catalog.names()
-    for name in FIXED:
-        assert name in ns
-    assert "higher-hessian-3d(2)" in ns
-    assert catalog.names(2) == [
+    assert catalog.names() == [
         "conf-hessian-3d", "conf-deformation-3d", "higher-hessian-3d(1)",
-        "higher-hessian-3d(2)", "mobius-2d", "elasticity-3d", "plate-2d"]
+        "higher-hessian-3d(2)", "higher-hessian-3d(3)", "higher-hessian-3d(4)",
+        "mobius-2d", "elasticity-3d", "plate-2d"]
 
 
 def _catalog_name(stem):
@@ -144,6 +142,30 @@ def test_parse_rejects_trailing_tokens(old, new, directive, need):
     with pytest.raises(ValueError) as exc:
         catalog.parse_text(text.replace(old, new, 1))
     assert str(exc.value) == f"{directive}: takes {need} argument(s), got {new.strip()!r}"
+
+
+_TWO_ROWS = ("name x\nn 1\nrows 2\nrow 0 name=a dim=1 labels=a\n"
+             "row 1 name=b dim=2 labels=b,c\nkappa 1 1 0:0:1\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("name x", "name a,b", "name: diagram name 'a,b'"),
+    ("row 1 name=b dim=2 labels=b,c", "row 1 dim=2 name=v=w", "row 1: name 'v=w'"),
+    ("labels=b,c", "labels=p=q,r", "row 1: label 'p=q'"),
+    ("labels=b,c", "labels=a,", "row 1: label ''"),
+    ("name=b", "name=", "row 1: name ''")],
+    ids=["name-comma", "row-name-equals", "label-equals", "empty-label", "empty-row-name"])
+def test_parse_rejects_what_to_text_refuses(old, new, message, tmp_path, capsys):
+    # parse_text and to_text share one token rule, so no parsed entry fails to serialize
+    catalog.to_text(catalog.parse_text(_TWO_ROWS))
+    text = _TWO_ROWS.replace(old, new, 1)
+    with pytest.raises(ValueError) as exc:
+        catalog.parse_text(text)
+    assert str(exc.value) == f"{message} is empty or holds whitespace, '#', ',' or '='"
+    path = tmp_path / "bad.diagram"
+    path.write_text(text)
+    assert main(["verify", "--diagram-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid input: {exc.value}\n"
 
 
 @pytest.mark.parametrize("line, directive", [

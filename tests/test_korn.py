@@ -10,7 +10,8 @@ from bggkit.bgg import derive
 from bggkit.cube import stacked_cube_gram, stacked_map
 from bggkit.diagram import VerificationError, build
 from bggkit.korn import FloatStepError, korn2d_experiment
-from bggkit.linalg import SparseMat, components, leading_block, nullspace, take_cols, take_rows
+from bggkit.linalg import SparseMat, components, leading_block, nullspace, rank, take_cols, \
+    take_rows
 from oracles import ldl_pivots
 
 
@@ -327,8 +328,13 @@ def test_nested_pencil_rejects_entry_beyond_leading_block():
 
 
 def test_joint_kernel_is_six(rows):
+    # oracle: D is block-diagonal by weight, so degree r's joint kernel sums
+    # the per-weight kernels of weights <= r
+    ops = derive(build(catalog.get("mobius-2d").spec, rows[-1].degree))
+    per_weight = [d.dom.dim - rank(d.mat)
+                  for d in (ops.bc.D(0, w) for w in range(rows[-1].degree + 1))]
     for row in rows:
-        assert row.kernel_dim == 6
+        assert row.kernel_dim == 6 == sum(per_weight[:row.degree + 1])
 
 
 def test_first_order_kernel_grows(rows):
