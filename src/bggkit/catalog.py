@@ -226,7 +226,12 @@ def parse_text(text: str) -> CatalogEntry:
             bare = [p for p in parts[2:] if "=" not in p]
             if bare:
                 raise ValueError(f"row {j}: needs key=value tokens, got {bare[0]!r}")
-            attrs = dict(p.split("=", 1) for p in parts[2:])
+            attrs = {}
+            for key, value in (p.split("=", 1) for p in parts[2:]):
+                if key in attrs or key not in ("name", "dim", "labels"):
+                    why = "repeated" if key in attrs else "unknown"
+                    raise ValueError(f"row {j}: {why} key {key!r}")
+                attrs[key] = value
             if "dim" not in attrs:
                 raise ValueError(f"row {j}: needs dim=")
             row_name = _token(f"row {j}: name", attrs.get("name", f"V{j}"))

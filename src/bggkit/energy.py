@@ -10,12 +10,13 @@ Both routes run on integers: each energy scales its fields once by the lcm
 D of their denominators and divides the value by D^2 once.  The direct
 route's calculus keeps int coefficients int, with constant factors such as
 the 1/2 of a symmetric part moved into the term's rational weight, and
-integrates each term to one Fraction (``l2sq_*``); it touches no matrix or
-diagram code, so it stays an independent oracle.  The twisted route takes
-its stacked spaces and field layout from ``cube``, and caches per
-``(diagram, w_max)`` the built diagram and stacked d_V, and per metrics
-the ``stacked_cube_gram`` G of d_V's codomain; a repeated request shape
-then costs one embedding, one sparse apply y = d_V x and y^T G y.
+integrates each term to one Fraction (``l2sq_*``, with two bounded memo
+tables); it touches no matrix or diagram code, so it stays an independent
+oracle.  The twisted route takes its stacked spaces and field layout from
+``cube``, and caches per ``(diagram, w_max)`` the built diagram and
+stacked d_V, and per metrics the ``stacked_cube_gram`` G of d_V's
+codomain; a repeated request shape then costs one embedding, one sparse
+apply y = d_V x and y^T G y.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm, prod
 from operator import mul
 
@@ -154,6 +156,10 @@ def mat_scale(a, c):
     return [[p_scale(x, c) for x in row] for row in a]
 
 
+_PACKED: dict[int, dict] = {}
+_WEIGHT: dict[int, dict] = {}
+
+
 def _l2sq(comps) -> Fraction:
     """Sum over comps of the integrals of a^2 over the unit cube [0,1]^n.
 
@@ -164,17 +170,27 @@ def _l2sq(comps) -> Fraction:
     exponents are packed into one int, one field per variable, each wide
     enough for twice the largest exponent, so a pair's exponent is one int
     addition that never carries between fields.
+
+    Calls share two memo tables keyed first by that width: _PACKED[bits][m]
+    is monomial m packed, _WEIGHT[bits][e] the weight of a packed exponent
+    e (no variable count: unused high fields are 0 and weigh 1).  A call
+    finding over 8192 entries at its width starts both tables afresh.
     """
     den = lcm(*(c.denominator for a in comps for c in a.values()))
     monos = [m for a in comps for m in a]
     if not monos:
         return F(0)
-    bits = (2 * max(max(m, default=0) for m in monos)).bit_length()
+    bits = (2 * max(chain.from_iterable(monos), default=0)).bit_length()
     shifts = [bits * k for k in range(len(monos[0]))]
+    packed, weight = _PACKED.setdefault(bits, {}), _WEIGHT.setdefault(bits, {})
+    if len(packed) + len(weight) > 8192:
+        packed, weight = _PACKED[bits], _WEIGHT[bits] = {}, {}
+    for m in monos:
+        if m not in packed:
+            packed[m] = sum(x << s for x, s in zip(m, shifts))
     acc: dict[int, int] = {}
     for a in comps:
-        terms = [(sum(x << s for x, s in zip(m, shifts)),
-                  c.numerator * (den // c.denominator)) for m, c in a.items()]
+        terms = [(packed[m], c.numerator * (den // c.denominator)) for m, c in a.items()]
         for k, (ea, na) in enumerate(terms):
             e = 2 * ea
             acc[e] = acc.get(e, 0) + na * na
@@ -183,9 +199,11 @@ def _l2sq(comps) -> Fraction:
                 e = ea + eb
                 acc[e] = acc.get(e, 0) + na2 * nb
     mask = (1 << bits) - 1
-    weights = {e: prod(((e >> s) & mask) + 1 for s in shifts) for e in acc}
-    wden = lcm(*weights.values())
-    total = sum(v * (wden // weights[e]) for e, v in acc.items())
+    for e in acc:
+        if e not in weight:
+            weight[e] = prod(((e >> s) & mask) + 1 for s in shifts)
+    wden = lcm(*map(weight.__getitem__, acc))
+    total = sum(v * (wden // weight[e]) for e, v in acc.items())
     return F(total, wden * den * den)
 
 
@@ -217,7 +235,9 @@ def _integer_fields(n: int, *fields) -> tuple[list, int]:
     components, or one component when count is None; a component maps
     monomials (n non-negative int exponents) to int or Fraction
     coefficients.  Anything else raises ValueError naming the field and
-    the component or monomial.  Zero coefficients are dropped.
+    the component or monomial.  Zero coefficients are dropped.  A monomial
+    object is checked once; an equal but distinct one, such as (1.0, 0, 0)
+    after (1, 0, 0), is checked anew.
     """
     comps = []
     for name, value, count in fields:
@@ -228,14 +248,17 @@ def _integer_fields(n: int, *fields) -> tuple[list, int]:
         else:
             got = len(value) if isinstance(value, (list, tuple)) else type(value).__name__
             raise ValueError(f"{name} must be a list of {count} components, got {got}")
+    checked = {}
     for label, comp in comps:
         if not isinstance(comp, dict):
             raise ValueError(f"{label} must be a dict of monomial coefficients")
         for m, c in comp.items():
-            if not (isinstance(m, tuple) and len(m) == n
-                    and all(isinstance(e, int) and e >= 0 for e in m)):
-                raise ValueError(f"{label}: monomial {m!r} is not {n} "
-                                 f"non-negative int exponents")
+            if checked.get(m) is not m:
+                if not (isinstance(m, tuple) and len(m) == n
+                        and all(isinstance(e, int) and e >= 0 for e in m)):
+                    raise ValueError(f"{label}: monomial {m!r} is not {n} "
+                                     f"non-negative int exponents")
+                checked[m] = m
             if not isinstance(c, (int, Fraction)):
                 raise ValueError(f"{label}: coefficient {c!r} of {m} is not rational")
     den = lcm(*(c.denominator for _, comp in comps for c in comp.values()))

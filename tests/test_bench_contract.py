@@ -114,6 +114,12 @@ def test_cosserat_energy_reaches_traced_energy_layers(monkeypatch):
                if not calls[name]]
     assert missing == []
 
+    # a warm request, served from every cache and memo, still takes both routes
+    calls.clear()
+    energy.cosserat_energy(x, [{}, {}, {}], energy.EnergyParams())
+    assert [name for name in ("energy.l2sq_scalar", "SparseMat.apply")
+            if not calls[name]] == []
+
 
 def test_bgg_oracles_reach_traced_certify_layers(monkeypatch):
     # a traced certify run fails unless each of these layers records a call;

@@ -40,14 +40,29 @@ def _polys(n):
     return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeffs, max_size=8)
 
 
+# degree 1, 9, 1: packed at field widths 2, 5, 2 over shared monomials, so a
+# packed monomial or exponent weight read back at the wrong width is caught
+_LOW2 = {(0, 0): F(2, 3), (1, 0): F(-1, 2), (0, 1): F(3, 5)}
+_HIGH2 = {(0, 0): F(1, 2), (1, 0): F(-3, 4), (0, 1): F(5, 3), (9, 0): F(2, 7),
+          (4, 5): F(-1, 5), (5, 0): F(1, 3), (2, 3): F(7, 2), (1, 1): F(-4, 9)}
+_LOW3 = {(0, 0, 0): F(-5, 6), (1, 0, 0): F(1, 4), (0, 1, 0): F(2, 3), (0, 0, 1): F(-7, 5)}
+_HIGH3 = {(0, 0, 0): F(1, 3), (1, 0, 0): F(2, 5), (0, 0, 1): F(-3, 2), (0, 0, 9): F(5, 4),
+          (3, 4, 2): F(-2, 9), (5, 0, 0): F(1, 7), (1, 1, 0): F(3, 8), (0, 2, 3): F(-1, 6)}
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(st.just(n), _polys(n))))
-@example((3, {}))
-@example((2, {(1, 0): F(0), (0, 2): F(1, 3), (1, 1): F(-5, 4), (0, 0): F(7, 6)}))
-@example((3, {(1, 2, 0): F(3), (0, 0, 0): F(1, 2), (2, 2, 2): F(-1)}))
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_polys(n), min_size=1, max_size=3))))
+@example((3, [{}]))
+@example((2, [{(1, 0): F(0), (0, 2): F(1, 3), (1, 1): F(-5, 4), (0, 0): F(7, 6)}]))
+@example((3, [{(1, 2, 0): F(3), (0, 0, 0): F(1, 2), (2, 2, 2): F(-1)}]))
+@example((2, [_LOW2, _HIGH2, _LOW2]))
+@example((3, [_LOW3, _HIGH3, _LOW3]))
 def test_l2sq_scalar_matches_oracle(case):
-    n, poly = case
-    assert l2sq_scalar(poly) == cube_integral(poly_mul(poly, poly), n)
+    # polys in turn, so later calls read what earlier ones left in the memo tables
+    n, polys = case
+    for poly in polys:
+        assert l2sq_scalar(poly) == cube_integral(poly_mul(poly, poly), n)
 
 
 def test_vskw_of_mskw_is_identity():
@@ -263,15 +278,28 @@ _ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("kind", ["too-few-components", "monomial-too-long"])
+@pytest.mark.parametrize("kind", ["too-few-components", "monomial-too-long",
+                                  "bad-monomial-twice", "bad-coefficient-on-checked-monomial",
+                                  "float-exponent-equal-to-checked"])
 @pytest.mark.parametrize("energy_fn, name, n", _ENTRY_POINTS,
                          ids=["cosserat", "elasticity", "dilation", "three-row", "plate"])
 def test_bad_field_shape_raises_value_error_naming_it(energy_fn, name, n, kind):
+    mono, ok = (1,) * (n + 1), (0,) * n
     if kind == "too-few-components":
         bad, named = [{}] * (n - 1), f"{name} must be a list of {n} components, got {n - 1}"
-    else:
-        mono = (1,) * (n + 1)
+    elif kind == "monomial-too-long":
         bad, named = [{}] * (n - 1) + [{mono: F(1)}], f"{name}[{n - 1}]: monomial {mono}"
+    elif kind == "bad-monomial-twice":
+        # each monomial is checked once, and the first component holding it is named
+        bad, named = [{mono: F(1)}, {mono: F(1)}] + [{}] * (n - 2), f"{name}[0]: monomial {mono}"
+    elif kind == "bad-coefficient-on-checked-monomial":
+        # the monomial object passed in component 0; its coefficient is still checked
+        bad = [{ok: F(1)}, {ok: 1.5}] + [{}] * (n - 2)
+        named = f"{name}[1]: coefficient 1.5 of {ok} is not rational"
+    else:
+        # (1.0, 0, ...) equals the checked (1, 0, ...) but is another object
+        one, fone = (1,) + ok[1:], (1.0,) + ok[1:]
+        bad, named = [{one: F(1)}, {fone: F(1)}] + [{}] * (n - 2), f"{name}[1]: monomial {fone}"
     with pytest.raises(ValueError) as exc:
         energy_fn(bad)
     assert named in str(exc.value)
