@@ -139,7 +139,6 @@ class TOps:
     the source (i - 1, j + 1), as ``compute_T`` certifies.
     """
     bd: BuiltDiagram
-    hs: HodgeSplit
     const: dict = field(default_factory=dict)
 
     @memo
@@ -158,7 +157,7 @@ def compute_T(bd: BuiltDiagram, hs: HodgeSplit) -> TOps:
     STS = S and both range/kernel complementarity statements exactly on
     constants (the lifts are identical on every weight block).
     """
-    t = TOps(bd, hs)
+    t = TOps(bd)
     for i in range(bd.n + 1):
         t.const[i] = {j: pinv_onto(inc) for j in range(bd.N + 1)
                       if (inc := _incoming(bd, i, j)) is not None}

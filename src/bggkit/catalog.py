@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .bgg import bgg_cohomology, derive
 from .diagram import DiagramSpec, KappaSpec, build, verify_identities
-from .export import frac_str
 from .forms import ValueSpace, _mult_scalar
 from .linalg import LinAlgError, SparseMat, take_cols, take_rows
 
@@ -121,6 +120,16 @@ def _token(what: str, value: str) -> str:
     return value
 
 
+# The expectation lines of each expected key, in file order.
+_EXPECT_LINES = {
+    "h0_total": lambda total: [f"h0_total {total}"],
+    "upsilon_support": lambda support: [f"upsilon {i} {j} {dim}"
+                                        for (i, j), dim in sorted(support.items())],
+    "operator_orders": lambda orders: [f"orders {idx} {','.join(map(str, o))}".rstrip()
+                                       for idx, o in enumerate(orders)],
+}
+
+
 def to_text(entry: CatalogEntry) -> str:
     """Serialize an entry to the line-oriented diagram format; a name or
     label that is empty or holds whitespace, '#', ',' or '=', or a source
@@ -145,43 +154,31 @@ def to_text(entry: CatalogEntry) -> str:
                      f"labels={','.join(vs.basis_labels)}")
     for j in range(1, spec.N + 1):
         for l, mat in enumerate(spec.kappa.row(j), start=1):
-            triples = " ".join(f"{r}:{c}:{frac_str(v)}" for r, c, v in mat.entries())
+            triples = " ".join(f"{r}:{c}:{str(v)}" for r, c, v in mat.entries())
             lines.append(f"kappa {j} {l} {triples}".rstrip())
-    for key in ("h0_total",):
+    for key, show in _EXPECT_LINES.items():
         if key in entry.expected:
             src = entry.expected.get("source", {}).get(key, "unspecified")
-            lines.append(f"expect {key} {entry.expected[key]} source={src}")
-    if "upsilon_support" in entry.expected:
-        src = entry.expected.get("source", {}).get("upsilon_support", "unspecified")
-        for (i, j), dim in sorted(entry.expected["upsilon_support"].items()):
-            lines.append(f"expect upsilon {i} {j} {dim} source={src}")
-    if "operator_orders" in entry.expected:
-        src = entry.expected.get("source", {}).get("operator_orders", "unspecified")
-        for idx, orders in enumerate(entry.expected["operator_orders"]):
-            listed = f" {','.join(map(str, orders))}" if orders else ""
-            lines.append(f"expect orders {idx}{listed} source={src}")
+            lines += [f"expect {line} source={src}" for line in show(entry.expected[key])]
     return "\n".join(lines) + "\n"
 
 
-# Arguments each directive needs after its own words.  Those in _EXACT take
-# no more than that plus their _OPTIONAL ones, so a stray token is an error
-# rather than silently dropped; row and kappa carry variable tails.  An
-# operator index with no orders (its derived operator is zero at every
-# weight) has an empty order list.
-_ARGS = {"name": 1, "n": 1, "rows": 1, "row": 1, "kappa": 2, "expect": 1,
-         "expect h0_total": 1, "expect upsilon": 3, "expect orders": 1}
-_OPTIONAL = {"expect orders": 1}
-_EXACT = {"name", "n", "rows", "expect h0_total", "expect upsilon", "expect orders"}
+# The least and most arguments each directive takes after its own words, so a
+# stray token is an error rather than silently dropped; most is None for the
+# variable tails of row and kappa.  An operator index with no orders (its
+# derived operator is zero at every weight) has an empty order list.
+_ARITY = {"name": (1, 1), "n": (1, 1), "rows": (1, 1), "row": (1, None),
+          "kappa": (2, None), "expect": (1, None), "expect h0_total": (1, 1),
+          "expect upsilon": (3, 3), "expect orders": (1, 2)}
 
 
 def _need_args(directive: str, parts: list):
-    need = _ARGS.get(directive, 0)
-    most = need + _OPTIONAL.get(directive, 0)
+    least, most = _ARITY.get(directive, (0, None))
     got = len(parts) - len(directive.split())
-    if got < need:
-        raise ValueError(f"{directive}: needs {need} argument(s), "
+    if got < least:
+        raise ValueError(f"{directive}: needs {least} argument(s), "
                          f"got {' '.join(parts)!r}")
-    if got > most and directive in _EXACT:
+    if most is not None and got > most:
         raise ValueError(f"{directive}: takes {most} argument(s), "
                          f"got {' '.join(parts)!r}")
 
@@ -202,17 +199,25 @@ def parse_text(text: str) -> CatalogEntry:
     kappa_entries: dict[tuple[int, int], list] = {}
     expected: dict = {"source": {}}
     declared: set[str] = set()
+
+    def once(label: str):
+        if label in declared:
+            raise ValueError(f"{label}: declared twice")
+        declared.add(label)
+
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         kind = parts[0]
-        _need_args(kind, parts)
+        src = "unspecified"
+        if kind == "expect" and " source=" in line:
+            line, src = line.split(" source=", 1)
+            parts = line.split()
+        _need_args(" ".join(parts[:2]) if kind == "expect" else kind, parts)
         if kind in ("name", "n", "rows"):
-            if kind in declared:
-                raise ValueError(f"{kind}: declared twice")
-            declared.add(kind)
+            once(kind)
         if kind == "name":
             name = _token("name: diagram name", parts[1])
         elif kind == "n":
@@ -221,8 +226,7 @@ def parse_text(text: str) -> CatalogEntry:
             row_count = _int("rows", "value", parts[1])
         elif kind == "row":
             j = _int("row", "index", parts[1])
-            if j in rows:
-                raise ValueError(f"row {j}: declared twice")
+            once(f"row {j}")
             bare = [p for p in parts[2:] if "=" not in p]
             if bare:
                 raise ValueError(f"row {j}: needs key=value tokens, got {bare[0]!r}")
@@ -247,8 +251,7 @@ def parse_text(text: str) -> CatalogEntry:
             rows[j] = ValueSpace(row_name, labels)
         elif kind == "kappa":
             j, l = _int("kappa", "index", parts[1]), _int("kappa", "index", parts[2])
-            if (j, l) in kappa_entries:
-                raise ValueError(f"kappa {j} {l}: declared twice")
+            once(f"kappa {j} {l}")
             triples = []
             for t in parts[3:]:
                 try:
@@ -259,34 +262,34 @@ def parse_text(text: str) -> CatalogEntry:
                         f"kappa {j} {l}: bad entry {t!r}, expected row:col:value") from None
             kappa_entries[(j, l)] = triples
         elif kind == "expect":
-            src = "unspecified"
-            if " source=" in line:
-                line, src = line.split(" source=", 1)
-                parts = line.split()
-            _need_args(kind, parts)
-            what = parts[1]
-            _need_args(f"expect {what}", parts)
-            rest = parts[2:]
+            what, rest = parts[1], parts[2:]
             if what == "h0_total":
-                expected["h0_total"] = _int("expect h0_total", "value", rest[0])
-                expected["source"]["h0_total"] = src
+                once("expect h0_total")
+                key = "h0_total"
+                expected[key] = _int("expect h0_total", "value", rest[0])
             elif what == "upsilon":
-                i, j, dim = (_int("expect upsilon", "value", x) for x in rest[:3])
-                expected.setdefault("upsilon_support", {})[(i, j)] = dim
-                expected["source"]["upsilon_support"] = src
+                i, j, dim = (_int("expect upsilon", "value", x) for x in rest)
+                once(f"expect upsilon {i} {j}")
+                key = "upsilon_support"
+                expected.setdefault(key, {})[(i, j)] = dim
             elif what == "orders":
                 idx = _int("expect orders", "index", rest[0])
                 if idx < 0:
                     raise ValueError(f"expect orders: index must be >= 0, got {idx}")
+                once(f"expect orders {idx}")
+                key = "operator_orders"
                 orders = [_int("expect orders", "order", x)
                           for x in rest[1].split(",")] if len(rest) > 1 else []
-                lst = expected.setdefault("operator_orders", [])
+                lst = expected.setdefault(key, [])
                 while len(lst) <= idx:
                     lst.append([])
                 lst[idx] = orders
-                expected["source"]["operator_orders"] = src
             else:
                 raise ValueError(f"unknown expectation {what!r}")
+            held = expected["source"].setdefault(key, src)
+            if held != src:
+                raise ValueError(f"expect {what}: source {src!r} differs from the "
+                                 f"earlier source {held!r}")
         else:
             raise ValueError(f"unknown directive {kind!r}")
     if name is None or n is None or row_count is None:

@@ -179,14 +179,8 @@ class VerifyReport:
         ok = lhs.is_zero() if rhs is None else lhs == rhs
         where = None
         if not ok:
-            rrows, rden = ({}, 1) if rhs is None else (rhs.by_row, rhs.den)
-            lrows, lden = lhs.by_row, lhs.den
-            differ = []
-            for r in lrows.keys() | rrows.keys():
-                lrow, rrow = lrows.get(r, {}), rrows.get(r, {})
-                differ += [(r, c) for c in lrow.keys() | rrow.keys()
-                           if lrow.get(c, 0) * rden != rrow.get(c, 0) * lden]
-            where = at + min(differ)
+            r, c, _ = next((lhs if rhs is None else lhs - rhs).entries())
+            where = at + (r, c)
         self.checks.append(CheckResult(name, w, i, ok, where))
 
     def holds(self, name: str, w: int | None, i: int, ok: bool,
@@ -261,17 +255,14 @@ class BuiltDiagram:
         cols_in = len(form_indices(self.n, i)) * self.spec.rows[j].dim
         acc = SparseMat.zero(rows_out, cols_in)
         for l in range(1, self.n + 1):
-            acc = acc + wedge_const(self.n, i, l).kron(self.kappa(j)[l - 1])
+            acc = acc + wedge_const(self.n, i, l).kron(self.spec.kappa.row(j)[l - 1])
         return acc
-
-    def kappa(self, j: int) -> tuple[SparseMat, ...]:
-        return self.spec.kappa.row(j)
 
     @memo
     def _K_consts(self, i: int, j: int) -> tuple[SparseMat, ...]:
         """I_Lambda^i (x) kappa_l for each axis l: K's constants on degree-i forms."""
         ident = SparseMat.identity(len(form_indices(self.n, i)))
-        return tuple(ident.kron(kappa) for kappa in self.kappa(j))
+        return tuple(ident.kron(kappa) for kappa in self.spec.kappa.row(j))
 
     # -- block operators -----------------------------------------------------
 
@@ -289,8 +280,9 @@ class BuiltDiagram:
             for l, const in enumerate(self._K_consts(i, j), start=1)]))
 
     def S_block(self, i: int, j: int, w: int) -> LinMap:
+        ident = SparseMat.identity(_mono_count(self, i, j, w))
         return LinMap(self.block(i, j, w), self.block(i + 1, j - 1, w),
-                      _lift(self, self.partial_const(i, j), i, j, w))
+                      ident.kron(self.partial_const(i, j)))
 
     def _verify_synthesis(self):
         """S = dK - Kd on every block; each K and d block is formed once."""
@@ -362,11 +354,6 @@ def build(spec: DiagramSpec, w_max: int = 8, validate: bool = True) -> BuiltDiag
 
 def _mono_count(bd: BuiltDiagram, i: int, j: int, w: int) -> int:
     return len(monomials(bd.n, w - i - j))
-
-
-def _lift(bd: BuiltDiagram, const: SparseMat, i: int, j: int, w: int) -> SparseMat:
-    """I_mono (x) const: a pointwise constant on row j of column i at weight w."""
-    return SparseMat.identity(_mono_count(bd, i, j, w)).kron(const)
 
 
 def lift_column(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,

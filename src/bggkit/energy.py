@@ -16,7 +16,7 @@ oracle.  The twisted route takes its stacked spaces and field layout from
 ``cube``, and caches per ``(diagram, w_max)`` the built diagram and
 stacked d_V, and per metrics the ``stacked_cube_gram`` G of d_V's
 codomain; a repeated request shape then costs one embedding, one sparse
-apply y = d_V x and y^T G y.
+product y = d_V x on integer numerators over one denominator, and y^T G y.
 """
 
 from __future__ import annotations
@@ -332,14 +332,13 @@ def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
     w_max = max([2] + [field_degree(comps) + j for j, comps in enumerate(rows)])
     bd, dv, gram = _twisted_form(name, w_max, tuple(sorted(metrics.items())))
     y = dv.mat.apply(embed(bd, dv.dom, 0, rows))
-    yden = lcm(*(x.denominator for x in y))
-    ynum = [x.numerator * (yden // x.denominator) for x in y]
+    ynum = [y.by_row.get(r, {0: 0})[0] for r in range(y.rows)]
     quad = 0
     for r, row in gram.by_row.items():
         yr = ynum[r]
         if yr:
             quad += yr * sum(map(mul, row.values(), map(ynum.__getitem__, row)))
-    via_complex = F(quad, gram.den * yden * yden)
+    via_complex = F(quad, gram.den * y.den * y.den)
     if direct != via_complex:
         raise VerificationError(
             f"energy mismatch: direct {direct} != twisted route {via_complex}")

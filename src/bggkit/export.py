@@ -22,10 +22,6 @@ class ExportError(ValueError):
     """A bad export request or Matrix Market file: invalid input."""
 
 
-def frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def write_matrix_market(mat: SparseMat, comment: str = "") -> str:
     lines = ["%%MatrixMarket matrix coordinate rational general"]
     if comment:
@@ -33,7 +29,7 @@ def write_matrix_market(mat: SparseMat, comment: str = "") -> str:
             lines.append(f"% {part}")
     lines.append(f"{mat.rows} {mat.cols} {mat.nnz}")
     for r, c, v in mat.entries():
-        lines.append(f"{r + 1} {c + 1} {frac_str(v)}")
+        lines.append(f"{r + 1} {c + 1} {str(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -81,7 +77,7 @@ def to_json_payload(mat: SparseMat) -> dict:
     return {
         "rows": mat.rows,
         "cols": mat.cols,
-        "entries": [[r + 1, c + 1, frac_str(v)] for r, c, v in mat.entries()],
+        "entries": [[r + 1, c + 1, str(v)] for r, c, v in mat.entries()],
     }
 
 
@@ -104,7 +100,7 @@ def write_stencil(linmap: LinMap, row_labels=None, col_labels=None) -> str:
         terms = []
         for c, v in by_row[r]:
             cl = col_labels[c] if col_labels else f"col{c}"
-            terms.append(f"{frac_str(v)}*[{cl}]")
+            terms.append(f"{str(v)}*[{cl}]")
         lines.append(f"[{rl}] = " + " + ".join(terms))
     return "\n".join(lines) + "\n"
 

@@ -8,7 +8,8 @@ numerator), so equal matrices have equal storage.  Every operation works on
 these rows directly and runs on Python ``int``; rows are never mutated once
 built, so results share unchanged rows with their operands.  The accessors
 ``get``, ``entries``, ``to_dense`` and ``columns`` return lowest-terms
-``fractions.Fraction`` values.
+``fractions.Fraction`` values.  ``apply`` takes a list of rationals and
+returns the product as a one-column matrix, formed by ``@``.
 
 One fraction-free elimination, ``_echelon_int``, serves rank, kernel, solve,
 inverse, projection and pseudoinverse.  For each column in order it pivots
@@ -275,22 +276,13 @@ class SparseMat:
                 out[i] = acc
         return SparseMat._from_rows(self.rows, other.cols, out, self.den * other.den)
 
-    def apply(self, vec: list[Fraction]) -> list[Fraction]:
+    def apply(self, vec: list[Fraction]) -> "SparseMat":
+        """self @ vec for a list of rationals, as a one-column matrix."""
         if len(vec) != self.cols:
             raise LinAlgError("vector length mismatch")
-        vden = lcm(*(x.denominator for x in vec))
-        vnum = [x.numerator * (vden // x.denominator) for x in vec]
-        out = [ZERO] * self.rows
-        den = self.den * vden
-        for r, row in self.by_row.items():
-            s = 0
-            for c, v in row.items():
-                x = vnum[c]
-                if x:
-                    s += v * x
-            if s:
-                out[r] = Fraction(s, den)
-        return out
+        den = lcm(*(x.denominator for x in vec))
+        col = {r: {0: x.numerator * (den // x.denominator)} for r, x in enumerate(vec) if x}
+        return self @ SparseMat._from_rows(self.cols, 1, col, den)
 
     def transpose(self) -> "SparseMat":
         out: dict[int, dict[int, int]] = {}
@@ -428,25 +420,6 @@ def take_rows(m: SparseMat, rows) -> SparseMat:
 def take_cols(m: SparseMat, cols) -> SparseMat:
     """The listed columns of m, in the listed order; an index may appear once."""
     return _cols_at(m, _positions(cols, m.cols, "column"))
-
-
-def leading_block(m: SparseMat, rows: int, cols: int) -> SparseMat:
-    """The first rows x cols block of m."""
-    if not (0 <= rows <= m.rows and 0 <= cols <= m.cols):
-        raise LinAlgError(f"leading block {rows}x{cols} does not fit in {m.rows}x{m.cols}")
-    src = m.by_row
-    out = {}
-    for r in range(rows):
-        row = src.get(r)
-        if row is None:
-            continue
-        if max(row) < cols:
-            out[r] = row
-        else:
-            new = {c: v for c, v in row.items() if c < cols}
-            if new:
-                out[r] = new
-    return SparseMat._from_rows(rows, cols, out, m.den)
 
 
 def components(*mats: SparseMat) -> list[list[int]]:

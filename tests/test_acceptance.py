@@ -220,7 +220,7 @@ def test_criterion_5_kernel_witnesses(pipelines):
             for k in range(blk.dim):
                 vec = [F(0)] * col.dim
                 vec[off + k] = F(1)
-                basis.append(f.apply(vec))
+                basis.append(f.apply(vec).columns()[0])
         kmat = SparseMat.from_columns(ker, col.dim)
         tmat = SparseMat.from_columns(basis, col.dim)
         joint = SparseMat.from_columns(kmat.columns() + tmat.columns(), col.dim)

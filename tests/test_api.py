@@ -43,6 +43,24 @@ def test_every_import_is_used(path):
             if name not in used] == []
 
 
+def test_every_top_level_definition_is_referenced():
+    # a top-level function or class that no module of the package, the bench
+    # or the tests names, as a name or an attribute, is dead code
+    referenced = set()
+    for folder in ("src/bggkit", "bench", "tests"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    defined = [(path.name, node) for path in sorted((ROOT / "src" / "bggkit").glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert [f"{name}:{node.lineno} {node.name}" for name, node in defined
+            if node.name not in referenced] == []
+
+
 def test_import_loads_no_scipy():
     # bggkit has no runtime dependency; scipy must stay off the import path
     script = ("import sys, bggkit\n"

@@ -548,7 +548,7 @@ def test_bgg_cohomology_elasticity_and_kernel_witness(elas_ops):
     for k in range(3):
         vec = [F(0)] * col.dim
         vec[off1 + k] = F(1)
-        transported.append(f.apply(vec))
+        transported.append(f.apply(vec).columns()[0])
     kmat = SparseMat.from_columns(ker, col.dim)
     tmat = SparseMat.from_columns(transported, col.dim)
     both = SparseMat.from_columns([c for c in kmat.columns()] +
@@ -558,7 +558,7 @@ def test_bgg_cohomology_elasticity_and_kernel_witness(elas_ops):
     b3 = [F(0), F(0), F(1)]
     vec = [F(0)] * col.dim
     vec[off1 + 2] = F(1)
-    out = f.apply(vec)
+    out = f.apply(vec).columns()[0]
     blk = bd.block(0, 0, 1)
     labels = list(blk.basis())
     u_part = out[:blk.dim]

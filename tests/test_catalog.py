@@ -187,6 +187,29 @@ def test_parse_rejects_repeated_directive(line, directive):
         catalog.parse_text(text + line + "\n")
 
 
+@pytest.mark.parametrize("first, second, message", [
+    ("expect h0_total 3", "expect h0_total 4", "expect h0_total: declared twice"),
+    ("expect upsilon 0 0 1", "expect upsilon 0 0 2", "expect upsilon 0 0: declared twice"),
+    ("expect orders 0 1", "expect orders 0 2", "expect orders 0: declared twice"),
+    ("expect upsilon 0 0 1 source=a", "expect upsilon 1 0 1 source=b",
+     "expect upsilon: source 'b' differs from the earlier source 'a'"),
+    ("expect orders 0 1", "expect orders 1 1 source=b",
+     "expect orders: source 'b' differs from the earlier source 'unspecified'")],
+    ids=["h0_total", "upsilon", "orders", "upsilon-source", "orders-source"])
+def test_parse_rejects_repeated_expectation(first, second, message, tmp_path, capsys):
+    # each line parses alone; together they would keep only one value or tag
+    for line in (first, second):
+        catalog.parse_text(_TWO_ROWS + line + "\n")
+    text = _TWO_ROWS + first + "\n" + second + "\n"
+    with pytest.raises(ValueError) as exc:
+        catalog.parse_text(text)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.diagram"
+    path.write_text(text)
+    assert main(["verify", "--diagram-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid input: {exc.value}\n"
+
+
 # -- text format round trip ---------------------------------------------------
 
 # Tokens of the whitespace-separated format: no whitespace, no '#' (a comment),

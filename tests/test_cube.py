@@ -101,7 +101,7 @@ def test_stacked_gram_matches_direct_integrals():
     vf = embed(bd, space, 0, [f])
     vg = embed(bd, space, 0, [g])
     gram = stacked_cube_gram(bd, space, 0)
-    gv = gram.apply(vg)
+    gv = gram.apply(vg).columns()[0]
     paired = sum((a * b for a, b in zip(vf, gv)), F(0))
     assert paired == cube_integral(poly_mul(f[0], g[0]), 2)
 

@@ -135,7 +135,11 @@ def test_expect_locates_first_differing_entry():
     report.expect("a=a", 0, 0, a, a)
     report.expect("a=b", 0, 0, a, SparseMat(2, 2, {(0, 0): 1, (1, 0): 3}), at=(7,))
     report.expect("a=0", None, 1, a)
-    assert [c.where for c in report.checks] == [None, (7, 1, 0), (0, 0)]
+    # [[1/2, 1/3]] over 6 against [[1/2, 1/4]] over 4: equal at (0, 0) in value
+    # though not in stored numerator, so the first difference is (0, 1)
+    report.expect("thirds", 0, 2, SparseMat(1, 2, {(0, 0): F(1, 2), (0, 1): F(1, 3)}),
+                  SparseMat(1, 2, {(0, 0): F(1, 2), (0, 1): F(1, 4)}), at=(5,))
+    assert [c.where for c in report.checks] == [None, (7, 1, 0), (0, 0), (5, 0, 1)]
     assert report.failures()[1].line() == "[FAIL] a=0  i=1 at entry (0, 0)"
     with pytest.raises(VerificationError) as info:
         report.require("stage")
@@ -207,7 +211,7 @@ def test_f_three_rows_top_corner(hessian):
     mono = {m: idx for idx, m in enumerate(monomials(3, 2))}
     vec = [F(0)] * col.dim
     vec[off2] = F(1)
-    out = f.mat.apply(vec)
+    out = f.mat.apply(vec).columns()[0]
     for m, idx in mono.items():
         expected = F(1, 2) if 2 in m else F(0)
         assert out[idx] == expected

@@ -10,15 +10,14 @@ from bggkit.bgg import derive
 from bggkit.cube import stacked_cube_gram, stacked_map
 from bggkit.diagram import VerificationError, build
 from bggkit.korn import FloatStepError, korn2d_experiment
-from bggkit.linalg import SparseMat, components, leading_block, nullspace, rank, take_cols, \
-    take_rows
+from bggkit.linalg import SparseMat, components, nullspace, rank, take_cols, take_rows
 from oracles import ldl_pivots
 
 
 def exact_pencils(r_max):
     """Each degree's exact pencil (a_r, m_r), cut from the r_max pencil."""
     degrees, a, m = korn._exact_part(r_max)
-    return [(leading_block(a, k, k), leading_block(m, k, k)) for *_, k in degrees]
+    return [(principal(a, range(k)), principal(m, range(k))) for *_, k in degrees]
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,6 @@ from bggkit.linalg import (
     column_space,
     hstack,
     inverse,
-    leading_block,
     nullspace,
     pinv_onto,
     projection_onto,
@@ -96,7 +95,7 @@ def test_nullspace_vectors_annihilate(m):
     basis = nullspace(m).columns()
     assert basis == dense_nullspace(m.to_dense())
     for v in basis:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in m.apply(v).columns()[0])
     # linear independence: stacking them keeps full rank
     if basis:
         b = SparseMat.from_columns(basis, m.cols)
@@ -113,7 +112,7 @@ def test_column_space_spans():
 
 
 def project(basis, v):
-    return projection_onto(SparseMat.from_columns(basis, len(v))).apply(v)
+    return projection_onto(SparseMat.from_columns(basis, len(v))).apply(v).columns()[0]
 
 
 def test_project_onto_axis():
@@ -320,9 +319,17 @@ def test_block_matrix_matches_dense(args):
                                                     max_size=s[1]))))
 def test_apply_matches_dense(args):
     a, vec = args
-    out = mat(a).apply(vec)
+    m = mat(a)
+    y = m.apply(vec)
+    assert y == m @ SparseMat.from_columns([vec], len(vec))
+    out = y.columns()[0]
     assert out == dense_apply(a, vec)
     assert all(isinstance(x, Fraction) for x in out)
+
+
+def test_apply_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(LinAlgError, match="vector length mismatch"):
+        SparseMat.identity(2).apply([F(1)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,7 +378,8 @@ def test_take_rows_cols_and_leading_block_match_dense(args):
     kept_rows, kept_cols = row_order[:nr], col_order[:nc]
     assert_canonical(take_rows(m, kept_rows), [dense[i] for i in kept_rows])
     assert_canonical(take_cols(m, kept_cols), [[row[j] for j in kept_cols] for row in dense])
-    assert_canonical(leading_block(m, nr, nc), [row[:nc] for row in dense[:nr]])
+    assert_canonical(take_cols(take_rows(m, range(nr)), range(nc)),
+                     [row[:nc] for row in dense[:nr]])
     assert_canonical(take_rows(m, range(r)), dense)
 
 
@@ -381,7 +389,7 @@ def test_zero_shapes_are_canonical():
         dense = [[F(0)] * cols for _ in range(rows)]
         for m in (z, z.transpose().transpose(), z + z, z.scale(3), -z,
                   take_rows(z, range(rows)), take_cols(z, range(cols)),
-                  leading_block(z, rows, cols), assemble(rows, cols, [(0, 0, z)])):
+                  assemble(rows, cols, [(0, 0, z)])):
             assert_canonical(m, dense)
         assert z.by_row == {} and z.den == 1
 
@@ -405,12 +413,6 @@ def test_take_cols_rejects_a_repeated_index():
 def test_take_rejects_an_index_outside_the_matrix(take, indices, message):
     with pytest.raises(LinAlgError, match=message):
         take(SparseMat.identity(2), indices)
-
-
-@pytest.mark.parametrize("rows, cols", [(3, 1), (1, 3), (-1, 2)])
-def test_leading_block_rejects_a_block_outside_the_matrix(rows, cols):
-    with pytest.raises(LinAlgError, match=f"leading block {rows}x{cols} does not fit in 2x2"):
-        leading_block(SparseMat.identity(2), rows, cols)
 
 
 @pytest.mark.parametrize("placed", [
