@@ -12,9 +12,11 @@ exact product with a matrix without forming it, so every identity below
 closes exactly.  The derived complex only applies T and pi: A applies T and
 D applies pi.  Their lifts, ``TOps.column`` and ``BGGComplex.projection``,
 are formed only for B, G, the oracles, the exporter and the pullbacks.
-Column operators are cached per instance through ``diagram.memo``.  Each
-identity is recorded in a ``VerifyReport``; a derivation stage raises once,
-with the full report.
+Column operators are cached per instance through ``diagram.memo``, on the
+stage objects (``HodgeSplit``, ``TOps``, ``GOps``, ``BGGComplex``, ``BOps``
+and ``DerivedOps``, plain classes that compare by identity).  Each identity
+is recorded in a ``VerifyReport``; a derivation stage raises once, with the
+full report.
 
 G, A and B are the terms of one nilpotent series in T and d, each summed
 by ``diagram.nilpotent_terms``.  A is summed on the thin harmonic columns
@@ -33,7 +35,6 @@ from d, T and the splitting, so no oracle reads the series it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -54,7 +55,6 @@ from .linalg import (
 )
 
 
-@dataclass
 class HodgeSplit:
     """Constant-coefficient orthogonal splitting, keyed {i: {j: C}} by form
     degree and row, the layout ``diagram.lift_column`` takes.
@@ -65,13 +65,17 @@ class HodgeSplit:
     constant onto the coordinates of its harmonic part, ``p_kerp`` projects
     onto the middle summand and ``p_perp`` = I - P_ran onto the last two.
     """
-    bd: BuiltDiagram
-    ran: dict = field(default_factory=dict)
-    kerp: dict = field(default_factory=dict)
-    ups: dict = field(default_factory=dict)
-    coords: dict = field(default_factory=dict)
-    p_kerp: dict = field(default_factory=dict)
-    p_perp: dict = field(default_factory=dict)
+
+    def __init__(self, bd: BuiltDiagram, ran: dict | None = None, kerp: dict | None = None,
+                 ups: dict | None = None, coords: dict | None = None,
+                 p_kerp: dict | None = None, p_perp: dict | None = None):
+        self.bd = bd
+        self.ran = {} if ran is None else ran
+        self.kerp = {} if kerp is None else kerp
+        self.ups = {} if ups is None else ups
+        self.coords = {} if coords is None else coords
+        self.p_kerp = {} if p_kerp is None else p_kerp
+        self.p_perp = {} if p_perp is None else p_perp
 
     def support(self) -> dict:
         return {(i, j): b.cols for i, row in self.ups.items()
@@ -129,7 +133,6 @@ def hodge_split(bd: BuiltDiagram) -> HodgeSplit:
     return hs
 
 
-@dataclass
 class TOps:
     """Partial inverses of the connectors, per block and per weight.
 
@@ -138,8 +141,10 @@ class TOps:
     and range projectors are ``HodgeSplit``'s p_perp at (i, j) and p_kerp at
     the source (i - 1, j + 1), as ``compute_T`` certifies.
     """
-    bd: BuiltDiagram
-    const: dict = field(default_factory=dict)
+
+    def __init__(self, bd: BuiltDiagram, const: dict | None = None):
+        self.bd = bd
+        self.const = {} if const is None else const
 
     @memo
     def column(self, i: int, w: int) -> LinMap:
@@ -200,11 +205,12 @@ def verify_T_column_identities(bd: BuiltDiagram, t: TOps, w: int) -> list:
     return report.failures()
 
 
-@dataclass
 class GOps:
     """Nilpotent homotopy per column index and weight."""
-    bd: BuiltDiagram
-    t: TOps
+
+    def __init__(self, bd: BuiltDiagram, t: TOps):
+        self.bd = bd
+        self.t = t
 
     @memo
     def column(self, i: int, w: int) -> LinMap:
@@ -247,13 +253,14 @@ def verify_G_properties(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps,
     return report.failures()
 
 
-@dataclass
 class BGGComplex:
     """The derived complex on the harmonic spaces, weight by weight."""
-    bd: BuiltDiagram
-    hs: HodgeSplit
-    t: TOps
-    g: GOps
+
+    def __init__(self, bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps):
+        self.bd = bd
+        self.hs = hs
+        self.t = t
+        self.g = g
 
     @memo
     def ups_space(self, i: int, w: int) -> SumSpace:
@@ -323,10 +330,11 @@ def compute_D(bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps) -> BGGComplex:
     return bc
 
 
-@dataclass
 class BOps:
     """Projection chain map from the twisted complex onto harmonic coordinates."""
-    bc: BGGComplex
+
+    def __init__(self, bc: BGGComplex):
+        self.bc = bc
 
     @memo
     def column(self, i: int, w: int) -> LinMap:
@@ -369,14 +377,17 @@ def bgg_cohomology(bc: BGGComplex) -> dict:
                              lambda i, w: rank(bc.D(i, w).mat), lambda i, w: twisted[(i, w)])
 
 
-@dataclass
 class DerivedOps:
-    bd: BuiltDiagram
-    hs: HodgeSplit
-    t: TOps
-    g: GOps
-    bc: BGGComplex
-    b: BOps
+    """Every stage ``derive`` ran, in order."""
+
+    def __init__(self, bd: BuiltDiagram, hs: HodgeSplit, t: TOps, g: GOps, bc: BGGComplex,
+                 b: BOps):
+        self.bd = bd
+        self.hs = hs
+        self.t = t
+        self.g = g
+        self.bc = bc
+        self.b = b
 
 
 def derive(bd: BuiltDiagram) -> DerivedOps:

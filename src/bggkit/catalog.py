@@ -14,7 +14,6 @@ line-oriented text format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -26,15 +25,19 @@ from .forms import ValueSpace, _mult_scalar
 from .linalg import LinAlgError, SparseMat, take_cols, take_rows
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    spec: DiagramSpec
-    expected: dict = field(default_factory=dict)
+    """A diagram spec with its expected fingerprint values and their sources.
 
-    # Optional per-row value actions for pullback equivariance checks:
-    # a callable mapping an orthogonal matrix to one action matrix per row.
-    value_actions: object = None
+    ``value_actions``, when given, is a callable mapping an orthogonal matrix
+    to one action matrix per row, for pullback equivariance checks.
+    """
+
+    def __init__(self, name: str, spec: DiagramSpec, expected: dict | None = None,
+                 value_actions=None):
+        self.name = name
+        self.spec = spec
+        self.expected = {} if expected is None else expected
+        self.value_actions = value_actions
 
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -325,12 +328,15 @@ def load_file(path) -> CatalogEntry:
 # -- fingerprinting -----------------------------------------------------------
 
 
-@dataclass
 class FingerprintReport:
-    name: str
-    w_max: int
-    identity_ok: bool
-    comparisons: list  # (key, expected, actual, ok)
+    """The identity verdict and the (key, expected, actual, ok) comparisons
+    of one ``fingerprint`` run."""
+
+    def __init__(self, name: str, w_max: int, identity_ok: bool, comparisons: list):
+        self.name = name
+        self.w_max = w_max
+        self.identity_ok = identity_ok
+        self.comparisons = comparisons
 
     @property
     def ok(self) -> bool:

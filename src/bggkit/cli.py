@@ -32,12 +32,14 @@ F = Fraction
 
 
 def _entry_from_args(args) -> catalog.CatalogEntry:
-    if getattr(args, "diagram_file", None):
+    if args.diagram and args.diagram_file:
+        raise ValueError("give --diagram or --diagram-file, not both")
+    if args.diagram_file:
         try:
             return catalog.load_file(args.diagram_file)
         except UnicodeDecodeError as err:
             raise ValueError(f"--diagram-file {args.diagram_file}: {err}") from None
-    if not getattr(args, "diagram", None):
+    if not args.diagram:
         raise KeyError("no diagram given (use --diagram or --diagram-file)")
     return catalog.get(args.diagram)
 

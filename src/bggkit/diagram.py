@@ -15,11 +15,13 @@ A pointwise operator lifted from constants is either assembled by
 ``lift_column`` or applied to a matrix by ``lift_apply``, which forms no lift.
 Every series (F here; G, A and B in ``bgg``) is summed from
 ``nilpotent_terms``.
+
+``DiagramSpec`` and ``KappaSpec`` are ``forms.Value``s, equal and hashed by
+their fields; ``VerifyReport`` and ``CheckResult`` are plain records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import factorial, lcm
@@ -28,7 +30,7 @@ from .forms import (
     FormBlock,
     LinMap,
     SumSpace,
-    ValueSpace,
+    Value,
     blocks,
     exterior_derivative,
     form_indices,
@@ -97,21 +99,32 @@ class VerificationError(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class KappaSpec:
-    """Constant tensors kappa_l per row: maps[j-1][l-1] sends V_j to V_{j-1}."""
-    maps: tuple[tuple[SparseMat, ...], ...]
+class KappaSpec(Value):
+    """Constant tensors kappa_l per row: maps[j-1][l-1] sends V_j to V_{j-1};
+    immutable by convention."""
+
+    def __init__(self, maps: tuple[tuple[SparseMat, ...], ...]):
+        self.maps = maps
+
+    def _key(self) -> tuple:
+        return (self.maps,)
 
     def row(self, j: int) -> tuple[SparseMat, ...]:
         return self.maps[j - 1]
 
 
-@dataclass(frozen=True)
-class DiagramSpec:
-    name: str
-    n: int
-    rows: tuple[ValueSpace, ...]
-    kappa: KappaSpec
+class DiagramSpec(Value):
+    """A diagram's name, spatial dimension, row value spaces and kappa
+    tensors; immutable by convention."""
+
+    def __init__(self, name: str, n: int, rows: tuple, kappa: KappaSpec):
+        self.name = name
+        self.n = n
+        self.rows = rows
+        self.kappa = kappa
+
+    def _key(self) -> tuple:
+        return self.name, self.n, self.rows, self.kappa
 
     @property
     def N(self) -> int:
@@ -144,15 +157,17 @@ class DiagramSpec:
                             f"axes l={l + 1}, m={m + 1}")
 
 
-@dataclass
 class CheckResult:
     """One exact certificate.  Constant-level checks have weight None; a
     failure's ``where`` starts with its block location, row j first."""
-    name: str
-    weight: int | None
-    index: int
-    ok: bool
-    where: tuple | None = None
+
+    def __init__(self, name: str, weight: int | None, index: int, ok: bool,
+                 where: tuple | None = None):
+        self.name = name
+        self.weight = weight
+        self.index = index
+        self.ok = ok
+        self.where = where
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -161,13 +176,14 @@ class CheckResult:
         return f"[{status}] {self.name}  {weight}i={self.index}{loc}"
 
 
-@dataclass
 class VerifyReport:
     """Every exact certificate of a run, recorded through ``expect`` and
     ``holds``; ``require`` turns failures into one VerificationError."""
-    diagram: str
-    w_max: int
-    checks: list = field(default_factory=list)
+
+    def __init__(self, diagram: str, w_max: int, checks: list | None = None):
+        self.diagram = diagram
+        self.w_max = w_max
+        self.checks = [] if checks is None else checks
 
     def expect(self, name: str, w: int | None, i: int, lhs: SparseMat,
                rhs: SparseMat | None = None, at: tuple = ()):

@@ -21,7 +21,6 @@ product y = d_V x on integer numerators over one denominator, and y^T G y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -31,21 +30,27 @@ from operator import mul
 from . import catalog
 from .cube import embed, stacked_cube_gram, stacked_map
 from .diagram import VerificationError, build
-from .forms import monomials
+from .forms import Value, monomials
 from .linalg import SparseMat
 
 F = Fraction
 
 
-@dataclass(frozen=True)
-class EnergyParams:
-    """Weights of the strain and curvature terms (exact rationals)."""
-    mu: Fraction = F(1)
-    lam: Fraction = F(1)
-    mu_c: Fraction = F(1)
-    alpha: Fraction = F(1)
-    beta: Fraction = F(1)
-    gamma: Fraction = F(1)
+class EnergyParams(Value):
+    """Weights of the strain and curvature terms (exact rationals);
+    immutable by convention, as ``cosserat_metric`` caches by them."""
+
+    def __init__(self, mu: Fraction = F(1), lam: Fraction = F(1), mu_c: Fraction = F(1),
+                 alpha: Fraction = F(1), beta: Fraction = F(1), gamma: Fraction = F(1)):
+        self.mu = mu
+        self.lam = lam
+        self.mu_c = mu_c
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
+
+    def _key(self) -> tuple:
+        return self.mu, self.lam, self.mu_c, self.alpha, self.beta, self.gamma
 
     @classmethod
     def of(cls, *vals) -> "EnergyParams":

@@ -12,11 +12,15 @@ Axis arguments are 1-based, matching the usual dx^1, ..., dx^n notation.
 Columns and stacked spaces are ``SumSpace``s, and ``SumSpace`` is the one
 place that locates a part, through ``offset``, ``span`` and ``blocks`` (a
 matrix split by part), so no caller adds up part dimensions itself.
+
+The spaces are plain classes.  ``ValueSpace``, ``FormBlock``, ``CoordSpace``
+and ``SumSpace`` are ``Value``s: immutable by convention, equal and hashed
+by their fields, so a space can key a cache and two columns built apart
+compare equal.  ``LinMap`` compares by identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
@@ -27,15 +31,45 @@ from .linalg import LinAlgError, SparseMat, hstack, take_cols
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ValueSpace:
-    """Finite-dimensional constant-coefficient space with a labeled basis."""
-    name: str
-    basis_labels: tuple[str, ...]
+class Value:
+    """Field-wise equality, hashing and repr for a plain, immutable class.
 
-    def __post_init__(self):
-        if len(self.basis_labels) < 1:
+    A subclass names its fields, in constructor order, in ``_key()``.  Two
+    instances are equal when they are of the same class and their keys are
+    equal, so a value never equals a tuple or a value of another class.
+    Nothing stops assignment to a field: immutability is a convention that
+    each subclass states, and the hash relies on it.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._key()!r}"
+
+
+class ValueSpace(Value):
+    """Finite-dimensional constant-coefficient space with a labeled basis;
+    immutable by convention."""
+
+    def __init__(self, name: str, basis_labels: tuple[str, ...]):
+        if len(basis_labels) < 1:
             raise ValueError("value space needs at least one basis label")
+        self.name = name
+        self.basis_labels = basis_labels
+
+    def _key(self) -> tuple:
+        return self.name, self.basis_labels
 
     @property
     def dim(self) -> int:
@@ -78,23 +112,26 @@ def wedge_sign(axis: int, idx: tuple[int, ...]):
     return (-1) ** before, new
 
 
-@dataclass(frozen=True)
-class FormBlock:
-    """The space of i-forms with degree-p homogeneous coefficients in a value space.
+class FormBlock(Value):
+    """The space of i-forms with degree-p homogeneous coefficients in a value
+    space; immutable by convention.
 
     Out-of-range degrees (p < 0 or i = n+1) are allowed as empty blocks so
     that graded operators can target them with zero maps.
     """
-    n: int
-    i: int
-    p: int
-    value: ValueSpace
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, i: int, p: int, value: ValueSpace):
+        if n < 1:
             raise ValueError("spatial dimension must be >= 1")
-        if not (0 <= self.i <= self.n + 1):
+        if not (0 <= i <= n + 1):
             raise ValueError("form degree out of range")
+        self.n = n
+        self.i = i
+        self.p = p
+        self.value = value
+
+    def _key(self) -> tuple:
+        return self.n, self.i, self.p, self.value
 
     @cached_property
     def dim(self) -> int:
@@ -118,25 +155,32 @@ class FormBlock:
         return out
 
 
-@dataclass(frozen=True)
-class CoordSpace:
-    """An abstract coordinate space (used for subspace coordinates)."""
-    name: str
-    size: int
+class CoordSpace(Value):
+    """An abstract coordinate space (used for subspace coordinates);
+    immutable by convention."""
+
+    def __init__(self, name: str, size: int):
+        self.name = name
+        self.size = size
+
+    def _key(self) -> tuple:
+        return self.name, self.size
 
     @property
     def dim(self) -> int:
         return self.size
 
 
-@dataclass(frozen=True)
-class SumSpace:
-    """Ordered direct sum of spaces, addressed by keys."""
-    parts: tuple[tuple[object, object], ...]
+class SumSpace(Value):
+    """Ordered direct sum of spaces, addressed by keys; immutable by
+    convention, so its dimension is summed once, here."""
 
-    @property
-    def dim(self) -> int:
-        return sum(s.dim for _, s in self.parts)
+    def __init__(self, parts: tuple[tuple[object, object], ...]):
+        self.parts = parts
+        self.dim = sum(s.dim for _, s in parts)
+
+    def _key(self) -> tuple:
+        return (self.parts,)
 
     def space(self, key):
         for k, s in self.parts:
@@ -183,18 +227,17 @@ def blocks(mat: SparseMat, out_space: SumSpace, in_space: SumSpace) -> dict:
                                            rows, mat.den) for (jo, ji), rows in found.items()}
 
 
-@dataclass
 class LinMap:
     """Exact linear map with explicit domain and codomain handles."""
-    dom: object
-    cod: object
-    mat: SparseMat
 
-    def __post_init__(self):
-        if self.mat.rows != self.cod.dim or self.mat.cols != self.dom.dim:
+    def __init__(self, dom, cod, mat: SparseMat):
+        if mat.rows != cod.dim or mat.cols != dom.dim:
             raise LinAlgError(
-                f"matrix {self.mat.rows}x{self.mat.cols} does not match "
-                f"cod dim {self.cod.dim} x dom dim {self.dom.dim}")
+                f"matrix {mat.rows}x{mat.cols} does not match "
+                f"cod dim {cod.dim} x dom dim {dom.dim}")
+        self.dom = dom
+        self.cod = cod
+        self.mat = mat
 
     @classmethod
     def zero(cls, dom, cod) -> "LinMap":

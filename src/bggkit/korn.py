@@ -53,7 +53,6 @@ The twin certificate is exact too, but a pair that fails it is solved twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, sub
 
@@ -61,6 +60,7 @@ from . import catalog
 from .bgg import derive
 from .cube import stacked_cube_gram, stacked_map
 from .diagram import VerificationError, build
+from .forms import Value
 from .linalg import SparseMat, components, nullspace, rank, take_cols, take_rows
 
 
@@ -68,12 +68,19 @@ class FloatStepError(RuntimeError):
     """A degree's pencil has an a that is not numerically positive definite."""
 
 
-@dataclass
-class KornRow:
-    degree: int
-    kernel_dim: int
-    first_order_kernel_dim: int
-    sigma_min: float
+class KornRow(Value):
+    """One degree's kernel dimensions and smallest singular value; immutable
+    by convention."""
+
+    def __init__(self, degree: int, kernel_dim: int, first_order_kernel_dim: int,
+                 sigma_min: float):
+        self.degree = degree
+        self.kernel_dim = kernel_dim
+        self.first_order_kernel_dim = first_order_kernel_dim
+        self.sigma_min = sigma_min
+
+    def _key(self) -> tuple:
+        return self.degree, self.kernel_dim, self.first_order_kernel_dim, self.sigma_min
 
     def line(self) -> str:
         return (f"r={self.degree}: joint kernel {self.kernel_dim}, "

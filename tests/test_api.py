@@ -113,6 +113,27 @@ def test_exact_commands_load_no_numpy():
     assert proc.stdout.splitlines() == [f"{argv[0]} 0 []" for argv in SUBCOMMANDS]
 
 
+def test_package_loads_no_dataclasses_or_inspect():
+    # the records are plain classes, so neither importing every submodule nor
+    # running a subcommand loads these; compared with what was loaded before,
+    # so a site hook that loads them does not count
+    modules = ["bggkit"] + [f"bggkit.{p.stem}" for p in
+                            sorted((ROOT / "src" / "bggkit").glob("*.py"))
+                            if p.stem != "__init__"]
+    script = ("import contextlib, importlib, io, json, sys\n"
+              "before = set(sys.modules)\n"
+              "modules, commands = json.loads(sys.argv[1])\n"
+              "for name in modules:\n"
+              "    importlib.import_module(name)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [sys.modules['bggkit.cli'].main(argv) for argv in commands]\n"
+              "print(codes, sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bggkit.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([modules, SUBCOMMANDS])],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == f"{[0] * len(SUBCOMMANDS)} []\n"
+
+
 def test_runtime_dependencies_are_empty():
     tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())

@@ -267,13 +267,15 @@ def _not_int(directive, what, token):
     (["cosserat-energy", "--params", "1,2"], None,
      ("--params 1,2: expected mu,lam,mu_c,alpha,beta,gamma",)),
     (["korn2d", "--rmax", "2"], None, ("--rmax must be >= 3, got 2",)),
+    (["verify", "--diagram", "plate-2d", "--diagram-file", "{dir}/bad.diagram"],
+     ("name bad", "name both"), ("give --diagram or --diagram-file, not both",)),
 ], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator",
         "kappa-zero-denominator", "kappa-short-triple", "n-declared-twice",
         "n-not-integer", "rows-not-integer", "row-index-not-integer",
         "dim-not-integer", "dim-zero", "kappa-j-not-integer", "kappa-l-not-integer",
         "triple-row-not-integer", "triple-col-not-integer", "name-extra-token",
         "orders-negative-index", "params-not-a-number", "params-too-few",
-        "rmax-below-3"])
+        "rmax-below-3", "diagram-and-diagram-file"])
 def test_bad_input_exit_2(capsys, tmp_path, argv, edit, named):
     if edit:
         (tmp_path / "bad.diagram").write_text(GOOD_FILE.replace(*edit, 1))
