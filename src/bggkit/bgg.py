@@ -30,12 +30,16 @@ assembled side of ``compute_D``'s dVA=AD and of the block-structure
 oracle's dVA blocks; ``GOps.dVG`` = d_V G is read by the G oracle's
 T(I - d_V G) = 0 and by the chain-map oracle's A B = I - d_V G - G d_V.
 Each oracle still forms its expected side, the T- and iota-chains included,
-from d, T and the splitting, so no oracle reads the series it checks.
+from d, T, K and the splitting, so no oracle reads the series it checks.
+The block-structure oracle reads G, B, A, d_V A, D and F through one rule:
+each is a series whose k-th term lies on one block diagonal, and F, the
+series I + sum_m K^m / m!, is compared with its terms directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 from .diagram import BuiltDiagram, VerifyReport, _count_cohomology, _mono_count, band, \
@@ -66,16 +70,10 @@ class HodgeSplit:
     onto the middle summand and ``p_perp`` = I - P_ran onto the last two.
     """
 
-    def __init__(self, bd: BuiltDiagram, ran: dict | None = None, kerp: dict | None = None,
-                 ups: dict | None = None, coords: dict | None = None,
-                 p_kerp: dict | None = None, p_perp: dict | None = None):
+    def __init__(self, bd: BuiltDiagram):
         self.bd = bd
-        self.ran = {} if ran is None else ran
-        self.kerp = {} if kerp is None else kerp
-        self.ups = {} if ups is None else ups
-        self.coords = {} if coords is None else coords
-        self.p_kerp = {} if p_kerp is None else p_kerp
-        self.p_perp = {} if p_perp is None else p_perp
+        self.ran, self.kerp, self.ups = {}, {}, {}
+        self.coords, self.p_kerp, self.p_perp = {}, {}, {}
 
     def support(self) -> dict:
         return {(i, j): b.cols for i, row in self.ups.items()
@@ -142,9 +140,9 @@ class TOps:
     the source (i - 1, j + 1), as ``compute_T`` certifies.
     """
 
-    def __init__(self, bd: BuiltDiagram, const: dict | None = None):
+    def __init__(self, bd: BuiltDiagram):
         self.bd = bd
-        self.const = {} if const is None else const
+        self.const = {}
 
     @memo
     def column(self, i: int, w: int) -> LinMap:
@@ -403,32 +401,31 @@ def derive(bd: BuiltDiagram) -> DerivedOps:
 
 
 def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
-    """Check the triangular block form of G, A, d_V A, D, B and B F.
+    """Check the triangular block form of G, B, A, d_V A, D and F.
 
-    Each assembled operator is split by ``forms.blocks`` and compared block
-    by block with the composite built directly from d, T, K and the
-    splitting projections.  The T-chain (Td)^k T and the iota-chain
-    (Td)^k iota are formed once, on the whole T and iota: block column ji of
-    a term is the term of that block column alone.  (Td)^k T gives G's
-    -(Td)^k T on row ji+k+1 and B's P d (Td)^k T there, next to P on row ji;
-    (Td)^k iota gives A's term on row ji+k, d_V A's P_perp d (Td)^k iota and
-    D's P d (Td)^k iota.  The d (Td)^k products are those the chain steps
-    form.  B F combines B with the powers of K.  The G, A and F shift checks
-    read which block diagonal each split term lies on.  Both the zero
-    pattern and the entries must agree exactly.
+    Each operator is a series whose k-th term sends block column ji to row
+    ji + diag(k) and nowhere else.  Every term is formed directly from d, T,
+    K and the splitting projections.  The T-chain (Td)^k T and the
+    iota-chain (Td)^k iota are formed once, on the whole T and iota, with
+    the products d (Td)^k their steps form.  -G's terms are (Td)^k T on diag
+    k + 1; B's are P and P d (Td)^k T, A's (Td)^k iota, d_V A's
+    P_perp d (Td)^k iota and D's P d (Td)^k iota, all on diag k; F's are I
+    and K^m / m! on diag -m.  The walk certifies ``<X> shift`` at (ji, k):
+    a block column's first term off its diagonal fails and ends that
+    column, and an empty term is skipped.  ``<X> block`` then compares each
+    block of the split operator with the term walked onto it, or with zero,
+    so both the zero pattern and the entries must agree exactly.
     """
-    bd, hs, t, g, bc, b = ops.bd, ops.hs, ops.t, ops.g, ops.bc, ops.b
+    bd, hs, t, bc = ops.bd, ops.hs, ops.t, ops.bc
     report = VerifyReport(bd.spec.name, bd.w_max)
-    col_i, col_next, ups_i = bd.column(i, w), bd.column(i + 1, w), bc.ups_space(i, w)
+    col_next = bd.column(i + 1, w)
     # splitting projections, all block diagonal: P_perp on column i + 1, P on i and i + 1
     perp_next = lift_column(bd, hs.p_perp.get(i + 1, {}), i + 1, w, col_next, col_next)
     pi_i, pi_next = bc.projection(i, w).mat, bc.projection(i + 1, w).mat
-    gop, bop = g.column(i, w), b.column(i, w)
-    aop, dvaop, dop = bc.A(i, w), bc.dVA(i, w), bc.D(i, w)
 
-    def chain(first, outer, inner, like):
-        """The terms of the series (outer inner)^k first, split as maps like
-        ``like``, and the products inner @ term that its steps form."""
+    def chain_terms(first, outer, inner):
+        """The terms of the series (outer inner)^k first, and the products
+        inner @ term that its steps form."""
         images = []
 
         def step(x):
@@ -436,63 +433,43 @@ def verify_block_structure(ops: DerivedOps, i: int, w: int) -> list:
             return outer @ images[-1]
         # a limit one past the N + 1 rows steps from every nonzero term, so
         # each one has its image
-        terms = nilpotent_terms(first, step, bd.N + 2)
-        return [blocks(x, like.cod, like.dom) for x in terms], images
+        return nilpotent_terms(first, step, bd.N + 2), images
 
-    def walk(tag, splits, row_of, start=0):
-        """Block column ji of the k-th split term, for k from start, while it
-        is nonzero and lies on row row_of(ji, k) >= 0 alone, keyed (row, ji);
-        the first term elsewhere fails ``tag`` at (ji, k) and ends the walk."""
-        found = {}
-        for ji in sorted({jj for _, jj in splits[0]}):
-            for k, split in enumerate(splits, start):
-                row = row_of(ji, k)
-                col = {jo: blk for (jo, jj), blk in split.items() if jj == ji}
-                if row < 0 or not col or not report.holds(tag, w, i, col.keys() <= {row}, (ji, k)):
-                    break
-                found[(row, ji)] = col[row]
-        return found
-
-    def diagonal(like, mats):
-        """The block (ji + k, ji) of the k-th matrix, a map like ``like``;
-        each matrix is split and dropped in turn."""
-        return {(jo, ji): blk for k, x in enumerate(mats)
-                for (jo, ji), blk in blocks(x, like.cod, like.dom).items() if jo - ji == k}
-
-    def check(tag, op, want):
+    def series(tag, op, terms, diag):
+        """Walk the terms onto the blocks of ``op``, each split and dropped in
+        turn, then compare ``op`` with them."""
+        want, off = {}, {}
+        for k, x in enumerate(terms):
+            split = blocks(x, op.cod, op.dom)
+            for jo, ji in split:
+                if jo != ji + diag(k):
+                    off.setdefault(ji, k)
+            want.update((at, blk) for at, blk in split.items() if at[1] not in off)
+        for ji, _ in op.dom.parts:
+            report.holds(f"{tag} shift", w, i, ji not in off, (ji, off.get(ji)))
         got = blocks(op.mat, op.cod, op.dom)
         for ji, part in op.dom.parts:
             for jo, out in op.cod.parts:
-                report.expect(tag, w, i, got.get((jo, ji), SparseMat.zero(out.dim, part.dim)),
+                report.expect(f"{tag} block", w, i,
+                              got.get((jo, ji), SparseMat.zero(out.dim, part.dim)),
                               want.get((jo, ji)), at=(jo, ji))
 
     tmat = t.column(i, w).mat
-    splits, images = chain(tmat, tmat, bd.d(i - 1, w).mat, gop)
-    check("G block", -gop, walk("G shift", splits, lambda ji, k: ji + k + 1))
-    check("B block", bop, diagonal(bop, [pi_i] + [pi_i @ x for x in images]))
+    terms, images = chain_terms(tmat, tmat, bd.d(i - 1, w).mat)
+    series("G", -ops.g.column(i, w), terms, lambda k: k + 1)
+    series("B", ops.b.column(i, w), chain([pi_i], (pi_i @ x for x in images)), lambda k: k)
 
     # the iota-chain replaces the T-chain, and is freed before the K powers
-    splits, images = chain(bc.inclusion(i, w).mat, t.column(i + 1, w).mat, bd.d(i, w).mat, aop)
-    check("A block", aop, walk("A shift", splits, lambda ji, k: ji + k))
-    check("dVA block", dvaop, diagonal(dvaop, (perp_next @ x for x in images)))
-    check("D block", dop, diagonal(dop, (pi_next @ x for x in images)))
-    del splits, images
+    terms, images = chain_terms(bc.inclusion(i, w).mat, t.column(i + 1, w).mat, bd.d(i, w).mat)
+    series("A", bc.A(i, w), terms, lambda k: k)
+    series("dVA", bc.dVA(i, w), (perp_next @ x for x in images), lambda k: k)
+    series("D", bc.D(i, w), (pi_next @ x for x in images), lambda k: k)
+    del terms, images
 
-    # B F block column ji is B (I + sum_m K^m / m!) on column ji; its rows
-    # are read as one part, so each block column is compared whole
-    rows = SumSpace(((None, ups_i),))
     kmat = bd.K(i, w).mat
     powers = nilpotent_terms(kmat, lambda x: kmat @ x, bd.N + 1)
-    shifted = walk("F shift", [blocks(p, col_i, col_i) for p in powers],
-                   lambda ji, m: ji - m, start=1)
-    b_k = [blocks(x, rows, col_i) for x in [bop.mat] + [bop.mat @ p for p in powers]]
-    bf = blocks(bop.mat @ bd.F(i, w).mat, rows, col_i)
-    for ji, part in col_i.parts:
-        zero = SparseMat.zero(ups_i.dim, part.dim)
-        ms = [ji - jo for jo, jj in shifted if jj == ji]
-        want = sum((b_k[m].get((None, ji), zero).scale(Fraction(1, factorial(m)))
-                    for m in ms), b_k[0].get((None, ji), zero))
-        report.expect("BF block", w, i, bf.get((None, ji), zero), want, at=(ji,))
+    scaled = (p.scale(Fraction(1, factorial(m))) for m, p in enumerate(powers, start=1))
+    series("F", bd.F(i, w), chain([SparseMat.identity(kmat.rows)], scaled), lambda m: -m)
     return report.failures()
 
 

@@ -52,12 +52,7 @@ def _checks_json(report) -> list:
 
 def cmd_verify(args) -> int:
     entry = _entry_from_args(args)
-    try:
-        bd = build(entry.spec, args.wmax)
-    except DiagramError as err:
-        print(f"build failed: {err}", file=sys.stderr)
-        return 1
-    report = verify_identities(bd)
+    report = verify_identities(build(entry.spec, args.wmax))
     if args.format == "json":
         print(json.dumps({"diagram": entry.name, "wmax": args.wmax,
                           "checks": _checks_json(report)}, indent=1))

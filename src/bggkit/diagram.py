@@ -180,10 +180,10 @@ class VerifyReport:
     """Every exact certificate of a run, recorded through ``expect`` and
     ``holds``; ``require`` turns failures into one VerificationError."""
 
-    def __init__(self, diagram: str, w_max: int, checks: list | None = None):
+    def __init__(self, diagram: str, w_max: int):
         self.diagram = diagram
         self.w_max = w_max
-        self.checks = [] if checks is None else checks
+        self.checks = []
 
     def expect(self, name: str, w: int | None, i: int, lhs: SparseMat,
                rhs: SparseMat | None = None, at: tuple = ()):

@@ -18,12 +18,15 @@ from .forms import LinMap
 from .linalg import SparseMat
 
 
+HEADER = "%%MatrixMarket matrix coordinate rational general"
+
+
 class ExportError(ValueError):
     """A bad export request or Matrix Market file: invalid input."""
 
 
 def write_matrix_market(mat: SparseMat, comment: str = "") -> str:
-    lines = ["%%MatrixMarket matrix coordinate rational general"]
+    lines = [HEADER]
     if comment:
         for part in comment.splitlines():
             lines.append(f"% {part}")
@@ -50,8 +53,7 @@ def read_matrix_market(text: str) -> SparseMat:
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("%%MatrixMarket"):
         raise ExportError("missing MatrixMarket header")
-    header = lines[0][1].split()
-    if header[1:4] != ["matrix", "coordinate", "rational"]:
+    if lines[0][1].strip() != HEADER:
         raise ExportError(f"unsupported MatrixMarket type: {lines[0][1]}")
     body = [(k, ln) for k, ln in lines[1:] if not ln.lstrip().startswith("%")]
     if not body:

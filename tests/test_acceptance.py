@@ -197,7 +197,7 @@ def test_criterion_4_block_structure(pipelines):
                 if fails:
                     print(f"  {name}: {fails[:3]}")
                     ok = False
-    report(4, "triangular block forms of G, A, dVA, D, B, BF", ok)
+    report(4, "triangular block forms of G, B, A, dVA, D, F", ok)
 
 
 def test_criterion_5_kernel_witnesses(pipelines):

@@ -347,39 +347,62 @@ def test_block_structure_three_rows(hess_ops):
             assert verify_block_structure(hess_ops, i, w) == []
 
 
+def _bump_memo(holder, method, at, i=1, w=4):
+    """Add 1 at entry ``at`` (a function of the matrix) of a memoized column."""
+    col = method(holder, i, w)
+    bump = SparseMat(col.mat.rows, col.mat.cols, {at(col.mat): 1})
+    holder.__dict__["_memo"][(method.__wrapped__, i, w)] = \
+        LinMap(col.dom, col.cod, col.mat + bump)
+
+
 # where the oracle locates a bump of each operator's first entry at (1, 4)
 BUMP_FOUND_AT = {"G block": (1, 0, 0, 0), "A block": (1, 1, 0, 1),
                  "B block": (1, 0, 0, 3), "D block": (1, 1, 0, 0),
-                 "dVA block": (1, 1, 0, 3), "BF block": (0, 2, 0)}
+                 "dVA block": (1, 1, 0, 3), "F block": (0, 0, 0, 0)}
 
 
 @pytest.mark.parametrize("owner, method, tag", [
     ("g", GOps.column, "G block"), ("bc", BGGComplex.A, "A block"),
     ("b", BOps.column, "B block"), ("bc", BGGComplex.D, "D block"),
-    ("bc", BGGComplex.dVA, "dVA block"), ("bd", BuiltDiagram.F, "BF block")])
+    ("bc", BGGComplex.dVA, "dVA block"), ("bd", BuiltDiagram.F, "F block")])
 def test_block_structure_reports_a_changed_entry(owner, method, tag):
     # add 1 to the first entry of a memoized column; the oracle must name
     # exactly that block and entry, and nothing else
     ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
-    holder = getattr(ops, owner)
-    col = method(holder, 1, 4)
-    bump = SparseMat(col.mat.rows, col.mat.cols, {min(col.mat.num): 1})
-    holder.__dict__["_memo"][(method.__wrapped__, 1, 4)] = \
-        LinMap(col.dom, col.cod, col.mat + bump)
+    _bump_memo(getattr(ops, owner), method, lambda m: min(m.num))
     assert [c.line() for c in verify_block_structure(ops, 1, 4)] == \
         [f"[FAIL] {tag}  w=4 i=1 at entry {BUMP_FOUND_AT[tag]}"]
 
 
+def test_block_structure_reports_an_F_entry_that_B_kills():
+    # F's last diagonal entry lies in ker B, so only the direct comparison
+    # of F with I + sum_m K^m / m! sees a change there
+    ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
+    _bump_memo(ops.bd, BuiltDiagram.F, lambda m: max(m.num))
+    assert [c.line() for c in verify_block_structure(ops, 1, 4)] == \
+        ["[FAIL] F block  w=4 i=1 at entry (2, 2, 8, 8)"]
+
+
 def test_block_structure_reports_a_term_below_the_last_row():
     # an entry in T's last block column maps row N past the last row; the
-    # T-chain steps it on, and its B expectation has no row to sit on
+    # T-chain steps it on, so every series built on it leaves its diagonal
     ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
-    col = ops.t.column(1, 4)
-    bump = SparseMat(col.mat.rows, col.mat.cols, {(0, col.mat.cols - 1): 1})
-    ops.t.__dict__["_memo"][(TOps.column.__wrapped__, 1, 4)] = \
-        LinMap(col.dom, col.cod, col.mat + bump)
-    lines = [c.line() for c in verify_block_structure(ops, 1, 4)]
-    assert "[FAIL] G shift  w=4 i=1 at entry (2, 0)" in lines
+    _bump_memo(ops.t, TOps.column, lambda m: (0, m.cols - 1))
+    assert [c.line() for c in verify_block_structure(ops, 1, 4)] == [
+        f"[FAIL] {tag}  w=4 i=1 at entry {at}" for tag, at in [
+            ("G shift", (0, 2)), ("G shift", (1, 1)), ("G shift", (2, 0)),
+            ("G block", (0, 0, 0, 14)), ("G block", (0, 1, 0, 27)),
+            ("G block", (1, 1, 2, 27)), ("G block", (0, 2, 0, 8)),
+            ("G block", (1, 2, 2, 8)), ("G block", (2, 2, 0, 8)),
+            ("B shift", (1, 3)), ("B shift", (2, 2)), ("B block", (1, 2, 1, 8))]]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_block_structure_every_catalog_diagram(name):
+    ops = derive(build(catalog.get(name).spec, 4))
+    for w in range(5):
+        for i in range(ops.bd.n + 1):
+            assert verify_block_structure(ops, i, w) == [], (w, i)
 
 
 def test_chain_maps_report_a_changed_dVG():

@@ -141,10 +141,11 @@ kappa 2 2 0:0:1
 """
     path = tmp_path / "broken.diagram"
     path.write_text(text)
-    code, _, err = run(capsys, "verify", "--diagram-file", str(path),
+    code, out, err = run(capsys, "verify", "--diagram-file", str(path),
                        "--wmax", "2")
-    assert code == 1
-    assert "commute" in err or "build failed" in err
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed: ") and err.count("\n") == 1
+    assert "commute" in err
 
 
 def test_cosserat_energy_command(capsys):

@@ -34,8 +34,13 @@ MM_HEAD = "%%MatrixMarket matrix coordinate rational general\n% comment\n"
     (MM_HEAD + "2 2 1\n0 1 1\n", "line 4: entry (0, 1) outside 2 x 2"),
     (MM_HEAD + "2 2 1\n1 3 1\n", "line 4: entry (1, 3) outside 2 x 2"),
     (MM_HEAD + "2 2 2\n1 1 1\n\n1 1 2\n", "line 6: repeated entry (1, 1)"),
+    # a symmetric file stores one triangle; read as general it would drop the other
+    ("%%MatrixMarket matrix coordinate rational symmetric\n2 2 2\n1 1 1\n2 1 3\n",
+     "unsupported MatrixMarket type: %%MatrixMarket matrix coordinate rational symmetric"),
+    ("%%MatrixMarket matrix coordinate rational\n2 2 1\n1 1 1\n",
+     "unsupported MatrixMarket type: %%MatrixMarket matrix coordinate rational"),
 ], ids=["no-size", "short-size", "bad-value", "zero-denominator", "index-zero",
-        "index-past-shape", "repeated-entry"])
+        "index-past-shape", "repeated-entry", "symmetric", "no-qualifier"])
 def test_malformed_matrix_market_rejected(text, message):
     with pytest.raises(export.ExportError) as info:
         export.read_matrix_market(text)
