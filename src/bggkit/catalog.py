@@ -20,7 +20,7 @@ from math import comb
 from pathlib import Path
 
 from .bgg import bgg_cohomology, derive
-from .diagram import DiagramSpec, KappaSpec, build, verify_identities
+from .diagram import DiagramSpec, InputError, KappaSpec, build, verify_identities
 from .forms import ValueSpace, _mult_scalar
 from .linalg import LinAlgError, SparseMat, take_cols, take_rows
 
@@ -62,7 +62,7 @@ def _sym_indices(j: int) -> list[tuple[int, ...]]:
 
 def higher_hessian_3d(order: int) -> CatalogEntry:
     if order < 1:
-        raise ValueError("higher-hessian order must be >= 1")
+        raise InputError("higher-hessian order must be >= 1")
     rows = []
     for j in range(order + 1):
         labels = tuple("s" + "".join(map(str, m)) if m else "1"
@@ -108,18 +108,18 @@ def get(name: str) -> CatalogEntry:
         try:
             order = int(arg)
         except ValueError:
-            raise KeyError(f"bad higher-hessian order: {arg!r}")
+            raise InputError(f"bad higher-hessian order: {arg!r}") from None
         return higher_hessian_3d(order)
-    raise KeyError(f"unknown diagram {name!r}; known: {', '.join(names())}")
+    raise InputError(f"unknown diagram {name!r}; known: {', '.join(names())}")
 
 
 # -- text serialization ------------------------------------------------------
 
 
 def _token(what: str, value: str) -> str:
-    """value if the text format can carry it as a name or label, else ValueError."""
+    """value if the text format can carry it as a name or label, else InputError."""
     if not value or any(c.isspace() or c in "#,=" for c in value):
-        raise ValueError(f"{what} {value!r} is empty or holds whitespace, '#', ',' or '='")
+        raise InputError(f"{what} {value!r} is empty or holds whitespace, '#', ',' or '='")
     return value
 
 
@@ -136,7 +136,7 @@ _EXPECT_LINES = {
 def to_text(entry: CatalogEntry) -> str:
     """Serialize an entry to the line-oriented diagram format; a name or
     label that is empty or holds whitespace, '#', ',' or '=', or a source
-    tag that the format cannot carry, raises ValueError."""
+    tag that the format cannot carry, raises InputError."""
     spec = entry.spec
     tokens = [("diagram name", spec.name)] + [("row name", vs.name) for vs in spec.rows] + [
         ("label", lab) for vs in spec.rows for lab in vs.basis_labels]
@@ -144,7 +144,7 @@ def to_text(entry: CatalogEntry) -> str:
         _token(what, value)
     for key, src in entry.expected.get("source", {}).items():
         if "#" in src or len(src.splitlines()) > 1 or src != src.rstrip():
-            raise ValueError(f"source {src!r} of {key} holds '#', a line break "
+            raise InputError(f"source {src!r} of {key} holds '#', a line break "
                              "or trailing whitespace")
     lines = [
         "# bggkit diagram, format v1",
@@ -179,10 +179,10 @@ def _need_args(directive: str, parts: list):
     least, most = _ARITY.get(directive, (0, None))
     got = len(parts) - len(directive.split())
     if got < least:
-        raise ValueError(f"{directive}: needs {least} argument(s), "
+        raise InputError(f"{directive}: needs {least} argument(s), "
                          f"got {' '.join(parts)!r}")
     if most is not None and got > most:
-        raise ValueError(f"{directive}: takes {most} argument(s), "
+        raise InputError(f"{directive}: takes {most} argument(s), "
                          f"got {' '.join(parts)!r}")
 
 
@@ -190,7 +190,7 @@ def _int(directive: str, what: str, token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"{directive}: {what} must be an integer, got {token!r}") from None
+        raise InputError(f"{directive}: {what} must be an integer, got {token!r}") from None
 
 
 def parse_text(text: str) -> CatalogEntry:
@@ -205,7 +205,7 @@ def parse_text(text: str) -> CatalogEntry:
 
     def once(label: str):
         if label in declared:
-            raise ValueError(f"{label}: declared twice")
+            raise InputError(f"{label}: declared twice")
         declared.add(label)
 
     for raw in text.splitlines():
@@ -232,25 +232,25 @@ def parse_text(text: str) -> CatalogEntry:
             once(f"row {j}")
             bare = [p for p in parts[2:] if "=" not in p]
             if bare:
-                raise ValueError(f"row {j}: needs key=value tokens, got {bare[0]!r}")
+                raise InputError(f"row {j}: needs key=value tokens, got {bare[0]!r}")
             attrs = {}
             for key, value in (p.split("=", 1) for p in parts[2:]):
                 if key in attrs or key not in ("name", "dim", "labels"):
                     why = "repeated" if key in attrs else "unknown"
-                    raise ValueError(f"row {j}: {why} key {key!r}")
+                    raise InputError(f"row {j}: {why} key {key!r}")
                 attrs[key] = value
             if "dim" not in attrs:
-                raise ValueError(f"row {j}: needs dim=")
+                raise InputError(f"row {j}: needs dim=")
             row_name = _token(f"row {j}: name", attrs.get("name", f"V{j}"))
             labels = tuple(_token(f"row {j}: label", lab) for lab in
                            attrs["labels"].split(",")) if "labels" in attrs else None
             dim = _int(f"row {j}", "dim", attrs["dim"])
             if dim < 1:
-                raise ValueError(f"row {j}: dim must be >= 1, got {dim}")
+                raise InputError(f"row {j}: dim must be >= 1, got {dim}")
             if labels is None:
                 labels = tuple(f"{attrs.get('name', 'e')}{k + 1}" for k in range(dim))
             if len(labels) != dim:
-                raise ValueError(f"row {j}: {len(labels)} labels for dim {dim}")
+                raise InputError(f"row {j}: {len(labels)} labels for dim {dim}")
             rows[j] = ValueSpace(row_name, labels)
         elif kind == "kappa":
             j, l = _int("kappa", "index", parts[1]), _int("kappa", "index", parts[2])
@@ -261,7 +261,7 @@ def parse_text(text: str) -> CatalogEntry:
                     r, c, v = t.split(":")
                     triples.append((int(r), int(c), Fraction(v)))
                 except (ValueError, ZeroDivisionError):
-                    raise ValueError(
+                    raise InputError(
                         f"kappa {j} {l}: bad entry {t!r}, expected row:col:value") from None
             kappa_entries[(j, l)] = triples
         elif kind == "expect":
@@ -278,7 +278,7 @@ def parse_text(text: str) -> CatalogEntry:
             elif what == "orders":
                 idx = _int("expect orders", "index", rest[0])
                 if idx < 0:
-                    raise ValueError(f"expect orders: index must be >= 0, got {idx}")
+                    raise InputError(f"expect orders: index must be >= 0, got {idx}")
                 once(f"expect orders {idx}")
                 key = "operator_orders"
                 orders = [_int("expect orders", "order", x)
@@ -288,22 +288,22 @@ def parse_text(text: str) -> CatalogEntry:
                     lst.append([])
                 lst[idx] = orders
             else:
-                raise ValueError(f"unknown expectation {what!r}")
+                raise InputError(f"unknown expectation {what!r}")
             held = expected["source"].setdefault(key, src)
             if held != src:
-                raise ValueError(f"expect {what}: source {src!r} differs from the "
+                raise InputError(f"expect {what}: source {src!r} differs from the "
                                  f"earlier source {held!r}")
         else:
-            raise ValueError(f"unknown directive {kind!r}")
+            raise InputError(f"unknown directive {kind!r}")
     if name is None or n is None or row_count is None:
-        raise ValueError("diagram file must declare name, n and rows")
+        raise InputError("diagram file must declare name, n and rows")
     if n < 1 or row_count < 1:
-        raise ValueError(f"n and rows must be >= 1, got n {n} and rows {row_count}")
+        raise InputError(f"n and rows must be >= 1, got n {n} and rows {row_count}")
     if sorted(rows) != list(range(row_count)):
-        raise ValueError("row declarations do not match the declared count")
+        raise InputError("row declarations do not match the declared count")
     for j, l in kappa_entries:
         if not (1 <= j < row_count and 1 <= l <= n):
-            raise ValueError(
+            raise InputError(
                 f"kappa {j} {l}: needs 1 <= j < {row_count} and 1 <= l <= {n}")
     row_spaces = tuple(rows[j] for j in range(row_count))
     kappa_rows = []
@@ -314,7 +314,7 @@ def parse_text(text: str) -> CatalogEntry:
                 maps.append(SparseMat(row_spaces[j - 1].dim, row_spaces[j].dim,
                                       kappa_entries.get((j, l), [])))
             except LinAlgError as err:
-                raise ValueError(f"kappa {j} {l}: {err}") from None
+                raise InputError(f"kappa {j} {l}: {err}") from None
         kappa_rows.append(tuple(maps))
     spec = DiagramSpec(name, n, row_spaces, KappaSpec(tuple(kappa_rows)))
     return CatalogEntry(name, spec, expected)
@@ -354,7 +354,7 @@ class FingerprintReport:
 def fingerprint(entry: CatalogEntry, w_max: int = 8) -> FingerprintReport:
     """Build, verify, derive, and compare every expected value of an entry.
 
-    Raises ValueError when w_max is below the largest i + j of the harmonic
+    Raises InputError when w_max is below the largest i + j of the harmonic
     support: the weight at which the last harmonic block, and with it the
     last derived operator, first appears.
     """
@@ -362,7 +362,7 @@ def fingerprint(entry: CatalogEntry, w_max: int = 8) -> FingerprintReport:
     ops = derive(bd)
     need = max((i + j for i, j in ops.hs.support()), default=0)
     if w_max < need:
-        raise ValueError(f"w_max {w_max} is too small to show the fingerprint "
+        raise InputError(f"w_max {w_max} is too small to show the fingerprint "
                          f"of {entry.name}; use at least {need}")
     identity_ok = verify_identities(bd).ok
     comparisons = []

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 verification mismatch or a failed float
-step, 2 invalid input.
+Exit codes: 0 all checks pass, 1 a failed certificate (VerificationError)
+or float step, 2 invalid input (InputError).  Any other exception is a bug
+and propagates.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from . import catalog, export
 from .bgg import bgg_cohomology, derive
-from .diagram import DiagramError, VerificationError, build, row_cohomology_sum, \
+from .diagram import InputError, VerificationError, build, row_cohomology_sum, \
     verify_identities
 from .energy import (
     EnergyParams,
@@ -33,14 +34,14 @@ F = Fraction
 
 def _entry_from_args(args) -> catalog.CatalogEntry:
     if args.diagram and args.diagram_file:
-        raise ValueError("give --diagram or --diagram-file, not both")
+        raise InputError("give --diagram or --diagram-file, not both")
     if args.diagram_file:
         try:
             return catalog.load_file(args.diagram_file)
-        except UnicodeDecodeError as err:
-            raise ValueError(f"--diagram-file {args.diagram_file}: {err}") from None
+        except (OSError, UnicodeDecodeError) as err:
+            raise InputError(f"--diagram-file {args.diagram_file}: {err}") from None
     if not args.diagram:
-        raise KeyError("no diagram given (use --diagram or --diagram-file)")
+        raise InputError("no diagram given (use --diagram or --diagram-file)")
     return catalog.get(args.diagram)
 
 
@@ -64,13 +65,8 @@ def cmd_verify(args) -> int:
 def cmd_cohomology(args) -> int:
     entry = _entry_from_args(args)
     bd = build(entry.spec, args.wmax)
-    ops = derive(bd)
-    try:
-        # certifies derived = twisted = row sum at every (i, w)
-        dims = bgg_cohomology(ops.bc)
-    except VerificationError as err:
-        print(f"cohomology check failed: {err}", file=sys.stderr)
-        return 1
+    # certifies derived = twisted = row sum at every (i, w)
+    dims = bgg_cohomology(derive(bd).bc)
     payload = {"diagram": entry.name, "wmax": args.wmax,
                "checks": [{"name": "twisted=row_sum", "ok": True},
                           {"name": "derived=twisted", "ok": True}],
@@ -125,13 +121,13 @@ def cmd_export(args) -> int:
             "diagram": entry.name, "operator": canonical,
             "index": args.index, "weight": args.weight})
     else:
-        text = export.write_stencil(
-            linmap,
-            row_labels=export.block_labels(linmap.cod) or None,
-            col_labels=export.block_labels(linmap.dom) or None)
+        text = export.write_stencil(linmap)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise InputError(f"--output {args.output}: {err}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -141,11 +137,11 @@ def _parse_params(text: str) -> EnergyParams:
     try:
         vals = [F(x) for x in text.split(",")]
     except ZeroDivisionError:
-        raise ValueError(f"--params {text}: zero denominator") from None
+        raise InputError(f"--params {text}: zero denominator") from None
     except ValueError as err:
-        raise ValueError(f"--params {text}: {err}") from None
+        raise InputError(f"--params {text}: {err}") from None
     if len(vals) != 6:
-        raise ValueError(f"--params {text}: expected mu,lam,mu_c,alpha,beta,gamma")
+        raise InputError(f"--params {text}: expected mu,lam,mu_c,alpha,beta,gamma")
     return EnergyParams(*vals)
 
 
@@ -157,20 +153,20 @@ def _field_term(name: str, key, val) -> tuple:
     except (ValueError, ZeroDivisionError):
         mono, coeff = (), None
     if len(mono) != 3 or min(mono) < 0 or coeff is None:
-        raise ValueError(f"--fields {name}: bad term {key!r}: {val!r}")
+        raise InputError(f"--fields {name}: bad term {key!r}: {val!r}")
     return mono, coeff
 
 
 def _fields_from_json(data) -> tuple:
     """Fields u and omega of a --fields file, each a list of 3 components."""
     if not isinstance(data, dict) or set(data) != {"u", "omega"}:
-        raise ValueError("--fields must be a JSON object with keys u and omega")
+        raise InputError("--fields must be a JSON object with keys u and omega")
     fields = []
     for name in ("u", "omega"):
         comps = data[name]
         if not (isinstance(comps, list) and len(comps) == 3
                 and all(isinstance(c, dict) for c in comps)):
-            raise ValueError(f"--fields {name} must be a list of 3 objects")
+            raise InputError(f"--fields {name} must be a list of 3 objects")
         fields.append([_field_component(name, c) for c in comps])
     return tuple(fields)
 
@@ -186,7 +182,7 @@ def _field_component(name: str, terms: dict) -> dict:
     for key, val in terms.items():
         mono, coeff = _field_term(name, key, val)
         if mono in seen:
-            raise ValueError(f"--fields {name}: monomial {mono} given twice "
+            raise InputError(f"--fields {name}: monomial {mono} given twice "
                              f"(again as {key!r})")
         seen.add(mono)
         if coeff:
@@ -201,11 +197,11 @@ def cmd_cosserat_energy(args) -> int:
         EnergyParams.of(1, 0, 2, F(3, 2), 0, 1),
     ]
     if args.fields:
-        with open(args.fields, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.fields, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as err:
-                raise ValueError(f"--fields {args.fields}: {err}") from None
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise InputError(f"--fields {args.fields}: {err}") from None
         u, omega = _fields_from_json(data)
         for params in param_sets:
             val = cosserat_energy(u, omega, params)
@@ -336,7 +332,7 @@ def _check_counts(args):
     for name, low in (("wmax", 0), ("samples", 1), ("degree", 0), ("rmax", 3)):
         value = getattr(args, name, None)
         if value is not None and value < low:
-            raise ValueError(f"--{name} must be >= {low}, got {value}")
+            raise InputError(f"--{name} must be >= {low}, got {value}")
 
 
 def main(argv=None) -> int:
@@ -345,12 +341,10 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.fn(args)
-    except (KeyError, ValueError, OSError) as err:
-        # str() of a KeyError is the repr of its message, quotes included
-        message = err.args[0] if isinstance(err, KeyError) else err
-        print(f"invalid input: {message}", file=sys.stderr)
+    except InputError as err:
+        print(f"invalid input: {err}", file=sys.stderr)
         return 2
-    except (DiagramError, VerificationError) as err:
+    except VerificationError as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return 1
     except FloatStepError as err:

@@ -8,9 +8,10 @@ those products.  Fields of bounded total degree live in a weight-stacked
 space: a ``SumSpace`` keyed by weight whose parts are row-keyed column
 spaces (ambient columns or harmonic coordinates).  This module is the one
 path for such spaces: ``stacked_map`` stacks per-weight maps, spaces
-included, through ``diagram.band``, ``embed`` places row fields in a stacked
-space, and ``stacked_cube_gram`` places M_mono (x) C_j on each row j as an
-unformed kron pair, from the monomial pairings and one metric per row.
+included, through ``diagram.band``, ``embed`` places 0-form row fields in a
+stacked space, and ``stacked_cube_gram`` places M_mono (x) C_j on each row
+j as an unformed kron pair, from the monomial pairings and one metric per
+row.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm, prod
 
-from .diagram import BuiltDiagram, band
+from .diagram import BuiltDiagram, InputError, band
 from .forms import LinMap, SumSpace, _mono_index, monomials
 from .linalg import LinAlgError, SparseMat, assemble
 
@@ -46,28 +47,28 @@ def stacked_map(per_weight: dict) -> LinMap:
     return LinMap(dom, cod, band(blocks, dom, cod))
 
 
-def embed(bd: BuiltDiagram, space: SumSpace, i: int, rows) -> list:
-    """Coefficient vector of polynomial row fields inside a stacked column.
+def embed(bd: BuiltDiagram, space: SumSpace, rows) -> list:
+    """Coefficient vector of polynomial row fields of 0-forms inside a
+    stacked column.
 
-    rows[j] lists the components of the row-j field of column i.  Raises
-    ValueError for a row with the wrong number of components, and for a
-    monomial whose weight the stacked space lacks, so a field is never
-    silently truncated.
+    rows[j] lists the components of the row-j field.  Raises InputError for
+    a row with the wrong number of components, and for a monomial whose
+    weight the stacked space lacks, so a field is never silently truncated.
     """
     vec = [0] * space.dim
     for j, components in enumerate(rows):
         vdim = bd.spec.rows[j].dim
         if len(components) != vdim:
-            raise ValueError(f"row {j} expects {vdim} components")
+            raise InputError(f"row {j} expects {vdim} components")
         base = {w: space.offset(w) + col.offset(j) for w, col in space.parts}
         for r, comp in enumerate(components):
             for m, c in comp.items():
-                w = sum(m) + i + j
+                w = sum(m) + j
                 if w not in base:
-                    raise ValueError(
+                    raise InputError(
                         f"row {j} monomial {m} needs weight {w}, beyond the "
                         f"stacked weights (w_max {max(base)})")
-                vec[base[w] + _mono_index(bd.n, w - i - j)[m] * vdim + r] = c
+                vec[base[w] + _mono_index(bd.n, sum(m))[m] * vdim + r] = c
     return vec
 
 

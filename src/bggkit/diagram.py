@@ -43,8 +43,8 @@ from .forms import (
 from .linalg import LinAlgError, SparseMat, assemble, block_matrix, rank
 
 
-class DiagramError(Exception):
-    pass
+class InputError(ValueError):
+    """Rejected input from outside the program: the CLI's exit 2."""
 
 
 def memo(method):
@@ -131,35 +131,36 @@ class DiagramSpec(Value):
         return len(self.rows) - 1
 
     def validate(self):
+        """Reject a bad n, tensor count or shape (InputError), then certify
+        ``kappa commute`` at j, axes (l, m), which makes SK = KS hold."""
         if self.n < 1:
-            raise DiagramError("spatial dimension must be >= 1")
+            raise InputError("spatial dimension must be >= 1")
         if len(self.kappa.maps) != self.N:
-            raise DiagramError(
+            raise InputError(
                 f"kappa defined for {len(self.kappa.maps)} rows, expected {self.N}")
         for j in range(1, self.N + 1):
             row = self.kappa.row(j)
             if len(row) != self.n:
-                raise DiagramError(f"row {j}: expected {self.n} tensors, got {len(row)}")
+                raise InputError(f"row {j}: expected {self.n} tensors, got {len(row)}")
             for l, k in enumerate(row, start=1):
                 want = (self.rows[j - 1].dim, self.rows[j].dim)
                 if (k.rows, k.cols) != want:
-                    raise DiagramError(
+                    raise InputError(
                         f"row {j}, tensor {l}: shape {(k.rows, k.cols)} != {want}")
-        # commutation at the constant level; this is what makes SK = KS hold
+        report = VerifyReport(self.name, 0)
         for j in range(2, self.N + 1):
             up = self.kappa.row(j)       # V_j -> V_{j-1}
             down = self.kappa.row(j - 1)  # V_{j-1} -> V_{j-2}
             for l in range(self.n):
                 for m in range(l + 1, self.n):
-                    if down[l] @ up[m] != down[m] @ up[l]:
-                        raise DiagramError(
-                            f"kappa tensors do not commute at row j={j}, "
-                            f"axes l={l + 1}, m={m + 1}")
+                    report.expect("kappa commute", None, j, down[l] @ up[m], down[m] @ up[l],
+                                  at=(l + 1, m + 1))
+        report.require("validate")
 
 
 class CheckResult:
     """One exact certificate.  Constant-level checks have weight None; a
-    failure's ``where`` starts with its block location, row j first."""
+    failure's ``where`` starts with its location, row j first for a block."""
 
     def __init__(self, name: str, weight: int | None, index: int, ok: bool,
                  where: tuple | None = None):
@@ -301,7 +302,9 @@ class BuiltDiagram:
                       ident.kron(self.partial_const(i, j)))
 
     def _verify_synthesis(self):
-        """S = dK - Kd on every block; each K and d block is formed once."""
+        """S = dK - Kd on every block (i, j, w), at row j; each K and d block
+        is formed once."""
+        report = VerifyReport(self.spec.name, self.w_max)
         n, N = self.n, self.N
         for w in range(self.w_max + 1):
             k = {(i, j): self.K_block(i, j, w) for i in range(n + 2) for j in range(1, N + 1)}
@@ -309,10 +312,9 @@ class BuiltDiagram:
             for j in range(1, N + 1):
                 for i in range(n + 1):
                     synth = d[(i, j - 1)] @ k[(i, j)] - k[(i + 1, j)] @ d[(i, j)]
-                    if self.S_block(i, j, w).mat != synth.mat:
-                        raise DiagramError(
-                            f"connector mismatch (dK - Kd vs constant form) at "
-                            f"i={i}, j={j}, w={w}")
+                    report.expect("connector=dK-Kd", w, i, self.S_block(i, j, w).mat,
+                                  synth.mat, at=(j,))
+        report.require("build")
 
     # -- column operators ------------------------------------------------------
 

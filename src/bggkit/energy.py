@@ -29,7 +29,7 @@ from operator import mul
 
 from . import catalog
 from .cube import embed, stacked_cube_gram, stacked_map
-from .diagram import VerificationError, build
+from .diagram import InputError, VerificationError, build
 from .forms import Value, monomials
 from .linalg import SparseMat
 
@@ -239,7 +239,7 @@ def _integer_fields(n: int, *fields) -> tuple[list, int]:
     Each field is (name, value, count): value is a list of count
     components, or one component when count is None; a component maps
     monomials (n non-negative int exponents) to int or Fraction
-    coefficients.  Anything else raises ValueError naming the field and
+    coefficients.  Anything else raises InputError naming the field and
     the component or monomial.  Zero coefficients are dropped.  A monomial
     object is checked once; an equal but distinct one, such as (1.0, 0, 0)
     after (1, 0, 0), is checked anew.
@@ -252,20 +252,20 @@ def _integer_fields(n: int, *fields) -> tuple[list, int]:
             comps.extend((f"{name}[{r}]", comp) for r, comp in enumerate(value))
         else:
             got = len(value) if isinstance(value, (list, tuple)) else type(value).__name__
-            raise ValueError(f"{name} must be a list of {count} components, got {got}")
+            raise InputError(f"{name} must be a list of {count} components, got {got}")
     checked = {}
     for label, comp in comps:
         if not isinstance(comp, dict):
-            raise ValueError(f"{label} must be a dict of monomial coefficients")
+            raise InputError(f"{label} must be a dict of monomial coefficients")
         for m, c in comp.items():
             if checked.get(m) is not m:
                 if not (isinstance(m, tuple) and len(m) == n
                         and all(isinstance(e, int) and e >= 0 for e in m)):
-                    raise ValueError(f"{label}: monomial {m!r} is not {n} "
+                    raise InputError(f"{label}: monomial {m!r} is not {n} "
                                      f"non-negative int exponents")
                 checked[m] = m
             if not isinstance(c, (int, Fraction)):
-                raise ValueError(f"{label}: coefficient {c!r} of {m} is not rational")
+                raise InputError(f"{label}: coefficient {c!r} of {m} is not rational")
     den = lcm(*(c.denominator for _, comp in comps for c in comp.values()))
     ints = {label: {m: c.numerator * (den // c.denominator) for m, c in comp.items() if c}
             for label, comp in comps}
@@ -336,7 +336,7 @@ def _checked_twisted_norm(direct: Fraction, name: str, rows: list,
     """
     w_max = max([2] + [field_degree(comps) + j for j, comps in enumerate(rows)])
     bd, dv, gram = _twisted_form(name, w_max, tuple(sorted(metrics.items())))
-    y = dv.mat.apply(embed(bd, dv.dom, 0, rows))
+    y = dv.mat.apply(embed(bd, dv.dom, rows))
     ynum = [y.by_row.get(r, {0: 0})[0] for r in range(y.rows)]
     quad = 0
     for r, row in gram.by_row.items():

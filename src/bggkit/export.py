@@ -13,15 +13,15 @@ import json
 from fractions import Fraction
 
 from .bgg import DerivedOps
-from .diagram import BuiltDiagram
-from .forms import LinMap
+from .diagram import BuiltDiagram, InputError
+from .forms import LinMap, SumSpace
 from .linalg import SparseMat
 
 
 HEADER = "%%MatrixMarket matrix coordinate rational general"
 
 
-class ExportError(ValueError):
+class ExportError(InputError):
     """A bad export request or Matrix Market file: invalid input."""
 
 
@@ -90,20 +90,17 @@ def write_json(mat: SparseMat, meta: dict | None = None) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def write_stencil(linmap: LinMap, row_labels=None, col_labels=None) -> str:
-    """Human-readable table: one line per nonzero output row."""
+def write_stencil(linmap: LinMap) -> str:
+    """Human-readable table: one line per nonzero output row, with the
+    ``block_labels`` of linmap's spaces."""
     mat = linmap.mat
+    row_labels, col_labels = block_labels(linmap.cod), block_labels(linmap.dom)
     lines = [f"# {mat.rows} x {mat.cols}, {mat.nnz} entries"]
     by_row: dict[int, list] = {}
     for r, c, v in mat.entries():
-        by_row.setdefault(r, []).append((c, v))
+        by_row.setdefault(r, []).append(f"{str(v)}*[{col_labels[c]}]")
     for r in sorted(by_row):
-        rl = row_labels[r] if row_labels else f"row{r}"
-        terms = []
-        for c, v in by_row[r]:
-            cl = col_labels[c] if col_labels else f"col{c}"
-            terms.append(f"{str(v)}*[{cl}]")
-        lines.append(f"[{rl}] = " + " + ".join(terms))
+        lines.append(f"[{row_labels[r]}] = " + " + ".join(by_row[r]))
     return "\n".join(lines) + "\n"
 
 
@@ -137,14 +134,13 @@ def get_operator(bd: BuiltDiagram, ops: DerivedOps | None, name: str,
             "B": ops.b.column, "D": ops.bc.D}[canonical](index, weight)
 
 
-def block_labels(space) -> list[str]:
-    """Basis labels of a column-like space, for stencil output."""
+def block_labels(space: SumSpace) -> list[str]:
+    """Basis labels of a row-keyed column space, for stencil output; a part
+    of harmonic coordinates names its k-th coordinate c{k}."""
     out = []
-    for key, sub in getattr(space, "parts", ()):
+    for key, sub in space.parts:
         if hasattr(sub, "basis_labels"):
             out.extend(f"j={key} {lab}" for lab in sub.basis_labels())
         else:
             out.extend(f"j={key} c{k}" for k in range(sub.dim))
-    if not out and hasattr(space, "basis_labels"):
-        out = space.basis_labels()
     return out

@@ -45,9 +45,12 @@ representative's value is its own, bit for bit.  Each distinct cut of the
 other classes (9 among 32 at r_max = 10) is converted to floats and solved
 once.
 
-Three certificates are checked exactly at run time: the kernel support, the
-pivot columns and each degree's cut; a failure raises ``VerificationError``.
-The twin certificate is exact too, but a pair that fails it is solved twice.
+The conditions above are checked by three exact certificates in one
+``VerifyReport``; one ``VerificationError`` lists every failure before the
+float step: ``kernel support``, ``pivot columns`` (located where the
+degree-3 columns end) and each degree's ``leading block`` (each support
+located at its first offending (column, row)).  A class that fails the twin
+certificate is solved like any other.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from operator import add, mul, sub
 from . import catalog
 from .bgg import derive
 from .cube import stacked_cube_gram, stacked_map
-from .diagram import VerificationError, build
+from .diagram import InputError, VerifyReport, build
 from .forms import Value
 from .linalg import SparseMat, components, nullspace, rank, take_cols, take_rows
 
@@ -148,15 +151,12 @@ def eigh(a: list[list[float]], m: list[list[float]]) -> float:
     return 1 / mid
 
 
-def _check_nested(comp: SparseMat, k: int, n: int) -> None:
-    """Raise unless the first k columns of comp vanish beyond row n, as the
-    pencil on them cut to n rows is then the leading k x k block of comp's."""
-    beyond = [(c, r) for r, row in comp.by_row.items() if r >= n for c in row if c < k]
-    if beyond:
-        c, r = min(beyond)
-        raise VerificationError(
-            f"complement vector {c} has an entry in row {r}, beyond the "
-            f"leading {n} rows; the degree's pencil is not a principal block")
+def _outside(comp: SparseMat, k: int, n: int) -> tuple[int, int] | None:
+    """The first (column, row) where one of comp's first k columns has an
+    entry beyond row n, or None: then the pencil on those columns cut to n
+    rows is the leading k x k block of comp's."""
+    return min(((c, r) for r, row in comp.by_row.items() if r >= n for c in row if c < k),
+               default=None)
 
 
 def _twins(a: SparseMat, m: SparseMat, classes: list[list[int]], ks: list[int]) -> dict[int, int]:
@@ -213,6 +213,7 @@ def _exact_part(r_max: int):
     """
     bd = build(catalog.get("mobius-2d").spec, r_max)
     ops = derive(bd)
+    report = VerifyReport(bd.spec.name, r_max)
     # the L2 metric on harmonic coordinates is ups^T ups on every row
     metrics = [{j: b.transpose() @ b for j, b in ops.hs.ups[i].items()} for i in (0, 1)]
     per_weight = {w: ops.bc.D(0, w) for w in range(r_max + 1)}
@@ -223,19 +224,21 @@ def _exact_part(r_max: int):
     dmat, dom = stacked.mat, stacked.dom
     ker = nullspace(dmat)
     cols_3 = dom.span(3).stop  # columns of weight <= 3; ker within them is every degree's
-    if any(r >= cols_3 for r in ker.by_row):
-        raise VerificationError("the joint kernel reaches beyond the degree-3 block")
+    beyond = _outside(ker, ker.cols, cols_3)
+    report.holds("kernel support", 3, 0, beyond is None, beyond)
     g_in = stacked_cube_gram(bd, dom, 0, metrics[0], centered=True)
     g_out = stacked_cube_gram(bd, stacked.cod, 1, metrics[1], centered=True)
     constraint = ker.transpose() @ g_in
-    if rank(take_cols(constraint, range(cols_3))) != constraint.rows:
-        raise VerificationError("a pivot column of ker^T g_in lies beyond the degree-3 block")
+    report.holds("pivot columns", 3, 0,
+                 rank(take_cols(constraint, range(cols_3))) == constraint.rows, (cols_3,))
     comp = nullspace(constraint)
     degrees = []
     for r in range(3, r_max + 1):
         n_cols = dom.span(r).stop
-        _check_nested(comp, n_cols - ker.cols, n_cols)
+        beyond = _outside(comp, n_cols - ker.cols, n_cols)
+        report.holds("leading block", r, 0, beyond is None, beyond)
         degrees.append((r, ker.cols, first[r], n_cols - ker.cols))
+    report.require("korn")
     image = dmat @ comp
     return degrees, image.transpose() @ (g_out @ image), comp.transpose() @ (g_in @ comp)
 
@@ -251,7 +254,7 @@ def korn2d_experiment(r_max: int = 8) -> list[KornRow]:
     degree that first solves the class.
     """
     if r_max < 3:
-        raise ValueError("r_max must be >= 3")
+        raise InputError("r_max must be >= 3")
     degrees, a_full, m_full = _exact_part(r_max)
     classes = components(a_full, m_full)
     # a certified twin's cuts share its representative's spectrum, bit for bit

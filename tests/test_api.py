@@ -43,6 +43,18 @@ def test_every_import_is_used(path):
             if name not in used] == []
 
 
+@pytest.mark.parametrize("name", ["catalog.py", "cli.py", "cube.py", "energy.py",
+                                  "export.py", "korn.py"])
+def test_outside_input_is_rejected_with_input_error(name):
+    # these modules reject input with diagram.InputError, which the CLI maps
+    # to exit 2; a bare ValueError or KeyError would be taken for a bug
+    tree = ast.parse((ROOT / "src" / "bggkit" / name).read_text())
+    raised = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc]
+    assert [f"{name}:{exc.lineno} {exc.id}" for exc in raised if isinstance(exc, ast.Name)
+            and exc.id in ("ValueError", "KeyError")] == []
+
+
 def test_every_top_level_definition_is_referenced():
     # a top-level function or class that no module of the package, the bench
     # or the tests names, as a name or an attribute, is dead code

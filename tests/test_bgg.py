@@ -297,7 +297,8 @@ def test_cohomology_certificates_fail_where_the_counts_differ(monkeypatch, capsy
         ("derived=twisted", at[1], at[0])]
     assert main(["cohomology", "--diagram", "plate-2d", "--wmax", "3"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("cohomology check failed: ") and err.count("\n") == 1
+    assert out == "" and err.startswith("verification failed: bgg_cohomology: 1 of ")
+    assert err.count("\n") == 1
 
 
 def test_shared_products_formed_once_per_weight(monkeypatch):
@@ -339,12 +340,6 @@ def test_G_properties_all(hess_ops):
 def test_chain_maps_identities(hess_ops):
     for w in range(WMAX + 1):
         assert verify_chain_maps(hess_ops.bc, hess_ops.b, w) == []
-
-
-def test_block_structure_three_rows(hess_ops):
-    for w in range(4):
-        for i in range(4):
-            assert verify_block_structure(hess_ops, i, w) == []
 
 
 def _bump_memo(holder, method, at, i=1, w=4):
@@ -413,12 +408,6 @@ def test_chain_maps_report_a_changed_dVG():
     ops.g.__dict__["_memo"][(GOps.dVG.__wrapped__, 1, 4)] = \
         LinMap(col.dom, col.cod, col.mat + bump)
     assert "A B = I - dVG - GdV" in {c.name for c in verify_chain_maps(ops.bc, ops.b, 4)}
-
-
-def test_block_structure_two_rows(elas_ops):
-    for w in range(4):
-        for i in range(4):
-            assert verify_block_structure(elas_ops, i, w) == []
 
 
 def dev_hess_oracle(w):

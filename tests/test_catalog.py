@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bggkit import catalog
 from bggkit.cli import main
-from bggkit.diagram import DiagramSpec, KappaSpec
+from bggkit.diagram import DiagramSpec, InputError, KappaSpec
 from bggkit.forms import ValueSpace
 from bggkit.linalg import SparseMat
 from bggkit.bgg import hodge_split
@@ -95,9 +95,9 @@ def test_shipped_higher_hessian_file_matches_generator():
 
 
 def test_higher_hessian_rejects_bad_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         catalog.higher_hessian_3d(0)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError):
         catalog.get("higher-hessian-3d(x)")
 
 
@@ -255,6 +255,16 @@ def _entries(draw):
 @settings(max_examples=150, deadline=None)
 @given(_entries())
 def test_text_round_trip_keeps_every_field(entry):
+    back = catalog.parse_text(catalog.to_text(entry))
+    assert (back.name, back.spec, back.expected) == (entry.name, entry.spec, entry.expected)
+
+
+def test_row_without_labels_takes_default_labels():
+    # a row line with no labels= names its basis <row name>1, <row name>2, ...
+    entry = catalog.parse_text("name x\nn 1\nrows 2\nrow 0 name=a dim=1\n"
+                               "row 1 dim=2\nkappa 1 1 0:1:1\n")
+    assert [vs.basis_labels for vs in entry.spec.rows] == [("a1",), ("e1", "e2")]
+    assert entry.spec.rows[1].name == "V1"
     back = catalog.parse_text(catalog.to_text(entry))
     assert (back.name, back.spec, back.expected) == (entry.name, entry.spec, entry.expected)
 

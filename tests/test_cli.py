@@ -177,8 +177,10 @@ def test_cosserat_energy_fields_file(capsys, tmp_path):
      ("--fields omega", "monomial (1, 0, 0) given twice")),
     ({"u": [{"0 2 0": "0", "0,2,0": "3"}, {}, {}], "omega": [{}, {}, {}]},
      ("--fields u", "monomial (0, 2, 0) given twice")),
+    ({"u": [{"1 0": "1"}, {}, {}], "omega": [{}, {}, {}]},
+     ("--fields u: bad term '1 0': '1'",)),
 ], ids=["component-not-object", "two-components", "top-level-list",
-        "duplicate-monomial", "duplicate-monomial-one-zero"])
+        "duplicate-monomial", "duplicate-monomial-one-zero", "two-exponents"])
 def test_bad_fields_file_exit_2(capsys, tmp_path, payload, named):
     path = tmp_path / "fields.json"
     path.write_text(json.dumps(payload))
@@ -244,8 +246,17 @@ def _not_int(directive, what, token):
 
 
 @pytest.mark.parametrize("argv, edit, named", [
-    (["cosserat-energy", "--fields", "{dir}"], None, ()),
-    (["verify", "--diagram-file", "{dir}"], None, ()),
+    (["cosserat-energy", "--fields", "{dir}"], None, ("--fields {dir}: ",)),
+    (["verify", "--diagram-file", "{dir}"], None, ("--diagram-file {dir}: ",)),
+    (["export", "--diagram", "plate-2d", "--operator", "d", "--index", "0",
+      "--weight", "0", "-o", "{dir}"], None, ("--output {dir}: ",)),
+    (["verify"], None, ("no diagram given (use --diagram or --diagram-file)",)),
+    (BAD_FILE, ("dim=1 labels=a", "dim=2 labels=a"), ("row 0: 1 labels for dim 2",)),
+    (BAD_FILE, ("name bad\n", "name bad\nexpect foo 1\n"), ("unknown expectation 'foo'",)),
+    (BAD_FILE, ("kappa 1 1", "kappa 2 1"), ("kappa 2 1: needs 1 <= j < 2 and 1 <= l <= 1",)),
+    (BAD_FILE, ("name bad\n", ""), ("diagram file must declare name, n and rows",)),
+    (BAD_FILE, ("n 1\n", ""), ("diagram file must declare name, n and rows",)),
+    (BAD_FILE, ("rows 2\n", ""), ("diagram file must declare name, n and rows",)),
     (["cosserat-energy", "--params", "1,1,1/0,1,1,1"], None, ()),
     (BAD_FILE, ("0:0:1", "0:0:1/0"), ("kappa 1 1", "0:0:1/0")),
     (BAD_FILE, ("0:0:1", "0:0"), ("kappa 1 1", "0:0")),
@@ -270,7 +281,9 @@ def _not_int(directive, what, token):
     (["korn2d", "--rmax", "2"], None, ("--rmax must be >= 3, got 2",)),
     (["verify", "--diagram", "plate-2d", "--diagram-file", "{dir}/bad.diagram"],
      ("name bad", "name both"), ("give --diagram or --diagram-file, not both",)),
-], ids=["fields-directory", "diagram-file-directory", "params-zero-denominator",
+], ids=["fields-directory", "diagram-file-directory", "output-directory", "no-diagram",
+        "label-count", "unknown-expectation", "kappa-index-out-of-range", "no-name",
+        "no-n", "no-rows", "params-zero-denominator",
         "kappa-zero-denominator", "kappa-short-triple", "n-declared-twice",
         "n-not-integer", "rows-not-integer", "row-index-not-integer",
         "dim-not-integer", "dim-zero", "kappa-j-not-integer", "kappa-l-not-integer",
@@ -286,7 +299,43 @@ def test_bad_input_exit_2(capsys, tmp_path, argv, edit, named):
     assert err.startswith("invalid input:")
     assert err.count("\n") == 1
     for part in named:
-        assert part in err
+        assert part.format(dir=tmp_path) in err
+
+
+@pytest.mark.parametrize("argv, name, error", [
+    (["verify", "--diagram", "plate-2d", "--wmax", "1"], "verify_identities", KeyError),
+    (["korn2d", "--rmax", "3"], "korn2d_experiment", ValueError),
+    (["cohomology", "--diagram", "plate-2d", "--wmax", "1"], "bgg_cohomology", OSError),
+], ids=["KeyError", "ValueError", "OSError"])
+def test_internal_error_propagates(monkeypatch, argv, name, error):
+    # an exception raised inside the program is a bug, not invalid input:
+    # main does not turn it into exit 2
+    import bggkit.cli
+
+    def fail(*args):
+        raise error("internal")
+
+    monkeypatch.setattr(bggkit.cli, name, fail)
+    with pytest.raises(error, match="internal"):
+        main(argv)
+
+
+def test_cosserat_identity_failure_names_the_sample_count(capsys, monkeypatch):
+    # the two closed-form checks and two samples pass; the third sample's
+    # direct value is moved off the twisted route, which fails its check
+    from bggkit import energy
+    real, calls = energy._checked_twisted_norm, []
+
+    def checked(direct, *args):
+        calls.append(direct)
+        return real(direct + (len(calls) == 5), *args)
+
+    monkeypatch.setattr(energy, "_checked_twisted_norm", checked)
+    code, out, err = run(capsys, "cosserat-energy", "--samples", "3", "--params", "1,1,1,1,1,1")
+    assert (code, len(calls)) == (1, 5)
+    assert out.count("\n") == 2 and "verified" not in out
+    assert re.fullmatch(r"identity FAILED after 2 samples: energy mismatch: "
+                        r"direct \S+ != twisted route \S+\n", err)
 
 
 @pytest.mark.parametrize("command", ["verify", "cohomology", "derive"])

@@ -6,7 +6,7 @@ import pytest
 
 from bggkit import catalog, cube
 from bggkit.cube import embed, mono_cube_gram, stacked_cube_gram, stacked_map
-from bggkit.diagram import build
+from bggkit.diagram import InputError, build
 from bggkit.energy import p_mono, random_field
 from bggkit.forms import monomials
 from bggkit.korn import korn2d_experiment
@@ -98,8 +98,8 @@ def test_stacked_gram_matches_direct_integrals():
     rng = random.Random(3)
     f = random_field(rng, 2, 1, 3)
     g = random_field(rng, 2, 1, 3)
-    vf = embed(bd, space, 0, [f])
-    vg = embed(bd, space, 0, [g])
+    vf = embed(bd, space, [f])
+    vg = embed(bd, space, [g])
     gram = stacked_cube_gram(bd, space, 0)
     gv = gram.apply(vg).columns()[0]
     paired = sum((a * b for a, b in zip(vf, gv)), F(0))
@@ -129,15 +129,15 @@ def test_embed_rejects_a_weight_beyond_the_stack():
     bd = build(catalog.get("elasticity-3d").spec, 2)
     dom = stacked_d_v(bd, range(3)).dom
     high = [p_mono((4, 0, 0)), {}, {}]
-    with pytest.raises(ValueError, match="weight 4"):
-        embed(bd, dom, 0, [high])
+    with pytest.raises(InputError, match="weight 4"):
+        embed(bd, dom, [high])
 
 
 def test_embed_rejects_a_row_with_the_wrong_component_count():
     bd = build(catalog.get("elasticity-3d").spec, 2)
     dom = stacked_d_v(bd, range(3)).dom
-    with pytest.raises(ValueError, match="row 1 expects 3 components"):
-        embed(bd, dom, 0, [[{}, {}, {}], [{}, {}]])
+    with pytest.raises(InputError, match="row 1 expects 3 components"):
+        embed(bd, dom, [[{}, {}, {}], [{}, {}]])
 
 
 def test_centered_gram_looks_up_no_odd_pairing(monkeypatch):

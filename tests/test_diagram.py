@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from bggkit import catalog
 from bggkit.diagram import (
     BuiltDiagram,
-    DiagramError,
     DiagramSpec,
+    InputError,
     KappaSpec,
     VerificationError,
     VerifyReport,
@@ -80,9 +81,62 @@ def test_build_rejects_noncommuting_kappa():
     # rows 1 and 2 fail to commute: proj @ swap != swap @ proj
     kappa = KappaSpec(((proj, swap), (swap, proj)))
     spec = DiagramSpec("bad", 2, rows, kappa)
-    with pytest.raises(DiagramError) as err:
+    with pytest.raises(VerificationError) as err:
         build(spec, 2)
     assert "commute" in str(err.value)
+    # proj proj - swap swap = -e_2 e_2^T: the one pair (l, m) = (1, 2) at j = 2
+    assert [c.line() for c in err.value.report.failures()] == [
+        "[FAIL] kappa commute  i=2 at entry (1, 2, 1, 1)"]
+
+
+def test_kappa_commute_reports_every_failing_pair():
+    # scalar rows, kappa_l a_l then b_l: the pair (l, m) commutes iff
+    # a_l b_m = a_m b_l, which fails for (1, 2) and (1, 3) and holds for (2, 3)
+    rows = tuple(ValueSpace.coordinates(name, 1) for name in "abc")
+    one, zero = SparseMat.identity(1), SparseMat.zero(1, 1)
+    spec = DiagramSpec("bad", 3, rows, KappaSpec(((one, zero, zero), (zero, one, one))))
+    with pytest.raises(VerificationError) as err:
+        spec.validate()
+    assert str(err.value) == ("validate: 2 of 3 checks failed, first "
+                              "[FAIL] kappa commute  i=2 at entry (1, 2, 0, 0)")
+    assert [(c.name, c.weight, c.index, c.ok, c.where) for c in err.value.report.checks] == [
+        ("kappa commute", None, 2, False, (1, 2, 0, 0)),
+        ("kappa commute", None, 2, False, (1, 3, 0, 0)),
+        ("kappa commute", None, 2, True, None)]
+
+
+@pytest.mark.parametrize("n, tensor, message", [
+    (0, None, "spatial dimension must be >= 1"),
+    (1, SparseMat.identity(2), "row 1, tensor 1: shape (2, 2) != (1, 1)"),
+], ids=["n-zero", "tensor-shape"])
+def test_validate_rejects_malformed_spec(n, tensor, message):
+    rows = (ValueSpace.coordinates("a", 1), ValueSpace.coordinates("b", 1))
+    kappa = KappaSpec(((tensor,),) if tensor else ())
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        DiagramSpec("bad", n, rows, kappa).validate()
+
+
+def test_build_gate_reports_every_mismatched_block(monkeypatch):
+    # a connector block moved off dK - Kd fails at its (i, j, w), located at
+    # row j and the moved entry; every such block is listed in one error
+    moved = {(0, 1, 1), (1, 2, 3), (2, 1, 3)}
+    real = BuiltDiagram.S_block
+
+    def s_block(self, i, j, w):
+        s = real(self, i, j, w)
+        if (i, j, w) not in moved:
+            return s
+        return LinMap(s.dom, s.cod, s.mat + SparseMat(s.mat.rows, s.mat.cols, {(0, 0): 1}))
+
+    monkeypatch.setattr(BuiltDiagram, "S_block", s_block)
+    with pytest.raises(VerificationError) as err:
+        build(catalog.get("conf-hessian-3d").spec, 3)
+    report = err.value.report
+    assert str(err.value).startswith(f"build: 3 of {len(report.checks)} checks failed, first ")
+    assert len(report.checks) == 4 * 4 * 2  # w 0..3, i 0..3, j 1..2
+    assert [(c.name, c.weight, c.index, c.where) for c in report.failures()] == [
+        ("connector=dK-Kd", 1, 0, (1, 0, 0)), ("connector=dK-Kd", 3, 2, (1, 0, 0)),
+        ("connector=dK-Kd", 3, 1, (2, 0, 0))]
 
 
 def test_noncommuting_kappa_fails_exactly_at_connector_exchange():
@@ -95,7 +149,7 @@ def test_noncommuting_kappa_fails_exactly_at_connector_exchange():
     bad_row2[0] = bad_row2[0] + SparseMat(3, 1, {(1, 0): F(1)})  # perturb
     bad = DiagramSpec("perturbed", 3, rows,
                       KappaSpec((kappa.row(1), tuple(bad_row2))))
-    with pytest.raises(DiagramError):
+    with pytest.raises(VerificationError):
         build(bad, 2)
     bd = build(bad, 3, validate=False)
     report = verify_identities(bd)
@@ -164,7 +218,7 @@ def test_random_kappa_perturbation_equivalence(seed):
     commutes = True
     try:
         spec.validate()
-    except DiagramError:
+    except VerificationError:
         commutes = False
     report = verify_identities(build(spec, 3, validate=False))
     assert report.ok == commutes
@@ -272,7 +326,7 @@ def test_catalog_text_round_trip():
 
 
 def test_catalog_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError):
         catalog.get("nope")
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bggkit import energy
-from bggkit.diagram import BuiltDiagram, VerificationError
+from bggkit.diagram import BuiltDiagram, InputError, VerificationError
 from bggkit.energy import (
     EnergyParams,
     _checked_twisted_norm,
@@ -278,7 +278,7 @@ _ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("kind", ["too-few-components", "monomial-too-long",
+@pytest.mark.parametrize("kind", ["too-few-components", "component-not-dict", "monomial-too-long",
                                   "bad-monomial-twice", "bad-coefficient-on-checked-monomial",
                                   "float-exponent-equal-to-checked"])
 @pytest.mark.parametrize("energy_fn, name, n", _ENTRY_POINTS,
@@ -287,6 +287,8 @@ def test_bad_field_shape_raises_value_error_naming_it(energy_fn, name, n, kind):
     mono, ok = (1,) * (n + 1), (0,) * n
     if kind == "too-few-components":
         bad, named = [{}] * (n - 1), f"{name} must be a list of {n} components, got {n - 1}"
+    elif kind == "component-not-dict":
+        bad, named = [{}] * (n - 1) + [[1]], f"{name}[{n - 1}] must be a dict of monomial"
     elif kind == "monomial-too-long":
         bad, named = [{}] * (n - 1) + [{mono: F(1)}], f"{name}[{n - 1}]: monomial {mono}"
     elif kind == "bad-monomial-twice":
@@ -300,6 +302,6 @@ def test_bad_field_shape_raises_value_error_naming_it(energy_fn, name, n, kind):
         # (1.0, 0, ...) equals the checked (1, 0, ...) but is another object
         one, fone = (1,) + ok[1:], (1.0,) + ok[1:]
         bad, named = [{one: F(1)}, {fone: F(1)}] + [{}] * (n - 2), f"{name}[1]: monomial {fone}"
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(InputError) as exc:
         energy_fn(bad)
     assert named in str(exc.value)

@@ -4,7 +4,7 @@ import pytest
 
 from bggkit import catalog, export
 from bggkit.bgg import derive
-from bggkit.diagram import build
+from bggkit.diagram import InputError, build
 from bggkit.linalg import SparseMat
 
 F = Fraction
@@ -39,12 +39,17 @@ MM_HEAD = "%%MatrixMarket matrix coordinate rational general\n% comment\n"
      "unsupported MatrixMarket type: %%MatrixMarket matrix coordinate rational symmetric"),
     ("%%MatrixMarket matrix coordinate rational\n2 2 1\n1 1 1\n",
      "unsupported MatrixMarket type: %%MatrixMarket matrix coordinate rational"),
+    ("2 2 0\n", "missing MatrixMarket header"),
+    (MM_HEAD + "-1 2 0\n", "line 3: negative size: '-1 2 0'"),
+    (MM_HEAD + "2 2 2\n1 1 1\n", "expected 2 entries, found 1"),
 ], ids=["no-size", "short-size", "bad-value", "zero-denominator", "index-zero",
-        "index-past-shape", "repeated-entry", "symmetric", "no-qualifier"])
+        "index-past-shape", "repeated-entry", "symmetric", "no-qualifier",
+        "no-header", "negative-size", "nnz-mismatch"])
 def test_malformed_matrix_market_rejected(text, message):
     with pytest.raises(export.ExportError) as info:
         export.read_matrix_market(text)
     assert str(info.value) == message
+    assert isinstance(info.value, InputError)
 
 
 def test_deterministic_bytes(hessian):
@@ -109,9 +114,34 @@ def test_f_upper_triangular_with_identity_diagonal():
 def test_stencil_output(hessian):
     bd, ops = hessian
     lm = export.get_operator(bd, None, "d", 0, 2)
-    text = export.write_stencil(
-        lm, export.block_labels(lm.cod), export.block_labels(lm.dom))
+    text = export.write_stencil(lm)
     assert "=" in text and "dx" in text
+
+
+# D of conf-hessian-3d at (i, w) = (0, 3) maps harmonic coordinates to
+# harmonic coordinates, which are labeled by row and position
+D_0_3_STENCIL = """# 15 x 10, 27 entries
+[j=1 c0] = 1*[j=0 c5]
+[j=1 c1] = -2*[j=0 c0] + 4/3*[j=0 c2] + -2/3*[j=0 c7]
+[j=1 c2] = 2*[j=0 c4]
+[j=1 c3] = 2*[j=0 c1]
+[j=1 c4] = 4*[j=0 c0] + -2/3*[j=0 c2] + -2/3*[j=0 c7]
+[j=1 c5] = 2*[j=0 c6]
+[j=1 c6] = -2/3*[j=0 c1] + 4*[j=0 c3] + -2/3*[j=0 c8]
+[j=1 c7] = 1*[j=0 c5]
+[j=1 c8] = 2*[j=0 c2]
+[j=1 c9] = 4/3*[j=0 c1] + -2*[j=0 c3] + -2/3*[j=0 c8]
+[j=1 c10] = 2*[j=0 c8]
+[j=1 c11] = -2/3*[j=0 c4] + 4/3*[j=0 c6] + -2*[j=0 c9]
+[j=1 c12] = 2*[j=0 c7]
+[j=1 c13] = 1*[j=0 c5]
+[j=1 c14] = 4/3*[j=0 c4] + -2/3*[j=0 c6] + -2*[j=0 c9]
+"""
+
+
+def test_stencil_of_derived_operator_is_pinned(hessian):
+    bd, ops = hessian
+    assert export.write_stencil(export.get_operator(bd, ops, "D", 0, 3)) == D_0_3_STENCIL
 
 
 def test_json_payload(hessian):

@@ -8,7 +8,7 @@ import pytest
 from bggkit import catalog, korn
 from bggkit.bgg import derive
 from bggkit.cube import stacked_cube_gram, stacked_map
-from bggkit.diagram import VerificationError, build
+from bggkit.diagram import InputError, VerificationError, build
 from bggkit.korn import FloatStepError, korn2d_experiment
 from bggkit.linalg import SparseMat, components, nullspace, rank, take_cols, take_rows
 from oracles import ldl_pivots
@@ -319,11 +319,57 @@ def test_rows_do_not_depend_on_rmax():
 
 def test_nested_pencil_rejects_entry_beyond_leading_block():
     nested = SparseMat(4, 3, {(0, 0): 1, (1, 1): 1, (2, 1): Fraction(1, 2), (3, 2): 1})
-    korn._check_nested(nested, 2, 3)
+    assert korn._outside(nested, 2, 3) is None
     # column 1 reaches row 3, outside the leading 3 rows
     leaky = SparseMat(4, 3, {(0, 0): 1, (1, 1): 1, (3, 1): Fraction(1, 2), (3, 2): 1})
-    with pytest.raises(VerificationError, match="complement vector 1 has an entry in row 3"):
-        korn._check_nested(leaky, 2, 3)
+    assert korn._outside(leaky, 2, 3) == (1, 3)
+
+
+def _korn_failures(monkeypatch, name, patch):
+    """Run the exact part at r_max 6 with korn.<name> replaced by patch(real);
+    the float step must not start.  Returns the report's failures."""
+    monkeypatch.setattr(korn, name, patch(getattr(korn, name)))
+    monkeypatch.setattr(korn, "eigh", lambda a, m: pytest.fail("float step ran"))
+    with pytest.raises(VerificationError) as info:
+        korn2d_experiment(6)
+    assert str(info.value).startswith("korn: ")
+    return [(c.name, c.weight, c.where) for c in info.value.report.failures()]
+
+
+def _bump_call(real, call, at):
+    """real, with 1 added at entry ``at`` of the result of call number ``call``."""
+    calls = []
+
+    def bumped(m):
+        out = real(m)
+        calls.append(out)
+        if len(calls) == call:
+            out = out + SparseMat(out.rows, out.cols, {at: 1})
+        return out
+    return bumped
+
+
+def test_korn_kernel_support_certificate_fails_at_the_entry(monkeypatch):
+    # at r_max 6 the weights 0..6 hold 2(w + 1) columns each, so the degree-3
+    # block ends at column 20 and the last of 56 rows lies beyond it
+    failures = _korn_failures(monkeypatch, "nullspace",
+                              lambda real: _bump_call(real, 1, (55, 4)))
+    assert failures == [("kernel support", 3, (4, 55))]
+
+
+def test_korn_pivot_certificate_fails_on_the_degree_3_columns(monkeypatch):
+    # no column of the degree-3 block spans the constraint's rows
+    failures = _korn_failures(monkeypatch, "take_cols",
+                              lambda real: lambda m, cols: SparseMat.zero(m.rows, len(cols)))
+    assert failures == [("pivot columns", 3, (20,))]
+
+
+def test_korn_leading_block_certificate_fails_at_each_degree(monkeypatch):
+    # complement vector 0 reaching row 55 lies beyond the leading
+    # (r + 1)(r + 2) = 20, 30, 42 rows of degrees 3, 4, 5, but not the 56 of 6
+    failures = _korn_failures(monkeypatch, "nullspace",
+                              lambda real: _bump_call(real, 2, (55, 0)))
+    assert failures == [("leading block", r, (0, 55)) for r in (3, 4, 5)]
 
 
 def test_joint_kernel_is_six(rows):
@@ -355,7 +401,7 @@ def test_sigma_min_monotone_nonincreasing(rows):
 
 
 def test_rejects_small_rmax():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         korn2d_experiment(2)
 
 
