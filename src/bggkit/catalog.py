@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
-from .bgg import bgg_cohomology, derive
+from .bgg import bgg_cohomology, derive, hodge_split
 from .diagram import DiagramSpec, InputError, KappaSpec, build, verify_identities
 from .forms import ValueSpace, _mult_scalar
 from .linalg import LinAlgError, SparseMat, take_cols, take_rows
@@ -208,7 +208,8 @@ def parse_text(text: str) -> CatalogEntry:
             raise InputError(f"{label}: declared twice")
         declared.add(label)
 
-    for raw in text.splitlines():
+    lines = text.splitlines()
+    for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -283,10 +284,7 @@ def parse_text(text: str) -> CatalogEntry:
                 key = "operator_orders"
                 orders = [_int("expect orders", "order", x)
                           for x in rest[1].split(",")] if len(rest) > 1 else []
-                lst = expected.setdefault(key, [])
-                while len(lst) <= idx:
-                    lst.append([])
-                lst[idx] = orders
+                expected.setdefault(key, {})[idx] = orders
             else:
                 raise InputError(f"unknown expectation {what!r}")
             held = expected["source"].setdefault(key, src)
@@ -301,6 +299,13 @@ def parse_text(text: str) -> CatalogEntry:
         raise InputError(f"n and rows must be >= 1, got n {n} and rows {row_count}")
     if sorted(rows) != list(range(row_count)):
         raise InputError("row declarations do not match the declared count")
+    by_index = expected.get("operator_orders")
+    if by_index:
+        last = max(by_index)
+        if last >= len(lines):
+            raise InputError(f"expect orders: index must be < {len(lines)}, "
+                             f"the file's line count, got {last}")
+        expected["operator_orders"] = [by_index.get(idx, []) for idx in range(last + 1)]
     for j, l in kappa_entries:
         if not (1 <= j < row_count and 1 <= l <= n):
             raise InputError(
@@ -358,18 +363,18 @@ def fingerprint(entry: CatalogEntry, w_max: int = 8) -> FingerprintReport:
     support: the weight at which the last harmonic block, and with it the
     last derived operator, first appears.
     """
-    bd = build(entry.spec, w_max)
-    ops = derive(bd)
-    need = max((i + j for i, j in ops.hs.support()), default=0)
+    support = hodge_split(build(entry.spec, 0)).support()
+    need = max((i + j for i, j in support), default=0)
     if w_max < need:
         raise InputError(f"w_max {w_max} is too small to show the fingerprint "
                          f"of {entry.name}; use at least {need}")
+    bd = build(entry.spec, w_max)
+    ops = derive(bd)
     identity_ok = verify_identities(bd).ok
     comparisons = []
     if "upsilon_support" in entry.expected:
-        actual = ops.hs.support()
         expected = entry.expected["upsilon_support"]
-        comparisons.append(("upsilon_support", expected, actual, actual == expected))
+        comparisons.append(("upsilon_support", expected, support, support == expected))
     dims = bgg_cohomology(ops.bc)
     if "h0_total" in entry.expected:
         actual = sum(v for (i, w), v in dims.items() if i == 0)

@@ -44,8 +44,8 @@ class SparseMat:
 
     ``by_row`` maps a row index to {column: nonzero int} and holds only
     nonempty rows; ``den`` is a positive int with no factor common to every
-    numerator.  Treated as immutable after construction, rows included; all
-    operations return new matrices.  Zero-row / zero-column shapes are
+    numerator.  Treated as immutable after construction, rows included, so
+    an operation may return an operand.  Zero-row / zero-column shapes are
     legal and arise routinely as absent graded blocks.
     """
 
@@ -235,8 +235,8 @@ class SparseMat:
 
     def scale(self, a) -> "SparseMat":
         a = _as_fraction(a)
-        if a == 0:
-            return SparseMat(self.rows, self.cols)
+        if a in (0, 1):
+            return self if a else SparseMat(self.rows, self.cols)
         p = a.numerator
         return SparseMat._from_rows(
             self.rows, self.cols,

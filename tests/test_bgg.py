@@ -392,6 +392,32 @@ def test_block_structure_reports_a_term_below_the_last_row():
             ("B shift", (1, 3)), ("B shift", (2, 2)), ("B block", (1, 2, 1, 8))]]
 
 
+def test_block_structure_reports_a_changed_G_with_a_term_below_the_last_row():
+    # G is bumped at its first entry before T's last column is: every G
+    # column leaves its diagonal, and column 0 is compared with its terms
+    # before that, so the bump is found at its own entry
+    ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
+    _bump_memo(ops.g, GOps.column, lambda m: min(m.num))
+    _bump_memo(ops.t, TOps.column, lambda m: (0, m.cols - 1))
+    assert [c.line() for c in verify_block_structure(ops, 1, 4)] == [
+        f"[FAIL] {tag}  w=4 i=1 at entry {at}" for tag, at in [
+            ("G shift", (0, 2)), ("G shift", (1, 1)), ("G shift", (2, 0)),
+            ("G block", (1, 0, 0, 0)),
+            ("B shift", (1, 3)), ("B shift", (2, 2)), ("B block", (1, 2, 1, 8))]]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_passing_block_structure_splits_nothing(name, monkeypatch):
+    # an operator equal to the sum of its terms is never split into blocks
+    ops = derive(build(catalog.get(name).spec, 4))
+    split = []
+    monkeypatch.setattr(bgg, "blocks", lambda *args: split.append(args) or blocks(*args))
+    for w in range(5):
+        for i in range(ops.bd.n + 1):
+            assert verify_block_structure(ops, i, w) == [], (w, i)
+    assert split == []
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_block_structure_every_catalog_diagram(name):
     ops = derive(build(catalog.get(name).spec, 4))

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +114,22 @@ def test_fingerprints(name):
     assert rep.ok, "\n".join(rep.lines())
 
 
+def test_fingerprint_rejects_a_small_wmax_before_building_at_it(monkeypatch, capsys):
+    # the harmonic support is read from a w_max 0 build, so a w_max below it
+    # is rejected without building or deriving at that w_max
+    built = []
+
+    def recording_build(spec, w_max=8, validate=True):
+        built.append(w_max)
+        return build(spec, w_max, validate)
+
+    monkeypatch.setattr(catalog, "build", recording_build)
+    assert main(["derive", "--diagram", "conf-hessian-3d", "--wmax", "4"]) == 2
+    assert capsys.readouterr().err == ("invalid input: w_max 4 is too small to show the "
+                                       "fingerprint of conf-hessian-3d; use at least 5\n")
+    assert built == [0]
+
+
 def test_parse_rejects_malformed():
     with pytest.raises(ValueError):
         catalog.parse_text("name x\nn 2\nrows 2\nrow 0 name=a dim=1 labels=a\n")
@@ -208,6 +225,31 @@ def test_parse_rejects_repeated_expectation(first, second, message, tmp_path, ca
     path.write_text(text)
     assert main(["verify", "--diagram-file", str(path)]) == 2
     assert capsys.readouterr().err == f"invalid input: {exc.value}\n"
+
+
+def test_parse_rejects_an_orders_index_past_the_file(tmp_path, capsys):
+    # the index is bounded before the order list is padded to it, so a huge
+    # one is rejected without allocating that list
+    text = _TWO_ROWS + "expect orders 1000000000 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as exc:
+            catalog.parse_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == \
+        "expect orders: index must be < 7, the file's line count, got 1000000000"
+    assert peak < 1 << 20
+    path = tmp_path / "bad.diagram"
+    path.write_text(text)
+    assert main(["verify", "--diagram-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid input: {exc.value}\n"
+
+
+def test_parse_pads_unlisted_orders_indices():
+    entry = catalog.parse_text(_TWO_ROWS + "expect orders 2 1,2\n")
+    assert entry.expected["operator_orders"] == [[], [], [1, 2]]
 
 
 # -- text format round trip ---------------------------------------------------

@@ -357,6 +357,14 @@ def test_scaled_integer_matrix_is_not_equal():
     assert h.scale(2) == m
 
 
+def test_scale_by_one_returns_the_matrix():
+    # matrices are immutable, so a factor of 1 shares the matrix
+    m = mat([[1, 2], [0, F(3, 4)]])
+    assert m.scale(1) is m and m.scale(F(1)) is m
+    doubled = m.scale(2)
+    assert doubled is not m and doubled == mat([[2, 4], [0, F(3, 2)]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 7).flatmap(lambda r: st.integers(1, 7).flatmap(
     lambda c: sparse_dense(r, c))))
