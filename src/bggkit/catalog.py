@@ -297,7 +297,8 @@ def parse_text(text: str) -> CatalogEntry:
         raise InputError("diagram file must declare name, n and rows")
     if n < 1 or row_count < 1:
         raise InputError(f"n and rows must be >= 1, got n {n} and rows {row_count}")
-    if sorted(rows) != list(range(row_count)):
+    # the count is compared first, so a huge declared count forms no list
+    if len(rows) != row_count or sorted(rows) != list(range(row_count)):
         raise InputError("row declarations do not match the declared count")
     by_index = expected.get("operator_orders")
     if by_index:

@@ -12,13 +12,15 @@ built, so results share unchanged rows with their operands.  The accessors
 returns the product as a one-column matrix, formed by ``@``.
 
 One fraction-free elimination, ``_echelon_int``, serves rank, kernel, solve,
-inverse, projection and pseudoinverse.  For each column in order it pivots
-on the last remaining row that holds the column.  Which columns become
-pivots depends only on the column order (a column is a pivot exactly when
-it is independent of the columns before it), and given the pivots each
-kernel vector (1 at its free column, 0 at the other free columns) is
-unique, so every result is independent of the row choice and reproducible
-bit for bit.
+inverse, projection and pseudoinverse.  It inserts the rows one at a time,
+last row first, and reduces each by the stored row that leads at its least
+column until it leads at a column no stored row leads at.  The leading
+columns are the pivot columns, which depend only on the column order (a
+column is a pivot exactly when it is independent of the columns before it),
+and given the pivots each kernel vector (1 at its free column, 0 at the
+other free columns) is unique, so every result is independent of the row
+order and reproducible bit for bit.  ``rank`` eliminates the transpose of a
+matrix with more rows than columns.
 """
 
 from __future__ import annotations
@@ -452,121 +454,88 @@ def vstack(mats: list[SparseMat]) -> SparseMat:
 
 
 def _echelon_int(m: SparseMat):
-    """Fraction-free sparse echelon form.
+    """Fraction-free sparse echelon form by row insertion.
 
-    Rows are the numerator rows of m, in row order, divided by their
-    content, and stay integral: the update is the cross-multiplication
-    pivot*row - entry*pivot_row followed by division by the row content,
-    which keeps entries integral without the blowup of naive rational
-    pivoting.  Pivot choice: for each column in order, the last remaining
-    row (in original order) with a nonzero entry, read from a column ->
-    remaining-rows index.
+    The numerator rows of m go in last row first, each divided by its
+    content, and stay integral.  A row whose least column leads a stored row
+    prow is replaced by p*row - a*prow (p and a the two entries there)
+    divided by its content, which keeps entries integral without the blowup
+    of naive rational pivoting; this repeats until the row leads at a column
+    no stored row leads at, where it is stored, or vanishes.
 
-    Returns (pivots, rows) where pivots is a list of (row_position, col)
-    into the returned echelon rows.
+    Returns (pivots, rows): the leading columns in increasing order and the
+    stored rows in the same order, rows[k] leading at pivots[k].
     """
-    work = []
+    lead: dict[int, dict[int, int]] = {}
     src = m.by_row
-    for r in sorted(src):
+    for r in sorted(src, reverse=True):
         row = src[r]
         g = gcd(*row.values())
-        work.append({c: x // g for c, x in row.items()} if g > 1 else row)
-    holders: dict[int, set[int]] = {}
-    for idx, row in enumerate(work):
-        for c in row:
-            held = holders.get(c)
-            if held is None:
-                holders[c] = {idx}
-            else:
-                held.add(idx)
-    pivots = []
-    for col in range(m.cols):
-        targets = holders.pop(col, None)
-        if not targets:
-            continue
-        piv_idx = max(targets)
-        targets.discard(piv_idx)
-        pivots.append((piv_idx, col))
-        prow = work[piv_idx]
-        for c in prow:
-            if c != col:
-                holders[c].discard(piv_idx)
-        p = prow[col]
-        for idx in targets:
-            row = work[idx]
-            a = row[col]
-            if p == 1:
-                new = dict(row)
-            else:
-                new = {}
-                for c, x in row.items():
-                    new[c] = p * x
+        if g > 1:
+            row = {c: x // g for c, x in row.items()}
+        while True:
+            col = min(row)
+            prow = lead.get(col)
+            if prow is None:
+                lead[col] = row
+                break
+            p, a = prow[col], row[col]
+            new = dict(row) if p == 1 else {c: p * x for c, x in row.items()}
             for c, x in prow.items():
                 y = new.get(c, 0) - a * x
                 if y:
-                    if c not in row:
-                        holders[c].add(idx)
                     new[c] = y
                 else:
                     # only a column of row can cancel
                     del new[c]
-                    if c != col:
-                        holders[c].discard(idx)
+            if not new:
+                break
             g = gcd(*new.values())
-            if g > 1:
-                new = {c: x // g for c, x in new.items()}
-            work[idx] = new
-    return pivots, work
+            row = {c: x // g for c, x in new.items()} if g > 1 else new
+    pivots = sorted(lead)
+    return pivots, [lead[c] for c in pivots]
 
 
 def rank(m: SparseMat) -> int:
-    """Exact rank over the rationals."""
-    pivots, _ = _echelon_int(m)
-    return len(pivots)
+    """Exact rank over the rationals, eliminating along the shorter side."""
+    return len(_echelon_int(m.transpose() if m.rows > m.cols else m)[0])
 
 
 def _kernel(m: SparseMat):
     """Pivot columns and kernel basis of m from one echelon pass.
 
-    One kernel vector per free column, with entry 1 at that column, found by
-    back substitution on the integer echelon rows in reverse pivot order.
-    Each vector is kept as integer numerators over one running denominator:
-    solving pivot p against the integer residual s scales every numerator
-    and the denominator by |p| / gcd(s, p).  The basis is returned as one
-    matrix, column k the k-th vector, over the lcm of those denominators, so
-    it is the same as with rational back substitution.
+    One kernel vector per free column, with entry 1 at that column and 0 at
+    the other free columns.  The pivot rows are solved once, in decreasing
+    pivot order, for all free columns together: each variable is kept as
+    integer numerators over the free columns and one positive denominator,
+    in lowest terms.  The basis is returned as one matrix, column k the
+    vector of the k-th free column, so it is the same as with rational back
+    substitution.
     """
-    pivots, work = _echelon_int(m)
-    pivot_cols = [c for _, c in pivots]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for fc in free_cols:
-        num = {fc: 1}
-        den = 1
-        for idx, pc in reversed(pivots):
-            row = work[idx]
-            s = sum(a * num[c] for c, a in row.items() if c in num)
-            if s:
-                p = row[pc]
-                g = gcd(s, p)
-                f = abs(p) // g
-                if f != 1:
-                    num = {c: x * f for c, x in num.items()}
-                    den *= f
-                num[pc] = -s // g if p > 0 else s // g
-        vectors.append((num, den))
-    den = lcm(*(d for _, d in vectors))
-    basis: dict[int, dict[int, int]] = {}
-    for k, (num, d) in enumerate(vectors):
-        f = den // d
-        for c, x in num.items():
-            held = basis.get(c)
-            if held is None:
-                basis[c] = {k: x * f}
-            else:
-                held[k] = x * f
-    return pivot_cols, SparseMat._from_rows(m.cols, len(vectors), basis, den)
+    pivots, rows = _echelon_int(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    sol = {c: ({k: 1}, 1) for k, c in enumerate(free)}
+    for pc, row in zip(reversed(pivots), reversed(rows)):
+        # every other column of row is free or a pivot solved already; an
+        # absent one is zero in every vector
+        terms = [(a, sol[c]) for c, a in row.items() if c in sol]
+        den = lcm(*(d for _, (_, d) in terms))
+        acc: dict[int, int] = {}
+        for a, (num, d) in terms:
+            f = a * (den // d)
+            for k, x in num.items():
+                acc[k] = acc.get(k, 0) + f * x
+        acc = {k: x for k, x in acc.items() if x}
+        if acc:
+            # x_pc = -acc / (p * den), reduced with a positive denominator
+            q = row[pc] * den
+            g = gcd(q, *acc.values())
+            s = g if q < 0 else -g
+            sol[pc] = ({k: x // s for k, x in acc.items()}, abs(q) // g)
+    den = lcm(*(d for _, d in sol.values()))
+    basis = {c: {k: x * (den // d) for k, x in num.items()} for c, (num, d) in sol.items()}
+    return pivots, SparseMat._from_rows(m.cols, len(free), basis, den)
 
 
 def nullspace(m: SparseMat) -> SparseMat:
@@ -578,7 +547,7 @@ def nullspace(m: SparseMat) -> SparseMat:
 def column_space(m: SparseMat) -> SparseMat:
     """Pivot columns of m, as a matrix whose columns span ran(m)."""
     pivots, _ = _echelon_int(m)
-    return _cols_at(m, {c: k for k, (_, c) in enumerate(pivots)})
+    return _cols_at(m, {c: k for k, c in enumerate(pivots)})
 
 
 def solve_dense(a: SparseMat, b: SparseMat) -> SparseMat:

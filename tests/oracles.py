@@ -1,11 +1,11 @@
 """Independent dense oracles used to cross-check the production routines.
 
 Deliberately naive: dense Bareiss elimination for ranks and determinants,
-dense RREF for kernels, dense Fraction matrix arithmetic, the plain-scan
-fraction-free echelon form, a Fraction LDL^T for definiteness, and a tiny
-monomial-dict calculus for assembling differential operators by direct
-differentiation.  Nothing here shares code with the package internals it
-is used to check.
+dense RREF for kernels, dense Fraction matrix arithmetic, the plain-scan and
+plain row-insertion fraction-free echelon forms, a Fraction LDL^T for
+definiteness, and a tiny monomial-dict calculus for assembling differential
+operators by direct differentiation.  Nothing here shares code with the
+package internals it is used to check.
 """
 
 from fractions import Fraction
@@ -199,6 +199,45 @@ def scan_echelon(dense):
                 g = gcd(g, x)
             work[i] = {c: x // g for c, x in new.items()} if g > 1 else new
     return pivots, work
+
+
+def _primitive(ent):
+    """{col: Fraction} scaled to coprime ints (content divided out), zeros dropped."""
+    den = 1
+    for x in ent.values():
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = {c: int(x * den) for c, x in ent.items() if x != 0}
+    g = 0
+    for x in ints.values():
+        g = gcd(g, x)
+    return {c: x // g for c, x in ints.items()}
+
+
+def insert_echelon(dense):
+    """Fraction-free echelon form by plain row insertion, last row first.
+
+    Each nonzero row, from the last to the first, is cleared of its
+    denominators and divided by its content.  While some stored row leads at
+    the row's least column, the row becomes pivot*row - entry*stored_row
+    divided by its content; a row that vanishes is dropped, and one that
+    leads at a new column is stored.  Returns (pivots, rows): the leading
+    columns in increasing order and the stored {col: int} rows in that order.
+    """
+    stored = []
+    for line in reversed(dense):
+        row = _primitive({c: Fraction(x) for c, x in enumerate(line)})
+        while row:
+            col = min(row)
+            match = [s for s in stored if min(s) == col]
+            if not match:
+                stored.append(row)
+                break
+            prow = match[0]
+            p, a = Fraction(prow[col]), Fraction(row[col])
+            row = _primitive({c: p * row.get(c, 0) - a * prow.get(c, 0)
+                              for c in row.keys() | prow.keys()})
+    stored.sort(key=min)
+    return [min(s) for s in stored], stored
 
 
 def ldl_pivots(dense) -> list[Fraction]:

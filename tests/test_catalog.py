@@ -247,6 +247,25 @@ def test_parse_rejects_an_orders_index_past_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"invalid input: {exc.value}\n"
 
 
+def test_parse_rejects_a_huge_row_count_without_allocating(tmp_path, capsys):
+    # one declared row against a count of a million: the counts differ, so
+    # no list as long as the declared count is formed
+    text = "name x\nn 1\nrows 1000000\nrow 0 name=a dim=1 labels=a\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as exc:
+            catalog.parse_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "row declarations do not match the declared count"
+    assert peak < 1 << 20
+    path = tmp_path / "bad.diagram"
+    path.write_text(text)
+    assert main(["verify", "--diagram-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid input: {exc.value}\n"
+
+
 def test_parse_pads_unlisted_orders_indices():
     entry = catalog.parse_text(_TWO_ROWS + "expect orders 2 1,2\n")
     assert entry.expected["operator_orders"] == [[], [], [1, 2]]

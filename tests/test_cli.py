@@ -1,7 +1,12 @@
+import hashlib
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bggkit.cli import main
 from bggkit.export import read_matrix_market
@@ -11,6 +16,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# sha256 of the stdout of two JSON reports, pinned so that a change to the
+# elimination or the derivation shows as a changed byte
+@pytest.mark.parametrize("argv, digest", [
+    (("cohomology", "--diagram", "higher-hessian-3d(4)"),
+     "edb8d570473ed11a1a7cec159284501141602ad15afe89abdfd3cf90982b0bbf"),
+    (("derive", "--diagram", "conf-deformation-3d"),
+     "cb538ab371b7b1663443fc152ec51b4462a4aac871468721a7f456a1689dbefc"),
+], ids=["cohomology", "derive"])
+def test_json_report_is_byte_identical(capsys, argv, digest):
+    code, out, err = run(capsys, *argv, "--wmax", "6", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_pass(capsys):
@@ -204,6 +223,51 @@ def test_unparsable_fields_file_exit_2(capsys, tmp_path, content):
     assert (code, out) == (2, "")
     assert err.startswith(f"invalid input: --fields {path}: ")
     assert err.count("\n") == 1
+
+
+# --fields payloads of every JSON shape.  Monomial exponents stay <= 3, so a
+# well-formed payload is quick to evaluate: the field degree is not bounded
+# by the CLI, and the twisted route is built at w_max = degree + 1.
+_monomial_key = st.tuples(*[st.integers(0, 3)] * 3).flatmap(
+    lambda m: st.sampled_from([" ", ",", ", "]).map(lambda sep: sep.join(map(str, m))))
+_odd_key = st.one_of(
+    st.text(alphabet=" ,-+/abx", max_size=6),
+    st.lists(st.integers(-3, 3), max_size=4).map(lambda xs: " ".join(map(str, xs))))
+_term_key = st.one_of(_monomial_key, _odd_key)
+_scalar = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.from_regex(r"-?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True),
+    st.text(alphabet=" ./-x", max_size=5),
+    st.floats(), st.booleans(), st.none())
+_json = st.recursive(_scalar, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(_term_key, inner, max_size=3)),
+    max_leaves=8)
+_component = st.one_of(st.dictionaries(_term_key, _scalar, max_size=3), _json)
+_field = st.one_of(st.lists(_component, min_size=3, max_size=3),
+                   st.lists(_component, max_size=4), _json)
+_fields_payload = st.one_of(
+    st.fixed_dictionaries({"u": _field, "omega": _field}),
+    st.fixed_dictionaries({"u": _field, "omega": _field}, optional={"extra": _json}),
+    st.dictionaries(st.sampled_from(["u", "omega", "x"]), _json, max_size=3),
+    _json)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fields_payload)
+def test_any_fields_shape_exits_0_or_2_with_one_line(tmp_path, payload):
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["cosserat-energy", "--fields", str(path), "--params", "1,1,1,1,1,1"])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert out.getvalue().count("\n") == 1 and "energy = " in out.getvalue()
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("invalid input: --fields")
+        assert err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "derive"])

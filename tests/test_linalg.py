@@ -33,6 +33,7 @@ from oracles import (
     dense_nullspace,
     dense_scale,
     dense_transpose,
+    insert_echelon,
     scan_echelon,
 )
 
@@ -219,7 +220,7 @@ square_systems = st.integers(1, 5).flatmap(lambda n: st.tuples(
 def test_solve_dense_solves_invertible(ab):
     a, b = ab
     if bareiss_rank(a.to_dense()) < a.rows:
-        with pytest.raises(LinAlgError):
+        with pytest.raises(LinAlgError, match="^singular matrix in solve_dense$"):
             solve_dense(a, b)
         return
     assert a @ solve_dense(a, b) == b
@@ -369,7 +370,25 @@ def test_scale_by_one_returns_the_matrix():
 @given(st.integers(1, 7).flatmap(lambda r: st.integers(1, 7).flatmap(
     lambda c: sparse_dense(r, c))))
 def test_echelon_matches_plain_scan(a):
-    assert _echelon_int(mat(a)) == scan_echelon(a)
+    pivots, rows = _echelon_int(mat(a))
+    assert (pivots, rows) == insert_echelon(a)
+    # the pivot columns do not depend on the elimination order
+    assert pivots == [c for _, c in scan_echelon(a)[0]]
+
+
+# tall, wide and square shapes, with 0 rows or 0 columns among them
+any_shape = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda s: st.tuples(st.just(s), sparse_dense(*s)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_shape)
+def test_rank_does_not_depend_on_orientation(args):
+    # rank eliminates along the shorter side, so m and its transpose take
+    # different paths
+    (r, c), a = args
+    m = mat(a) if r else SparseMat.zero(0, c)
+    assert rank(m) == rank(m.transpose()) == bareiss_rank(m.to_dense())
 
 
 # -- row selection and leading blocks ----------------------------------------
@@ -434,7 +453,7 @@ def test_assemble_rejects_a_block_outside_the_matrix(placed):
         assemble(2, 2, placed)
 
 
-# -- independence of the pivot row ---------------------------------------------
+# -- independence of the row order -------------------------------------------
 
 
 def permutation(order):
@@ -446,7 +465,7 @@ def permutation(order):
 @given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda s: st.tuples(
     sparse_dense(*s), st.permutations(range(s[0])))))
 def test_results_do_not_depend_on_row_order(args):
-    # permuting rows changes only which row the elimination pivots on
+    # permuting rows changes only the order the elimination inserts them in
     a, order = args
     m, p = mat(a), permutation(order)
     pm = p @ m
