@@ -14,13 +14,13 @@ line-oriented text format.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
 from .bgg import bgg_cohomology, derive, hodge_split
-from .diagram import DiagramSpec, InputError, KappaSpec, build, verify_identities
+from .diagram import DiagramSpec, InputError, KappaSpec, build, parse_rational, \
+    verify_identities
 from .forms import ValueSpace, _mult_scalar
 from .linalg import LinAlgError, SparseMat, take_cols, take_rows
 
@@ -249,7 +249,7 @@ def parse_text(text: str) -> CatalogEntry:
             if dim < 1:
                 raise InputError(f"row {j}: dim must be >= 1, got {dim}")
             if labels is None:
-                labels = tuple(f"{attrs.get('name', 'e')}{k + 1}" for k in range(dim))
+                labels = tuple(f"{row_name}{k + 1}" for k in range(dim))
             if len(labels) != dim:
                 raise InputError(f"row {j}: {len(labels)} labels for dim {dim}")
             rows[j] = ValueSpace(row_name, labels)
@@ -260,8 +260,8 @@ def parse_text(text: str) -> CatalogEntry:
             for t in parts[3:]:
                 try:
                     r, c, v = t.split(":")
-                    triples.append((int(r), int(c), Fraction(v)))
-                except (ValueError, ZeroDivisionError):
+                    triples.append((int(r), int(c), parse_rational(v)))
+                except ValueError:
                     raise InputError(
                         f"kappa {j} {l}: bad entry {t!r}, expected row:col:value") from None
             kappa_entries[(j, l)] = triples

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import catalog, export
 from .bgg import bgg_cohomology, derive
-from .diagram import InputError, VerificationError, build, row_cohomology_sum, \
-    verify_identities
+from .diagram import InputError, VerificationError, build, parse_rational, \
+    row_cohomology_sum, verify_identities
 from .energy import (
     EnergyParams,
     cosserat_energy,
@@ -135,10 +135,8 @@ def cmd_export(args) -> int:
 
 def _parse_params(text: str) -> EnergyParams:
     try:
-        vals = [F(x) for x in text.split(",")]
-    except ZeroDivisionError:
-        raise InputError(f"--params {text}: zero denominator") from None
-    except ValueError as err:
+        vals = [parse_rational(x) for x in text.split(",")]
+    except InputError as err:
         raise InputError(f"--params {text}: {err}") from None
     if len(vals) != 6:
         raise InputError(f"--params {text}: expected mu,lam,mu_c,alpha,beta,gamma")
@@ -146,13 +144,14 @@ def _parse_params(text: str) -> EnergyParams:
 
 
 def _field_term(name: str, key, val) -> tuple:
-    """One term of a --fields component: "a b c" exponents, integer or "p/q"."""
+    """One term of a --fields component: "a b c" exponents, an integer or a
+    string holding an integer, "p/q" or a decimal."""
     try:
         mono = tuple(int(x) for x in key.replace(",", " ").split())
-        coeff = F(val) if type(val) in (int, str) else None
-    except (ValueError, ZeroDivisionError):
-        mono, coeff = (), None
-    if len(mono) != 3 or min(mono) < 0 or coeff is None:
+        coeff = parse_rational(val)
+    except ValueError:
+        mono = ()
+    if len(mono) != 3 or min(mono) < 0:
         raise InputError(f"--fields {name}: bad term {key!r}: {val!r}")
     return mono, coeff
 
@@ -200,7 +199,8 @@ def cmd_cosserat_energy(args) -> int:
         try:
             with open(args.fields, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
+        except (OSError, ValueError) as err:
+            # ValueError: bad JSON or UTF-8, or an integer past the digit limit
             raise InputError(f"--fields {args.fields}: {err}") from None
         u, omega = _fields_from_json(data)
         for params in param_sets:

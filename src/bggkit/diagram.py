@@ -23,7 +23,7 @@ their fields; ``VerifyReport`` and ``CheckResult`` are plain records.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from math import factorial, lcm
 
 from .forms import (
@@ -31,6 +31,7 @@ from .forms import (
     LinMap,
     SumSpace,
     Value,
+    axis_sum,
     blocks,
     exterior_derivative,
     form_indices,
@@ -38,13 +39,25 @@ from .forms import (
     wedge_const,
     _mult_scalar,
     _d_factors,
-    _d_scalar,
 )
 from .linalg import LinAlgError, SparseMat, assemble, block_matrix, rank
 
 
 class InputError(ValueError):
     """Rejected input from outside the program: the CLI's exit 2."""
+
+
+def parse_rational(value: int | str) -> Fraction:
+    """A rational from outside the program: an int, or text holding an
+    integer, p/q or a decimal.  Text with an exponent is refused before
+    ``Fraction`` would expand it, as "1e999999999" would form a
+    billion-digit integer first; any other bad value raises InputError."""
+    if type(value) is int or (type(value) is str and "e" not in value.lower()):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"not an integer, p/q or decimal: {value!r}")
 
 
 def memo(method):
@@ -268,12 +281,8 @@ class BuiltDiagram:
     @memo
     def partial_const(self, i: int, j: int) -> SparseMat:
         """Pointwise connector on constants: Lambda^i (x) V_j -> Lambda^{i+1} (x) V_{j-1}."""
-        rows_out = len(form_indices(self.n, i + 1)) * self.spec.rows[j - 1].dim
-        cols_in = len(form_indices(self.n, i)) * self.spec.rows[j].dim
-        acc = SparseMat.zero(rows_out, cols_in)
-        for l in range(1, self.n + 1):
-            acc = acc + wedge_const(self.n, i, l).kron(self.spec.kappa.row(j)[l - 1])
-        return acc
+        kappa = self.spec.kappa.row(j)
+        return axis_sum(self.n, lambda l: wedge_const(self.n, i, l).kron(kappa[l - 1]))
 
     @memo
     def _K_consts(self, i: int, j: int) -> tuple[SparseMat, ...]:
@@ -469,23 +478,12 @@ def verify_identities(bd: BuiltDiagram) -> VerifyReport:
     return report
 
 
-@lru_cache(maxsize=None)
-def _scalar_rank(n: int, i: int, p: int) -> int:
-    return rank(_d_scalar(n, i, p))
-
-
-def scalar_de_rham_cohomology(n: int, i: int, u: int) -> int:
-    """Cohomology of the scalar homogeneous complex at row weight u, index i."""
-    if u < 0 or i < 0 or i > n:
-        return 0
-    r_in = _scalar_rank(n, i - 1, u - i + 1) if i > 0 else 0
-    return _d_scalar(n, i, u - i).cols - _scalar_rank(n, i, u - i) - r_in
-
-
 def row_cohomology_sum(bd: BuiltDiagram, i: int, w: int) -> int:
-    """Independent oracle: sum over rows of the de-Rham cohomology dims."""
-    return sum(bd.spec.rows[j].dim * scalar_de_rham_cohomology(bd.n, i, w - j)
-               for j in range(bd.N + 1))
+    """Independent oracle: the sum over rows j of dim V_j times the cohomology
+    of the homogeneous polynomial de Rham complex at weight w - j.  By the
+    Poincare lemma that complex is exact but for the constants, at index 0
+    and weight 0, so only row j = w contributes, and only at i = 0."""
+    return bd.spec.rows[w].dim if i == 0 and 0 <= w <= bd.N else 0
 
 
 def _count_cohomology(bd: BuiltDiagram, stage: str, check: str, dim, rank_of, expected) -> dict:

@@ -10,10 +10,9 @@ bytes.  ``read_matrix_market`` round-trips these files exactly.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .bgg import DerivedOps
-from .diagram import BuiltDiagram, InputError
+from .diagram import BuiltDiagram, InputError, parse_rational
 from .forms import LinMap, SumSpace
 from .linalg import SparseMat
 
@@ -64,7 +63,7 @@ def read_matrix_market(text: str) -> SparseMat:
         raise ExportError(f"line {k}: negative size: {size.strip()!r}")
     entries = {}
     for k, ln in body[1:]:
-        r, c, v = _fields(k, ln, (int, int, Fraction), "entry")
+        r, c, v = _fields(k, ln, (int, int, parse_rational), "entry")
         if not (1 <= r <= rows and 1 <= c <= cols):
             raise ExportError(f"line {k}: entry ({r}, {c}) outside {rows} x {cols}")
         if (r - 1, c - 1) in entries:

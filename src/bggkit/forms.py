@@ -9,6 +9,13 @@ value factor.
 
 Axis arguments are 1-based, matching the usual dx^1, ..., dx^n notation.
 
+Every scalar operator is built from three coordinate generators: x^l
+(``_mult_scalar``) and d/dx^l (``_diff_scalar``) on monomials, and dx^l
+wedge (``wedge_const``) on dx multi-indices.  So
+d = sum_l d/dx^l (x) dx^l wedge, the row-lowering K = sum_l x^l (x) kappa_l
+and its connector S = sum_l dx^l wedge (x) kappa_l (in ``diagram``), and a
+linear pullback is the algebra map fixed by its images of x^l and dx^l.
+
 Columns and stacked spaces are ``SumSpace``s, and ``SumSpace`` is the one
 place that locates a part, through ``offset``, ``span`` and ``blocks`` (a
 matrix split by part), so no caller adds up part dimensions itself.
@@ -21,14 +28,11 @@ compare equal.  ``LinMap`` compares by identity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from math import comb
 
 from .linalg import LinAlgError, SparseMat, hstack, take_cols
-
-ONE = Fraction(1)
 
 
 class Value:
@@ -100,16 +104,6 @@ def form_indices(n: int, i: int) -> tuple[tuple[int, ...], ...]:
     if i < 0 or i > n:
         return ()
     return tuple(combinations(range(1, n + 1), i))
-
-
-def wedge_sign(axis: int, idx: tuple[int, ...]):
-    """Sign and sorted result of dx^axis wedge dx^idx, or None if degenerate."""
-    if axis in idx:
-        return None
-    before = sum(1 for j in idx if j < axis)
-    pos = before
-    new = idx[:pos] + (axis,) + idx[pos:]
-    return (-1) ** before, new
 
 
 class FormBlock(Value):
@@ -274,43 +268,16 @@ def _form_index(n: int, i: int):
 
 
 @lru_cache(maxsize=None)
-def _d_scalar(n: int, i: int, p: int) -> SparseMat:
-    """Exterior derivative on scalar blocks, (mono, dx)-indexed."""
-    src_m, src_f = monomials(n, p), form_indices(n, i)
-    tgt_m, tgt_f = _mono_index(n, p - 1), _form_index(n, i + 1)
-    rows = len(tgt_m) * len(tgt_f)
-    cols = len(src_m) * len(src_f)
-    ent = {}
-    for a_k, alpha in enumerate(src_m):
-        for f_k, idx in enumerate(src_f):
-            col = a_k * len(src_f) + f_k
-            for axis in range(1, n + 1):
-                e = alpha[axis - 1]
-                if e == 0:
-                    continue
-                sw = wedge_sign(axis, idx)
-                if sw is None:
-                    continue
-                sign, new_idx = sw
-                beta = list(alpha)
-                beta[axis - 1] -= 1
-                row = tgt_m[tuple(beta)] * len(tgt_f) + tgt_f[new_idx]
-                ent[(row, col)] = Fraction(sign * e)
-    return SparseMat(rows, cols, ent)
-
-
-@lru_cache(maxsize=None)
 def wedge_const(n: int, i: int, axis: int) -> SparseMat:
-    """Matrix of dx^axis wedge on Lambda^i -> Lambda^{i+1}."""
+    """Matrix of dx^axis wedge on Lambda^i -> Lambda^{i+1}: dx^axis moves past
+    the indices below it, one sign each, and is zero on an index holding it."""
     src = form_indices(n, i)
     tgt = _form_index(n, i + 1)
     ent = {}
     for k, idx in enumerate(src):
-        sw = wedge_sign(axis, idx)
-        if sw is None:
-            continue
-        sign, new_idx = sw
-        ent[(tgt[new_idx], k)] = Fraction(sign)
+        if axis not in idx:
+            before = sum(j < axis for j in idx)
+            ent[(tgt[idx[:before] + (axis,) + idx[before:]], k)] = (-1) ** before
     return SparseMat(len(tgt), len(src), ent)
 
 
@@ -323,55 +290,50 @@ def _mult_scalar(n: int, p: int, axis: int) -> SparseMat:
     for k, alpha in enumerate(src):
         beta = list(alpha)
         beta[axis - 1] += 1
-        ent[(tgt[tuple(beta)], k)] = ONE
+        ent[(tgt[tuple(beta)], k)] = 1
     return SparseMat(len(tgt), len(src), ent)
+
+
+def _diff_scalar(n: int, p: int, axis: int) -> SparseMat:
+    """The derivative d/dx^axis on monomials of degree p.  Not cached:
+    ``_d_scalar`` caches the sums it enters, and a second cache would hold
+    these tables for the whole run (about 70 KB after building
+    conf-deformation-3d at w_max 7)."""
+    src = monomials(n, p)
+    tgt = _mono_index(n, p - 1)
+    ent = {}
+    for k, alpha in enumerate(src):
+        if alpha[axis - 1]:
+            beta = list(alpha)
+            beta[axis - 1] -= 1
+            ent[(tgt[tuple(beta)], k)] = alpha[axis - 1]
+    return SparseMat(len(tgt), len(src), ent)
+
+
+def axis_sum(n: int, term) -> SparseMat:
+    """term(1) + ... + term(n), for n >= 1 and term taking a 1-based axis."""
+    return sum((term(l) for l in range(2, n + 1)), term(1))
+
+
+@lru_cache(maxsize=None)
+def _d_scalar(n: int, i: int, p: int) -> SparseMat:
+    """Exterior derivative on scalar blocks, (mono, dx)-indexed."""
+    return axis_sum(n, lambda l: _diff_scalar(n, p, l).kron(wedge_const(n, i, l)))
 
 
 # -- block-level operators --------------------------------------------------
 
 
-def _d_factors(b: FormBlock) -> tuple[SparseMat, SparseMat] | None:
+def _d_factors(b: FormBlock) -> tuple[SparseMat, SparseMat]:
     """d on a block as the pair (scalar d, identity on values) whose kron it
-    is, or None when the map is zero."""
-    if b.dim == 0 or FormBlock(b.n, b.i + 1, b.p - 1, b.value).dim == 0:
-        return None
+    is; an empty block or target gives an empty scalar d."""
     return _d_scalar(b.n, b.i, b.p), SparseMat.identity(b.value.dim)
 
 
 def exterior_derivative(b: FormBlock) -> LinMap:
     """d on a block; the target is the (i+1, p-1) block, empty if absent."""
-    cod = FormBlock(b.n, b.i + 1, b.p - 1, b.value)
-    factors = _d_factors(b)
-    if factors is None:
-        return LinMap.zero(b, cod)
-    scalar, ident = factors
-    return LinMap(b, cod, scalar.kron(ident))
-
-
-def wedge_dx(axis: int, b: FormBlock) -> LinMap:
-    """Left exterior multiplication by dx^axis (1 <= axis <= n)."""
-    if not (1 <= axis <= b.n):
-        raise ValueError("axis out of range")
-    cod = FormBlock(b.n, b.i + 1, b.p, b.value)
-    if b.dim == 0 or cod.dim == 0:
-        return LinMap.zero(b, cod)
-    n_mono = len(monomials(b.n, b.p))
-    mat = SparseMat.identity(n_mono).kron(
-        wedge_const(b.n, b.i, axis)).kron(SparseMat.identity(b.value.dim))
-    return LinMap(b, cod, mat)
-
-
-def mult_coord(axis: int, b: FormBlock) -> LinMap:
-    """Multiplication by the coordinate x^axis (1 <= axis <= n)."""
-    if not (1 <= axis <= b.n):
-        raise ValueError("axis out of range")
-    cod = FormBlock(b.n, b.i, b.p + 1, b.value)
-    if b.dim == 0:
-        return LinMap.zero(b, cod)
-    n_dx = len(form_indices(b.n, b.i))
-    mat = _mult_scalar(b.n, b.p, axis).kron(
-        SparseMat.identity(n_dx * b.value.dim))
-    return LinMap(b, cod, mat)
+    scalar, ident = _d_factors(b)
+    return LinMap(b, FormBlock(b.n, b.i + 1, b.p - 1, b.value), scalar.kron(ident))
 
 
 # -- pullback along linear substitutions ------------------------------------
@@ -381,8 +343,7 @@ def mult_coord(axis: int, b: FormBlock) -> LinMap:
 
 def _combination(a: SparseMat, k: int, gen) -> SparseMat:
     """sum_j a[k, j] gen(j + 1), for gen taking a 1-based axis."""
-    return sum((gen(j + 1).scale(a.get(k, j)) for j in range(1, a.cols)),
-               gen(1).scale(a.get(k, 0)))
+    return axis_sum(a.cols, lambda l: gen(l).scale(a.get(k, l - 1)))
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,14 @@
 Deliberately naive: dense Bareiss elimination for ranks and determinants,
 dense RREF for kernels, dense Fraction matrix arithmetic, the plain-scan and
 plain row-insertion fraction-free echelon forms, a Fraction LDL^T for
-definiteness, and a tiny monomial-dict calculus for assembling differential
-operators by direct differentiation.  Nothing here shares code with the
+definiteness, a tiny monomial-dict calculus for assembling differential
+operators by direct differentiation, and the exterior derivative on scalar
+monomial forms by one loop over monomial, dx index and axis.  Nothing here shares code with the
 package internals it is used to check.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 
@@ -336,3 +338,41 @@ def cube_integral(p, n) -> Fraction:
             f /= (ak + 1)
         total += c * f
     return total
+
+
+# -- scalar exterior derivative by a direct loop ----------------------------
+
+
+def _lex_monomials(n, p):
+    """Exponent tuples of degree p in n variables, lexicographic."""
+    if p < 0:
+        return []
+    if n == 1:
+        return [(p,)]
+    return [(first,) + rest for first in range(p + 1) for rest in _lex_monomials(n - 1, p - first)]
+
+
+def d_scalar_loop(n, i, p):
+    """(rows, cols, entries) of d from degree-p coefficient i-forms to
+    degree-(p-1) coefficient (i+1)-forms on R^n, basis (monomial, increasing
+    1-based dx index) in lexicographic order: d(x^a dx^I) is the sum over
+    axes k of a_k x^(a - e_k) dx^k ^ dx^I, and dx^k moves past the indices
+    of I below k with one sign each."""
+    src_m, src_f = _lex_monomials(n, p), list(combinations(range(1, n + 1), i))
+    tgt_m = {a: k for k, a in enumerate(_lex_monomials(n, p - 1))}
+    tgt_f = {f: k for k, f in enumerate(combinations(range(1, n + 1), i + 1))}
+    ent = {}
+    for a_k, alpha in enumerate(src_m):
+        for f_k, idx in enumerate(src_f):
+            col = a_k * len(src_f) + f_k
+            for axis in range(1, n + 1):
+                e = alpha[axis - 1]
+                if e == 0 or axis in idx:
+                    continue
+                before = sum(1 for j in idx if j < axis)
+                beta = list(alpha)
+                beta[axis - 1] -= 1
+                new_idx = idx[:before] + (axis,) + idx[before:]
+                row = tgt_m[tuple(beta)] * len(tgt_f) + tgt_f[new_idx]
+                ent[(row, col)] = Fraction((-1) ** before * e)
+    return len(tgt_m) * len(tgt_f), len(src_m) * len(src_f), ent

@@ -55,6 +55,27 @@ def test_outside_input_is_rejected_with_input_error(name):
             and exc.id in ("ValueError", "KeyError")] == []
 
 
+def _constant(arg) -> bool:
+    return isinstance(arg, ast.Constant) or (
+        isinstance(arg, ast.UnaryOp) and isinstance(arg.operand, ast.Constant))
+
+
+@pytest.mark.parametrize("name", ["catalog.py", "cli.py"])
+def test_outside_rationals_are_parsed_by_one_helper(name):
+    # diagram.parse_rational refuses exponent notation before Fraction expands
+    # it; here Fraction, under any alias (F = Fraction), builds only constants
+    tree = ast.parse((ROOT / "src" / "bggkit" / name).read_text())
+    defs = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Name) and node.value.id == "Fraction"]
+    aliases = {"Fraction"} | {t.id for node in defs for t in node.targets}
+    allowed = {id(node.value) for node in defs} | {
+        id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and all(map(_constant, node.args)) and not node.keywords}
+    assert [f"{name}:{node.lineno} {node.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id in aliases and id(node) not in allowed] == []
+
+
 def test_every_top_level_definition_is_referenced():
     # a top-level function or class that no module of the package, the bench
     # or the tests names, as a name or an attribute, is dead code

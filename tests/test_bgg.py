@@ -27,8 +27,8 @@ from bggkit.bgg import (
 from bggkit import bgg, diagram
 from bggkit.cli import main
 from bggkit.diagram import BuiltDiagram, DiagramSpec, KappaSpec, VerificationError, \
-    build, lift_apply, row_cohomology_sum, twisted_cohomology
-from bggkit.forms import LinMap, ValueSpace, blocks, monomials
+    band, build, lift_apply, twisted_cohomology
+from bggkit.forms import LinMap, ValueSpace, _diff_scalar, blocks, form_indices, monomials
 from bggkit.linalg import LinAlgError, SparseMat, assemble, nullspace, rank
 
 from oracles import poly_diff, poly_monomial
@@ -252,8 +252,6 @@ def test_cohomology_forms_no_G(monkeypatch):
 def test_d_V_ranks_eliminated_once_per_diagram(monkeypatch):
     bd = build(catalog.get("conf-hessian-3d").spec, 4)
     keys = [(i, w) for w in range(bd.w_max + 1) for i in range(bd.n + 1)]
-    for i, w in keys:
-        row_cohomology_sum(bd, i, w)  # fill the oracle's cached scalar ranks
     ops = derive(bd)
     eliminated = []
 
@@ -424,6 +422,49 @@ def test_block_structure_every_catalog_diagram(name):
     for w in range(5):
         for i in range(ops.bd.n + 1):
             assert verify_block_structure(ops, i, w) == [], (w, i)
+
+
+def translation(n, dom, cod, i, w, l, fiber):
+    """d/dx^l from dom, a row-keyed column at index i and weight w + 1, to cod,
+    the same column at weight w: d/dx^l (x) I on each row block j, whose
+    constants have size fiber(j)."""
+    return band({j: (_diff_scalar(n, w + 1 - i - j, l), SparseMat.identity(fiber(j)))
+                 for j, _ in dom.parts}, dom, cod)
+
+
+@pytest.mark.parametrize("name", ["conf-hessian-3d", "conf-deformation-3d", "mobius-2d",
+                                  "elasticity-3d", "plate-2d"])
+def test_translations_commute_with_d_V_and_D(name):
+    # d_V and D are translation invariant: each commutes with every d/dx^l at
+    # every (i, w < 6).  K is the control: [d/dx^l, K] = I (x) kappa_l, which
+    # is nonzero wherever K is
+    ops = derive(build(catalog.get(name).spec, 6))
+    bd, bc, n = ops.bd, ops.bc, ops.bd.n
+
+    def ambient(i):
+        return lambda j: len(form_indices(n, i)) * bd.spec.rows[j].dim
+
+    def harmonic(i):
+        return lambda j: ops.hs.ups[i][j].cols if i <= n else 0
+
+    for w in range(6):
+        for i in range(n + 1):
+            k_gaps = []
+            for l in range(1, n + 1):
+                def dl(space, k, fiber):
+                    return translation(n, space(k, w + 1), space(k, w), k, w, l, fiber(k))
+
+                assert dl(bd.column, i + 1, ambient) @ bd.d_V(i, w + 1).mat == \
+                    bd.d_V(i, w).mat @ dl(bd.column, i, ambient), (w, i, l)
+                assert dl(bc.ups_space, i + 1, harmonic) @ bc.D(i, w + 1).mat == \
+                    bc.D(i, w).mat @ dl(bc.ups_space, i, harmonic), (w, i, l)
+                d_i = dl(bd.column, i, ambient)
+                gap = d_i @ bd.K(i, w + 1).mat - bd.K(i, w).mat @ d_i
+                kappa_l = {j: bd._K_consts(i, j)[l - 1] for j in range(1, bd.N + 1)}
+                assert gap == lift_column(bd, kappa_l, i, w + 1, bd.column(i, w + 1),
+                                          bd.column(i, w), shift=-1), (w, i, l)
+                k_gaps.append(gap)
+            assert all(g.is_zero() for g in k_gaps) == bd.K(i, w + 1).is_zero(), (w, i)
 
 
 def test_chain_maps_report_a_changed_dVG():

@@ -324,7 +324,7 @@ def test_row_without_labels_takes_default_labels():
     # a row line with no labels= names its basis <row name>1, <row name>2, ...
     entry = catalog.parse_text("name x\nn 1\nrows 2\nrow 0 name=a dim=1\n"
                                "row 1 dim=2\nkappa 1 1 0:1:1\n")
-    assert [vs.basis_labels for vs in entry.spec.rows] == [("a1",), ("e1", "e2")]
+    assert [vs.basis_labels for vs in entry.spec.rows] == [("a1",), ("V11", "V12")]
     assert entry.spec.rows[1].name == "V1"
     back = catalog.parse_text(catalog.to_text(entry))
     assert (back.name, back.spec, back.expected) == (entry.name, entry.spec, entry.expected)

@@ -225,6 +225,37 @@ def test_unparsable_fields_file_exit_2(capsys, tmp_path, content):
     assert err.count("\n") == 1
 
 
+def test_fields_integer_literal_past_the_conversion_limit_exit_2(capsys, tmp_path):
+    # json.load refuses an integer literal of more than 4300 digits with a
+    # plain ValueError, not a JSONDecodeError
+    path = tmp_path / "fields.json"
+    path.write_text('{"u": [{"1 0 0": ' + "7" * 5000 + '}, {}, {}], "omega": [{}, {}, {}]}')
+    code, out, err = run(capsys, "cosserat-energy", "--fields", str(path),
+                         "--params", "1,1,1,1,1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: --fields {path}: ")
+    assert err.count("\n") == 1
+
+
+HUGE = "1e999999999"
+
+
+@pytest.mark.parametrize("where", ["fields", "params", "kappa"])
+def test_exponent_notation_is_refused_before_it_is_expanded(capsys, tmp_path, where):
+    # Fraction would form a billion-digit integer from 1e999999999 first
+    fields = tmp_path / "fields.json"
+    fields.write_text(json.dumps({"u": [{"1 0 0": HUGE if where == "fields" else "1"}, {}, {}],
+                                  "omega": [{}, {}, {}]}))
+    (tmp_path / "bad.diagram").write_text(GOOD_FILE.replace("0:0:1", f"0:0:{HUGE}"))
+    params = f"{HUGE},1,1,1,1,1" if where == "params" else "1,1,1,1,1,1"
+    argv = ["verify", "--diagram-file", str(tmp_path / "bad.diagram")] if where == "kappa" \
+        else ["cosserat-energy", "--fields", str(fields), "--params", params]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:") and HUGE in err
+    assert err.count("\n") == 1
+
+
 # --fields payloads of every JSON shape.  Monomial exponents stay <= 3, so a
 # well-formed payload is quick to evaluate: the field degree is not bounded
 # by the CLI, and the twisted route is built at w_max = degree + 1.

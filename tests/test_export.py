@@ -31,6 +31,8 @@ MM_HEAD = "%%MatrixMarket matrix coordinate rational general\n% comment\n"
     (MM_HEAD + "2 2\n", "line 3: bad size line: '2 2'"),
     (MM_HEAD + "2 2 1\n1 1 x\n", "line 4: bad entry line: '1 1 x'"),
     (MM_HEAD + "2 2 1\n1 1 1/0\n", "line 4: bad entry line: '1 1 1/0'"),
+    # refused before Fraction would form a billion-digit integer
+    (MM_HEAD + "2 2 1\n1 1 1e999999999\n", "line 4: bad entry line: '1 1 1e999999999'"),
     (MM_HEAD + "2 2 1\n0 1 1\n", "line 4: entry (0, 1) outside 2 x 2"),
     (MM_HEAD + "2 2 1\n1 3 1\n", "line 4: entry (1, 3) outside 2 x 2"),
     (MM_HEAD + "2 2 2\n1 1 1\n\n1 1 2\n", "line 6: repeated entry (1, 1)"),
@@ -42,7 +44,7 @@ MM_HEAD = "%%MatrixMarket matrix coordinate rational general\n% comment\n"
     ("2 2 0\n", "missing MatrixMarket header"),
     (MM_HEAD + "-1 2 0\n", "line 3: negative size: '-1 2 0'"),
     (MM_HEAD + "2 2 2\n1 1 1\n", "expected 2 entries, found 1"),
-], ids=["no-size", "short-size", "bad-value", "zero-denominator", "index-zero",
+], ids=["no-size", "short-size", "bad-value", "zero-denominator", "exponent", "index-zero",
         "index-past-shape", "repeated-entry", "symmetric", "no-qualifier",
         "no-header", "negative-size", "nnz-mismatch"])
 def test_malformed_matrix_market_rejected(text, message):
