@@ -9,20 +9,24 @@ stored as {i: {j: C}}, by form degree i and row j.  ``diagram.lift_column``
 forms one degree's {j: C} as a column operator at one weight, row block j
 becoming I_mono (x) C_j, and ``diagram.lift_apply`` gives that operator's
 exact product with a matrix without forming it, so every identity below
-closes exactly.  The derived complex only applies T and pi: A applies T and
-D applies pi.  Their lifts, ``TOps.column`` and ``BGGComplex.projection``,
-are formed only for B, G, the oracles, the exporter and the pullbacks.
-Column operators are cached per instance through ``diagram.memo``, on the
-stage objects (``HodgeSplit``, ``TOps``, ``GOps``, ``BGGComplex``, ``BOps``
-and ``DerivedOps``, plain classes that compare by identity).  Each identity
-is recorded in a ``VerifyReport``; a derivation stage raises once, with the
-full report.
+closes exactly; D applies pi that way.  The lifts of T and pi,
+``TOps.column`` and ``BGGComplex.projection``, are formed only for the
+oracles, the exporter and the pullbacks.  Column operators are cached per
+instance through ``diagram.memo``, on the stage objects (``HodgeSplit``,
+``TOps``, ``GOps``, ``BGGComplex``, ``BOps`` and ``DerivedOps``, plain
+classes that compare by identity).  Each identity is recorded in a
+``VerifyReport``; a derivation stage raises once, with the full report.
 
-G, A and B are the terms of one nilpotent series in T and d, each summed
-by ``diagram.nilpotent_terms``.  A is summed on the thin harmonic columns
-and B on the thin projection rows, so neither multiplies by the square
-homotopy G; G is formed only by the G, chain-map and block-structure
-oracles and by the exporter.
+G, A and B are symbol lifts.  Each is a series in T and d, T pointwise and
+d = sum_l d/dx^l (x) dx^l wedge, so each block (j_out, j_in) is
+sum_alpha d^alpha (x) sigma_alpha with constant sigma_alpha.  These
+constants, the symbol {(j_out, j_in): {alpha: sigma_alpha}}, are formed once
+per form degree from T's constants by ``_symbol`` and memoized on the stage
+object (``GOps.symbol``, ``BGGComplex.A_symbol``, ``BOps.symbol``);
+``diagram.lift_symbol`` places them beside exact d^alpha tables at each
+weight, with no product there.  So A is formed without G, and G only by the
+G, chain-map and block-structure oracles and by the exporter.
+``diagram.nilpotent_terms`` now sums only F and the oracles' chains.
 
 A product that several stages read is formed once per (i, w) and memoized
 with its factors: ``BGGComplex.dVA`` = d_V A gives D = pi d_V A and is the
@@ -45,8 +49,9 @@ from itertools import chain
 from math import factorial
 
 from .diagram import BuiltDiagram, VerifyReport, _count_cohomology, _mono_count, band, \
-    lift_apply, lift_column, memo, nilpotent_terms, twisted_cohomology
-from .forms import CoordSpace, LinMap, SumSpace, blocks, form_indices, pullback_block
+    lift_apply, lift_column, lift_symbol, memo, nilpotent_terms, twisted_cohomology
+from .forms import CoordSpace, LinMap, SumSpace, blocks, form_indices, pullback_block, \
+    wedge_const
 from .linalg import (
     LinAlgError,
     SparseMat,
@@ -205,6 +210,54 @@ def verify_T_column_identities(bd: BuiltDiagram, t: TOps, w: int) -> list:
     return report.failures()
 
 
+def _symbol(bd: BuiltDiagram, first: dict, steps: dict) -> dict:
+    """The symbol {(j_out, j_in): {alpha: sigma_alpha}} of the series
+    sum_k (sum_l d/dx^l (x) M_l)^k C, lifted by ``diagram.lift_symbol``.
+
+    ``first`` maps each input row j_in to (j_out, C), C a constant from row
+    j_in to row j_out, and ``steps`` maps a row j to the constants
+    [M_1, ..., M_n] from row j to row j + 1.  As the d/dx^l commute,
+    sigma_alpha at |alpha| = k sums M_{l_k} ... M_{l_1} C over the orderings
+    of alpha, which is sum_l M_l sigma_{alpha - e_l}, one row further.  Zero
+    constants are dropped, and each series ends at its first zero level.
+    """
+    symbol = {}
+    for ji, (jo, c) in first.items():
+        level = {(0,) * bd.n: c}
+        while True:
+            level = {alpha: s for alpha, s in level.items() if not s.is_zero()}
+            if not level:
+                break
+            symbol[jo, ji] = level
+            ms, nxt = steps.get(jo, ()), {}
+            for alpha, s in level.items():
+                for l, m in enumerate(ms):
+                    beta = alpha[:l] + (alpha[l] + 1,) + alpha[l + 1:]
+                    term = m @ s
+                    nxt[beta] = nxt[beta] + term if beta in nxt else term
+            level = nxt
+            jo += 1
+    return symbol
+
+
+def _wedges(bd: BuiltDiagram, i: int, j: int) -> list:
+    """d's constants on row j of column i: dx^l wedge (x) I_V for each axis l."""
+    ident = SparseMat.identity(bd.spec.rows[j].dim)
+    return [wedge_const(bd.n, i, l).kron(ident) for l in range(1, bd.n + 1)]
+
+
+def _td_steps(t: TOps, i: int) -> dict:
+    """T d on column i: T_c (dx^l wedge (x) I_V) per row and axis."""
+    return {j: [tc @ m for m in _wedges(t.bd, i, j)]
+            for j, tc in t.const.get(i + 1, {}).items()}
+
+
+def _dt_steps(t: TOps, i: int) -> dict:
+    """d T on column i: (dx^l wedge (x) I_V) T_c per row and axis."""
+    return {j: [m @ tc for m in _wedges(t.bd, i - 1, j + 1)]
+            for j, tc in t.const.get(i, {}).items()}
+
+
 class GOps:
     """Nilpotent homotopy per column index and weight."""
 
@@ -213,12 +266,15 @@ class GOps:
         self.t = t
 
     @memo
+    def symbol(self, i: int) -> dict:
+        """G = -sum_k (T d)^k T at column i: -T, stepped by T d on column i - 1."""
+        return _symbol(self.bd, {j: (j + 1, -tc) for j, tc in self.t.const.get(i, {}).items()},
+                       _td_steps(self.t, i - 1))
+
+    @memo
     def column(self, i: int, w: int) -> LinMap:
-        """G = -sum_k (T d)^k T, summed from -T."""
-        tcol = self.t.column(i, w)
-        td = tcol.mat @ self.bd.d(i - 1, w).mat
-        terms = nilpotent_terms(-tcol.mat, lambda x: td @ x, self.bd.N + 1)
-        return LinMap(tcol.dom, tcol.cod, sum(terms[1:], terms[0]))
+        dom, cod = self.bd.column(i, w), self.bd.column(i - 1, w)
+        return LinMap(dom, cod, lift_symbol(self.bd, self.symbol(i), i, w, dom, cod))
 
     @memo
     def dVG(self, i: int, w: int) -> LinMap:
@@ -278,25 +334,24 @@ class BGGComplex:
 
     def projection(self, i: int, w: int) -> LinMap:
         """Ambient column onto harmonic coordinates (orthogonal projection);
-        not memoized, so no lift outlives its reader (B, the block-structure
+        not memoized, so no lift outlives its reader (the block-structure
         oracle, ``pullback_on_harmonics``).  D applies it without forming it."""
         dom, cod = self.bd.column(i, w), self.ups_space(i, w)
         return LinMap(dom, cod, lift_column(self.bd, self.hs.coords.get(i, {}), i, w, dom, cod))
 
     @memo
-    def A(self, i: int, w: int) -> LinMap:
-        """Chain map from harmonic coordinates into the twisted complex.
+    def A_symbol(self, i: int) -> dict:
+        """A = iota - G_{i+1} d_V iota = sum_k (T d)^k iota: harmonic constants
+        lie in ker S, as ``hodge_split`` certifies (``Pkerp Pups=0``), so
+        d_V iota = d iota."""
+        return _symbol(self.bd, {j: (j, u) for j, u in self.hs.ups.get(i, {}).items()},
+                       _td_steps(self.t, i))
 
-        A = iota - G_{i+1} d_V iota, summed on the thin harmonic columns as
-        sum_k (T d)^k iota: harmonic constants lie in ker S, as
-        ``hodge_split`` certifies (``Pkerp Pups=0``), so d_V iota = d iota.
-        Each step applies T through ``lift_apply``, so T's lift is not formed.
-        """
-        bd, iota = self.bd, self.inclusion(i, w)
-        t_next, d_i = self.t.const.get(i + 1, {}), bd.d(i, w)
-        terms = nilpotent_terms(iota.mat, lambda x: lift_apply(
-            bd, t_next, i + 1, w, d_i.cod, d_i.dom, d_i.mat @ x, shift=1), bd.N + 1)
-        return LinMap(iota.dom, iota.cod, sum(terms[1:], terms[0]))
+    @memo
+    def A(self, i: int, w: int) -> LinMap:
+        """Chain map from harmonic coordinates into the twisted complex."""
+        dom, cod = self.ups_space(i, w), self.bd.column(i, w)
+        return LinMap(dom, cod, lift_symbol(self.bd, self.A_symbol(i), i, w, dom, cod))
 
     @memo
     def dVA(self, i: int, w: int) -> LinMap:
@@ -337,17 +392,27 @@ class BOps:
         self.bc = bc
 
     @memo
+    def symbol(self, i: int) -> dict:
+        """B = pi (I - d_V G) = pi sum_k (d T)^k: pi annihilates ran S, as
+        ``hodge_split`` certifies (``Pran Pups=0``), so pi d_V G =
+        -pi sum_k d (T d)^k T.  The series starts at the identity on each row
+        and is taken under the harmonic coordinates of the row it reaches."""
+        bd, coords = self.bc.bd, self.bc.hs.coords.get(i, {})
+        fiber = len(form_indices(bd.n, i))
+        series = _symbol(bd, {j: (j, SparseMat.identity(fiber * v.dim))
+                              for j, v in enumerate(bd.spec.rows)}, _dt_steps(self.bc.t, i))
+        symbol = {}
+        for (jo, ji), terms in series.items():
+            under = {alpha: coords[jo] @ s for alpha, s in terms.items()}
+            if kept := {alpha: c for alpha, c in under.items() if not c.is_zero()}:
+                symbol[jo, ji] = kept
+        return symbol
+
+    @memo
     def column(self, i: int, w: int) -> LinMap:
-        """B = pi (I - d_V G), summed on the thin projection rows as
-        pi sum_k (d T)^k: pi annihilates ran S, as ``hodge_split`` certifies
-        (``Pran Pups=0``), so pi d_V G = -pi sum_k d (T d)^k T.
-        """
         bc = self.bc
-        pi = bc.projection(i, w)
-        d_prev = bc.bd.d(i - 1, w).mat
-        t_i = bc.t.column(i, w).mat
-        terms = nilpotent_terms(pi.mat, lambda x: (x @ d_prev) @ t_i, bc.bd.N + 1)
-        return LinMap(pi.dom, pi.cod, sum(terms[1:], terms[0]))
+        dom, cod = bc.bd.column(i, w), bc.ups_space(i, w)
+        return LinMap(dom, cod, lift_symbol(bc.bd, self.symbol(i), i, w, dom, cod))
 
 
 def verify_chain_maps(bc: BGGComplex, b: BOps, w: int) -> list:

@@ -193,6 +193,10 @@ def _int(directive: str, what: str, token: str) -> int:
         raise InputError(f"{directive}: {what} must be an integer, got {token!r}") from None
 
 
+# the largest spatial dimension a diagram file may declare
+MAX_N = 8
+
+
 def parse_text(text: str) -> CatalogEntry:
     """Parse the diagram text format back into a catalog entry."""
     name = None
@@ -226,6 +230,9 @@ def parse_text(text: str) -> CatalogEntry:
             name = _token("name: diagram name", parts[1])
         elif kind == "n":
             n = _int("n", "value", parts[1])
+            if n > MAX_N:
+                # each row forms n kappa tensors, so the cap comes before any
+                raise InputError(f"n must be <= {MAX_N}, got {n}")
         elif kind == "rows":
             row_count = _int("rows", "value", parts[1])
         elif kind == "row":

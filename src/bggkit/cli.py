@@ -45,6 +45,17 @@ def _entry_from_args(args) -> catalog.CatalogEntry:
     return catalog.get(args.diagram)
 
 
+def _exact_str(value) -> str:
+    """str of an exact number of any length: Python's int-to-str digit limit
+    is lifted for this one conversion and then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _checks_json(report) -> list:
     return [{"name": c.name, "weight": c.weight, "index": c.index, "ok": c.ok,
              **({"where": list(c.where)} if c.where else {})}
@@ -143,9 +154,15 @@ def _parse_params(text: str) -> EnergyParams:
     return EnergyParams(*vals)
 
 
+# the largest total degree of a --fields term: the energy's twisted route
+# builds elasticity-3d at w_max = degree + 1
+MAX_FIELD_DEGREE = 8
+
+
 def _field_term(name: str, key, val) -> tuple:
-    """One term of a --fields component: "a b c" exponents, an integer or a
-    string holding an integer, "p/q" or a decimal."""
+    """One term of a --fields component: "a b c" exponents of total degree at
+    most MAX_FIELD_DEGREE, an integer or a string holding an integer, "p/q"
+    or a decimal."""
     try:
         mono = tuple(int(x) for x in key.replace(",", " ").split())
         coeff = parse_rational(val)
@@ -153,6 +170,9 @@ def _field_term(name: str, key, val) -> tuple:
         mono = ()
     if len(mono) != 3 or min(mono) < 0:
         raise InputError(f"--fields {name}: bad term {key!r}: {val!r}")
+    if sum(mono) > MAX_FIELD_DEGREE:
+        raise InputError(f"--fields {name}: term {key!r} has degree {sum(mono)}, "
+                         f"above {MAX_FIELD_DEGREE}")
     return mono, coeff
 
 
@@ -205,7 +225,7 @@ def cmd_cosserat_energy(args) -> int:
         u, omega = _fields_from_json(data)
         for params in param_sets:
             val = cosserat_energy(u, omega, params)
-            print(f"params {params}: energy = {val}")
+            print(f"params {params}: energy = {_exact_str(val)}")
         return 0
     # closed-form checks, then seeded random identity checks
     x_field = [p_mono((1, 0, 0)), p_mono((0, 1, 0)), p_mono((0, 0, 1))]

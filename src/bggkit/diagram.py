@@ -11,10 +11,12 @@ matrices weight by weight.
 Every column operator here and in ``bgg`` takes one path: ``band`` assembles
 it from its row blocks (a column operator sends row j to row j or j +- 1),
 and ``memo`` caches it once per (index, weight) on the instance that owns it.
-A pointwise operator lifted from constants is either assembled by
-``lift_column`` or applied to a matrix by ``lift_apply``, which forms no lift.
-Every series (F here; G, A and B in ``bgg``) is summed from
-``nilpotent_terms``.
+A translation-invariant operator given by its symbol, the constants
+sigma_alpha of each block sum_alpha d^alpha (x) sigma_alpha (G, A and B in
+``bgg``), is assembled by ``lift_symbol``; a pointwise operator lifted from
+constants is its alpha = 0 case, ``lift_column``, or is applied to a matrix
+by ``lift_apply``, which forms no lift.  ``nilpotent_terms`` sums only F
+here and the oracles' chains in ``bgg``.
 
 ``DiagramSpec`` and ``KappaSpec`` are ``forms.Value``s, equal and hashed by
 their fields; ``VerifyReport`` and ``CheckResult`` are plain records.
@@ -37,8 +39,9 @@ from .forms import (
     form_indices,
     monomials,
     wedge_const,
-    _mult_scalar,
     _d_factors,
+    _diff_table,
+    _mult_scalar,
 )
 from .linalg import LinAlgError, SparseMat, assemble, block_matrix, rank
 
@@ -383,15 +386,39 @@ def _mono_count(bd: BuiltDiagram, i: int, j: int, w: int) -> int:
     return len(monomials(bd.n, w - i - j))
 
 
+def lift_symbol(bd: BuiltDiagram, symbol: dict, i: int, w: int, dom: SumSpace,
+                cod: SumSpace) -> SparseMat:
+    """Column operator whose block (j_out, j_in) is sum_alpha d^alpha (x)
+    sigma_alpha, for ``symbol`` = {(j_out, j_in): {alpha: sigma_alpha}}.
+
+    i is the form degree of the domain column, so d^alpha (``forms._diff_table``)
+    starts on its row-j_in monomials, of degree w - i - j_in, and an alpha
+    above that degree is dropped.  Distinct alpha send a monomial to distinct
+    monomials, so the kron pairs hold disjoint entries and are placed unformed
+    by one ``assemble``.
+    """
+    placed = []
+    for (jo, ji), terms in symbol.items():
+        p = w - i - ji
+        rows, cols = cod.span(jo), dom.span(ji)
+        for alpha, sigma in terms.items():
+            if sum(alpha) > p:
+                continue
+            table = _diff_table(bd.n, p, alpha)
+            if (table.rows * sigma.rows, table.cols * sigma.cols) != (len(rows), len(cols)):
+                raise LinAlgError(f"block ({jo},{ji}) of the symbol does not fit "
+                                  f"{len(rows)}x{len(cols)}")
+            placed.append((rows.start, cols.start, (table, sigma)))
+    return assemble(cod.dim, dom.dim, placed)
+
+
 def lift_column(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,
                 cod: SumSpace, shift: int = 0) -> SparseMat:
-    """Column operator whose block (j + shift, j) is I_mono (x) consts[j].
-
-    i is the form degree of the domain column; its row-j block at weight w
-    fixes the monomial count.  Rows missing from consts are zero blocks.
-    """
-    return band({j: (SparseMat.identity(_mono_count(bd, i, j, w)), c)
-                 for j, c in consts.items()}, dom, cod, shift)
+    """Column operator whose block (j + shift, j) is I_mono (x) consts[j]: the
+    symbol lift at alpha = 0.  Rows missing from consts are zero blocks."""
+    zero = (0,) * bd.n
+    return lift_symbol(bd, {(j + shift, j): {zero: c} for j, c in consts.items()},
+                       i, w, dom, cod)
 
 
 def lift_apply(bd: BuiltDiagram, consts: dict, i: int, w: int, dom: SumSpace,

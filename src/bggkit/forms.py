@@ -15,6 +15,9 @@ wedge (``wedge_const``) on dx multi-indices.  So
 d = sum_l d/dx^l (x) dx^l wedge, the row-lowering K = sum_l x^l (x) kappa_l
 and its connector S = sum_l dx^l wedge (x) kappa_l (in ``diagram``), and a
 linear pullback is the algebra map fixed by its images of x^l and dx^l.
+The products of the d/dx^l, the d^alpha, are one exact table each
+(``_diff_table``, with d/dx^l its alpha = e_l case), the tables beside which
+G, A and B place their constant symbols.
 
 Columns and stacked spaces are ``SumSpace``s, and ``SumSpace`` is the one
 place that locates a part, through ``offset``, ``span`` and ``blocks`` (a
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
-from math import comb
+from math import comb, perm, prod
+from operator import add
 
 from .linalg import LinAlgError, SparseMat, hstack, take_cols
 
@@ -294,20 +298,28 @@ def _mult_scalar(n: int, p: int, axis: int) -> SparseMat:
     return SparseMat(len(tgt), len(src), ent)
 
 
+def _diff_table(n: int, p: int, alpha: tuple[int, ...]) -> SparseMat:
+    """The derivative d^alpha, (d/dx^1)^alpha_1 ... (d/dx^n)^alpha_n, on
+    monomials of degree p: x^(gamma + alpha) goes to (gamma + alpha)!/gamma!
+    x^gamma, and a monomial not divisible by x^alpha to 0.  Each row holds one
+    entry, and distinct alpha send a monomial to distinct monomials.  Not
+    cached: a cache would hold every table for the whole run."""
+    k = sum(alpha)
+    if not k:
+        return SparseMat.identity(len(monomials(n, p)))
+    src = _mono_index(n, p)
+    tgt = monomials(n, p - k)
+    rows = {}
+    for t, gamma in enumerate(tgt):
+        beta = tuple(map(add, gamma, alpha))
+        rows[t] = {src[beta]: prod(map(perm, beta, alpha))}
+    return SparseMat._from_rows(len(tgt), len(src), rows, 1)
+
+
 def _diff_scalar(n: int, p: int, axis: int) -> SparseMat:
-    """The derivative d/dx^axis on monomials of degree p.  Not cached:
-    ``_d_scalar`` caches the sums it enters, and a second cache would hold
-    these tables for the whole run (about 70 KB after building
-    conf-deformation-3d at w_max 7)."""
-    src = monomials(n, p)
-    tgt = _mono_index(n, p - 1)
-    ent = {}
-    for k, alpha in enumerate(src):
-        if alpha[axis - 1]:
-            beta = list(alpha)
-            beta[axis - 1] -= 1
-            ent[(tgt[tuple(beta)], k)] = alpha[axis - 1]
-    return SparseMat(len(tgt), len(src), ent)
+    """The derivative d/dx^axis on monomials of degree p, d^alpha at
+    alpha = e_axis."""
+    return _diff_table(n, p, tuple(int(l == axis) for l in range(1, n + 1)))
 
 
 def axis_sum(n: int, term) -> SparseMat:

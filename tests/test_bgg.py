@@ -27,7 +27,7 @@ from bggkit.bgg import (
 from bggkit import bgg, diagram
 from bggkit.cli import main
 from bggkit.diagram import BuiltDiagram, DiagramSpec, KappaSpec, VerificationError, \
-    band, build, lift_apply, twisted_cohomology
+    band, build, lift_apply, nilpotent_terms, twisted_cohomology
 from bggkit.forms import LinMap, ValueSpace, _diff_scalar, blocks, form_indices, monomials
 from bggkit.linalg import LinAlgError, SparseMat, assemble, nullspace, rank
 
@@ -378,22 +378,21 @@ def test_block_structure_reports_an_F_entry_that_B_kills():
 
 def test_block_structure_reports_a_term_below_the_last_row():
     # an entry in T's last block column maps row N past the last row; the
-    # T-chain steps it on, so every series built on it leaves its diagonal
+    # T-chain steps it on, so every series built on it leaves its diagonal.
+    # G and B are lifted from T's constants, not from its lift, so they keep
+    # their blocks, and only the shifts fail
     ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
     _bump_memo(ops.t, TOps.column, lambda m: (0, m.cols - 1))
     assert [c.line() for c in verify_block_structure(ops, 1, 4)] == [
         f"[FAIL] {tag}  w=4 i=1 at entry {at}" for tag, at in [
             ("G shift", (0, 2)), ("G shift", (1, 1)), ("G shift", (2, 0)),
-            ("G block", (0, 0, 0, 14)), ("G block", (0, 1, 0, 27)),
-            ("G block", (1, 1, 2, 27)), ("G block", (0, 2, 0, 8)),
-            ("G block", (1, 2, 2, 8)), ("G block", (2, 2, 0, 8)),
-            ("B shift", (1, 3)), ("B shift", (2, 2)), ("B block", (1, 2, 1, 8))]]
+            ("B shift", (1, 3)), ("B shift", (2, 2))]]
 
 
 def test_block_structure_reports_a_changed_G_with_a_term_below_the_last_row():
-    # G is bumped at its first entry before T's last column is: every G
-    # column leaves its diagonal, and column 0 is compared with its terms
-    # before that, so the bump is found at its own entry
+    # G is bumped at its first entry, and T at its last column: every column
+    # of the T-chain leaves its diagonal, and G's column 0 is compared with
+    # its terms before that, so the bump is found at its own entry
     ops = derive(build(catalog.get("conf-hessian-3d").spec, 4))
     _bump_memo(ops.g, GOps.column, lambda m: min(m.num))
     _bump_memo(ops.t, TOps.column, lambda m: (0, m.cols - 1))
@@ -401,7 +400,7 @@ def test_block_structure_reports_a_changed_G_with_a_term_below_the_last_row():
         f"[FAIL] {tag}  w=4 i=1 at entry {at}" for tag, at in [
             ("G shift", (0, 2)), ("G shift", (1, 1)), ("G shift", (2, 0)),
             ("G block", (1, 0, 0, 0)),
-            ("B shift", (1, 3)), ("B shift", (2, 2)), ("B block", (1, 2, 1, 8))]]
+            ("B shift", (1, 3)), ("B shift", (2, 2))]]
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -435,9 +434,9 @@ def translation(n, dom, cod, i, w, l, fiber):
 @pytest.mark.parametrize("name", ["conf-hessian-3d", "conf-deformation-3d", "mobius-2d",
                                   "elasticity-3d", "plate-2d"])
 def test_translations_commute_with_d_V_and_D(name):
-    # d_V and D are translation invariant: each commutes with every d/dx^l at
-    # every (i, w < 6).  K is the control: [d/dx^l, K] = I (x) kappa_l, which
-    # is nonzero wherever K is
+    # d_V, D, T, G, A and B are translation invariant: each commutes with
+    # every d/dx^l at every (i, w < 6).  K is the control: [d/dx^l, K] =
+    # I (x) kappa_l, which is nonzero wherever K is
     ops = derive(build(catalog.get(name).spec, 6))
     bd, bc, n = ops.bd, ops.bc, ops.bd.n
 
@@ -451,20 +450,112 @@ def test_translations_commute_with_d_V_and_D(name):
         for i in range(n + 1):
             k_gaps = []
             for l in range(1, n + 1):
-                def dl(space, k, fiber):
-                    return translation(n, space(k, w + 1), space(k, w), k, w, l, fiber(k))
+                def amb(k):
+                    return translation(n, bd.column(k, w + 1), bd.column(k, w), k, w, l,
+                                       ambient(k))
 
-                assert dl(bd.column, i + 1, ambient) @ bd.d_V(i, w + 1).mat == \
-                    bd.d_V(i, w).mat @ dl(bd.column, i, ambient), (w, i, l)
-                assert dl(bc.ups_space, i + 1, harmonic) @ bc.D(i, w + 1).mat == \
-                    bc.D(i, w).mat @ dl(bc.ups_space, i, harmonic), (w, i, l)
-                d_i = dl(bd.column, i, ambient)
+                def harm(k):
+                    return translation(n, bc.ups_space(k, w + 1), bc.ups_space(k, w), k, w,
+                                       l, harmonic(k))
+
+                # each operator with the translations on its codomain and domain
+                for op, left, right in ((bd.d_V, amb(i + 1), amb(i)),
+                                        (bc.D, harm(i + 1), harm(i)),
+                                        (ops.t.column, amb(i - 1), amb(i)),
+                                        (ops.g.column, amb(i - 1), amb(i)),
+                                        (bc.A, amb(i), harm(i)),
+                                        (ops.b.column, harm(i), amb(i))):
+                    assert left @ op(i, w + 1).mat == op(i, w).mat @ right, \
+                        (op.__name__, w, i, l)
+                d_i = amb(i)
                 gap = d_i @ bd.K(i, w + 1).mat - bd.K(i, w).mat @ d_i
                 kappa_l = {j: bd._K_consts(i, j)[l - 1] for j in range(1, bd.N + 1)}
                 assert gap == lift_column(bd, kappa_l, i, w + 1, bd.column(i, w + 1),
                                           bd.column(i, w), shift=-1), (w, i, l)
                 k_gaps.append(gap)
             assert all(g.is_zero() for g in k_gaps) == bd.K(i, w + 1).is_zero(), (w, i)
+
+
+@pytest.mark.parametrize("name", SERIES_NAMES)
+def test_G_A_B_equal_their_product_series(name):
+    # each symbol lift equals its series summed by products at one weight:
+    # G = -sum_k (T d)^k T, A = sum_k (T d)^k iota and B = pi sum_k (d T)^k,
+    # from the T lifts, d, iota and pi
+    ops = derived_to_6(name)
+    bd, bc = ops.bd, ops.bc
+    for w in range(7):
+        for i in range(bd.n + 2):
+            t_i, t_next = ops.t.column(i, w).mat, ops.t.column(i + 1, w).mat
+            d_prev, d_i = bd.d(i - 1, w).mat, bd.d(i, w).mat
+            for op, first, step in (
+                    (ops.g.column, -t_i, lambda x: t_i @ (d_prev @ x)),
+                    (bc.A, bc.inclusion(i, w).mat, lambda x: t_next @ (d_i @ x)),
+                    (ops.b.column, bc.projection(i, w).mat, lambda x: (x @ d_prev) @ t_i)):
+                terms = nilpotent_terms(first, step, bd.N + 1)
+                assert op(i, w).mat == sum(terms[1:], terms[0]), (op.__name__, w, i)
+
+
+def _bumped_symbol(method, i, key, alpha):
+    """The memoized symbol ``method`` with 1 added to the first entry of
+    sigma_alpha in block key of its symbol at column i."""
+    def bumped(self, k):
+        symbol = method(self, k)
+        if k != i:
+            return symbol
+        sigma = symbol[key][alpha]
+        r, c, _ = next(sigma.entries())
+        one = SparseMat(sigma.rows, sigma.cols, {(r, c): 1})
+        return {**symbol, key: {**symbol[key], alpha: sigma + one}}
+    return bumped
+
+
+def _every_sigma(symbol_of, n):
+    """(i, block, alpha) of every nonzero sigma_alpha of symbol_of(i)."""
+    return [(i, key, alpha) for i in range(n + 2)
+            for key, terms in symbol_of(i).items() for alpha in terms]
+
+
+BUMP_SWEEP = "conf-deformation-3d"
+
+
+def test_a_bumped_A_symbol_fails_compute_D(monkeypatch):
+    # each sigma_alpha of A, bumped at its first entry, breaks dVA=AD or DD=0
+    bd = build(catalog.get(BUMP_SWEEP).spec, 5)
+    hs = hodge_split(bd)
+    t = compute_T(bd, hs)
+    g = GOps(bd, t)
+    sigmas = _every_sigma(compute_D(bd, hs, t, g).A_symbol, bd.n)
+    assert any(sum(alpha) for _, _, alpha in sigmas)
+    for at in sigmas:
+        monkeypatch.setattr(BGGComplex, "A_symbol", _bumped_symbol(BGGComplex.A_symbol, *at))
+        with pytest.raises(VerificationError, match="^compute_D: "):
+            compute_D(bd, hs, t, g)
+        monkeypatch.undo()
+
+
+def test_a_bumped_G_symbol_fails_the_G_properties(monkeypatch):
+    ops = derive(build(catalog.get(BUMP_SWEEP).spec, 5))
+    bd = ops.bd
+    sigmas = _every_sigma(ops.g.symbol, bd.n)
+    assert any(sum(alpha) for _, _, alpha in sigmas)
+    for at in sigmas:
+        monkeypatch.setattr(GOps, "symbol", _bumped_symbol(GOps.symbol, *at))
+        g = GOps(bd, ops.t)
+        assert any(verify_G_properties(bd, ops.hs, ops.t, g, w)
+                   for w in range(bd.w_max + 1)), at
+        monkeypatch.undo()
+
+
+def test_a_bumped_B_symbol_fails_the_chain_maps(monkeypatch):
+    ops = derive(build(catalog.get(BUMP_SWEEP).spec, 5))
+    bd = ops.bd
+    sigmas = _every_sigma(ops.b.symbol, bd.n)
+    assert any(sum(alpha) for _, _, alpha in sigmas)
+    for at in sigmas:
+        monkeypatch.setattr(BOps, "symbol", _bumped_symbol(BOps.symbol, *at))
+        b = BOps(ops.bc)
+        assert any(verify_chain_maps(ops.bc, b, w) for w in range(bd.w_max + 1)), at
+        monkeypatch.undo()
 
 
 def test_chain_maps_report_a_changed_dVG():

@@ -2,13 +2,16 @@ import hashlib
 import io
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bggkit.cli import main
+from bggkit.energy import EnergyParams, cosserat_energy
 from bggkit.export import read_matrix_market
 
 
@@ -30,6 +33,34 @@ def test_json_report_is_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv, "--wmax", "6", "--format", "json")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the Matrix Market export of each derived operator of
+# conf-deformation-3d at weight 5, pinned when G, A and B were still summed
+# by per-weight products, so that their symbol lifts keep every byte
+EXPORT_DIGESTS = {
+    ("G", 0): "1291ef2c8b8e52b19d674367ebbbd62e2bf538692e6efd07883a145478d5dcf4",
+    ("G", 1): "0bffc52189698f771377512f7f1d679d7c80f05b150afe08088493d90652f832",
+    ("G", 2): "7c9ba1c30514467d983a7b923e9db2d094357b40fe427bd8f2e983b4bae677aa",
+    ("A", 0): "fcd703b205db683dc7d2561b028a6eaf461c6a46b05f38bf518c4f05e421fe83",
+    ("A", 1): "9fbf8e216970384401c7bc3d645a9e2e77adb3298b59604aecfe1a8a8dacb77e",
+    ("A", 2): "85f74e9ca2eab7064d722c13fc461c2f2ce2ea6cd72e558b1cd23329614835f8",
+    ("B", 0): "2c9d7c58f0ff3656b708bcf179420a0e3cbc6cfe6fae2d61f7b611a092e66394",
+    ("B", 1): "80748be0b0d944ebba565941660cc7743d1b8ceed15dc1407161f20c308fcce2",
+    ("B", 2): "b72f35c6e31dd06e1c12427ce1727b14e3ad6b6c4f4f54552f17c20422ee2e0c",
+    ("D", 0): "1eaa6fe3d600f50197eec0ced7015cc56575a5b834efba690eee1de985ab4a8f",
+    ("D", 1): "406bd16bc994455057b8bec9e97417c3e8b47eb1e327d914103cc5163bbd2c08",
+    ("D", 2): "d0b9dfe217a9024deaacdf8cb581e5c7f1789ae393400f648021fde9fb9c86ec",
+}
+
+
+@pytest.mark.parametrize("operator, index", sorted(EXPORT_DIGESTS))
+def test_derived_export_is_byte_identical(capsys, operator, index):
+    code, out, err = run(capsys, "export", "--diagram", "conf-deformation-3d", "--wmax", "5",
+                         "--operator", operator, "--index", str(index), "--weight", "5",
+                         "--format", "matrixmarket")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_DIGESTS[operator, index]
 
 
 def test_verify_pass(capsys):
@@ -198,8 +229,11 @@ def test_cosserat_energy_fields_file(capsys, tmp_path):
      ("--fields u", "monomial (0, 2, 0) given twice")),
     ({"u": [{"1 0": "1"}, {}, {}], "omega": [{}, {}, {}]},
      ("--fields u: bad term '1 0': '1'",)),
+    ({"u": [{}, {}, {}], "omega": [{"1 0 0": "1"}, {}, {"3 3 3": "1"}]},
+     ("--fields omega: term '3 3 3' has degree 9, above 8",)),
 ], ids=["component-not-object", "two-components", "top-level-list",
-        "duplicate-monomial", "duplicate-monomial-one-zero", "two-exponents"])
+        "duplicate-monomial", "duplicate-monomial-one-zero", "two-exponents",
+        "degree-above-cap"])
 def test_bad_fields_file_exit_2(capsys, tmp_path, payload, named):
     path = tmp_path / "fields.json"
     path.write_text(json.dumps(payload))
@@ -223,6 +257,28 @@ def test_unparsable_fields_file_exit_2(capsys, tmp_path, content):
     assert (code, out) == (2, "")
     assert err.startswith(f"invalid input: --fields {path}: ")
     assert err.count("\n") == 1
+
+
+def test_fields_energy_of_any_length_is_printed(capsys, tmp_path):
+    # a 3000-digit coefficient gives an energy of about 6000 digits, past
+    # Python's 4300-digit int-to-str limit, which the command restores
+    coeff = "7" * 3000
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps({"u": [{"1 0 0": coeff}, {}, {}], "omega": [{}, {}, {}]}))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "cosserat-energy", "--fields", str(path),
+                         "--params", "1,1,1,1,1,1")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    value = cosserat_energy([{(1, 0, 0): Fraction(coeff)}, {}, {}], [{}, {}, {}],
+                            EnergyParams.of(1, 1, 1, 1, 1, 1))
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > limit
+    assert out == f"params {EnergyParams.of(1, 1, 1, 1, 1, 1)}: energy = {want}\n"
 
 
 def test_fields_integer_literal_past_the_conversion_limit_exit_2(capsys, tmp_path):
@@ -257,8 +313,8 @@ def test_exponent_notation_is_refused_before_it_is_expanded(capsys, tmp_path, wh
 
 
 # --fields payloads of every JSON shape.  Monomial exponents stay <= 3, so a
-# well-formed payload is quick to evaluate: the field degree is not bounded
-# by the CLI, and the twisted route is built at w_max = degree + 1.
+# well-formed payload is quick to evaluate: the twisted route is built at
+# w_max = degree + 1, and the CLI admits degrees up to 8.
 _monomial_key = st.tuples(*[st.integers(0, 3)] * 3).flatmap(
     lambda m: st.sampled_from([" ", ",", ", "]).map(lambda sep: sep.join(map(str, m))))
 _odd_key = st.one_of(
@@ -545,10 +601,19 @@ kappa 1 1 0:5:1
     assert err.startswith("invalid input:") and "kappa 1 1" in err
 
 
-@pytest.mark.parametrize("header", ["n 0\nrows 1\nrow 0 name=a dim=1 labels=a",
-                                    "n 2\nrows 0"])
+EMPTY_OR_HUGE_HEADERS = {
+    "n 0\nrows 1\nrow 0 name=a dim=1 labels=a": "must be >= 1",
+    "n 2\nrows 0": "must be >= 1",
+    # a row forms n kappa tensors, so n is capped before any is formed
+    "n 9\nrows 2\nrow 0 name=a dim=1\nrow 1 name=b dim=1": "n must be <= 8, got 9",
+    "n 1000000000\nrows 2\nrow 0 name=a dim=1\nrow 1 name=b dim=1":
+        "n must be <= 8, got 1000000000"}
+
+
+@pytest.mark.parametrize("header", EMPTY_OR_HUGE_HEADERS)
 def test_empty_diagram_file_exit_2(capsys, tmp_path, header):
     path = _write_diagram(tmp_path, f"name flat\n{header}\n")
     code, _, err = run(capsys, "verify", "--diagram-file", path, "--wmax", "2")
     assert code == 2
-    assert err.startswith("invalid input:") and "must be >= 1" in err
+    assert err.startswith("invalid input:") and EMPTY_OR_HUGE_HEADERS[header] in err
+    assert err.count("\n") == 1

@@ -10,6 +10,7 @@ from bggkit.forms import (
     ValueSpace,
     _d_scalar,
     _diff_scalar,
+    _diff_table,
     _mult_scalar,
     exterior_derivative,
     form_indices,
@@ -127,6 +128,20 @@ def test_derivative_and_coordinate_commute_to_delta(n, p):
             bracket = _diff_scalar(n, p + 1, l) @ _mult_scalar(n, p, m) \
                 - _mult_scalar(n, p - 1, m) @ _diff_scalar(n, p, l)
             assert bracket == (ident if l == m else SparseMat.zero(ident.rows, ident.cols))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_diff_table_is_the_product_of_first_derivatives(n):
+    # d^alpha is (d/dx^1)^alpha_1 ... (d/dx^n)^alpha_n, storage included, for
+    # |alpha| <= 4 on every degree p <= 7, an empty source or target included
+    for p in range(-1, 8):
+        for k in range(5):
+            for alpha in monomials(n, k):
+                want, deg = SparseMat.identity(len(monomials(n, p))), p
+                for l, a in enumerate(alpha, start=1):
+                    for _ in range(a):
+                        want, deg = _diff_scalar(n, deg, l) @ want, deg - 1
+                assert _diff_table(n, p, alpha) == want, (p, alpha)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
